@@ -41,9 +41,12 @@ def ak(k: int, **coeffs) -> Algebra:
     must be positive.
     """
     try:
-        k = int(k)
-    except (TypeError, ValueError):
-        raise ParameterError(f"k must be an integer, got {k!r}") from None
+        whole = Fraction(k)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole.denominator != 1 or isinstance(k, bool):
+        raise ParameterError(f"k must be an integer, got {k!r}")
+    k = int(whole)
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     names = [f"a{i}{j}" for i in range(1, k + 1) for j in (1, 2)]

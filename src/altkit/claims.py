@@ -3,8 +3,9 @@ algebras, re-derived mechanically and reported claim by claim.
 
 Each claim is a callable that raises AssertionError with a readable
 message on failure.  ``run_claims`` executes them (optionally filtered by
-group) and returns structured results; the CLI's ``verify-paper``
-subcommand prints one PASS/FAIL line per claim.
+group) and returns structured results, recording any other exception as
+a failed claim; the CLI's ``verify-paper`` subcommand prints one
+PASS/FAIL line per claim.  Claims pin their own tolerances.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from fractions import Fraction
 from typing import Callable, List, Optional
 
 from . import catalog, identities, lie, structure, units
-from .core import default_eps
 from .identities import IdentityKind
 
 
@@ -45,7 +45,6 @@ class ClaimResult:
 
 @dataclass(frozen=True)
 class SuiteOptions:
-    eps: float
     seed: int
     samples: int
 
@@ -92,7 +91,7 @@ def claim_ak_not_left_alternative(opt: SuiteOptions):
     for k in (1, 2):
         coeffs = _random_ak_coeffs(rng, k)
         A = catalog.ak(k, **coeffs)
-        report = identities.check_identity(A, IdentityKind.LEFT_ALT, seed=opt.seed)
+        report = identities.check_identity(A, IdentityKind.LEFT_ALT)
         assert not report.holds, f"k={k}: left alternativity unexpectedly holds"
         assert report.witness is not None and not report.witness.defect.is_zero(0.0)
         v11, v12 = A.by_label("v11"), A.by_label("v12")
@@ -406,7 +405,7 @@ def claim_props_implications(opt: SuiteOptions):
         unit_pts = [q, -q]
         assoc = identities.check_identity(A, IdentityKind.ASSOCIATIVE, eps=0.0)
         alts = {
-            kind: identities.check_identity(A, kind, seed=opt.seed, samples=50)
+            kind: identities.check_identity(A, kind)
             for kind in (IdentityKind.LEFT_ALT, IdentityKind.RIGHT_ALT,
                          IdentityKind.FLEXIBLE)
         }
@@ -533,12 +532,10 @@ CLAIMS: List[Claim] = [
 
 def run_claims(
     only: Optional[str] = None,
-    eps: Optional[float] = None,
     seed: int = 0,
     samples: int = 200,
 ) -> List[ClaimResult]:
-    opt = SuiteOptions(eps=default_eps() if eps is None else eps,
-                       seed=seed, samples=samples)
+    opt = SuiteOptions(seed=seed, samples=samples)
     results = []
     for claim in CLAIMS:
         if only and claim.group != only and not claim.id.startswith(only):
@@ -547,6 +544,9 @@ def run_claims(
             claim.fn(opt)
         except AssertionError as exc:
             results.append(ClaimResult(claim.id, claim.description, False, str(exc)))
+        except Exception as exc:  # a crashing claim fails; the suite goes on
+            detail = f"ERROR: {type(exc).__name__}: {exc}"
+            results.append(ClaimResult(claim.id, claim.description, False, detail))
         else:
             results.append(ClaimResult(claim.id, claim.description, True))
     return results

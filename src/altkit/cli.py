@@ -31,7 +31,8 @@ from .identities import IdentityKind
 CHECK_NAMES = [kind.value for kind in IdentityKind] + ["strictly-middle"]
 
 
-def _add_common(parser: argparse.ArgumentParser, needs_algebra: bool = True):
+def _add_common(parser: argparse.ArgumentParser, needs_algebra: bool = True,
+                reads_eps: bool = True):
     if needs_algebra:
         parser.add_argument("--algebra", "--family", dest="algebra",
                             help="catalog family name (%s)" % ", ".join(catalog.FAMILY_NAMES))
@@ -40,8 +41,9 @@ def _add_common(parser: argparse.ArgumentParser, needs_algebra: bool = True):
                             metavar="NAME=VALUE",
                             help="family parameter; repeatable")
     parser.add_argument("--format", choices=("json", "text"), default="text")
-    parser.add_argument("--eps", type=float, default=None,
-                        help="float comparison tolerance (default %s)" % default_eps())
+    if reads_eps:
+        parser.add_argument("--eps", type=float, default=None,
+                            help="float comparison tolerance (default %s)" % default_eps())
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--samples", type=int, default=200)
 
@@ -54,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("describe", help="print an algebra (JSON round-trips)")
-    _add_common(p)
+    _add_common(p, reads_eps=False)
 
     p = sub.add_parser("check", help="check one identity")
     _add_common(p)
@@ -85,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-paper",
                        help="run the built-in verification suite")
-    _add_common(p, needs_algebra=False)
+    _add_common(p, needs_algebra=False, reads_eps=False)
     p.add_argument("--only", default=None,
                    help="restrict to one claim group (e.g. ak, locus, lie)")
 
@@ -109,10 +111,7 @@ def resolve_algebra(args) -> Algebra:
         if args.param:
             raise ParameterError("--param only applies to catalog algebras")
         return Algebra.load(args.file)
-    params = _parse_params(args.param)
-    if args.algebra == "ak" and "k" in params:
-        params["k"] = int(params["k"])
-    return catalog.build(args.algebra, **params)
+    return catalog.build(args.algebra, **_parse_params(args.param))
 
 
 def units_for(A: Algebra, samples: int, seed: int,
@@ -181,7 +180,7 @@ def cmd_check(args) -> int:
               + f" (left holds: {report.left_holds}, right holds: {report.right_holds})")
         return 0 if report.strict else 1
     kind = IdentityKind(args.identity)
-    kwargs = {"eps": eps, "samples": args.samples, "seed": args.seed}
+    kwargs = {"eps": eps}
     if kind in identities.PARTIAL_KINDS:
         points, complete = units_for(A, args.samples, args.seed, eps)
         if not points:
@@ -295,8 +294,7 @@ def cmd_lieify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = claims.run_claims(only=args.only, eps=args.eps, seed=args.seed,
-                                samples=args.samples)
+    results = claims.run_claims(only=args.only, seed=args.seed, samples=args.samples)
     if not results:
         print(f"no claims match group {args.only!r}", file=sys.stderr)
         return 2

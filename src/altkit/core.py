@@ -12,6 +12,8 @@ would manufacture spurious counterexamples.
 
 Values are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to use concurrently.
+The one lazily built value, `Algebra.cube`, is read-only and the same
+whichever caller builds it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import numbers
 import os
 from fractions import Fraction
 from typing import Optional, Sequence, Union
+
+import numpy as np
 
 Scalar = Union[Fraction, float]
 
@@ -282,6 +286,7 @@ class Algebra:
         self._scalar_mode = mode
         self._eps = default_eps() if eps is None else float(eps)
         self._family = family
+        self._cube = None
 
         # sparse view: _sparse[i][j] = ((k, c), ...) over nonzero c
         self._sparse = tuple(
@@ -422,27 +427,67 @@ class Algebra:
         yx = self._mul_coords(y.coords, x.coords)
         return Element(self, [a - b for a, b in zip(xy, yx)])
 
-    def left_matrix(self, a: Element):
-        """Matrix of x -> a*x; column j = coordinates of a*e_j."""
-        self._own(a)
-        cols = []
-        for j in range(self.dim):
-            basis = [1 if i == j else 0 for i in range(self.dim)]
-            cols.append(self._mul_coords(a.coords, basis))
-        return [[cols[j][r] for j in range(self.dim)] for r in range(self.dim)]
-
-    def right_matrix(self, a: Element):
-        """Matrix of x -> x*a; column j = coordinates of e_j*a."""
-        self._own(a)
-        cols = []
-        for j in range(self.dim):
-            basis = [1 if i == j else 0 for i in range(self.dim)]
-            cols.append(self._mul_coords(basis, a.coords))
-        return [[cols[j][r] for j in range(self.dim)] for r in range(self.dim)]
-
     def mul_operator(self, a: Element, side: str = "left") -> MulOperator:
-        matrix = self.left_matrix(a) if side == "left" else self.right_matrix(a)
-        return MulOperator(side, matrix, a)
+        """Matrix of x -> a*x (side "left", column j = a*e_j) or of
+        x -> x*a (side "right", column j = e_j*a)."""
+        self._own(a)
+        n = self.dim
+        cols = []
+        for j in range(n):
+            e_j = [1 if i == j else 0 for i in range(n)]
+            cols.append(self._mul_coords(a.coords, e_j) if side == "left"
+                        else self._mul_coords(e_j, a.coords))
+        return MulOperator(side, [[col[r] for col in cols] for r in range(n)], a)
+
+    # -- tensor view ----------------------------------------------------------
+
+    @property
+    def cube(self) -> np.ndarray:
+        """The table as a read-only n*n*n array, built on first use: float64
+        for a float table; for an exact one, scaled by the lcm of its
+        denominators to int64 (Python ints where `_fits_int64` fails).  Only
+        zero tests read it, and a positive scale cannot change those."""
+        if self._cube is None:
+            flat = [c for row in self._sc for cell in row for c in cell]
+            if self._scalar_mode == "float":
+                cube = np.array(flat, dtype=float)
+            else:
+                ints = _scaled_ints(flat)
+                big = max(map(abs, ints), default=0)
+                cube = np.array(
+                    ints, dtype=np.int64 if _fits_int64(self.dim, big, 1) else object
+                )
+            cube = cube.reshape((self.dim,) * 3)
+            cube.flags.writeable = False
+            self._cube = cube
+        return self._cube
+
+    def associator_slice(self, slot: int, v: Sequence) -> np.ndarray:
+        """D[a, b, :] = the associator with argument ``slot`` (0, 1 or 2) set
+        to v and the other two, in order, to e_a and e_b; n^3 entries, never
+        the n^4 tensor.  On an exact table: integers, a positive multiple of
+        the true coordinates.  Otherwise floats.  Test with `first_defect`."""
+        S = self.cube
+        if S.dtype == float:
+            V = np.array(v, dtype=float)
+        else:
+            ints = _scaled_ints([Fraction(c) for c in v])  # a float at its exact value
+            big = max(map(abs, ints), default=0)
+            if S.dtype == object or not _fits_int64(
+                self.dim, int(np.abs(S).max(initial=0)), big
+            ):
+                S, V = S.astype(object), np.array(ints, dtype=object)
+            else:
+                V = np.array(ints, dtype=np.int64)
+        L = np.tensordot(V, S, 1)  # L[m] = v e_m
+        R = np.tensordot(V, S, (0, 1))  # R[m] = e_m v
+        if slot == 0:  # (v e_a) e_b - v (e_a e_b)
+            return np.tensordot(L, S, 1) - np.tensordot(S, L, 1)
+        if slot == 1:  # (e_a v) e_b - e_a (v e_b)
+            return np.tensordot(R, S, 1) - np.tensordot(L, S, (1, 1)).swapaxes(0, 1)
+        if slot == 2:  # (e_a e_b) v - e_a (e_b v)
+            return np.tensordot(S, R, 1) - np.tensordot(R, S, (1, 1)).swapaxes(0, 1)
+        raise ParameterError(f"associator slot must be 0, 1 or 2, got {slot!r}")
 
     # -- conversions ----------------------------------------------------------
 
@@ -492,6 +537,31 @@ class Algebra:
     def load(cls, path: str) -> "Algebra":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _scaled_ints(values: Sequence) -> list:
+    """Exact rationals times the lcm of their denominators, as ints."""
+    scale = math.lcm(*(c.denominator for c in values))
+    return [c.numerator * (scale // c.denominator) for c in values]
+
+
+def _fits_int64(n: int, smax: int, vmax: int) -> bool:
+    """Can int64 hold the slices of an n-dim cube with entries up to smax
+    against a vector with entries up to vmax?  A slice entry is a difference
+    of two sums of n*n products S*S*v, and callers add up to three slices."""
+    return 8 * n * n * smax * smax * vmax < 2**63
+
+
+def first_defect(D: np.ndarray, eps: float) -> Optional[tuple]:
+    """The lexicographically first index of D's leading axes whose vector
+    along the last axis is nonzero (exactly for integer arrays, beyond eps
+    for float arrays), or None."""
+    if D.dtype == float:
+        nonzero = ~np.all(np.abs(D) <= eps, axis=-1)
+    else:
+        nonzero = np.any(D != 0, axis=-1)
+    hits = np.argwhere(nonzero)
+    return tuple(int(i) for i in hits[0]) if len(hits) else None
 
 
 # module-level operation aliases ------------------------------------------------

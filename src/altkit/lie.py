@@ -26,13 +26,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from . import linalg
 from .core import (
     Algebra,
     AlgebraError,
-    DimensionError,
     ParameterError,
-    default_eps,
+    first_defect,
     parse_scalar,
     scalar_is_zero,
     scalar_to_json,
@@ -46,70 +47,27 @@ TYPE_G49_ZERO = "g49_zero"
 TYPE_UNRECOGNIZED = "unrecognized"
 
 
-class LieAlgebra:
-    """Brackets b[i][j][k] with [e_i, e_j] = sum_k b[i][j][k] e_k."""
+class LieAlgebra(Algebra):
+    """Brackets b[i][j][k] with [e_i, e_j] = sum_k b[i][j][k] e_k: an
+    Algebra without a unit whose product is the bracket."""
 
     def __init__(self, brackets, labels: Optional[Sequence[str]] = None,
                  eps: Optional[float] = None):
-        table = [[[parse_scalar(c) for c in cell] for cell in row] for row in brackets]
-        n = len(table)
-        for row in table:
-            if len(row) != n or any(len(cell) != n for cell in row):
-                raise DimensionError("brackets must be an n*n*n cube")
-        self._eps = default_eps() if eps is None else float(eps)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if not scalars_close(table[i][j][k], -table[j][i][k], self._eps):
-                        raise AlgebraError(
-                            f"brackets are not antisymmetric at ({i}, {j}, {k})"
-                        )
-        self._b = tuple(tuple(tuple(cell) for cell in row) for row in table)
-        self._labels = tuple(labels) if labels else tuple(f"e{i}" for i in range(n))
-        if len(self._labels) != n:
-            raise DimensionError("label count must match the dimension")
-
-    @property
-    def dim(self) -> int:
-        return len(self._b)
+        super().__init__(brackets, labels=labels, eps=eps)
+        S = self.cube
+        bad = first_defect((S + S.swapaxes(0, 1))[..., None], self.eps)
+        if bad is not None:
+            raise AlgebraError(f"brackets are not antisymmetric at {bad}")
 
     @property
     def brackets(self):
-        return self._b
+        return self.sc
 
-    @property
-    def labels(self):
-        return self._labels
-
-    @property
-    def eps(self) -> float:
-        return self._eps
-
-    def bracket(self, u: Sequence, v: Sequence) -> list:
-        n = self.dim
-        out = [0] * n
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                coeff = ui * vj
-                for k in range(n):
-                    c = self._b[i][j][k]
-                    if c:
-                        out[k] = out[k] + coeff * c
-        return out
+    bracket = Algebra._mul_coords
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "labels": list(self._labels),
-            "brackets": [
-                [[scalar_to_json(c) for c in cell] for cell in row]
-                for row in self._b
-            ],
-        }
+        data = super().to_dict()
+        return {"dim": data["dim"], "labels": data["labels"], "brackets": data["sc"]}
 
 
 def lieify(A: Algebra) -> LieAlgebra:
@@ -128,30 +86,33 @@ def lieify(A: Algebra) -> LieAlgebra:
 def check_jacobi(L: LieAlgebra, tol: Optional[float] = None):
     """Exhaustive Jacobi test on basis triples (a proof, by trilinearity).
 
-    Returns (ok, witness) where witness is the first failing
-    (i, j, k, defect coordinates).
+    For an antisymmetric bracket the cyclic sum of associators
+    (x,y,z) + (y,z,x) + (z,x,y) is -2 times the Jacobi sum, so each e_i
+    needs three associator slices.  Returns (ok, witness) where witness is
+    the first failing i < j < k with the Jacobi sum's coordinates.
     """
     tol = L.eps if tol is None else tol
     n = L.dim
-
-    def basis(i):
-        return [1 if p == i else 0 for p in range(n)]
-
     for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                x, y, z = basis(i), basis(j), basis(k)
-                total = [
-                    a + b + c
-                    for a, b, c in zip(
-                        L.bracket(x, L.bracket(y, z)),
-                        L.bracket(y, L.bracket(z, x)),
-                        L.bracket(z, L.bracket(x, y)),
-                    )
-                ]
-                if any(not scalar_is_zero(t, tol) for t in total):
-                    return False, (i, j, k, total)
+        e_i = L.basis(i).coords
+        cyclic = (L.associator_slice(0, e_i) + L.associator_slice(2, e_i)
+                  + L.associator_slice(1, e_i).swapaxes(0, 1))  # [j, k]
+        cyclic[: i + 1] = 0  # keep i < j < k
+        cyclic[np.tril_indices(n)] = 0
+        hit = first_defect(cyclic, 2 * tol)
+        if hit is not None:
+            j, k = hit
+            x, y, z = (L.basis(p) for p in (i, j, k))
+            jacobi = x * (y * z) + y * (z * x) + z * (x * y)
+            return False, (i, j, k, list(jacobi.coords))
     return True, None
+
+
+def _put(b, i: int, j: int, entries: dict) -> None:
+    """Set [e_i, e_j] = sum entries[k] e_k and [e_j, e_i] to its negative."""
+    for k, c in entries.items():
+        b[i][j][k] = parse_scalar(c)
+        b[j][i][k] = -b[i][j][k]
 
 
 def derived_series(L: LieAlgebra, eps: Optional[float] = None) -> List[list]:
@@ -209,26 +170,20 @@ def canonical_brackets(type_tag: str, parameter=0):
     parameter = parse_scalar(parameter)
     n = 4
     b = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-
-    def put(i, j, entries):
-        for k, c in entries.items():
-            b[i][j][k] = parse_scalar(c)
-            b[j][i][k] = -b[i][j][k]
-
     if type_tag == TYPE_G1_G37:
-        put(0, 1, {2: 1})  # [e1, e2] = e3
-        put(1, 2, {0: 1})  # [e2, e3] = e1
-        put(2, 0, {1: 1})  # [e3, e1] = e2
+        _put(b, 0, 1, {2: 1})  # [e1, e2] = e3
+        _put(b, 1, 2, {0: 1})  # [e2, e3] = e1
+        _put(b, 2, 0, {1: 1})  # [e3, e1] = e2
     elif type_tag == TYPE_G1_G35:
         bp = parameter
-        put(0, 2, {0: bp, 1: -1})  # [e1, e3] = b'e1 - e2
-        put(1, 2, {0: 1, 1: bp})   # [e2, e3] = e1 + b'e2
+        _put(b, 0, 2, {0: bp, 1: -1})  # [e1, e3] = b'e1 - e2
+        _put(b, 1, 2, {0: 1, 1: bp})   # [e2, e3] = e1 + b'e2
     elif type_tag == TYPE_G49_ZERO:
         ap = parameter  # zero-parameter member; kept symbolic for clarity
-        put(1, 2, {0: 1})           # [e2, e3] = e1
-        put(0, 3, {0: 2 * ap})      # [e1, e4] = 2a'e1
-        put(1, 3, {1: ap, 2: -1})   # [e2, e4] = a'e2 - e3
-        put(2, 3, {1: 1, 2: ap})    # [e3, e4] = e2 + a'e3
+        _put(b, 1, 2, {0: 1})           # [e2, e3] = e1
+        _put(b, 0, 3, {0: 2 * ap})      # [e1, e4] = 2a'e1
+        _put(b, 1, 3, {1: ap, 2: -1})   # [e2, e4] = a'e2 - e3
+        _put(b, 2, 3, {1: 1, 2: ap})    # [e3, e4] = e2 + a'e3
     else:
         raise ParameterError(f"no canonical table for type {type_tag!r}")
     return tuple(tuple(tuple(cell) for cell in row) for row in b)
@@ -297,15 +252,9 @@ def tp_lie_algebra(alpha, beta) -> LieAlgebra:
     beta = parse_scalar(beta)
     n = 4
     b = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-
-    def put(i, j, entries):
-        for k, c in entries.items():
-            b[i][j][k] = parse_scalar(c)
-            b[j][i][k] = -b[i][j][k]
-
-    put(_TP_I, _TP_W, {_TP_V: -2})
-    put(_TP_I, _TP_V, {_TP_W: 2})
-    put(_TP_V, _TP_W, {0: alpha, _TP_I: beta})
+    _put(b, _TP_I, _TP_W, {_TP_V: -2})
+    _put(b, _TP_I, _TP_V, {_TP_W: 2})
+    _put(b, _TP_V, _TP_W, {0: alpha, _TP_I: beta})
     return LieAlgebra(b, labels=("1", "i", "w", "v"))
 
 

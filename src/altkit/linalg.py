@@ -14,14 +14,14 @@ from typing import List, Optional, Tuple
 from .core import SingularMatrixError, default_eps, scalar_is_zero
 
 
-def _has_float(mat) -> bool:
+def has_float(mat) -> bool:
     return any(isinstance(x, float) for row in mat for x in row)
 
 
 def _resolve_eps(mat, eps: Optional[float]) -> float:
     if eps is not None:
         return eps
-    return default_eps() if _has_float(mat) else 0.0
+    return default_eps() if has_float(mat) else 0.0
 
 
 def identity_matrix(n: int):

@@ -64,14 +64,11 @@ class MorphismReport(NamedTuple):
 
 def commutative_nucleus(A: Algebra, eps: Optional[float] = None) -> List[Element]:
     """Basis of {x : xy = yx for all y}, via the null space of the stacked
-    commutator matrices L_{e_i} - R_{e_i}."""
-    stacked = []
-    for i in range(A.dim):
-        e = A.basis(i)
-        left = A.left_matrix(e)
-        right = A.right_matrix(e)
-        for r in range(A.dim):
-            stacked.append([l - rr for l, rr in zip(left[r], right[r])])
+    commutator matrices L_{e_i} - R_{e_i}, whose row (i, r) is
+    sc[i][j][r] - sc[j][i][r] over j."""
+    n, sc = A.dim, A.sc
+    stacked = [[sc[i][j][r] - sc[j][i][r] for j in range(n)]
+               for i in range(n) for r in range(n)]
     basis = linalg.null_space(stacked, eps)
     return [A.element(v) for v in basis]
 
@@ -88,7 +85,7 @@ def is_isomorphism(
         return MorphismReport(False, None)
     mat = _as_matrix(src, f)
     eps = max(src.eps, dst.eps) if eps is None else eps
-    if scalar_is_zero(linalg.det(mat), eps if _matrix_has_float(mat) else 0.0):
+    if scalar_is_zero(linalg.det(mat), eps if linalg.has_float(mat) else 0.0):
         return MorphismReport(False, None)
     images = [dst.element([mat[r][j] for r in range(dst.dim)])
               for j in range(src.dim)]
@@ -99,10 +96,6 @@ def is_isomorphism(
         if not (mapped - direct).is_zero(eps):
             return MorphismReport(False, (src.basis(i), src.basis(j), mapped, direct))
     return MorphismReport(True, None)
-
-
-def _matrix_has_float(mat) -> bool:
-    return any(isinstance(x, float) for row in mat for x in row)
 
 
 def is_automorphism(A: Algebra, f, eps: Optional[float] = None) -> MorphismReport:

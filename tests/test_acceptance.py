@@ -316,7 +316,7 @@ def test_criterion_9_implication_matrix():
         unit_pts = [q, -q]
         assoc = identities.check_identity(A, IdentityKind.ASSOCIATIVE, eps=0.0)
         alt = {
-            kind: identities.check_identity(A, kind, seed=SEED, samples=60)
+            kind: identities.check_identity(A, kind, seed=SEED)
             for kind in (IdentityKind.LEFT_ALT, IdentityKind.RIGHT_ALT,
                          IdentityKind.FLEXIBLE)
         }

@@ -61,6 +61,14 @@ def test_ak_validation():
         catalog.ak(1, a99=1)
 
 
+def test_ak_rejects_non_integral_k():
+    for k in (Fraction(3, 2), 2.9, "5/2", None, True):
+        with pytest.raises(ParameterError):
+            catalog.ak(k)
+    assert catalog.ak(Fraction(2)).dim == 6
+    assert catalog.ak(3.0).dim == 8
+
+
 def test_tc_validation():
     with pytest.raises(ParameterError):
         catalog.tc(h=2)

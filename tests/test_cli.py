@@ -1,6 +1,8 @@
 import json
 
-from altkit import cli
+import pytest
+
+from altkit import claims, cli
 from altkit.core import Algebra
 
 
@@ -139,6 +141,41 @@ def test_usage_errors(capsys):
 
     code, _, err = run(capsys, "describe", "--algebra", "tn", "--file", "x")
     assert code == 2 and "exactly one" in err
+
+
+def test_non_integral_k_is_an_input_error(capsys):
+    for k in ("3/2", "2.9"):
+        code, out, err = run(capsys, "describe", "--algebra", "ak", "--param", f"k={k}")
+        assert code == 2 and out == ""
+        assert "k must be an integer" in err
+
+
+def test_eps_only_on_verbs_that_read_it(capsys):
+    for argv in (["verify-paper", "--eps", "1e-3"],
+                 ["describe", "--algebra", "quaternions", "--eps", "1e-3"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    code, _, _ = run(capsys, "nucleus", "--algebra", "quaternions", "--eps", "1e-3")
+    assert code == 0
+
+
+def test_verify_paper_records_crashing_claim(capsys, monkeypatch):
+    def boom(opt):
+        raise ValueError("bad input")
+
+    crash = claims.Claim("ak.crash", "ak", "a claim that raises", boom)
+    monkeypatch.setattr(claims, "CLAIMS", [crash] + claims.CLAIMS[:1])
+    results = claims.run_claims(only="ak")
+    assert [(r.id, r.passed) for r in results] == [("ak.crash", False),
+                                                    ("ak.dimension", True)]
+    assert results[0].detail == "ERROR: ValueError: bad input"
+
+    code, out, _ = run(capsys, "verify-paper", "--only", "ak", "--format", "json")
+    assert code == 1
+    rows = json_lines(out)
+    assert all(set(row) == {"id", "description", "passed", "detail"} for row in rows)
+    assert rows[0]["detail"] == "ERROR: ValueError: bad input"
 
 
 def test_verify_paper_group(capsys):
