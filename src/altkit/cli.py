@@ -31,8 +31,10 @@ from .identities import IdentityKind
 CHECK_NAMES = [kind.value for kind in IdentityKind] + ["strictly-middle"]
 
 
-def _add_common(parser: argparse.ArgumentParser, needs_algebra: bool = True,
-                reads_eps: bool = True):
+def _add_common(parser: argparse.ArgumentParser, *reads: str,
+                needs_algebra: bool = True):
+    """The algebra source and --format, plus each of --eps, --seed and
+    --samples named in ``reads`` (only the verbs that read a flag take it)."""
     if needs_algebra:
         parser.add_argument("--algebra", "--family", dest="algebra",
                             help="catalog family name (%s)" % ", ".join(catalog.FAMILY_NAMES))
@@ -41,11 +43,13 @@ def _add_common(parser: argparse.ArgumentParser, needs_algebra: bool = True,
                             metavar="NAME=VALUE",
                             help="family parameter; repeatable")
     parser.add_argument("--format", choices=("json", "text"), default="text")
-    if reads_eps:
+    if "eps" in reads:
         parser.add_argument("--eps", type=float, default=None,
                             help="float comparison tolerance (default %s)" % default_eps())
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--samples", type=int, default=200)
+    if "seed" in reads:
+        parser.add_argument("--seed", type=int, default=0)
+    if "samples" in reads:
+        parser.add_argument("--samples", type=int, default=200)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,23 +60,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("describe", help="print an algebra (JSON round-trips)")
-    _add_common(p, reads_eps=False)
+    _add_common(p)
 
     p = sub.add_parser("check", help="check one identity")
-    _add_common(p)
+    _add_common(p, "eps", "seed", "samples")
     p.add_argument("--identity", required=True, choices=CHECK_NAMES)
     p.add_argument("--c-basis", default="0,1",
                    help="comma-separated basis indices spanning the "
                         "distinguished plane (default 0,1)")
 
     p = sub.add_parser("units", help="imaginary-unit locus")
-    _add_common(p)
+    _add_common(p, "eps", "seed", "samples")
 
     p = sub.add_parser("nucleus", help="basis of the commutative nucleus")
-    _add_common(p)
+    _add_common(p, "eps")
 
     p = sub.add_parser("decompose", help="split along a reflection")
-    _add_common(p)
+    _add_common(p, "eps")
     p.add_argument("--reflection", default="1,1,-1,-1",
                    help="diagonal entries of the reflection (default 1,1,-1,-1)")
     p.add_argument("--reflection-file",
@@ -80,14 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify",
                        help="classify a tn-family point up to isomorphism")
-    _add_common(p)
+    _add_common(p, "eps", "seed")
 
     p = sub.add_parser("lieify", help="commutator Lie algebra and its type")
-    _add_common(p)
+    _add_common(p, "eps")
 
     p = sub.add_parser("verify-paper",
                        help="run the built-in verification suite")
-    _add_common(p, needs_algebra=False, reads_eps=False)
+    _add_common(p, "seed", "samples", needs_algebra=False)
     p.add_argument("--only", default=None,
                    help="restrict to one claim group (e.g. ak, locus, lie)")
 

@@ -452,7 +452,7 @@ class Algebra:
             if self._scalar_mode == "float":
                 cube = np.array(flat, dtype=float)
             else:
-                ints = _scaled_ints(flat)
+                ints = scaled_ints(flat)
                 big = max(map(abs, ints), default=0)
                 cube = np.array(
                     ints, dtype=np.int64 if _fits_int64(self.dim, big, 1) else object
@@ -471,7 +471,7 @@ class Algebra:
         if S.dtype == float:
             V = np.array(v, dtype=float)
         else:
-            ints = _scaled_ints([Fraction(c) for c in v])  # a float at its exact value
+            ints = scaled_ints([Fraction(c) for c in v])  # a float at its exact value
             big = max(map(abs, ints), default=0)
             if S.dtype == object or not _fits_int64(
                 self.dim, int(np.abs(S).max(initial=0)), big
@@ -539,7 +539,7 @@ class Algebra:
             return cls.from_dict(json.load(fh))
 
 
-def _scaled_ints(values: Sequence) -> list:
+def scaled_ints(values: Sequence) -> list:
     """Exact rationals times the lcm of their denominators, as ints."""
     scale = math.lcm(*(c.denominator for c in values))
     return [c.numerator * (scale // c.denominator) for c in values]

@@ -8,10 +8,16 @@ exact locus for tn-family points, where the solution set in the span of
 search enumerates, completely, every grid point of a coordinate box that
 solves the equation; interval bounds discard boxes that provably contain
 no solution, so the full grid never has to be visited point by point.
+The bounds and the point test are exact integer arithmetic on one
+quadratic form scaled from the table's exact values (a float entry at its
+binary value), so the search's completeness is a proof, not a float
+estimate.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,19 +30,18 @@ from .core import (
     Algebra,
     AlgebraError,
     Element,
+    ParameterError,
     default_eps,
     scalar_is_zero,
     scalar_to_json,
+    scaled_ints,
 )
 
 KIND_FINITE = "finite-set"
 KIND_SPHERE = "sphere"
 KIND_HYPERBOLOID = "hyperboloid-two-sheets"
 KIND_PLANES = "parallel-planes"
-KIND_QUADRIC = "quadric-general"
 KIND_CLOUD = "sampled-cloud"
-
-CONTINUOUS_KINDS = (KIND_SPHERE, KIND_HYPERBOLOID, KIND_PLANES, KIND_QUADRIC)
 
 
 @dataclass(frozen=True)
@@ -98,10 +103,8 @@ def solve_units_sampled(
     tol = default_eps() if tol is None else tol
     rng = random.Random(seed)
     n = A.dim
-    sc = np.array(
-        [[[float(c) for c in cell] for cell in row] for row in A.sc]
-    )
-    one = np.array([float(c) for c in A.unit])
+    sc = np.array(A.sc, dtype=float)
+    one = np.array(A.unit, dtype=float)
 
     def f(x):
         return np.einsum("i,j,ijk->k", x, x, sc) + one
@@ -275,123 +278,83 @@ def grid_unit_search(
 
     Equivalent to enumerating the full grid, but boxes whose interval
     bounds push some residual coordinate away from zero are discarded
-    wholesale; only surviving boxes are enumerated point by point.  The
-    verdict is exhaustive over the grid either way.
+    wholesale; only surviving boxes are enumerated point by point.  Bounds
+    and point tests are exact integer arithmetic on the table's exact values
+    (a float at its binary value), so the list is complete, not sampled.
     """
-    step = Fraction(step)
-    n = A.dim
     if A.unit is None:
         raise AlgebraError("grid search needs a unital algebra")
+    step = Fraction(step)
+    if step <= 0:
+        raise ParameterError(f"grid step must be positive, got {step}")
+    if not 0 <= radius < math.inf:
+        raise ParameterError(f"grid radius must be finite and nonnegative, got {radius}")
+    if not tol >= 0:
+        raise ParameterError(f"grid tolerance must be nonnegative, got {tol}")
+    n = A.dim
     hi_idx = int(Fraction(radius) / step)
-    lo_idx = -hi_idx
-    stepf = float(step)
 
-    # symmetric pair form per residual coordinate: diagonal kept separate
-    # so squares get sharp interval bounds
-    diag = [[0.0] * n for _ in range(n)]   # diag[k][i] x_i^2
-    cross = [[] for _ in range(n)]         # (i, j, coeff) with i < j
-    for i in range(n):
-        for j in range(n):
-            for k, c in enumerate(A.sc[i][j]):
-                if c == 0:
-                    continue
-                if i == j:
-                    diag[k][i] += float(c)
-                elif i < j:
-                    cross[k].append((i, j, float(c)))
-                else:
-                    # fold into the (j, i) slot
-                    cross[k].append((j, i, float(c)))
-    merged_cross = []
+    # With step = p/s, q = step*idx, and the table, unit and tol scaled by
+    # one positive factor D to the integers C, U, T:
+    #   D s^2 (q*q + 1)_k = sum_{i<=j} c_kij idx_i idx_j + s^2 U_k  vs  s^2 T
+    # where c_kij = p^2 (C[i][j][k] + C[j][i][k]) for i < j, p^2 C[i][i][k].
+    p2, s2 = step.numerator ** 2, step.denominator ** 2
+    values = [c for row in A.sc for cell in row for c in cell] + list(A.unit) + [tol]
+    ints = scaled_ints([Fraction(c) for c in values])
+    limit = s2 * ints[-1]
+    form = []  # per coordinate k: (s^2 U_k, [(i, j, c_kij) with c_kij != 0])
     for k in range(n):
-        acc = {}
-        for i, j, c in cross[k]:
-            acc[(i, j)] = acc.get((i, j), 0.0) + c
-        merged_cross.append([(i, j, c) for (i, j), c in acc.items() if c != 0.0])
-    unitf = [float(c) for c in A.unit]
+        terms = []
+        for i in range(n):
+            for j in range(i, n):
+                c = ints[(i * n + j) * n + k]
+                if i < j:
+                    c += ints[(j * n + i) * n + k]
+                if c:
+                    terms.append((i, j, p2 * c))
+        form.append((s2 * ints[n ** 3 + k], terms))
 
-    def residual_bounds(box):
-        """Interval of each coordinate of q*q + 1 over the box; None if some
-        coordinate interval excludes [-tol, tol]."""
-        vals = [(lo * stepf, hi * stepf) for lo, hi in box]
-        sq = []
-        for lo, hi in vals:
-            if lo >= 0:
-                sq.append((lo * lo, hi * hi))
-            elif hi <= 0:
-                sq.append((hi * hi, lo * lo))
-            else:
-                sq.append((0.0, max(lo * lo, hi * hi)))
-        for k in range(n):
-            lo_acc = hi_acc = unitf[k]
-            for i, c in enumerate(diag[k]):
-                if c == 0.0:
-                    continue
-                slo, shi = sq[i]
-                if c > 0:
-                    lo_acc += c * slo
-                    hi_acc += c * shi
+    def may_vanish(box) -> bool:
+        """Whether each coordinate's interval over the box of index ranges
+        meets [-limit, limit]; at a one-point box, the exact point test."""
+        for u, terms in form:
+            lo = hi = u
+            for i, j, c in terms:
+                (a, b), (d, e) = box[i], box[j]
+                if i != j:
+                    corners = (a * d, a * e, b * d, b * e)
+                    plo, phi = min(corners), max(corners)
+                elif a >= 0:
+                    plo, phi = a * a, b * b
+                elif b <= 0:
+                    plo, phi = b * b, a * a
                 else:
-                    lo_acc += c * shi
-                    hi_acc += c * slo
-            for i, j, c in merged_cross[k]:
-                (alo, ahi), (blo, bhi) = vals[i], vals[j]
-                products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-                lo_acc += c * (min(products) if c > 0 else max(products))
-                hi_acc += c * (max(products) if c > 0 else min(products))
-            if lo_acc > tol or hi_acc < -tol:
+                    plo, phi = 0, max(a * a, b * b)
+                if c > 0:
+                    lo += c * plo
+                    hi += c * phi
+                else:
+                    lo += c * phi
+                    hi += c * plo
+            if lo > limit or hi < -limit:
                 return False
         return True
 
-    def point_residual_ok(idxs):
-        x = [idx * stepf for idx in idxs]
-        # dense-enough: reuse the sparse structure rows
-        out = list(unitf)
-        for i, xi in enumerate(x):
-            if xi == 0.0:
-                continue
-            for j, xj in enumerate(x):
-                if xj == 0.0:
-                    continue
-                for k, c in A._sparse[i][j]:
-                    out[k] += xi * xj * float(c)
-        return max(abs(v) for v in out) <= tol
-
     results: List[Element] = []
-    stack = [tuple((lo_idx, hi_idx) for _ in range(n))]
+    stack = [((-hi_idx, hi_idx),) * n]
     while stack:
         box = stack.pop()
-        if not residual_bounds(box):
+        if not may_vanish(box):
             continue
-        sizes = [hi - lo + 1 for lo, hi in box]
-        total = 1
-        for s in sizes:
-            total *= s
-        if total <= 32:
-            def enumerate_box(prefix, rest):
-                if not rest:
-                    if point_residual_ok(prefix):
-                        coords = [idx * step for idx in prefix]
-                        results.append(A.element(coords))
-                    return
-                lo, hi = rest[0]
-                for idx in range(lo, hi + 1):
-                    enumerate_box(prefix + (idx,), rest[1:])
-
-            enumerate_box((), box)
+        if math.prod(hi - lo + 1 for lo, hi in box) <= 32:
+            for idx in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
+                if may_vanish(tuple(zip(idx, idx))):
+                    results.append(A.element([i * step for i in idx]))
             continue
+        # split the widest axis; boxes stay disjoint, so no point repeats
         axis = max(range(n), key=lambda i: box[i][1] - box[i][0])
         lo, hi = box[axis]
         mid = (lo + hi) // 2
-        left = list(box)
-        right = list(box)
-        left[axis] = (lo, mid)
-        right[axis] = (mid + 1, hi)
-        stack.append(tuple(left))
-        stack.append(tuple(right))
-
-    uniq = []
-    for q in results:
-        if q not in uniq:
-            uniq.append(q)
-    return uniq
+        stack.append(box[:axis] + ((lo, mid),) + box[axis + 1:])
+        stack.append(box[:axis] + ((mid + 1, hi),) + box[axis + 1:])
+    return results

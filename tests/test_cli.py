@@ -160,6 +160,28 @@ def test_eps_only_on_verbs_that_read_it(capsys):
     assert code == 0
 
 
+def test_seed_and_samples_only_on_verbs_that_read_them(capsys):
+    for argv in (["describe", "--algebra", "quaternions", "--seed", "1"],
+                 ["describe", "--algebra", "quaternions", "--samples", "5"],
+                 ["nucleus", "--algebra", "quaternions", "--seed", "1"],
+                 ["nucleus", "--algebra", "quaternions", "--samples", "5"],
+                 ["decompose", "--algebra", "mplus", "--seed", "1"],
+                 ["decompose", "--algebra", "mplus", "--samples", "5"],
+                 ["lieify", "--algebra", "mplus", "--seed", "1"],
+                 ["lieify", "--algebra", "mplus", "--samples", "5"],
+                 ["classify", "--algebra", "mplus", "--samples", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    for argv in (["classify", "--algebra", "mplus", "--seed", "1"],
+                 ["units", "--algebra", "complex", "--seed", "1", "--samples", "5"],
+                 ["check", "--algebra", "quaternions", "--identity", "partial-left-alt",
+                  "--seed", "1", "--samples", "5"]):
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+
+
 def test_verify_paper_records_crashing_claim(capsys, monkeypatch):
     def boom(opt):
         raise ValueError("bad input")

@@ -1,10 +1,12 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from altkit import catalog, units
-from altkit.core import Algebra
+from altkit.core import Algebra, ParameterError
 
 F = Fraction
 
@@ -114,6 +116,83 @@ def test_grid_search_finds_grid_units_on_sphere():
         expected.add(H.by_label(lab))
         expected.add(-H.by_label(lab))
     assert set(found) == expected
+
+
+def test_grid_search_is_exact_at_zero_tolerance():
+    # e*e = -116/25 - 4e: q = 5/2 + 5/4 e squares to -1 exactly, and float
+    # interval bounds used to prune the box holding it
+    A = Algebra([[[1, 0], [0, 1]], [[0, 1], [F(-116, 25), -4]]], unit=[1, 0])
+    q = A.element([F(5, 2), F(5, 4)])
+    assert units.verify_unit(A, q, 0.0)
+    found = units.grid_unit_search(A, tol=0.0)
+    assert len(found) == 2 and set(found) == {q, -q}
+
+
+def test_grid_search_rejects_bad_arguments():
+    H = catalog.quaternions()
+    for step in (0, F(-1, 4), -0.5):
+        with pytest.raises(ParameterError):
+            units.grid_unit_search(H, step=step)
+    for radius in (-1.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            units.grid_unit_search(H, radius=radius)
+    for tol in (-1e-9, math.nan):
+        with pytest.raises(ParameterError):
+            units.grid_unit_search(H, tol=tol)
+
+
+def _random_unital_table(rng, n, denominators, plant):
+    """Unital table on e0 with random e_i*e_j (i, j >= 1); with ``plant``
+    the last product is solved for so that a random grid point of step 1/2
+    is a unit."""
+    def scalar():
+        return F(rng.randint(-4, 4), rng.choice(denominators))
+
+    sc = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        sc[0][i][i] = sc[i][0][i] = F(1)
+    for i in range(1, n):
+        for j in range(1, n):
+            sc[i][j] = [scalar() for _ in range(n)]
+    if plant:
+        q = [F(rng.randint(-2, 2), 2) for _ in range(n)]
+        q[n - 1] = F(rng.choice((-2, -1, 1, 2)), 2)
+        # q*q = -1 with q = x*1 + v: v*v = (-1 - x^2)*1 - 2x*v
+        x = q[0]
+        target = [-1 - x * x] + [-2 * x * q[k] for k in range(1, n)]
+        rest = [sum(q[i] * q[j] * sc[i][j][k]
+                    for i in range(1, n) for j in range(1, n)
+                    if (i, j) != (n - 1, n - 1))
+                for k in range(n)]
+        sc[n - 1][n - 1] = [(t - r) / (q[n - 1] ** 2) for t, r in zip(target, rest)]
+    return Algebra(sc, unit=[1] + [0] * (n - 1))
+
+
+def _grid_brute_force(A, radius, step, tol):
+    hi = int(F(radius) / step)
+    points = (A.element([i * step for i in idx])
+              for idx in itertools.product(range(-hi, hi + 1), repeat=A.dim))
+    return {q for q in points if units.verify_unit(A, q, tol)}
+
+
+def test_grid_search_matches_brute_force_on_random_tables():
+    rng = random.Random(7)
+    found_some = 0
+    for trial in range(24):
+        A = _random_unital_table(rng, 2 + trial % 2, (1, 2, 3, 5), trial % 4 < 2)
+        found = units.grid_unit_search(A, radius=1.0, step=F(1, 2), tol=0.0)
+        assert len(set(found)) == len(found)
+        assert set(found) == _grid_brute_force(A, 1.0, F(1, 2), 0.0)
+        found_some += bool(found)
+    assert found_some >= 12
+    # dyadic entries stay exact in floats, so tol = 0 also holds on a copy
+    A = _random_unital_table(random.Random(3), 3, (1, 2, 4), True)
+    B = A.to_float()
+    found = units.grid_unit_search(B, radius=1.0, step=F(1, 2), tol=0.0)
+    assert found and set(found) == _grid_brute_force(B, 1.0, F(1, 2), 0.0)
+    assert [q.coords for q in found] == [
+        tuple(map(float, q.coords))
+        for q in units.grid_unit_search(A, radius=1.0, step=F(1, 2), tol=0.0)]
 
 
 def test_locus_to_dict_caps_points():
