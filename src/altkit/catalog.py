@@ -19,6 +19,8 @@ from typing import Mapping
 from .core import Algebra, ParameterError, parse_scalar
 
 FAMILY_NAMES = ("ak", "tn", "tc", "tp", "mplus", "mzero", "quaternions", "complex")
+# families whose every algebra is a tn-family point (see tn_params)
+TN_FAMILIES = ("tn", "mplus", "mzero", "quaternions")
 
 
 def _vec(n, entries: Mapping[int, object]):
@@ -247,10 +249,10 @@ def tn_params(algebra: Algebra) -> dict:
     if algebra.family is None:
         raise ParameterError("algebra does not carry a family tag")
     name, params = algebra.family
+    if name not in TN_FAMILIES:
+        raise ParameterError(f"family {name!r} is not a tn-family point")
     if name == "tn":
         return dict(params)
-    if name in ("mplus", "mzero", "quaternions"):
-        base = {k: Fraction(0) for k in "abcdfghe"}
-        base.update(params["tn"])
-        return base
-    raise ParameterError(f"family {name!r} is not a tn-family point")
+    base = {k: Fraction(0) for k in "abcdfghe"}
+    base.update(params["tn"])
+    return base

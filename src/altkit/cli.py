@@ -129,7 +129,7 @@ def units_for(A: Algebra, samples: int, seed: int,
     if name == "ak":
         q = A.by_label("e1")
         return [q, -q], True
-    if name in ("tn", "mplus", "mzero", "quaternions"):
+    if name in catalog.TN_FAMILIES:
         locus = units.classify_locus_tn(A)
         if locus.complete:
             return list(locus.points), True
@@ -204,7 +204,7 @@ def cmd_check(args) -> int:
 def cmd_units(args) -> int:
     A = resolve_algebra(args)
     name = A.family[0] if A.family else None
-    if name in ("tn", "mplus", "mzero", "quaternions"):
+    if name in catalog.TN_FAMILIES:
         locus = units.classify_locus_tn(A)
     else:
         locus = units.solve_units_sampled(A, seeds=args.samples, tol=args.eps,

@@ -8,7 +8,10 @@ together with basis labels and (optionally) the coordinates of a two-sided
 unit.  Scalars are exact rationals (`fractions.Fraction`) whenever every
 input is rational, and IEEE floats otherwise.  Exactness is load-bearing:
 the identity checks downstream are equational statements, and float drift
-would manufacture spurious counterexamples.
+would manufacture spurious counterexamples.  So a tolerance acts only on
+floats: `scalar_is_zero` compares an exact scalar exactly whatever eps it
+is given, and a float within the caller's eps, which defaults to the
+algebra's `eps`.
 
 Values are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to use concurrently.
@@ -249,8 +252,10 @@ class MulOperator:
         return linalg.det(self.matrix)
 
     def is_singular(self, eps: Optional[float] = None) -> bool:
+        from . import linalg
+
         eps = self.element.algebra.eps if eps is None else eps
-        return scalar_is_zero(self.det(), eps)
+        return scalar_is_zero(linalg.det(self.matrix, eps), eps)
 
 
 class Algebra:

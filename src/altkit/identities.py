@@ -214,14 +214,13 @@ def _resolve_c_span(A: Algebra, c_span, eps: float) -> Tuple[Element, Element]:
     c1, c2 = c_span
     A._own(c1, c2)
     rows = [list(c1.coords), list(c2.coords)]
-    tol = eps if A.scalar_mode == "float" else 0.0
-    if linalg.rank(rows, tol) != 2:
+    if linalg.rank(rows, eps) != 2:
         raise ContextError("the two span elements are linearly dependent")
-    if A.unit is None or not linalg.in_span(rows, list(A.unit), tol):
+    if A.unit is None or not linalg.in_span(rows, list(A.unit), eps):
         raise ContextError("the distinguished plane must contain the unit element")
     for p, q in itertools.product((c1, c2), repeat=2):
         prod = A.multiply(p, q)
-        if not linalg.in_span(rows, list(prod.coords), tol):
+        if not linalg.in_span(rows, list(prod.coords), eps):
             raise ContextError("the distinguished plane is not closed under products")
     return c1, c2
 

@@ -200,8 +200,7 @@ def match_canonical(L: LieAlgebra, type_tag: str, witness,
     table = canonical_brackets(type_tag, parameter)
     n = L.dim
     mat = [list(row) for row in witness]
-    det = linalg.det(mat)
-    if scalar_is_zero(det, eps if isinstance(det, float) else 0.0):
+    if scalar_is_zero(linalg.det(mat, eps), eps):
         return False, "witness matrix is singular"
     cols = [[mat[r][c] for r in range(n)] for c in range(n)]
     for p in range(n):
@@ -276,8 +275,8 @@ def classify_lie(L: LieAlgebra, eps: Optional[float] = None) -> LieClassificatio
     if ab is None:
         return LieClassification(TYPE_UNRECOGNIZED, None, (None, None), None, None, dims)
     alpha, beta = ab
-    zero_a = scalar_is_zero(alpha, eps if isinstance(alpha, float) else 0.0)
-    zero_b = scalar_is_zero(beta, eps if isinstance(beta, float) else 0.0)
+    zero_a = scalar_is_zero(alpha, eps)
+    zero_b = scalar_is_zero(beta, eps)
 
     def col_matrix(cols):
         return tuple(
@@ -334,10 +333,6 @@ def _g35_parameter(L: LieAlgebra, eps: float):
     tr = a + d
     det = a * d - b * c
     disc = 4 * det - tr * tr
-    if isinstance(disc, float):
-        positive = disc > eps
-    else:
-        positive = disc > 0
-    if not positive:
+    if disc <= 0 or scalar_is_zero(disc, eps):
         raise AlgebraError("adjoint action on the derived plane has real eigenvalues")
     return tr / sqrt_scalar(disc)

@@ -1,9 +1,10 @@
 """Small dense linear algebra over exact rationals or floats.
 
-Everything works on plain lists of lists.  Matrices of Fractions are
-eliminated exactly (pivot threshold 0); as soon as a float appears the
-caller-supplied epsilon (or the global default) decides what counts as
-zero.  Sizes here are tiny (n <= 12), so no attempt is made to be fast.
+Everything works on plain lists of lists.  Matrices without a float are
+eliminated exactly (pivot threshold 0, whatever epsilon the caller
+passes); as soon as a float appears the caller-supplied epsilon (or the
+global default) decides what counts as zero.  Sizes here are tiny
+(n <= 12), so no attempt is made to be fast.
 """
 
 from __future__ import annotations
@@ -14,22 +15,23 @@ from typing import List, Optional, Tuple
 from .core import SingularMatrixError, default_eps, scalar_is_zero
 
 
-def has_float(mat) -> bool:
+def _has_float(mat) -> bool:
     return any(isinstance(x, float) for row in mat for x in row)
 
 
+def _exact(x):
+    """An int pivot as a Fraction, so dividing by it keeps ints exact."""
+    return x if isinstance(x, float) else Fraction(x)
+
+
 def _resolve_eps(mat, eps: Optional[float]) -> float:
-    if eps is not None:
-        return eps
-    return default_eps() if has_float(mat) else 0.0
+    if not _has_float(mat):
+        return 0.0
+    return default_eps() if eps is None else eps
 
 
 def identity_matrix(n: int):
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
-def transpose(mat):
-    return [list(col) for col in zip(*mat)]
 
 
 def matvec(mat, vec):
@@ -59,7 +61,7 @@ def rref(mat, eps: Optional[float] = None) -> Tuple[list, List[int]]:
         if best_row is None:
             continue
         rows[r], rows[best_row] = rows[best_row], rows[r]
-        pv = rows[r][c]
+        pv = _exact(rows[r][c])
         rows[r] = [x / pv for x in rows[r]]
         for rr in range(m):
             if rr != r and not scalar_is_zero(rows[rr][c], eps):
@@ -111,7 +113,7 @@ def det(mat, eps: Optional[float] = None):
         if best_row != c:
             a[c], a[best_row] = a[best_row], a[c]
             sign = -sign
-        pv = a[c][c]
+        pv = _exact(a[c][c])
         for r in range(c + 1, n):
             if not scalar_is_zero(a[r][c], eps):
                 f = a[r][c] / pv
@@ -151,8 +153,5 @@ def row_basis(rows, eps: Optional[float] = None) -> list:
 
 
 def in_span(basis_rows, vec, eps: Optional[float] = None) -> bool:
-    if not basis_rows:
-        return all(scalar_is_zero(x, eps if eps is not None else default_eps())
-                   for x in vec)
-    base_rank = rank(basis_rows, eps)
-    return rank(list(basis_rows) + [list(vec)], eps) == base_rank
+    rows = list(basis_rows)
+    return rank(rows + [list(vec)], eps) == rank(rows, eps)

@@ -51,7 +51,7 @@ class LinearMap:
         return self.algebra.element(linalg.matvec(self.matrix, list(x.coords)))
 
 
-def _as_matrix(A: Algebra, f):
+def _as_matrix(f):
     if isinstance(f, LinearMap):
         return [list(r) for r in f.matrix]
     return [list(r) for r in f]
@@ -69,7 +69,7 @@ def commutative_nucleus(A: Algebra, eps: Optional[float] = None) -> List[Element
     n, sc = A.dim, A.sc
     stacked = [[sc[i][j][r] - sc[j][i][r] for j in range(n)]
                for i in range(n) for r in range(n)]
-    basis = linalg.null_space(stacked, eps)
+    basis = linalg.null_space(stacked, A.eps if eps is None else eps)
     return [A.element(v) for v in basis]
 
 
@@ -83,9 +83,9 @@ def is_isomorphism(
     """
     if src.dim != dst.dim:
         return MorphismReport(False, None)
-    mat = _as_matrix(src, f)
+    mat = _as_matrix(f)
     eps = max(src.eps, dst.eps) if eps is None else eps
-    if scalar_is_zero(linalg.det(mat), eps if linalg.has_float(mat) else 0.0):
+    if scalar_is_zero(linalg.det(mat, eps), eps):
         return MorphismReport(False, None)
     images = [dst.element([mat[r][j] for r in range(dst.dim)])
               for j in range(src.dim)]
@@ -124,17 +124,13 @@ class ReflectionDecomposition:
         }
 
 
-def _in_plane_coeffs(A: Algebra, x: Element, plane: Sequence[Element], eps: float):
+def _in_plane_coeffs(x: Element, plane: Sequence[Element], eps: float):
     """Coefficients of x in the span of two elements, or None."""
-    cols = [list(p.coords) for p in plane]
-    mat = [[cols[0][r], cols[1][r]] for r in range(A.dim)]
-    aug_rank_rows = [list(c.coords) for c in plane] + [list(x.coords)]
-    if linalg.rank(aug_rank_rows, eps) > 2:
-        return None
-    # solve the overdetermined 2-column system on two pivot rows
-    reduced, pivots = linalg.rref([row + [x.coords[r]] for r, row in enumerate(mat)],
-                                  eps)
-    if any(p == 2 for p in pivots):
+    # the overdetermined 2-column system [p0 p1 | x]: a pivot in the
+    # augmented column means x lies outside the span
+    p0, p1 = (p.coords for p in plane)
+    reduced, pivots = linalg.rref([list(row) for row in zip(p0, p1, x.coords)], eps)
+    if 2 in pivots:
         return None
     coeffs = [Fraction(0), Fraction(0)]
     for row_i, p in enumerate(pivots):
@@ -154,14 +150,12 @@ def _choose_i(A: Algebra, plane: List[Element], eps: float) -> Element:
     if b is None:
         raise DecompositionError("plus-eigenspace is a line through the unit")
     bb = A.multiply(b, b)
-    coeffs = _in_plane_coeffs(A, bb, [one, b], eps)
+    coeffs = _in_plane_coeffs(bb, [one, b], eps)
     if coeffs is None:
         raise DecompositionError("plus-eigenspace is not closed under products")
     p, q = coeffs
     disc = p + q * q / 4
-    if not isinstance(disc, float) and disc >= 0:
-        raise DecompositionError("plus-eigenspace is not a copy of the complex plane")
-    if isinstance(disc, float) and disc >= -eps:
+    if disc >= 0 or scalar_is_zero(disc, eps):
         raise DecompositionError("plus-eigenspace is not a copy of the complex plane")
     y2 = -1 / disc
     y = sqrt_scalar(y2)
@@ -186,22 +180,21 @@ def reflection_decompose(
     eps = A.eps if eps is None else eps
     if A.unit is None or A.dim != 4:
         raise DecompositionError("reflection split needs a 4-dimensional unital algebra")
-    mat = _as_matrix(A, phi)
+    mat = _as_matrix(phi)
 
     auto = is_automorphism(A, mat, eps)
     if not auto.ok:
         raise ReflectionError("the supplied map is not an automorphism")
     n = A.dim
     ident = linalg.identity_matrix(n)
-    diff_id = [[mat[i][j] - ident[i][j] for j in range(n)] for i in range(n)]
-    if all(scalar_is_zero(x, eps) for row in diff_id for x in row):
+    plus = [[mat[i][j] - ident[i][j] for j in range(n)] for i in range(n)]
+    if all(scalar_is_zero(x, eps) for row in plus for x in row):
         raise ReflectionError("the identity map is not a reflection")
     sq = linalg.matmul(mat, mat)
     if any(not scalars_close(sq[i][j], ident[i][j], eps)
            for i in range(n) for j in range(n)):
         raise ReflectionError("the map does not square to the identity")
 
-    plus = [[mat[i][j] - ident[i][j] for j in range(n)] for i in range(n)]
     minus = [[mat[i][j] + ident[i][j] for j in range(n)] for i in range(n)]
     B = [A.element(v) for v in linalg.null_space(plus, eps)]
     C = [A.element(v) for v in linalg.null_space(minus, eps)]
@@ -246,7 +239,7 @@ def reflection_decompose(
         )
 
     def plane_coeffs(x: Element):
-        coeffs = _in_plane_coeffs(A, x, [one, i_elem], eps)
+        coeffs = _in_plane_coeffs(x, [one, i_elem], eps)
         if coeffs is None:
             raise DecompositionError(
                 "a product of minus-eigenvectors lands outside span{1, i}"
@@ -373,8 +366,7 @@ def classify_middle_c(source, eps: Optional[float] = None,
                 f"derived value {expected}"
             )
 
-    zero_a = scalar_is_zero(a, eps if isinstance(a, float) else 0.0)
-    if zero_a:
+    if scalar_is_zero(a, eps):
         target_name = "Mzero"
         scale = Fraction(1)
     elif a > 0:

@@ -11,7 +11,8 @@ no solution, so the full grid never has to be visited point by point.
 The bounds and the point test are exact integer arithmetic on one
 quadratic form scaled from the table's exact values (a float entry at its
 binary value), so the search's completeness is a proof, not a float
-estimate.
+estimate.  Tolerances act only on floats: on an exact table every test
+here, the grid's included, is exact whatever ``tol`` is passed.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .core import (
     AlgebraError,
     Element,
     ParameterError,
-    default_eps,
     scalar_is_zero,
     scalar_to_json,
     scaled_ints,
@@ -100,7 +100,7 @@ def solve_units_sampled(
     """
     if A.unit is None:
         raise AlgebraError("unit sampling needs a unital algebra")
-    tol = default_eps() if tol is None else tol
+    tol = A.eps if tol is None else tol
     rng = random.Random(seed)
     n = A.dim
     sc = np.array(A.sc, dtype=float)
@@ -198,7 +198,7 @@ def rational_locus_points(
         coords = [Fraction(0)] * A.dim
         coords[1], coords[2], coords[3] = x, y, z
         q = A.element(coords)
-        if verify_unit(A, q, 0.0 if A.scalar_mode == "exact" else None):
+        if verify_unit(A, q):
             out.append(q)
     return out
 
@@ -281,6 +281,8 @@ def grid_unit_search(
     wholesale; only surviving boxes are enumerated point by point.  Bounds
     and point tests are exact integer arithmetic on the table's exact values
     (a float at its binary value), so the list is complete, not sampled.
+    Like every tolerance in altkit, ``tol`` acts only on float tables: on an
+    exact table it is ignored and each listed point solves q*q = -1 exactly.
     """
     if A.unit is None:
         raise AlgebraError("grid search needs a unital algebra")
@@ -291,6 +293,8 @@ def grid_unit_search(
         raise ParameterError(f"grid radius must be finite and nonnegative, got {radius}")
     if not tol >= 0:
         raise ParameterError(f"grid tolerance must be nonnegative, got {tol}")
+    if A.scalar_mode == "exact":
+        tol = 0
     n = A.dim
     hi_idx = int(Fraction(radius) / step)
 

@@ -97,6 +97,7 @@ def test_brackets_must_be_antisymmetric():
         (0, 2, [4, 3, 3]),
         (3, -5, [4, 3, 3]),
         (0, 0, [4, 2, 0]),
+        (Fraction(1, 10**12), 0, [4, 3, 1, 0]),  # exact alpha != 0, however small
     ],
 )
 def test_derived_series_dims(alpha, beta, expected_dims):

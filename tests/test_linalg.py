@@ -13,6 +13,11 @@ def test_rref_and_rank():
     rows, pivots = linalg.rref(mat)
     assert pivots == [0, 1]
     assert linalg.rank(mat) == 2
+    # an epsilon acts only on floats: a tiny exact pivot still counts,
+    # and an int matrix (third row 3*first + 7*second) is eliminated exactly
+    assert linalg.rank([[F(1, 10**12), 0], [0, 1]], 1e-9) == 2
+    ints = [[3, -9, -3], [3, 8, 5], [30, 29, 26]]
+    assert linalg.rank(ints) == linalg.rank(ints, 1e-9) == 2
 
 
 def test_null_space_exact():

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from altkit import catalog, linalg, structure
-from altkit.core import NucleusContradictionError, ReflectionError
+from altkit import catalog, identities, linalg, structure
+from altkit.core import Algebra, NucleusContradictionError, ReflectionError
 
 F = Fraction
 
@@ -22,6 +22,13 @@ def test_nucleus_commutative_algebra_is_everything():
     assert len(structure.commutative_nucleus(A)) == A.dim
     T = catalog.tc(a=1, b=2, f=3, g=4, h=1)
     assert len(structure.commutative_nucleus(T)) == 4
+    # e1*e0 = e0 + c*e1 against e0*e1 = e0: the nucleus and the commutative
+    # check apply one tolerance rule, exact c exactly, float c within eps
+    for c, eps, commutative in ((F(1, 10**12), 1e-9, False), (1e-7, 1e-6, True)):
+        A = Algebra([[[0, 0], [1, 0]], [[1, c], [0, 0]]], eps=eps)
+        assert identities.check_identity(A, "commutative", eps=eps).holds == commutative
+        assert len(structure.commutative_nucleus(A)) == (2 if commutative else 0)
+        assert len(structure.commutative_nucleus(A, eps=eps)) == (2 if commutative else 0)
 
 
 def test_nucleus_invariant_under_automorphisms():

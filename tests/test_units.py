@@ -193,6 +193,13 @@ def test_grid_search_matches_brute_force_on_random_tables():
     assert [q.coords for q in found] == [
         tuple(map(float, q.coords))
         for q in units.grid_unit_search(A, radius=1.0, step=F(1, 2), tol=0.0)]
+    # tol acts only on floats: e*e = (-1 + 10^-10)*1 has no exact grid unit,
+    # while its float copy has +-e within tol
+    A = Algebra([[[1, 0], [0, 1]], [[0, 1], [F(-1) + F(1, 10**10), 0]]], unit=[1, 0])
+    for B, count in ((A, 0), (A.to_float(), 2)):
+        found = units.grid_unit_search(B, radius=1.0, step=F(1, 2), tol=1e-9)
+        assert len(found) == count
+        assert set(found) == _grid_brute_force(B, 1.0, F(1, 2), 1e-9)
 
 
 def test_locus_to_dict_caps_points():
