@@ -2,7 +2,11 @@
 
 Three tools live here.  A Newton solver samples the solution set of
 F(q) = q*q + 1 from seeded starting points, using the closed-form Jacobian
-J(q) = L_q + R_q read off the structure constants.  A classifier names the
+J(q) = L_q + R_q read off the structure constants.  All starts step
+together: one product of the live rows with the symmetrised table gives
+every row's J, and F = J(q)q/2 + 1 with it, and one stacked solve steps
+them all; a row whose Jacobian is exactly singular is abandoned, as are
+diverging rows, while the others step on.  A classifier names the
 exact locus for tn-family points, where the solution set in the span of
 {i, j, k} is cut out by -x^2 + a(y^2 + z^2) = -1.  A box-pruned grid
 search enumerates, completely, every grid point of a coordinate box that
@@ -95,62 +99,81 @@ def solve_units_sampled(
     """Newton-iterate F(q) = q*q + 1 from seeded starting points.
 
     Start points are all +-basis vectors plus ``seeds`` uniform draws from
-    [-box, box]^n.  Converged points are deduplicated at distance 10*tol
-    and re-verified before being returned as a sampled cloud.
+    [-box, box]^n.  All live starts step together: one product of the rows
+    with the symmetrised table gives, per row, J = L_q + R_q and, since
+    J(q)q = 2 q*q, also F = J(q)q/2 + 1; one stacked solve then steps every
+    row.  Rows with max|F| <= tol leave as converged.  A row is abandoned
+    when its Jacobian is exactly singular (such an iteration is redone row
+    by row), its step is not finite, it leaves max|q| <= 1e6, or it has not
+    converged after ``max_iter`` iterations.  Converged points are
+    deduplicated in start order at distance 10*tol and re-verified before
+    being returned as a sampled cloud.
     """
     if A.unit is None:
         raise AlgebraError("unit sampling needs a unital algebra")
     tol = A.eps if tol is None else tol
+    if seeds < 0:
+        raise ParameterError(f"seed count must be nonnegative, got {seeds}")
+    if not tol >= 0:
+        raise ParameterError(f"Newton tolerance must be nonnegative, got {tol}")
+    if not 0 < box < math.inf:
+        raise ParameterError(f"start box must be finite and positive, got {box}")
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
     rng = random.Random(seed)
     n = A.dim
     sc = np.array(A.sc, dtype=float)
     one = np.array(A.unit, dtype=float)
+    # row x of x @ sym, read as an n x n matrix G, has G[j, k] = (x*e_j + e_j*x)_k
+    sym = (sc + sc.transpose(1, 0, 2)).reshape(n, n * n)
 
-    def f(x):
-        return np.einsum("i,j,ijk->k", x, x, sc) + one
+    basis = np.eye(n)
+    draws = [rng.uniform(-box, box) for _ in range(seeds * n)]
+    x = np.vstack([np.stack([basis, -basis], axis=1).reshape(2 * n, n),
+                   np.reshape(draws, (seeds, n))])
 
-    def jac(x):
-        # d/dx of x*x: left plus right multiplication by x
-        left = np.einsum("i,ijk->kj", x, sc)
-        right = np.einsum("j,ijk->ki", x, sc)
-        return left + right
+    converged = np.zeros(len(x), dtype=bool)
+    live = np.arange(len(x))
+    for _ in range(max_iter):
+        if not live.size:
+            break
+        xl = x[live]
+        G = (xl @ sym).reshape(-1, n, n)
+        res = 0.5 * np.einsum("sj,sjk->sk", xl, G) + one
+        done = np.max(np.abs(res), axis=1) <= tol
+        converged[live[done]] = True
+        # converged rows ride along in the solve as I * step = 0
+        G[done], res[done] = basis, 0.0
+        J = G.transpose(0, 2, 1)
+        try:
+            step = np.linalg.solve(J, res[..., None])[..., 0]
+            ok = ~done
+        except np.linalg.LinAlgError:
+            # some Jacobian is exactly singular: abandon those rows only
+            step = np.zeros_like(res)
+            ok = np.zeros(len(live), dtype=bool)
+            for r in np.flatnonzero(~done):
+                try:
+                    step[r] = np.linalg.solve(J[r], res[r])
+                    ok[r] = True
+                except np.linalg.LinAlgError:
+                    pass
+        ok &= np.all(np.isfinite(step), axis=1)
+        live, xl = live[ok], xl[ok] - step[ok]
+        inside = np.max(np.abs(xl), axis=1) <= 1e6
+        live = live[inside]
+        x[live] = xl[inside]
 
-    starts = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        starts.append(e.copy())
-        starts.append(-e)
-    for _ in range(seeds):
-        starts.append(np.array([rng.uniform(-box, box) for _ in range(n)]))
-
-    found: List[np.ndarray] = []
-    for x in starts:
-        x = x.copy()
-        ok = False
-        for _ in range(max_iter):
-            res = f(x)
-            if np.max(np.abs(res)) <= tol:
-                ok = True
-                break
-            J = jac(x)
-            try:
-                step = np.linalg.solve(J, res)
-            except np.linalg.LinAlgError:
-                break  # exactly singular Jacobian: abandon this seed
-            if not np.all(np.isfinite(step)):
-                break
-            x = x - step
-            if np.max(np.abs(x)) > 1e6:
-                break
-        if not ok:
-            continue
-        if all(np.max(np.abs(x - p)) > 10 * tol for p in found):
-            found.append(x)
+    found = np.empty((int(converged.sum()), n))
+    count = 0
+    for xc in x[converged]:
+        if np.all(np.max(np.abs(found[:count] - xc), axis=1) > 10 * tol):
+            found[count] = xc
+            count += 1
 
     points = []
-    for x in found:
-        q = A.element([float(v) for v in x])
+    for xc in found[:count]:
+        q = A.element(xc.tolist())
         if verify_unit(A, q, tol):
             points.append(q)
     return UnitLocus(KIND_CLOUD, tuple(points), None, tuple(range(n)))

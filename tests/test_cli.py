@@ -129,6 +129,15 @@ def test_file_input(tmp_path, capsys):
     assert code == 0
 
 
+def test_units_bad_newton_arguments_exit_two(tmp_path, capsys):
+    path = tmp_path / "alg.json"
+    path.write_text(Algebra([[[1, 0], [0, 1]], [[0, 1], [-1, 0]]],
+                            unit=[1, 0]).dumps())
+    for flags in (("--samples", "-3"), ("--eps", "nan")):
+        code, out, err = run(capsys, "units", "--file", str(path), *flags)
+        assert code == 2 and out == "" and "altkit: error" in err
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "describe", "--algebra", "nope")
     assert code == 2 and "unknown family" in err

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from altkit import catalog, units
@@ -50,6 +51,112 @@ def test_newton_empty_for_reals():
     R = Algebra([[[1]]], labels=["1"], unit=[1])
     cloud = units.solve_units_sampled(R, seeds=50)
     assert cloud.points == ()
+
+
+def _per_start_newton(A, seeds=200, tol=1e-9, seed=0, box=2.0, max_iter=100):
+    """Reference: each start point iterated alone, one solve per step, then
+    deduplicated at 10*tol against each kept point in turn."""
+    rng = random.Random(seed)
+    n = A.dim
+    sc = np.array(A.sc, dtype=float)
+    one = np.array(A.unit, dtype=float)
+    starts = []
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = 1.0
+        starts += [e, -e]
+    starts += [np.array([rng.uniform(-box, box) for _ in range(n)])
+               for _ in range(seeds)]
+    found = []
+    for x in starts:
+        ok = False
+        for _ in range(max_iter):
+            res = np.einsum("i,j,ijk->k", x, x, sc) + one
+            if np.max(np.abs(res)) <= tol:
+                ok = True
+                break
+            J = np.einsum("i,ijk->kj", x, sc) + np.einsum("j,ijk->ki", x, sc)
+            try:
+                step = np.linalg.solve(J, res)
+            except np.linalg.LinAlgError:
+                break
+            if not np.all(np.isfinite(step)):
+                break
+            x = x - step
+            if np.max(np.abs(x)) > 1e6:
+                break
+        if ok and all(np.max(np.abs(x - p)) > 10 * tol for p in found):
+            found.append(x)
+    return [x for x in found
+            if units.verify_unit(A, A.element([float(v) for v in x]), tol)]
+
+
+def _seeded_tc(seed):
+    rng = random.Random(seed)
+    draw = lambda: F(rng.randint(-6, 6), rng.randint(1, 4))
+    return catalog.tc(a=draw(), b=draw(), f=draw(), g=draw(), h=rng.choice((0, 1)))
+
+
+def _seeded_tp(seed):
+    rng = random.Random(seed)
+    names = ("alpha1", "alpha2", "beta1", "beta2",
+             "delta1", "delta2", "gamma1", "gamma2")
+    return catalog.tp(**{name: F(rng.randint(-6, 6), 2) for name in names})
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("build", [
+    lambda: catalog.ak(2, a11=1, a12=2, a21=F(1, 2), a22=3),
+    lambda: catalog.ak(5),
+    lambda: _seeded_tc(11),
+], ids=["ak2", "ak5", "tc"])
+def test_batched_newton_matches_per_start_reference(build, seed):
+    # isolated roots: the batched iteration returns the reference's points in
+    # the reference's order; on ak(k) the +-basis starts have exactly
+    # singular Jacobians, so fallback iterations run inside a live batch
+    A = build()
+    cloud = units.solve_units_sampled(A, seeds=60, tol=1e-9, seed=seed)
+    expected = _per_start_newton(A, seeds=60, tol=1e-9, seed=seed)
+    assert len(cloud.points) == len(expected) >= 2
+    for q, x in zip(cloud.points, expected):
+        assert max(abs(float(c) - v) for c, v in zip(q.coords, x)) <= 1e-12
+
+
+@pytest.mark.parametrize("build,scalar_free", [
+    (catalog.quaternions, True),
+    (catalog.mplus, True),
+    (catalog.mzero, True),
+    (lambda: _seeded_tp(3), False),
+], ids=["quaternions", "mplus", "mzero", "tp"])
+def test_batched_newton_cloud_on_continuous_loci(build, scalar_free):
+    A = build()
+    tol = 1e-9
+    cloud = units.solve_units_sampled(A, seeds=80, tol=tol, seed=1)
+    assert len(cloud.points) > 10
+    coords = [[float(c) for c in q.coords] for q in cloud.points]
+    for q in cloud.points:
+        assert units.verify_unit(A, q, tol)
+    for p, r in itertools.combinations(coords, 2):
+        assert max(abs(a - b) for a, b in zip(p, r)) > 10 * tol
+    if scalar_free:
+        assert all(abs(p[0]) <= 1e-8 for p in coords)
+
+
+def test_newton_complex_numbers_gives_plus_minus_i():
+    # the 1-dim real line is test_newton_empty_for_reals
+    C = catalog.complex_numbers()
+    cloud = units.solve_units_sampled(C, seeds=20)
+    assert sorted(tuple(round(float(c), 9) for c in q.coords)
+                  for q in cloud.points) == [(0.0, -1.0), (0.0, 1.0)]
+
+
+def test_newton_rejects_bad_arguments():
+    H = catalog.quaternions()
+    bad = [{"seeds": -1}, {"tol": -1e-9}, {"tol": math.nan}, {"max_iter": 0}]
+    bad += [{"box": box} for box in (0.0, -2.0, math.inf, math.nan)]
+    for kwargs in bad:
+        with pytest.raises(ParameterError):
+            units.solve_units_sampled(H, **kwargs)
 
 
 @pytest.mark.parametrize(
