@@ -546,8 +546,9 @@ class Algebra:
 
 def scaled_ints(values: Sequence) -> list:
     """Exact rationals times the lcm of their denominators, as ints."""
-    scale = math.lcm(*(c.denominator for c in values))
-    return [c.numerator * (scale // c.denominator) for c in values]
+    dens = [c.denominator for c in values]
+    scale = math.lcm(*dens)
+    return [c.numerator * (scale // d) for c, d in zip(values, dens)]
 
 
 def _fits_int64(n: int, smax: int, vmax: int) -> bool:
@@ -567,6 +568,26 @@ def first_defect(D: np.ndarray, eps: float) -> Optional[tuple]:
         nonzero = np.any(D != 0, axis=-1)
     hits = np.argwhere(nonzero)
     return tuple(int(i) for i in hits[0]) if len(hits) else None
+
+
+def morphism_defect(src_sc, dst_sc, mat, eps: float) -> Optional[tuple]:
+    """First (i, j) in lexicographic order with f(e_i e_j) != f(e_i) f(e_j),
+    column i of ``mat`` being f(e_i), or None: a proof, by bilinearity.
+    Exact data compares exactly, as ints over one common denominator D;
+    with any float present, all compare as floats within eps."""
+    n = len(mat)
+    flat = [c for t in (src_sc, dst_sc, [mat]) for row in t for cell in row
+            for c in cell]
+    if any(isinstance(c, float) for c in flat):
+        vals, scale = np.array(flat, dtype=float), 1
+    else:
+        *ints, scale = scaled_ints(flat + [1])
+        vals = np.array(ints, dtype=object)
+    S, T = vals[: 2 * n**3].reshape(2, n, n, n)
+    Mt = vals[2 * n**3:].reshape(n, n).T
+    # D * mapped and direct are both D^3 times their true values
+    direct = np.dot(Mt, np.dot(Mt, T.reshape(n, -1)).reshape(n, n, n))
+    return first_defect(scale * np.dot(S, Mt) - direct.swapaxes(0, 1), eps)
 
 
 # module-level operation aliases ------------------------------------------------

@@ -12,8 +12,8 @@ the isomorphism type is decided by (alpha, beta):
     alpha != 0, beta = 0  ->  g4_9 with zero parameter (solvable)
 
 Each verdict ships an explicit change-of-basis witness whose transported
-brackets are compared against the canonical table; the comparison result
-is reported, never assumed.  For beta < 0 the emitted scaling follows the
+brackets are checked against the canonical table by `core.morphism_defect`;
+the result is reported, never assumed.  For beta < 0 the scaling follows the
 case split above but cannot validate: the Killing form of span{i, v, w}
 is diag(-8, -4*beta, -4*beta), indefinite for beta < 0, so the algebra is
 the noncompact sl(2, R) type and no real basis change reaches the compact
@@ -34,6 +34,7 @@ from .core import (
     AlgebraError,
     ParameterError,
     first_defect,
+    morphism_defect,
     parse_scalar,
     scalar_is_zero,
     scalar_to_json,
@@ -199,21 +200,19 @@ def match_canonical(L: LieAlgebra, type_tag: str, witness,
     eps = L.eps if eps is None else eps
     table = canonical_brackets(type_tag, parameter)
     n = L.dim
-    mat = [list(row) for row in witness]
-    if scalar_is_zero(linalg.det(mat, eps), eps):
+    if scalar_is_zero(linalg.det(witness, eps), eps):
         return False, "witness matrix is singular"
-    cols = [[mat[r][c] for r in range(n)] for c in range(n)]
-    for p in range(n):
-        for q in range(p + 1, n):
-            got = L.bracket(cols[p], cols[q])
-            want = [0] * n
-            for r in range(n):
-                c = table[p][q][r]
-                if c:
-                    want = [w + c * x for w, x in zip(want, cols[r])]
-            if any(not scalars_close(g, w, eps) for g, w in zip(got, want)):
-                return False, (p, q, got, want)
-    return True, None
+    hit = morphism_defect(table, L.sc, witness, eps)
+    if hit is None:
+        return True, None
+    p, q = hit
+    cols = list(zip(*witness))
+    want = [0] * n
+    for r in range(n):
+        c = table[p][q][r]
+        if c:
+            want = [w + c * x for w, x in zip(want, cols[r])]
+    return False, (p, q, L.bracket(cols[p], cols[q]), want)
 
 
 _TP_I, _TP_W, _TP_V = 1, 2, 3  # positions in the (1, i, w, v) basis

@@ -134,16 +134,6 @@ def inverse(mat, eps: Optional[float] = None):
     return [row[n:] for row in rows[:n]]
 
 
-def solve(mat, rhs, eps: Optional[float] = None):
-    """Solve mat @ x = rhs for square nonsingular mat."""
-    n = len(mat)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
-    rows, pivots = rref(aug, eps)
-    if len(pivots) < n or any(p >= n for p in pivots):
-        raise SingularMatrixError("system is singular or inconsistent")
-    return [rows[i][n] for i in range(n)]
-
-
 def row_basis(rows, eps: Optional[float] = None) -> list:
     """Independent spanning subset, in reduced form."""
     if not rows:

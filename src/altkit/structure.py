@@ -1,5 +1,5 @@
-"""Structural machinery: commutative nucleus, automorphism checks, the
-eigenspace split under a reflection, extraction of the canonical
+"""Structural machinery: commutative nucleus, exact isomorphism checks,
+the eigenspace split under a reflection, extraction of the canonical
 reflection table, and classification of middle plane-associative tables.
 
 A reflection is an algebra automorphism of order two.  Its +1 and -1
@@ -13,7 +13,6 @@ span{1, i}; the eight scalars of those rows are what this module reports.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence
@@ -22,10 +21,12 @@ from . import catalog, identities, linalg, units
 from .core import (
     Algebra,
     DecompositionError,
+    DimensionError,
     Element,
     NucleusContradictionError,
     ParameterError,
     ReflectionError,
+    morphism_defect,
     scalar_is_zero,
     scalar_to_json,
     scalars_close,
@@ -41,20 +42,18 @@ class LinearMap:
     algebra: Algebra
 
     def __post_init__(self):
-        n = self.algebra.dim
-        mat = tuple(tuple(row) for row in self.matrix)
-        if len(mat) != n or any(len(row) != n for row in mat):
-            raise DecompositionError("linear map shape must match the algebra")
-        object.__setattr__(self, "matrix", mat)
+        mat = _as_matrix(self.matrix, self.algebra.dim)
+        object.__setattr__(self, "matrix", tuple(map(tuple, mat)))
 
     def __call__(self, x: Element) -> Element:
         return self.algebra.element(linalg.matvec(self.matrix, list(x.coords)))
 
 
-def _as_matrix(f):
-    if isinstance(f, LinearMap):
-        return [list(r) for r in f.matrix]
-    return [list(r) for r in f]
+def _as_matrix(f, n: int):
+    rows = [list(r) for r in (f.matrix if isinstance(f, LinearMap) else f)]
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise DimensionError(f"the map must be a {n}x{n} matrix")
+    return rows
 
 
 class MorphismReport(NamedTuple):
@@ -79,23 +78,21 @@ def is_isomorphism(
     """Is the matrix an invertible multiplicative map src -> dst?
 
     Columns of f are the images of src basis vectors in dst coordinates.
-    Bilinearity makes the basis-pair check a proof.
+    Bilinearity makes the basis-pair check, `core.morphism_defect`, a proof.
     """
     if src.dim != dst.dim:
         return MorphismReport(False, None)
-    mat = _as_matrix(f)
+    mat = _as_matrix(f, src.dim)
     eps = max(src.eps, dst.eps) if eps is None else eps
     if scalar_is_zero(linalg.det(mat, eps), eps):
         return MorphismReport(False, None)
-    images = [dst.element([mat[r][j] for r in range(dst.dim)])
-              for j in range(src.dim)]
-    for i, j in itertools.product(range(src.dim), repeat=2):
-        prod = src.multiply(src.basis(i), src.basis(j))
-        mapped = dst.element(linalg.matvec(mat, list(prod.coords)))
-        direct = dst.multiply(images[i], images[j])
-        if not (mapped - direct).is_zero(eps):
-            return MorphismReport(False, (src.basis(i), src.basis(j), mapped, direct))
-    return MorphismReport(True, None)
+    hit = morphism_defect(src.sc, dst.sc, mat, eps)
+    if hit is None:
+        return MorphismReport(True, None)
+    x, y = (src.basis(p) for p in hit)
+    mapped = dst.element(linalg.matvec(mat, list(src.multiply(x, y).coords)))
+    fx, fy = (dst.element([row[p] for row in mat]) for p in hit)
+    return MorphismReport(False, (x, y, mapped, dst.multiply(fx, fy)))
 
 
 def is_automorphism(A: Algebra, f, eps: Optional[float] = None) -> MorphismReport:
@@ -180,7 +177,7 @@ def reflection_decompose(
     eps = A.eps if eps is None else eps
     if A.unit is None or A.dim != 4:
         raise DecompositionError("reflection split needs a 4-dimensional unital algebra")
-    mat = _as_matrix(phi)
+    mat = _as_matrix(phi, A.dim)
 
     auto = is_automorphism(A, mat, eps)
     if not auto.ok:
@@ -252,16 +249,14 @@ def reflection_decompose(
     g1, g2 = plane_coeffs(A.multiply(v, v))
     params = (a1, a2, b1, b2, d1, d2, g1, g2)
 
+    inside, spans = zip(*(_products_in(A, x, y, t, eps)
+                          for x, y, t in ((B, C, C), (C, B, C), (C, C, B))))
     verdicts = {
         "eigendims_2_2": True,
         "i_squares_to_minus_one": True,
         "anticommutation": True,
-        "BC_in_C": _products_inside(A, B, C, C, eps),
-        "CB_in_C": _products_inside(A, C, B, C, eps),
-        "CC_in_B": _products_inside(A, C, C, B, eps),
-        "BC_equals_C": _products_span(A, B, C, C, eps),
-        "CB_equals_C": _products_span(A, C, B, C, eps),
-        "CC_equals_B": _products_span(A, C, C, B, eps),
+        **dict(zip(("BC_in_C", "CB_in_C", "CC_in_B"), inside)),
+        **dict(zip(("BC_equals_C", "CB_equals_C", "CC_equals_B"), spans)),
     }
     return ReflectionDecomposition(
         B_basis=tuple(B),
@@ -272,18 +267,12 @@ def reflection_decompose(
     )
 
 
-def _products_inside(A, left, right, target, eps) -> bool:
+def _products_in(A, left, right, target, eps) -> tuple:
+    """Do the products x*y (x in left, y in right) lie in, and span, span(target)?"""
+    prods = [list(A.multiply(x, y).coords) for x in left for y in right]
     rows = [list(t.coords) for t in target]
-    for x in left:
-        for y in right:
-            if not linalg.in_span(rows, list(A.multiply(x, y).coords), eps):
-                return False
-    return True
-
-
-def _products_span(A, left, right, target, eps) -> bool:
-    rows = [list(A.multiply(x, y).coords) for x in left for y in right]
-    return linalg.rank(rows, eps) == linalg.rank([list(t.coords) for t in target], eps)
+    r = linalg.rank(rows, eps)
+    return linalg.rank(rows + prods, eps) == r, linalg.rank(prods, eps) == r
 
 
 @dataclass(frozen=True)

@@ -108,6 +108,21 @@ def test_decompose_subcommand(capsys):
     assert data["verdicts"]["anticommutation"] is True
 
 
+@pytest.mark.parametrize("matrix", [
+    [[1, 0, 0], [0, 1, 0], [0, 0, -1]],
+    [[1, 0, 0, 0], [0, 1, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1], [0, 0, 0, 0]],
+])
+def test_decompose_rejects_a_reflection_of_the_wrong_shape(capsys, tmp_path, matrix):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(matrix))
+    code, out, err = run(capsys, "decompose", "--algebra", "quaternions",
+                         "--reflection-file", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("altkit: error:") and "4x4" in err
+
+
 def test_lieify_subcommand(capsys):
     code, out, _ = run(capsys, "lieify", "--algebra", "tp",
                        "--param", "delta2=1", "--param", "beta2=-1",

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from altkit import catalog, lie, linalg
-from altkit.core import AlgebraError
+from altkit.claims import LIE_CASES
+from altkit.core import AlgebraError, scalar_is_zero, scalars_close
 
 F = Fraction
 
@@ -13,6 +14,28 @@ TP_NAMES = ("alpha1", "alpha2", "beta1", "beta2",
             "delta1", "delta2", "gamma1", "gamma2")
 
 rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+
+
+def _loop_match_canonical(L, type_tag, witness, parameter=0, eps=None):
+    """Reference: every bracket pair p < q transported one at a time."""
+    eps = L.eps if eps is None else eps
+    table = lie.canonical_brackets(type_tag, parameter)
+    n = L.dim
+    mat = [list(row) for row in witness]
+    if scalar_is_zero(linalg.det(mat, eps), eps):
+        return False, "witness matrix is singular"
+    cols = [[mat[r][c] for r in range(n)] for c in range(n)]
+    for p in range(n):
+        for q in range(p + 1, n):
+            got = L.bracket(cols[p], cols[q])
+            want = [0] * n
+            for r in range(n):
+                c = table[p][q][r]
+                if c:
+                    want = [w + c * x for w, x in zip(want, cols[r])]
+            if any(not scalars_close(g, w, eps) for g, w in zip(got, want)):
+                return False, (p, q, got, want)
+    return True, None
 
 
 def random_tp(rng):
@@ -217,3 +240,27 @@ def test_classification_json():
     assert data["beta"] == "0"
     assert data["derived_dims"] == [4, 3, 1, 0]
     assert data["witness_verified"] is True
+
+
+def test_match_canonical_matches_reference_on_lie_cases():
+    # every case witness against every canonical table: the verdicts, the
+    # mismatching pair and the scalar type of each coordinate
+    mismatches = 0
+    for (alpha, beta), _ in LIE_CASES:
+        out = lie.classify_tp_lie(alpha, beta)
+        parameter = out.parameter or 0
+        for L in (lie.tp_lie_algebra(alpha, beta),
+                  lie.lieify(catalog.tp(delta1=alpha, delta2=beta).to_float())):
+            for tag in (lie.TYPE_G1_G35, lie.TYPE_G1_G37, lie.TYPE_G49_ZERO):
+                got = lie.match_canonical(L, tag, out.witness, parameter=parameter)
+                want = _loop_match_canonical(L, tag, out.witness, parameter=parameter)
+                assert got == want
+                if not got[0]:
+                    mismatches += 1
+                    for g, w in zip(got[1][2:], want[1][2:]):
+                        assert [type(c) for c in g] == [type(c) for c in w]
+        if beta < 0:  # the stated case split: this witness cannot validate
+            ok, mismatch = lie.match_canonical(lie.tp_lie_algebra(alpha, beta),
+                                               lie.TYPE_G1_G37, out.witness)
+            assert not ok and len(mismatch) == 4
+    assert mismatches >= 28

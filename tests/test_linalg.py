@@ -53,12 +53,6 @@ def test_inverse_roundtrip():
         linalg.inverse([[F(1), F(2)], [F(2), F(4)]])
 
 
-def test_solve():
-    mat = [[F(1), F(1)], [F(1), F(-1)]]
-    x = linalg.solve(mat, [F(3), F(1)])
-    assert x == [F(2), F(1)]
-
-
 def test_in_span():
     basis = [[F(1), F(0), F(1)], [F(0), F(1), F(1)]]
     assert linalg.in_span(basis, [F(2), F(3), F(5)])

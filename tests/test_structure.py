@@ -1,13 +1,63 @@
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from altkit import catalog, identities, linalg, structure
-from altkit.core import Algebra, NucleusContradictionError, ReflectionError
+from altkit.core import (
+    Algebra,
+    DimensionError,
+    NucleusContradictionError,
+    ReflectionError,
+    scalar_is_zero,
+)
 
 F = Fraction
 
 REFLECTION = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
+
+
+def _loop_is_isomorphism(src, dst, f, eps=None):
+    """Reference: every basis pair through Element products, one at a time."""
+    if src.dim != dst.dim:
+        return structure.MorphismReport(False, None)
+    mat = [list(r) for r in f]
+    eps = max(src.eps, dst.eps) if eps is None else eps
+    if scalar_is_zero(linalg.det(mat, eps), eps):
+        return structure.MorphismReport(False, None)
+    images = [dst.element([mat[r][j] for r in range(dst.dim)])
+              for j in range(src.dim)]
+    for i, j in itertools.product(range(src.dim), repeat=2):
+        prod = src.multiply(src.basis(i), src.basis(j))
+        mapped = dst.element(linalg.matvec(mat, list(prod.coords)))
+        direct = dst.multiply(images[i], images[j])
+        if not (mapped - direct).is_zero(eps):
+            return structure.MorphismReport(False, (src.basis(i), src.basis(j),
+                                                    mapped, direct))
+    return structure.MorphismReport(True, None)
+
+
+def assert_same_report(src, dst, f, eps=None):
+    """is_isomorphism equals the reference loop, coordinate types included."""
+    got = structure.is_isomorphism(src, dst, f, eps)
+    want = _loop_is_isomorphism(src, dst, f, eps)
+    assert got == want
+    for g, w in zip(got.witness or (), want.witness or ()):
+        assert [type(c) for c in g.coords] == [type(c) for c in w.coords]
+    return got
+
+
+def transport(src, mat):
+    """The table that makes mat (columns: images of src basis vectors) an
+    isomorphism: e_a * e_b = f(f^-1(e_a) f^-1(e_b))."""
+    n = src.dim
+    inv = linalg.inverse(mat)
+    pre = [src.element([inv[i][a] for i in range(n)]) for a in range(n)]
+    return [[linalg.matvec(mat, list((pre[a] * pre[b]).coords)) for b in range(n)]
+            for a in range(n)]
 
 
 def test_nucleus_quaternions():
@@ -162,3 +212,107 @@ def test_decomposition_json():
     assert data["tp_params"]["alpha1"] == "-1"
     assert data["verdicts"]["CC_in_B"]
     assert data["tp_basis"]["w"] == ["0", "0", "1", "0"]
+
+
+small_rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+
+
+@st.composite
+def table_and_map(draw):
+    n = draw(st.integers(2, 4))
+    entries = draw(st.lists(small_rationals, min_size=n**3, max_size=n**3))
+    sc = [[entries[n * (n * i + j):n * (n * i + j + 1)] for j in range(n)]
+          for i in range(n)]
+    flat = draw(st.lists(small_rationals, min_size=n * n, max_size=n * n))
+    mat = [flat[n * r:n * (r + 1)] for r in range(n)]
+    assume(linalg.det(mat) != 0)
+    spot = draw(st.tuples(*[st.integers(0, n - 1)] * 3))
+    delta = draw(small_rationals.filter(bool))
+    return sc, mat, spot, delta
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_and_map())
+def test_is_isomorphism_matches_reference_on_transported_tables(case):
+    sc, mat, (a, b, r), delta = case
+    src = Algebra(sc)
+    dst_sc = transport(src, mat)
+    bent_sc = [[list(cell) for cell in row] for row in dst_sc]
+    bent_sc[a][b][r] += delta
+    dst, bent = Algebra(dst_sc), Algebra(bent_sc)
+    for to_float in (False, True):
+        if to_float:
+            src, dst, bent = src.to_float(), dst.to_float(), bent.to_float()
+        assert assert_same_report(src, dst, mat).ok
+        assert not assert_same_report(src, bent, mat).ok
+
+
+def test_is_isomorphism_matches_reference_on_catalog_maps():
+    rng = random.Random(11)
+    r2 = math.sqrt(2)
+    maps = [linalg.identity_matrix(4), REFLECTION,
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, r2, 0], [0, 0, 0, r2]],
+            [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]
+    maps += [[[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(4)]
+              for _ in range(4)] for _ in range(20)]
+    for A in (catalog.quaternions(), catalog.mplus(), catalog.tn(a=-3, g=3)):
+        for src in (A, A.to_float()):
+            for f in maps:
+                assert_same_report(src, src, f)
+                assert_same_report(src, catalog.mplus(), f)
+
+
+def test_sqrt_witness_on_exact_table_compares_at_eps():
+    # a = 2: an exact tn table and an exact target, with a float sqrt(2)
+    # scaling witness; everything then compares as floats within eps
+    A = catalog.tn(a=2, g=-2)
+    M = catalog.mplus()
+    witness = structure.classify_middle_c(A).witness
+    assert isinstance(witness[2][2], float)
+    for eps in (None, 1e-9, 1e-15):
+        assert assert_same_report(A, M, witness, eps).ok
+    off = [list(row) for row in witness]
+    off[3][3] = 1.5
+    for eps in (None, 1e-9):
+        assert not assert_same_report(A, M, off, eps).ok
+
+
+def test_is_isomorphism_stays_exact_near_two_to_the_forty():
+    # tables and maps with entries near 2^40 (and 2^21, 2^32): the scaled
+    # contraction runs far past int64, float64 rounding alone exceeds
+    # eps = 1, and a defect far below one unit, or of exactly 2^64 scaled
+    # units, must still show: exact data is exact under any eps
+    big, lam = 2**40, 2**21 + 1
+    src = Algebra([[[big + 1, 3], [1, big - 7]], [[-2, big], [5, -big - 3]]])
+    # f = lam * id carries xy to lam * xy, and f(x) f(y) = lam^2 (x . y)
+    scaled = [[[c / lam for c in cell] for cell in row] for row in src.sc]
+    unimodular = [[big + 1, big], [1, 1]]
+    # f = diag(2^32, 1) onto an integer table; bumping e0*e0 moves
+    # f(e0) f(e0) by 2^64
+    wide = [[2**32, 0], [0, 1]]
+    dst_int = [[[1, 0], [3, 5]], [[-2, 7], [0, -1]]]
+    src_int = Algebra(transport(Algebra(dst_int), linalg.inverse(wide)))
+    cases = (
+        (src, [[lam, 0], [0, lam]], scaled, (1, 0, 1), F(1, lam**2)),
+        (src, unimodular, transport(src, unimodular), (1, 0, 1), F(1, lam**2)),
+        (src_int, wide, dst_int, (0, 0, 0), 1),
+    )
+    for src, mat, dst_sc, (a, b, r), bump in cases:
+        assert assert_same_report(src, Algebra(dst_sc), mat, eps=1.0).ok
+        dst_sc[a][b][r] += bump
+        assert not assert_same_report(src, Algebra(dst_sc), mat, eps=1.0).ok
+
+
+@pytest.mark.parametrize("bad", [
+    [[1, 0, 0], [0, 1, 0], [0, 0, -1]],
+    [[1, 0, 0, 0], [0, 1, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+    REFLECTION + [[0, 0, 0, 0]],
+])
+def test_maps_of_the_wrong_shape_are_rejected(bad):
+    H = catalog.quaternions()
+    with pytest.raises(DimensionError):
+        structure.is_automorphism(H, bad)
+    with pytest.raises(DimensionError):
+        structure.reflection_decompose(H, bad)
+    with pytest.raises(DimensionError):
+        structure.LinearMap(tuple(map(tuple, bad)), H)
