@@ -6,12 +6,17 @@ An algebra of dimension n is a rank-3 tensor ``sc`` with
 
 together with basis labels and (optionally) the coordinates of a two-sided
 unit.  Scalars are exact rationals (`fractions.Fraction`) whenever every
-input is rational, and IEEE floats otherwise.  Exactness is load-bearing:
-the identity checks downstream are equational statements, and float drift
-would manufacture spurious counterexamples.  So a tolerance acts only on
-floats: `scalar_is_zero` compares an exact scalar exactly whatever eps it
-is given, and a float within the caller's eps, which defaults to the
-algebra's `eps`.
+input is rational, and IEEE floats otherwise; NaN and infinities are
+rejected.  Exactness is load-bearing: the identity checks downstream are
+equational statements, and float drift would manufacture spurious
+counterexamples.  So a tolerance acts only on floats: `scalar_is_zero`
+compares an exact scalar exactly whatever eps it is given, and a float
+within the caller's eps, which defaults to the algebra's `eps`.
+
+An exact table is held as one integer table: it is scaled once, at
+construction, by the lcm of its denominators.  Products of exact vectors
+accumulate in Python ints over that scale and make one Fraction per output
+coordinate; the tensor view `Algebra.cube` holds the same integers.
 
 Values are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to use concurrently.
@@ -31,6 +36,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 Scalar = Union[Fraction, float]
+
+_ZERO = Fraction(0)
 
 
 class AlgebraError(Exception):
@@ -281,6 +288,8 @@ class Algebra:
                     mode = "float"
         if mode == "float":
             table = [[[float(c) for c in cell] for cell in row] for row in table]
+            _require_finite((c for row in table for cell in row for c in cell),
+                            "structure constant")
 
         self._sc = tuple(tuple(tuple(cell) for cell in row) for row in table)
         self._labels = tuple(labels) if labels is not None else tuple(f"e{i}" for i in range(n))
@@ -290,23 +299,31 @@ class Algebra:
             raise AlgebraError("basis labels must be unique")
         self._scalar_mode = mode
         self._eps = default_eps() if eps is None else float(eps)
+        if not (math.isfinite(self._eps) and self._eps >= 0):
+            raise ParameterError(f"eps must be finite and nonnegative, got {self._eps!r}")
         self._family = family
         self._cube = None
 
-        # sparse view: _sparse[i][j] = ((k, c), ...) over nonzero c
-        self._sparse = tuple(
-            tuple(
-                tuple((k, c) for k, c in enumerate(cell) if c != 0)
-                for cell in row
-            )
-            for row in self._sc
-        )
+        # _rows[i][j] = ((k, c), ...) over the nonzero entries of sc[i][j]:
+        # floats, or for an exact table the integers sc * _scale, _scale being
+        # the lcm of the table's denominators
+        rows = [[[(k, c) for k, c in enumerate(cell) if c] for cell in row]
+                for row in table]
+        scale = 1
+        if mode == "exact":
+            scale = math.lcm(*(c.denominator for row in rows for cell in row
+                               for _, c in cell))
+            rows = [[[(k, c.numerator * (scale // c.denominator)) for k, c in cell]
+                     for cell in row] for row in rows]
+        self._scale = scale
+        self._rows = tuple(tuple(tuple(cell) for cell in row) for row in rows)
 
         self._unit = None
         if unit is not None:
             u = tuple(parse_scalar(c) for c in unit)
             if len(u) != n:
                 raise DimensionError("unit coordinate length must match the dimension")
+            _require_finite((c for c in u if isinstance(c, float)), "unit coordinate")
             if mode == "float":
                 u = tuple(float(c) for c in u)
             self._unit = u
@@ -391,18 +408,32 @@ class Algebra:
     # -- products -------------------------------------------------------------
 
     def _mul_coords(self, u: Sequence, v: Sequence) -> list:
+        """Coordinates of uv.  Exact u and v on an exact table: scaled to
+        integers over their own denominators, summed in ints over the
+        table's scale, one Fraction per output.  Any float: float sums."""
+        u = [(i, c) for i, c in enumerate(u) if c]
+        v = [(j, c) for j, c in enumerate(v) if c]
+        scale = self._scale
+        exact = self._scalar_mode == "exact" and not any(
+            isinstance(c, float) for w in (u, v) for _, c in w)
+        if exact:
+            du = math.lcm(*(c.denominator for _, c in u))
+            dv = math.lcm(*(c.denominator for _, c in v))
+            u = [(i, c.numerator * (du // c.denominator)) for i, c in u]
+            v = [(j, c.numerator * (dv // c.denominator)) for j, c in v]
+        rows = self._rows
         out = [0] * self.dim
-        sparse = self._sparse
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            row = sparse[i]
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
+        for i, ui in u:
+            row = rows[i]
+            for j, vj in v:
                 coeff = ui * vj
                 for k, c in row[j]:
                     out[k] = out[k] + coeff * c
+        if exact:
+            den = du * dv * scale
+            return [Fraction(acc, den) if acc else _ZERO for acc in out]
+        if scale != 1:
+            return [acc / scale if acc else acc for acc in out]
         return out
 
     def _own(self, *elements: Element) -> None:
@@ -423,14 +454,14 @@ class Algebra:
         yz = self._mul_coords(y.coords, z.coords)
         left = self._mul_coords(xy, z.coords)
         right = self._mul_coords(x.coords, yz)
-        return Element(self, [a - b for a, b in zip(left, right)])
+        return Element(self, _difference(left, right))
 
     def commutator(self, x: Element, y: Element) -> Element:
         """[x, y] = xy - yx."""
         self._own(x, y)
         xy = self._mul_coords(x.coords, y.coords)
         yx = self._mul_coords(y.coords, x.coords)
-        return Element(self, [a - b for a, b in zip(xy, yx)])
+        return Element(self, _difference(xy, yx))
 
     def mul_operator(self, a: Element, side: str = "left") -> MulOperator:
         """Matrix of x -> a*x (side "left", column j = a*e_j) or of
@@ -448,21 +479,23 @@ class Algebra:
 
     @property
     def cube(self) -> np.ndarray:
-        """The table as a read-only n*n*n array, built on first use: float64
-        for a float table; for an exact one, scaled by the lcm of its
-        denominators to int64 (Python ints where `_fits_int64` fails).  Only
-        zero tests read it, and a positive scale cannot change those."""
+        """The table as a read-only n*n*n array, built on first use from the
+        one sparse view the products read: float64 for a float table; for an
+        exact one, the table's integers over its lcm scale, as int64 (Python
+        ints where `_fits_int64` fails).  Only zero tests read it, and a
+        positive scale cannot change those."""
         if self._cube is None:
-            flat = [c for row in self._sc for cell in row for c in cell]
+            n = self.dim
+            entries = [(i, j, k, c) for i, row in enumerate(self._rows)
+                       for j, cell in enumerate(row) for k, c in cell]
             if self._scalar_mode == "float":
-                cube = np.array(flat, dtype=float)
+                dtype = float
             else:
-                ints = scaled_ints(flat)
-                big = max(map(abs, ints), default=0)
-                cube = np.array(
-                    ints, dtype=np.int64 if _fits_int64(self.dim, big, 1) else object
-                )
-            cube = cube.reshape((self.dim,) * 3)
+                big = max((abs(e[3]) for e in entries), default=0)
+                dtype = np.int64 if _fits_int64(n, big, 1) else object
+            cube = np.zeros((n,) * 3, dtype=dtype)
+            for i, j, k, c in entries:
+                cube[i, j, k] = c
             cube.flags.writeable = False
             self._cube = cube
         return self._cube
@@ -549,6 +582,18 @@ def scaled_ints(values: Sequence) -> list:
     dens = [c.denominator for c in values]
     scale = math.lcm(*dens)
     return [c.numerator * (scale // d) for c, d in zip(values, dens)]
+
+
+def _difference(a: Sequence, b: Sequence) -> list:
+    """a - b by coordinates, for an Element; an exact zero in b, common in
+    products of sparse vectors, leaves a's coordinate as it is."""
+    return [x - y if y or isinstance(y, float) else x for x, y in zip(a, b)]
+
+
+def _require_finite(values, what: str) -> None:
+    for c in values:
+        if not math.isfinite(c):
+            raise ParameterError(f"{what} must be finite, got {c!r}")
 
 
 def _fits_int64(n: int, smax: int, vmax: int) -> bool:

@@ -200,6 +200,7 @@ def match_canonical(L: LieAlgebra, type_tag: str, witness,
     eps = L.eps if eps is None else eps
     table = canonical_brackets(type_tag, parameter)
     n = L.dim
+    witness = linalg.square_matrix(witness, n)
     if scalar_is_zero(linalg.det(witness, eps), eps):
         return False, "witness matrix is singular"
     hit = morphism_defect(table, L.sc, witness, eps)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .core import SingularMatrixError, default_eps, scalar_is_zero
+from .core import DimensionError, SingularMatrixError, default_eps, scalar_is_zero
 
 
 def _has_float(mat) -> bool:
@@ -28,6 +28,14 @@ def _resolve_eps(mat, eps: Optional[float]) -> float:
     if not _has_float(mat):
         return 0.0
     return default_eps() if eps is None else eps
+
+
+def square_matrix(mat, n: int) -> list:
+    """The rows of ``mat`` as lists, or DimensionError unless it is n x n."""
+    rows = [list(r) for r in mat]
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise DimensionError(f"the map must be a {n}x{n} matrix")
+    return rows
 
 
 def identity_matrix(n: int):

@@ -21,7 +21,6 @@ from . import catalog, identities, linalg, units
 from .core import (
     Algebra,
     DecompositionError,
-    DimensionError,
     Element,
     NucleusContradictionError,
     ParameterError,
@@ -50,10 +49,7 @@ class LinearMap:
 
 
 def _as_matrix(f, n: int):
-    rows = [list(r) for r in (f.matrix if isinstance(f, LinearMap) else f)]
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise DimensionError(f"the map must be a {n}x{n} matrix")
-    return rows
+    return linalg.square_matrix(f.matrix if isinstance(f, LinearMap) else f, n)
 
 
 class MorphismReport(NamedTuple):

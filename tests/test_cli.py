@@ -153,6 +153,17 @@ def test_units_bad_newton_arguments_exit_two(tmp_path, capsys):
         assert code == 2 and out == "" and "altkit: error" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_parameter_is_an_input_error(capsys, value):
+    # a NaN entry makes every comparison false, so it must stop at input
+    code, out, err = run(capsys, "check", "--family", "tc", "--param", f"a={value}",
+                         "--identity", "commutative", "--format", "json")
+    assert code == 2 and out == ""
+    assert "altkit: error: structure constant must be finite" in err
+    code, out, err = run(capsys, "units", "--family", "tn", "--param", f"b={value}")
+    assert code == 2 and out == "" and "must be finite" in err
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "describe", "--algebra", "nope")
     assert code == 2 and "unknown family" in err

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -159,3 +160,168 @@ def test_associator_unit_slots(H):
             assert core.associator(one, x, y).is_zero(0.0)
             assert core.associator(x, one, y).is_zero(0.0)
             assert core.associator(x, y, one).is_zero(0.0)
+
+
+def _fraction_mul_coords(A, u, v):
+    """Reference: the Fraction loop over the nonzero table entries, one
+    Fraction product and sum per term, int 0 where no term lands."""
+    out = [0] * A.dim
+    for i, ui in enumerate(u):
+        if not ui:
+            continue
+        for j, vj in enumerate(v):
+            if not vj:
+                continue
+            coeff = ui * vj
+            for k, c in enumerate(A.sc[i][j]):
+                if c != 0:
+                    out[k] = out[k] + coeff * c
+    return out
+
+
+def _catalog_tables():
+    return [
+        catalog.ak(1, a11=1, a12=1),
+        catalog.ak(2, a11=Fraction(1, 3), a12=2, a21=Fraction(5, 2), a22=7),
+        catalog.ak(3),
+        catalog.tn(a=-3, b=1, c=2, d=Fraction(1, 2), f=1, g=-1, h=3, e=Fraction(-2, 3)),
+        catalog.tn(a=2, b=1),
+        catalog.tc(a=2, b=Fraction(-1, 3), f=1, g=2, h=1),
+        catalog.tp(alpha1=-1, beta2=-1, delta2=1, gamma1=-1),
+        catalog.tp(alpha1=Fraction(1, 2), alpha2=3, beta1=Fraction(-4, 3), beta2=1,
+                   delta1=2, delta2=Fraction(1, 5), gamma1=-1, gamma2=Fraction(7, 4)),
+        catalog.mplus(),
+        catalog.mzero(),
+        catalog.quaternions(),
+        catalog.complex_numbers(),
+    ]
+
+
+def _exact_pairs(A, rng):
+    n = A.dim
+    basis = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
+    drawn = [[Fraction(rng.randint(-7, 7), rng.randint(1, 6)) * rng.randint(0, 1)
+              for _ in range(n)] for _ in range(6)]
+    vecs = basis + drawn + [[1 if i % 2 else 0 for i in range(n)]]  # ints too
+    if A.unit is not None:
+        vecs.append(list(A.unit))
+    return [(u, v) for u in vecs for v in vecs]
+
+
+def _typed(coords):
+    """Each scalar's type and repr, of a coordinate list or an Element."""
+    coords = coords.coords if isinstance(coords, core.Element) else coords
+    return [(type(c), repr(c)) for c in coords]
+
+
+def _check_exact_products(A, rng):
+    for u, v in _exact_pairs(A, rng):
+        got, want = A._mul_coords(u, v), _fraction_mul_coords(A, u, v)
+        assert got == want
+        assert all(type(c) is Fraction for c in got)
+        assert _typed(A.element(u) * A.element(v)) == _typed(A.element(want))
+
+
+@pytest.mark.parametrize("A", _catalog_tables(), ids=repr)
+def test_product_matches_fraction_reference_on_catalog(A):
+    rng = random.Random(A.dim)
+    assert A.scalar_mode == "exact"
+    _check_exact_products(A, rng)
+
+    # a float table: the same float loop, bit for bit and type for type
+    Af = A.to_float()
+    for u, v in _exact_pairs(A, rng):
+        uf, vf = [float(c) for c in u], [float(c) for c in v]
+        assert _typed(Af._mul_coords(uf, vf)) == _typed(_fraction_mul_coords(Af, uf, vf))
+        assert _typed(Af._mul_coords(u, v)) == _typed(_fraction_mul_coords(Af, u, v))
+        want = _fraction_mul_coords(Af, uf, vf)
+        assert _typed(Af.element(uf) * Af.element(vf)) == _typed(Af.element(want))
+
+    # float coordinates on the exact table (Newton points, sqrt witnesses):
+    # floats within the algebra's eps, and floats exactly where the reference
+    # has them (a float zero adds no term, so it may leave the result exact)
+    for u, v in _exact_pairs(A, rng):
+        uf = [float(c) * 2 ** 0.5 for c in u]
+        mixed = [float(c) if i % 2 else c for i, c in enumerate(v)]
+        for x, y in ((uf, v), (u, mixed), (uf, mixed)):
+            got, want = A._mul_coords(x, y), _fraction_mul_coords(A, x, y)
+            assert ([isinstance(c, float) for c in got]
+                    == [isinstance(c, float) for c in want])
+            assert all(core.scalars_close(g, w, A.eps) for g, w in zip(got, want))
+            prod = (A.element(x) * A.element(y)).coords
+            assert [type(c) for c in prod] == [type(c) for c in A.element(want).coords]
+
+
+@pytest.mark.parametrize("table", [catalog.quaternions(),
+                                   catalog.ak(2, a11=Fraction(1, 3))])
+def test_product_matches_fraction_reference_past_int64(table):
+    c = 2 ** 40 + 1
+    big = Algebra([[[x * c for x in cell] for cell in row] for row in table.sc],
+                  unit=[u / c for u in table.unit])
+    assert big.cube.dtype == object  # the cube falls back to Python ints
+    _check_exact_products(big, random.Random(3))
+    bigf = big.to_float()
+    for u, v in _exact_pairs(big, random.Random(4)):
+        assert _typed(bigf._mul_coords(u, v)) == _typed(_fraction_mul_coords(bigf, u, v))
+
+
+def _reference_laws(A, u, v, w):
+    """The associator (u, v, w) and the commutator [u, v] from the reference
+    products, as Elements."""
+    uv, vu = _fraction_mul_coords(A, u, v), _fraction_mul_coords(A, v, u)
+    left = _fraction_mul_coords(A, uv, w)
+    right = _fraction_mul_coords(A, u, _fraction_mul_coords(A, v, w))
+    return (A.element([a - b for a, b in zip(left, right)]),
+            A.element([a - b for a, b in zip(uv, vu)]))
+
+
+def test_associator_and_commutator_match_fraction_reference():
+    rng = random.Random(11)
+    for A in _catalog_tables():
+        Af = A.to_float()
+        for u, v in _exact_pairs(A, rng)[::7]:
+            w = v[::-1]
+            uf, vf, wf = ([float(c) for c in t] for t in (u, v, w))
+            for B, x, y, z in ((A, u, v, w), (Af, uf, vf, wf)):  # exact, bit for bit
+                assoc, comm = _reference_laws(B, x, y, z)
+                x, y, z = B.element(x), B.element(y), B.element(z)
+                assert _typed(B.associator(x, y, z)) == _typed(assoc)
+                assert _typed(B.commutator(x, y)) == _typed(comm)
+            x = [c * 2 ** 0.5 for c in uf]  # a float point on the exact table
+            assoc, comm = _reference_laws(A, x, v, w)
+            x, y, z = A.element(x), A.element(v), A.element(w)
+            for got, want in ((A.associator(x, y, z), assoc), (A.commutator(x, y), comm)):
+                assert [type(c) for c in got.coords] == [type(c) for c in want.coords]
+                assert (got - want).is_zero(A.eps)
+
+
+def test_difference_is_subtraction_for_an_element(H):
+    # the exact-zero shortcut in associator and commutator keeps every type
+    scalars = [0, Fraction(0), Fraction(1, 2), 0.0, -0.0, 1.5]
+    for a in scalars:
+        for b in scalars:
+            pairs = ([a] * 4, [b] * 4)
+            assert (_typed(H.element(core._difference(*pairs)))
+                    == _typed(H.element([x - y for x, y in zip(*pairs)])))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_input_is_rejected(H, bad):
+    sc = [[list(cell) for cell in row] for row in H.sc]
+    sc[1][2][3] = bad
+    with pytest.raises(ParameterError, match="structure constant"):
+        Algebra(sc)
+    with pytest.raises(ParameterError, match="unit coordinate"):
+        Algebra(H.sc, unit=[1, 0, 0, bad])
+    with pytest.raises(ParameterError, match="unit coordinate"):
+        Algebra(H.to_float().sc, unit=[1.0, bad, 0.0, 0.0])
+    with pytest.raises(ParameterError, match="eps"):
+        Algebra(H.sc, eps=bad)
+    with pytest.raises(ParameterError):
+        catalog.tc(a=bad)
+
+
+def test_negative_eps_is_rejected(H):
+    with pytest.raises(ParameterError, match="eps"):
+        Algebra(H.sc, eps=-1e-9)
+    assert Algebra(H.sc, eps=0).eps == 0.0

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from altkit import catalog, lie, linalg
 from altkit.claims import LIE_CASES
-from altkit.core import AlgebraError, scalar_is_zero, scalars_close
+from altkit.core import AlgebraError, DimensionError, scalar_is_zero, scalars_close
 
 F = Fraction
 
@@ -190,6 +190,16 @@ def test_match_canonical_rejects_singular_witness():
     ok, detail = lie.match_canonical(L, lie.TYPE_G1_G37, [[0] * 4] * 4)
     assert not ok
     assert "singular" in detail
+
+
+@pytest.mark.parametrize("witness", [
+    linalg.identity_matrix(3),
+    [[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    [[1, 0, 0, 0]] * 5,
+])
+def test_match_canonical_rejects_a_witness_of_the_wrong_shape(witness):
+    with pytest.raises(DimensionError):
+        lie.match_canonical(lie.tp_lie_algebra(0, 2), lie.TYPE_G1_G37, witness)
 
 
 def test_classify_reads_alpha_beta_from_tensor():
