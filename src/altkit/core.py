@@ -16,7 +16,8 @@ within the caller's eps, which defaults to the algebra's `eps`.
 An exact table is held as one integer table: it is scaled once, at
 construction, by the lcm of its denominators.  Products of exact vectors
 accumulate in Python ints over that scale and make one Fraction per output
-coordinate; the tensor view `Algebra.cube` holds the same integers.
+coordinate; the tensor view `Algebra.cube` holds the same integers, and
+`Algebra.mul_operators` reads them modulo a prime for the division test.
 
 Values are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to use concurrently.
@@ -38,6 +39,10 @@ import numpy as np
 Scalar = Union[Fraction, float]
 
 _ZERO = Fraction(0)
+
+# A prime below 2**31: a product of two residues stays below 2**62, so
+# int64 holds operator entries and elimination steps modulo it.
+MODULUS = 2**31 - 1
 
 
 class AlgebraError(Exception):
@@ -80,6 +85,25 @@ class SingularMatrixError(AlgebraError):
 def default_eps() -> float:
     """Comparison tolerance for float scalars; env ALTKIT_EPS overrides."""
     return float(os.environ.get("ALTKIT_EPS", "1e-9"))
+
+
+def tolerance(eps: Optional[float], default: Optional[float] = None) -> float:
+    """The tolerance a call compares floats at: ``eps``, else ``default``
+    (an algebra's eps, checked when the algebra was built), else
+    `default_eps()`.  A NaN, infinite or negative value raises
+    ParameterError: every comparison against NaN is false, and an infinite
+    or negative one makes every float zero or none."""
+    if eps is None:
+        if default is not None:
+            return default
+        eps = default_eps()
+    try:
+        eps = float(eps)
+    except (TypeError, ValueError):
+        raise ParameterError(f"eps must be a number, got {eps!r}") from None
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ParameterError(f"eps must be finite and nonnegative, got {eps!r}")
+    return eps
 
 
 def parse_scalar(value) -> Scalar:
@@ -208,7 +232,7 @@ class Element:
     # -- queries ------------------------------------------------------------
 
     def is_zero(self, eps: Optional[float] = None) -> bool:
-        eps = self.algebra.eps if eps is None else eps
+        eps = tolerance(eps, self.algebra.eps)
         return all(scalar_is_zero(c, eps) for c in self.coords)
 
     def max_abs(self):
@@ -261,7 +285,7 @@ class MulOperator:
     def is_singular(self, eps: Optional[float] = None) -> bool:
         from . import linalg
 
-        eps = self.element.algebra.eps if eps is None else eps
+        eps = tolerance(eps, self.element.algebra.eps)
         return scalar_is_zero(linalg.det(self.matrix, eps), eps)
 
 
@@ -298,9 +322,7 @@ class Algebra:
         if len(set(self._labels)) != n:
             raise AlgebraError("basis labels must be unique")
         self._scalar_mode = mode
-        self._eps = default_eps() if eps is None else float(eps)
-        if not (math.isfinite(self._eps) and self._eps >= 0):
-            raise ParameterError(f"eps must be finite and nonnegative, got {self._eps!r}")
+        self._eps = tolerance(eps)
         self._family = family
         self._cube = None
 
@@ -526,6 +548,47 @@ class Algebra:
         if slot == 2:  # (e_a e_b) v - e_a (e_b v)
             return np.tensordot(S, R, 1) - np.tensordot(R, S, (1, 1)).swapaxes(0, 1)
         raise ParameterError(f"associator slot must be 0, 1 or 2, got {slot!r}")
+
+    def mul_operators(self, vectors) -> np.ndarray:
+        """M[c, 0] and M[c, 1], the matrices of x -> v x and x -> x v for
+        each row v = vectors[c], laid out as `mul_operator` lays them out:
+        M[c, 0, r, j] = sum_i v_i S[i, j, r] and M[c, 1, r, j] = sum_i v_i
+        S[j, i, r], accumulated over i in order.  On a float table: floats,
+        bit for bit the entries of `mul_operator`.  On an exact table: each
+        row scaled to integers (a float at its exact value) against the
+        table's integers, reduced modulo the prime MODULUS, so a positive
+        multiple of the true matrices, modulo MODULUS."""
+        S = self.cube
+        n = self.dim
+        if S.dtype == float:
+            V = np.array(vectors, dtype=float).reshape(-1, n)
+        else:
+            V = np.array([[c % MODULUS for c in scaled_ints([Fraction(c) for c in v])]
+                          for v in vectors], dtype=np.int64).reshape(-1, n)
+            S = (S % MODULUS).astype(np.int64)
+        # sides[i, 0] = the left operator of e_i, sides[i, 1] the right one
+        sides = np.stack((S.transpose(0, 2, 1), S.transpose(1, 2, 0)), axis=1)
+        M = np.zeros((len(V), 2, n, n), dtype=S.dtype)
+        for i in range(n):
+            M += V[:, i, None, None, None] * sides[i]
+            if S.dtype != float:
+                M %= MODULUS  # residues below 2**31, so each product is below 2**62
+        return M
+
+    def singular_operators(self, vectors, eps: Optional[float] = None) -> np.ndarray:
+        """B[c, 0] and B[c, 1]: may x -> v x, and x -> x v, be singular, for
+        v = vectors[c]?  On a float table these are `MulOperator.is_singular`
+        at eps, on the same determinants bit for bit (`linalg.dets`).  On an
+        exact table they are True where the determinant vanishes modulo the
+        prime MODULUS: a False proves the operator invertible, and a True
+        is for the caller to confirm exactly with `MulOperator.is_singular`."""
+        from . import linalg
+
+        eps = tolerance(eps, self.eps)
+        M = self.mul_operators(vectors)
+        if M.dtype == float:
+            return np.abs(linalg.dets(M, eps)) <= eps
+        return ~linalg.nonsingular_mod(M, MODULUS)
 
     # -- conversions ----------------------------------------------------------
 

@@ -30,6 +30,7 @@ from .core import (
     Element,
     NotApplicableError,
     first_defect,
+    tolerance,
 )
 
 DEFAULT_SAMPLES = 200
@@ -243,7 +244,7 @@ def check_identity(
     numbers.
     """
     kind = IdentityKind(kind)
-    eps = A.eps if eps is None else eps
+    eps = tolerance(eps, A.eps)
 
     if kind in PARTIAL_KINDS:
         points, complete = _resolve_units(A, units, eps)
@@ -339,6 +340,15 @@ class DivisionReport:
         }
 
 
+def _candidate_groups(A: Algebra, samples: int, rng: random.Random):
+    """The division test's candidates, group by group: the basis, the sums
+    e_i + e_j (i < j), then ``samples`` draws from ``rng``."""
+    basis = A.basis_elements()
+    yield basis
+    yield [basis[i] + basis[j] for i in range(A.dim) for j in range(i + 1, A.dim)]
+    yield [random_element(A, rng) for _ in range(samples)]
+
+
 def is_division_sampled(
     A: Algebra,
     samples: int = DEFAULT_SAMPLES,
@@ -348,23 +358,30 @@ def is_division_sampled(
     """Search for a nonzero element with a singular multiplication operator.
 
     Candidates are every basis vector, every pairwise basis sum, and
-    ``samples`` seeded random elements.  A True verdict means only that no
-    zero divisor was found among those candidates - it is not a proof.
+    ``samples`` seeded random elements, in that order; zero candidates are
+    skipped, and the method ``sampled(k)`` counts the k candidates tested
+    up to the first zero divisor, or all of them.  A True verdict means
+    only that no zero divisor was found among those candidates - it is not
+    a proof.  Each operator's invertibility, though, is decided as
+    `MulOperator.is_singular` decides it.  Every candidate of a group gets
+    its L_a and R_a at once (`Algebra.singular_operators`).  On a float
+    table their determinants are `linalg.det`'s bit for bit.  On an exact
+    table a determinant nonzero modulo a prime proves invertibility, and
+    only an operator singular modulo the prime is tested exactly, so an
+    exact verdict never rests on floats.
     """
-    eps = A.eps if eps is None else eps
+    eps = tolerance(eps, A.eps)
     rng = random.Random(seed)
-    basis = A.basis_elements()
-    candidates = itertools.chain(
-        basis,
-        (basis[i] + basis[j] for i in range(A.dim) for j in range(A.dim) if i < j),
-        (random_element(A, rng) for _ in range(samples)),
-    )
     checked = 0
-    for a in candidates:
-        if a.is_zero(eps):
+    for group in _candidate_groups(A, samples, rng):
+        group = [a for a in group if not a.is_zero(eps)]
+        if not group:
             continue
-        checked += 1
-        for side in ("left", "right"):
-            if A.mul_operator(a, side).is_singular(eps):
-                return DivisionReport(False, a, f"sampled({checked})")
+        flags = A.singular_operators([a.coords for a in group], eps)
+        for c in np.flatnonzero(flags.any(axis=1)):
+            a = group[c]
+            for side, flagged in zip(("left", "right"), flags[c]):
+                if flagged and A.mul_operator(a, side).is_singular(eps):
+                    return DivisionReport(False, a, f"sampled({checked + c + 1})")
+        checked += len(group)
     return DivisionReport(True, None, f"sampled({checked})")

@@ -40,6 +40,7 @@ from .core import (
     scalar_to_json,
     scalars_close,
     sqrt_scalar,
+    tolerance,
 )
 
 TYPE_G1_G35 = "g1_plus_g35"
@@ -92,7 +93,7 @@ def check_jacobi(L: LieAlgebra, tol: Optional[float] = None):
     needs three associator slices.  Returns (ok, witness) where witness is
     the first failing i < j < k with the Jacobi sum's coordinates.
     """
-    tol = L.eps if tol is None else tol
+    tol = tolerance(tol, L.eps)
     n = L.dim
     for i in range(n):
         e_i = L.basis(i).coords
@@ -119,7 +120,7 @@ def _put(b, i: int, j: int, entries: dict) -> None:
 def derived_series(L: LieAlgebra, eps: Optional[float] = None) -> List[list]:
     """Bases of L, [L, L], [[L, L], [L, L]], ... until 0 or stabilisation."""
     n = L.dim
-    eps = L.eps if eps is None else eps
+    eps = tolerance(eps, L.eps)
     current = [[Fraction(1) if p == i else Fraction(0) for p in range(n)]
                for i in range(n)]
     series = [current]
@@ -197,7 +198,7 @@ def match_canonical(L: LieAlgebra, type_tag: str, witness,
     witness columns are the images of the canonical basis vectors in L's
     coordinates.  Returns (ok, mismatch) with the first differing bracket.
     """
-    eps = L.eps if eps is None else eps
+    eps = tolerance(eps, L.eps)
     table = canonical_brackets(type_tag, parameter)
     n = L.dim
     witness = linalg.square_matrix(witness, n)
@@ -269,7 +270,7 @@ def classify_lie(L: LieAlgebra, eps: Optional[float] = None) -> LieClassificatio
     caller.  Emits the scaling witness of the identified case and the
     result of checking it against the canonical table.
     """
-    eps = L.eps if eps is None else eps
+    eps = tolerance(eps, L.eps)
     dims = tuple(derived_dims(L, eps))
     ab = _read_alpha_beta(L, eps)
     if ab is None:

@@ -3,8 +3,11 @@
 Everything works on plain lists of lists.  Matrices without a float are
 eliminated exactly (pivot threshold 0, whatever epsilon the caller
 passes); as soon as a float appears the caller-supplied epsilon (or the
-global default) decides what counts as zero.  Sizes here are tiny
-(n <= 12), so no attempt is made to be fast.
+global default) decides what counts as zero.  Matrices are small (n <= 22
+in the catalog, `ak(10)`), and one at a time they go through plain Python
+loops.  Two routines take a whole stack of them at once, for the division
+test: `dets`, `det` on floats vectorised bit for bit, and
+`nonsingular_mod`, which decides a determinant's zeroness modulo a prime.
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .core import DimensionError, SingularMatrixError, default_eps, scalar_is_zero
+import numpy as np
+
+from .core import DimensionError, SingularMatrixError, scalar_is_zero, tolerance
 
 
 def _has_float(mat) -> bool:
@@ -25,9 +30,8 @@ def _exact(x):
 
 
 def _resolve_eps(mat, eps: Optional[float]) -> float:
-    if not _has_float(mat):
-        return 0.0
-    return default_eps() if eps is None else eps
+    eps = tolerance(eps)
+    return eps if _has_float(mat) else 0.0
 
 
 def square_matrix(mat, n: int) -> list:
@@ -130,6 +134,65 @@ def det(mat, eps: Optional[float] = None):
     for i in range(1, n):
         out = out * a[i][i]
     return sign * out
+
+
+def dets(mats, eps: float) -> np.ndarray:
+    """`det` at eps of every float matrix in the stack mats[..., n, n], bit
+    for bit: the same pivots (the first largest |x| > eps in the column),
+    the same row swaps, the same ``x - f*y`` updates of the rows below with
+    |x| > eps, and the diagonal multiplied in the same order."""
+    eps = tolerance(eps)
+    a = np.array(mats, dtype=float)
+    shape, n = a.shape[:-2], a.shape[-1]
+    a = a.reshape(-1, n, n)
+    sign = np.ones(len(a))
+    alive = np.ones(len(a), dtype=bool)  # False once a column has no pivot
+    for c in range(n):
+        col = np.abs(a[:, c:, c])
+        alive &= col.max(axis=1) > eps
+        best = np.where(alive, c + np.argmax(col, axis=1), c)
+        sign[best != c] *= -1
+        _swap_rows(a, c, best)
+        if c == 0:
+            zero = a[:, 0, 0] * 0  # det's typed zero, as a[0][0] * 0
+        pivot = np.where(alive, a[:, c, c], 1.0)
+        below = a[:, c + 1:, c:]
+        x = below[:, :, :1]
+        hit = (np.abs(x) > eps) & alive[:, None, None]
+        step = below - (x / pivot[:, None, None]) * a[:, c, None, c:]
+        a[:, c + 1:, c:] = np.where(hit, step, below)
+    out = a[:, 0, 0]
+    for i in range(1, n):
+        out = out * a[:, i, i]
+    return np.where(alive, sign * out, zero).reshape(shape)
+
+
+def _swap_rows(a: np.ndarray, c: int, best: np.ndarray) -> None:
+    """Swap row c of each matrix a[m] with its row best[m], in place."""
+    idx = np.arange(len(a))
+    top = a[idx, best]
+    a[idx, best] = a[:, c]
+    a[:, c] = top
+
+
+def nonsingular_mod(mats, p: int) -> np.ndarray:
+    """Which integer matrices in the stack mats[..., n, n], entries in
+    [0, p) for a prime p < 2**31, have a determinant nonzero modulo p.
+    Fraction-free elimination: each row below the pivot row becomes
+    pivot * row - row[c] * pivot row, which multiplies the determinant by
+    a unit mod p, so no inverse is needed and every product is below 2**62."""
+    a = np.array(mats, dtype=np.int64)
+    shape, n = a.shape[:-2], a.shape[-1]
+    a = a.reshape(-1, n, n)
+    alive = np.ones(len(a), dtype=bool)
+    for c in range(n):
+        nonzero = a[:, c:, c] != 0
+        alive &= nonzero.any(axis=1)
+        _swap_rows(a, c, c + np.argmax(nonzero, axis=1))
+        below = a[:, c + 1:, c:]
+        a[:, c + 1:, c:] = (below * a[:, c, c, None, None]
+                            - below[:, :, :1] * a[:, c, None, c:]) % p
+    return alive.reshape(shape)
 
 
 def inverse(mat, eps: Optional[float] = None):

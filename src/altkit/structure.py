@@ -30,6 +30,7 @@ from .core import (
     scalar_to_json,
     scalars_close,
     sqrt_scalar,
+    tolerance,
 )
 
 
@@ -64,7 +65,7 @@ def commutative_nucleus(A: Algebra, eps: Optional[float] = None) -> List[Element
     n, sc = A.dim, A.sc
     stacked = [[sc[i][j][r] - sc[j][i][r] for j in range(n)]
                for i in range(n) for r in range(n)]
-    basis = linalg.null_space(stacked, A.eps if eps is None else eps)
+    basis = linalg.null_space(stacked, tolerance(eps, A.eps))
     return [A.element(v) for v in basis]
 
 
@@ -79,7 +80,7 @@ def is_isomorphism(
     if src.dim != dst.dim:
         return MorphismReport(False, None)
     mat = _as_matrix(f, src.dim)
-    eps = max(src.eps, dst.eps) if eps is None else eps
+    eps = tolerance(eps, max(src.eps, dst.eps))
     if scalar_is_zero(linalg.det(mat, eps), eps):
         return MorphismReport(False, None)
     hit = morphism_defect(src.sc, dst.sc, mat, eps)
@@ -170,7 +171,7 @@ def reflection_decompose(
     exceeds the scalars, which a division algebra cannot allow, and
     NucleusContradictionError is raised.
     """
-    eps = A.eps if eps is None else eps
+    eps = tolerance(eps, A.eps)
     if A.unit is None or A.dim != 4:
         raise DecompositionError("reflection split needs a 4-dimensional unital algebra")
     mat = _as_matrix(phi, A.dim)
@@ -323,7 +324,7 @@ def classify_middle_c(source, eps: Optional[float] = None,
         params = dict(source)
         A = catalog.tn(**params)
         params = catalog.tn_params(A)
-    eps = A.eps if eps is None else eps
+    eps = tolerance(eps, A.eps)
 
     def unclassified(reason):
         return MiddleClassification("Unclassified", reason, None, None, params)

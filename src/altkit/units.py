@@ -39,6 +39,7 @@ from .core import (
     scalar_is_zero,
     scalar_to_json,
     scaled_ints,
+    tolerance,
 )
 
 KIND_FINITE = "finite-set"
@@ -80,7 +81,7 @@ class UnitLocus:
 
 def verify_unit(A: Algebra, q: Element, tol: Optional[float] = None) -> bool:
     """Whether q*q + 1 vanishes (exactly, or within tol for float scalars)."""
-    tol = A.eps if tol is None else tol
+    tol = tolerance(tol, A.eps)
     defect = A.multiply(q, q) + A.one()
     return defect.is_zero(tol)
 
@@ -111,11 +112,9 @@ def solve_units_sampled(
     """
     if A.unit is None:
         raise AlgebraError("unit sampling needs a unital algebra")
-    tol = A.eps if tol is None else tol
+    tol = tolerance(tol, A.eps)
     if seeds < 0:
         raise ParameterError(f"seed count must be nonnegative, got {seeds}")
-    if not tol >= 0:
-        raise ParameterError(f"Newton tolerance must be nonnegative, got {tol}")
     if not 0 < box < math.inf:
         raise ParameterError(f"start box must be finite and positive, got {box}")
     if max_iter < 1:
@@ -283,6 +282,7 @@ def equation_satisfied(locus: UnitLocus, q: Element, tol: float) -> bool:
     if locus.equation is None:
         raise AlgebraError("locus has no equation record")
     eq = locus.equation
+    tol = tolerance(tol)
     x, y, z = (q.coords[i] for i in locus.ambient[:3])
     value = eq["x2"] * x * x + eq["y2"] * y * y + eq["z2"] * z * z - eq["rhs"]
     return scalar_is_zero(value, tol)
@@ -314,8 +314,7 @@ def grid_unit_search(
         raise ParameterError(f"grid step must be positive, got {step}")
     if not 0 <= radius < math.inf:
         raise ParameterError(f"grid radius must be finite and nonnegative, got {radius}")
-    if not tol >= 0:
-        raise ParameterError(f"grid tolerance must be nonnegative, got {tol}")
+    tol = tolerance(tol)
     if A.scalar_mode == "exact":
         tol = 0
     n = A.dim

@@ -273,3 +273,20 @@ def test_eps_env_default(monkeypatch):
     assert core.default_eps() == 1e-3
     monkeypatch.delenv("ALTKIT_EPS")
     assert core.default_eps() == 1e-9
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-9"])
+def test_bad_eps_is_an_input_error_on_every_verb(tmp_path, capsys, value):
+    # a NaN eps made every float comparison false: associativity "failed"
+    # on the float complex numbers with a zero defect, as a proof
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({"sc": [[[1.0, 0], [0, 1.0]], [[0, 1.0], [-1.0, 0]]],
+                                "unit": [1.0, 0]}))
+    source = ("--file", str(path))
+    for argv in (("check", *source, "--identity", "associative", "--format", "json"),
+                 ("nucleus", *source), ("lieify", *source), ("units", *source),
+                 ("decompose", "--algebra", "quaternions"),
+                 ("classify", "--family", "tn", "--param", "a=-1", "--param", "g=1")):
+        code, out, err = run(capsys, *argv, f"--eps={value}")
+        assert code == 2 and out == "", argv
+        assert "altkit: error: eps must be finite and nonnegative" in err

@@ -325,3 +325,38 @@ def test_negative_eps_is_rejected(H):
     with pytest.raises(ParameterError, match="eps"):
         Algebra(H.sc, eps=-1e-9)
     assert Algebra(H.sc, eps=0).eps == 0.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1e-9])
+def test_bad_per_call_eps_is_rejected_everywhere(bad):
+    from altkit import identities, lie, linalg, structure, units
+
+    H = catalog.quaternions().to_float()
+    L = lie.lieify(H)
+    ident = [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)]
+    locus = units.classify_locus_tn(catalog.tn(a=-1, g=1))
+    calls = [
+        lambda: H.one().is_zero(bad),
+        lambda: H.mul_operator(H.one()).is_singular(bad),
+        lambda: H.singular_operators([H.one().coords], bad),
+        lambda: identities.check_identity(H, "associative", eps=bad),
+        lambda: identities.is_strictly_middle(H, eps=bad),
+        lambda: identities.is_division_sampled(H, eps=bad),
+        lambda: structure.commutative_nucleus(H, eps=bad),
+        lambda: structure.is_automorphism(H, ident, eps=bad),
+        lambda: structure.reflection_decompose(catalog.quaternions(), ident, eps=bad),
+        lambda: structure.classify_middle_c(catalog.tn(a=-1, g=1), eps=bad),
+        lambda: lie.check_jacobi(L, tol=bad),
+        lambda: lie.derived_series(L, eps=bad),
+        lambda: lie.classify_lie(L, eps=bad),
+        lambda: units.verify_unit(H, H.basis(1), bad),
+        lambda: units.solve_units_sampled(H, seeds=2, tol=bad),
+        lambda: units.grid_unit_search(H, radius=1, tol=bad),
+        lambda: units.equation_satisfied(locus, locus.points[0], bad),
+        lambda: linalg.rank(ident, bad),
+        lambda: linalg.det(ident, bad),
+        lambda: linalg.dets([ident], bad),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match="eps"):
+            call()
