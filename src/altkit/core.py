@@ -40,9 +40,11 @@ Scalar = Union[Fraction, float]
 
 _ZERO = Fraction(0)
 
-# A prime below 2**31: a product of two residues stays below 2**62, so
-# int64 holds operator entries and elimination steps modulo it.
-MODULUS = 2**31 - 1
+# The largest prime below 2**26.  A product of two residues is below 2**52,
+# so int64 holds a sum of up to 2**11 of them: an entry of
+# `Algebra.mul_operators` before its one reduction (a sum of n products),
+# and each step of `linalg.nonsingular_mod` (a difference of two).
+MODULUS = 67108859
 
 
 class AlgebraError(Exception):
@@ -553,7 +555,7 @@ class Algebra:
         """M[c, 0] and M[c, 1], the matrices of x -> v x and x -> x v for
         each row v = vectors[c], laid out as `mul_operator` lays them out:
         M[c, 0, r, j] = sum_i v_i S[i, j, r] and M[c, 1, r, j] = sum_i v_i
-        S[j, i, r], accumulated over i in order.  On a float table: floats,
+        S[j, i, r].  On a float table: floats accumulated over i in order,
         bit for bit the entries of `mul_operator`.  On an exact table: each
         row scaled to integers (a float at its exact value) against the
         table's integers, reduced modulo the prime MODULUS, so a positive
@@ -568,27 +570,34 @@ class Algebra:
             S = (S % MODULUS).astype(np.int64)
         # sides[i, 0] = the left operator of e_i, sides[i, 1] the right one
         sides = np.stack((S.transpose(0, 2, 1), S.transpose(1, 2, 0)), axis=1)
-        M = np.zeros((len(V), 2, n, n), dtype=S.dtype)
+        if S.dtype != float:
+            # n products below 2**52 each: exact in int64, as n < 2**11
+            return np.tensordot(V, sides, 1) % MODULUS
+        M = np.zeros((len(V), 2, n, n))
         for i in range(n):
             M += V[:, i, None, None, None] * sides[i]
-            if S.dtype != float:
-                M %= MODULUS  # residues below 2**31, so each product is below 2**62
         return M
 
-    def singular_operators(self, vectors, eps: Optional[float] = None) -> np.ndarray:
-        """B[c, 0] and B[c, 1]: may x -> v x, and x -> x v, be singular, for
-        v = vectors[c]?  On a float table these are `MulOperator.is_singular`
-        at eps, on the same determinants bit for bit (`linalg.dets`).  On an
-        exact table they are True where the determinant vanishes modulo the
-        prime MODULUS: a False proves the operator invertible, and a True
-        is for the caller to confirm exactly with `MulOperator.is_singular`."""
+    def first_singular(self, vectors, eps: Optional[float] = None) -> Optional[int]:
+        """The index c of the first row v = vectors[c] for which x -> v x
+        or x -> x v is singular, as `MulOperator.is_singular` decides it at
+        eps, else None; every operator comes from `mul_operators`.  On a
+        float table the determinants are `linalg.det`'s bit for bit
+        (`linalg.dets`).  On an exact table a determinant nonzero modulo
+        the prime MODULUS proves the operator invertible
+        (`linalg.nonsingular_mod`), and only an operator singular modulo
+        the prime is tested with `MulOperator.is_singular`, exactly."""
         from . import linalg
 
         eps = tolerance(eps, self.eps)
         M = self.mul_operators(vectors)
-        if M.dtype == float:
-            return np.abs(linalg.dets(M, eps)) <= eps
-        return ~linalg.nonsingular_mod(M, MODULUS)
+        exact = M.dtype != float
+        flagged = ~linalg.nonsingular_mod(M) if exact else np.abs(linalg.dets(M, eps)) <= eps
+        for c, side in zip(*np.nonzero(flagged)):
+            if not exact or self.mul_operator(
+                    self.element(vectors[c]), ("left", "right")[side]).is_singular(eps):
+                return int(c)
+        return None
 
     # -- conversions ----------------------------------------------------------
 

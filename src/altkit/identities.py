@@ -364,7 +364,7 @@ def is_division_sampled(
     only that no zero divisor was found among those candidates - it is not
     a proof.  Each operator's invertibility, though, is decided as
     `MulOperator.is_singular` decides it.  Every candidate of a group gets
-    its L_a and R_a at once (`Algebra.singular_operators`).  On a float
+    its L_a and R_a at once (`Algebra.first_singular`).  On a float
     table their determinants are `linalg.det`'s bit for bit.  On an exact
     table a determinant nonzero modulo a prime proves invertibility, and
     only an operator singular modulo the prime is tested exactly, so an
@@ -377,11 +377,8 @@ def is_division_sampled(
         group = [a for a in group if not a.is_zero(eps)]
         if not group:
             continue
-        flags = A.singular_operators([a.coords for a in group], eps)
-        for c in np.flatnonzero(flags.any(axis=1)):
-            a = group[c]
-            for side, flagged in zip(("left", "right"), flags[c]):
-                if flagged and A.mul_operator(a, side).is_singular(eps):
-                    return DivisionReport(False, a, f"sampled({checked + c + 1})")
+        c = A.first_singular([a.coords for a in group], eps)
+        if c is not None:
+            return DivisionReport(False, group[c], f"sampled({checked + c + 1})")
         checked += len(group)
     return DivisionReport(True, None, f"sampled({checked})")

@@ -7,7 +7,8 @@ global default) decides what counts as zero.  Matrices are small (n <= 22
 in the catalog, `ak(10)`), and one at a time they go through plain Python
 loops.  Two routines take a whole stack of them at once, for the division
 test: `dets`, `det` on floats vectorised bit for bit, and
-`nonsingular_mod`, which decides a determinant's zeroness modulo a prime.
+`nonsingular_mod`, which decides a determinant's zeroness modulo the prime
+`core.MODULUS`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import DimensionError, SingularMatrixError, scalar_is_zero, tolerance
+from .core import MODULUS, DimensionError, SingularMatrixError, scalar_is_zero, tolerance
 
 
 def _has_float(mat) -> bool:
@@ -175,12 +176,13 @@ def _swap_rows(a: np.ndarray, c: int, best: np.ndarray) -> None:
     a[:, c] = top
 
 
-def nonsingular_mod(mats, p: int) -> np.ndarray:
+def nonsingular_mod(mats) -> np.ndarray:
     """Which integer matrices in the stack mats[..., n, n], entries in
-    [0, p) for a prime p < 2**31, have a determinant nonzero modulo p.
+    [0, MODULUS), have a determinant nonzero modulo the prime MODULUS.
     Fraction-free elimination: each row below the pivot row becomes
     pivot * row - row[c] * pivot row, which multiplies the determinant by
-    a unit mod p, so no inverse is needed and every product is below 2**62."""
+    a unit modulo the prime, so no inverse is needed and every product is
+    below 2**52."""
     a = np.array(mats, dtype=np.int64)
     shape, n = a.shape[:-2], a.shape[-1]
     a = a.reshape(-1, n, n)
@@ -191,7 +193,7 @@ def nonsingular_mod(mats, p: int) -> np.ndarray:
         _swap_rows(a, c, c + np.argmax(nonzero, axis=1))
         below = a[:, c + 1:, c:]
         a[:, c + 1:, c:] = (below * a[:, c, c, None, None]
-                            - below[:, :, :1] * a[:, c, None, c:]) % p
+                            - below[:, :, :1] * a[:, c, None, c:]) % MODULUS
     return alive.reshape(shape)
 
 

@@ -338,7 +338,7 @@ def test_bad_per_call_eps_is_rejected_everywhere(bad):
     calls = [
         lambda: H.one().is_zero(bad),
         lambda: H.mul_operator(H.one()).is_singular(bad),
-        lambda: H.singular_operators([H.one().coords], bad),
+        lambda: H.first_singular([H.one().coords], bad),
         lambda: identities.check_identity(H, "associative", eps=bad),
         lambda: identities.is_strictly_middle(H, eps=bad),
         lambda: identities.is_division_sampled(H, eps=bad),

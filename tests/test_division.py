@@ -97,8 +97,10 @@ def test_determinant_divisible_by_the_modulus_is_confirmed_exactly():
     # e1 * e1 = -MODULUS: det L_(x + y e1) = x^2 + MODULUS y^2, zero modulo
     # the prime whenever x is, yet zero only at x = y = 0
     A = Algebra([[[1, 0], [0, 1]], [[0, 1], [-MODULUS, 0]]], unit=[1, 0])
-    flags = A.singular_operators([[1, 0], [0, 1], [1, 1]])
-    assert flags.tolist() == [[False, False], [True, True], [False, False]]
+    V = [[1, 0], [0, 1], [1, 1]]
+    assert linalg.nonsingular_mod(A.mul_operators(V)).tolist() == [
+        [True, True], [False, False], [True, True]]
+    assert [A.first_singular([v]) for v in V] == [None, None, None]
     report = identities.is_division_sampled(A, samples=50, seed=3)
     assert report.division
     assert _typed(report) == _typed(_loop_is_division_sampled(A, samples=50, seed=3))
@@ -132,4 +134,5 @@ def test_singular_flags_on_exact_tables_rest_on_the_modulus():
     ops = M.mul_operators(V)
     assert ops.dtype == np.int64 and ops.min() >= 0 and ops.max() < MODULUS
     # 1 + j is a zero divisor of mplus; 1 and i are not
-    assert M.singular_operators(V).any(axis=1).tolist() == [True, False, False]
+    assert (~linalg.nonsingular_mod(ops)).any(axis=1).tolist() == [True, False, False]
+    assert M.first_singular(V) == 0 and M.first_singular(V[1:]) is None
