@@ -14,15 +14,23 @@ compares an exact scalar exactly whatever eps it is given, and a float
 within the caller's eps, which defaults to the algebra's `eps`.
 
 An exact table is held as one integer table: it is scaled once, at
-construction, by the lcm of its denominators.  Products of exact vectors
-accumulate in Python ints over that scale and make one Fraction per output
-coordinate; the tensor view `Algebra.cube` holds the same integers, and
-`Algebra.mul_operators` reads them modulo a prime for the division test.
+construction, by the lcm of its denominators.  The tensor view
+`Algebra.cube` holds the same integers, and `Algebra.mul_operators` reads
+them modulo a prime for the division test.  An Element of an exact algebra
+whose coordinates are all exact is held the same way, as an integer vector
+over one positive denominator, kept canonical (the lcm of its reduced
+coordinate denominators).  Its sums, scalar multiples, products,
+associators and commutators accumulate in Python ints through the table's
+one product loop and make one gcd reduction per result; its `coords`, the
+tuple of Fractions, is built on first read.  An element with a float
+coordinate, and every element of a float algebra, holds its coordinates as
+given and takes the float sums.
 
 Values are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to use concurrently.
-The one lazily built value, `Algebra.cube`, is read-only and the same
-whichever caller builds it.
+The lazily built values (`Algebra.cube`, the basis and unit Elements, an
+Element's `coords`) are read-only and the same whichever caller builds
+them.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ import numpy as np
 Scalar = Union[Fraction, float]
 
 _ZERO = Fraction(0)
+_set = object.__setattr__  # fills the slots of an immutable Element
 
 # The largest prime below 2**26.  A product of two residues is below 2**52,
 # so int64 holds a sum of up to 2**11 of them: an entry of
@@ -165,9 +174,17 @@ def sqrt_scalar(value) -> Scalar:
 
 
 class Element:
-    """A vector expressed in the coordinates of a parent algebra's basis."""
+    """A vector expressed in the coordinates of a parent algebra's basis.
 
-    __slots__ = ("algebra", "coords")
+    An element of an exact algebra whose coordinates are all exact is held
+    as integers over one positive denominator, the lcm of its reduced
+    coordinate denominators, so ``gcd(den, *ints) == 1`` and equal vectors
+    hold equal integers.  Its arithmetic stays in ints, with one gcd
+    reduction per result, and `coords`, the tuple of Fractions, is built on
+    first read.  Any other element (every element of a float algebra, and
+    one with a float coordinate) holds `coords` itself."""
+
+    __slots__ = ("algebra", "_ints", "_den", "_coords")
 
     def __init__(self, algebra: "Algebra", coords: Sequence):
         coords = tuple(parse_scalar(c) for c in coords)
@@ -176,13 +193,44 @@ class Element:
                 f"coordinate vector of length {len(coords)} in a "
                 f"{algebra.dim}-dimensional algebra"
             )
+        ints = den = None
         if algebra.scalar_mode == "float":
             coords = tuple(float(c) for c in coords)
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coords", coords)
+        elif not any(isinstance(c, float) for c in coords):
+            den = math.lcm(*(c.denominator for c in coords))
+            ints = tuple(c.numerator * (den // c.denominator) for c in coords)
+        _set(self, "algebra", algebra)
+        _set(self, "_ints", ints)
+        _set(self, "_den", den)
+        _set(self, "_coords", coords)
+
+    @classmethod
+    def _exact(cls, algebra: "Algebra", ints: Sequence, den: int) -> "Element":
+        """The element ints / den of an exact algebra, for a positive den,
+        reduced to the canonical form."""
+        g = math.gcd(den, *ints)
+        if g != 1:
+            ints = [c // g for c in ints]
+            den //= g
+        e = object.__new__(cls)
+        _set(e, "algebra", algebra)
+        _set(e, "_ints", tuple(ints))
+        _set(e, "_den", den)
+        _set(e, "_coords", None)
+        return e
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Element is immutable")
+
+    @property
+    def coords(self) -> tuple:
+        """The coordinates: Fractions on an exact algebra (with a float
+        where a float was given), floats on a float algebra."""
+        coords = self._coords
+        if coords is None:
+            coords = tuple(_fractions(self._ints, self._den))
+            _set(self, "_coords", coords)
+        return coords
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -192,41 +240,64 @@ class Element:
         if other.algebra is not self.algebra:
             raise DimensionError("elements belong to different algebras")
 
+    def _plus(self, other: "Element", sign: int) -> "Element":
+        """self + sign * other for two integer forms, over the lcm of their
+        denominators."""
+        da, db = self._den, other._den
+        den = math.lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        return Element._exact(self.algebra, [a * fa + b * fb for a, b in
+                                             zip(self._ints, other._ints)], den)
+
     def __add__(self, other):
         self._peer(other)
+        if self._ints is not None and other._ints is not None:
+            return self._plus(other, 1)
         return Element(self.algebra, [a + b for a, b in zip(self.coords, other.coords)])
 
     def __sub__(self, other):
         self._peer(other)
+        if self._ints is not None and other._ints is not None:
+            return self._plus(other, -1)
         return Element(self.algebra, [a - b for a, b in zip(self.coords, other.coords)])
 
     def __neg__(self):
+        if self._ints is not None:
+            return Element._exact(self.algebra, [-a for a in self._ints], self._den)
         return Element(self.algebra, [-a for a in self.coords])
+
+    def _scaled(self, s: Scalar) -> "Element":
+        if self._ints is not None and not isinstance(s, float):
+            return Element._exact(self.algebra, [s.numerator * a for a in self._ints],
+                                  s.denominator * self._den)
+        return Element(self.algebra, [s * a for a in self.coords])
 
     def __mul__(self, other):
         if isinstance(other, Element):
             return self.algebra.multiply(self, other)
         if isinstance(other, (numbers.Real, Fraction)):
-            s = parse_scalar(other)
-            return Element(self.algebra, [s * a for a in self.coords])
+            return self._scaled(parse_scalar(other))
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (numbers.Real, Fraction)):
-            s = parse_scalar(other)
-            return Element(self.algebra, [s * a for a in self.coords])
+            return self._scaled(parse_scalar(other))
         return NotImplemented
 
     def __truediv__(self, other):
         s = parse_scalar(other)
+        if self._ints is not None and not isinstance(s, float):
+            if not s:
+                raise ZeroDivisionError("division of an Element by zero")
+            return self._scaled(1 / s)
         return Element(self.algebra, [a / s for a in self.coords])
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Element)
-            and other.algebra is self.algebra
-            and other.coords == self.coords
-        )
+        if not (isinstance(other, Element) and other.algebra is self.algebra):
+            return False
+        if self._ints is not None and other._ints is not None:
+            return self._den == other._den and self._ints == other._ints
+        return other.coords == self.coords
 
     def __hash__(self):
         return hash((id(self.algebra), self.coords))
@@ -235,6 +306,8 @@ class Element:
 
     def is_zero(self, eps: Optional[float] = None) -> bool:
         eps = tolerance(eps, self.algebra.eps)
+        if self._ints is not None:
+            return not any(self._ints)
         return all(scalar_is_zero(c, eps) for c in self.coords)
 
     def max_abs(self):
@@ -327,6 +400,8 @@ class Algebra:
         self._eps = tolerance(eps)
         self._family = family
         self._cube = None
+        self._basis_cache = None
+        self._one = None
 
         # _rows[i][j] = ((k, c), ...) over the nonzero entries of sc[i][j]:
         # floats, or for an exact table the integers sc * _scale, _scale being
@@ -410,10 +485,18 @@ class Algebra:
     def basis(self, i: int) -> Element:
         if not 0 <= i < self.dim:
             raise DimensionError(f"basis index {i} out of range")
-        return Element(self, [1 if j == i else 0 for j in range(self.dim)])
+        return self._basis()[i]
 
     def basis_elements(self) -> list:
-        return [self.basis(i) for i in range(self.dim)]
+        return list(self._basis())
+
+    def _basis(self) -> tuple:
+        """The basis Elements, built once: Elements are immutable."""
+        if self._basis_cache is None:
+            n = self.dim
+            self._basis_cache = tuple(Element(self, [1 if j == i else 0 for j in range(n)])
+                                      for i in range(n))
+        return self._basis_cache
 
     def zero(self) -> Element:
         return Element(self, [0] * self.dim)
@@ -421,7 +504,9 @@ class Algebra:
     def one(self) -> Element:
         if self._unit is None:
             raise AlgebraError("algebra has no designated unit element")
-        return Element(self, self._unit)
+        if self._one is None:
+            self._one = Element(self, self._unit)
+        return self._one
 
     def by_label(self, label: str) -> Element:
         try:
@@ -430,6 +515,21 @@ class Algebra:
             raise AlgebraError(f"no basis vector labelled {label!r}") from None
 
     # -- products -------------------------------------------------------------
+
+    def _accumulate(self, u, v) -> list:
+        """The product loop: out[k] = sum u_i v_j c over the (i, u_i) and
+        (j, v_j) pairs given and the entries (k, c) of the table's sparse
+        rows (the integers sc * _scale on an exact table).  A coordinate no
+        term reaches stays the int 0."""
+        rows = self._rows
+        out = [0] * self.dim
+        for i, ui in u:
+            row = rows[i]
+            for j, vj in v:
+                coeff = ui * vj
+                for k, c in row[j]:
+                    out[k] = out[k] + coeff * c
+        return out
 
     def _mul_coords(self, u: Sequence, v: Sequence) -> list:
         """Coordinates of uv.  Exact u and v on an exact table: scaled to
@@ -445,17 +545,9 @@ class Algebra:
             dv = math.lcm(*(c.denominator for _, c in v))
             u = [(i, c.numerator * (du // c.denominator)) for i, c in u]
             v = [(j, c.numerator * (dv // c.denominator)) for j, c in v]
-        rows = self._rows
-        out = [0] * self.dim
-        for i, ui in u:
-            row = rows[i]
-            for j, vj in v:
-                coeff = ui * vj
-                for k, c in row[j]:
-                    out[k] = out[k] + coeff * c
+        out = self._accumulate(u, v)
         if exact:
-            den = du * dv * scale
-            return [Fraction(acc, den) if acc else _ZERO for acc in out]
+            return _fractions(out, du * dv * scale)
         if scale != 1:
             return [acc / scale if acc else acc for acc in out]
         return out
@@ -469,11 +561,22 @@ class Algebra:
 
     def multiply(self, a: Element, b: Element) -> Element:
         self._own(a, b)
+        if a._ints is not None and b._ints is not None:
+            prod = self._accumulate(_terms(a._ints), _terms(b._ints))
+            return Element._exact(self, prod, a._den * b._den * self._scale)
         return Element(self, self._mul_coords(a.coords, b.coords))
 
     def associator(self, x: Element, y: Element, z: Element) -> Element:
         """(x, y, z) = (xy)z - x(yz)."""
         self._own(x, y, z)
+        if x._ints is not None and y._ints is not None and z._ints is not None:
+            # both sides are integers over den(x) den(y) den(z) scale^2
+            mul = self._accumulate
+            x_, y_, z_ = _terms(x._ints), _terms(y._ints), _terms(z._ints)
+            left = mul(_terms(mul(x_, y_)), z_)
+            right = mul(x_, _terms(mul(y_, z_)))
+            return Element._exact(self, [a - b for a, b in zip(left, right)],
+                                  x._den * y._den * z._den * self._scale ** 2)
         xy = self._mul_coords(x.coords, y.coords)
         yz = self._mul_coords(y.coords, z.coords)
         left = self._mul_coords(xy, z.coords)
@@ -483,6 +586,11 @@ class Algebra:
     def commutator(self, x: Element, y: Element) -> Element:
         """[x, y] = xy - yx."""
         self._own(x, y)
+        if x._ints is not None and y._ints is not None:
+            x_, y_ = _terms(x._ints), _terms(y._ints)
+            xy, yx = self._accumulate(x_, y_), self._accumulate(y_, x_)
+            return Element._exact(self, [a - b for a, b in zip(xy, yx)],
+                                  x._den * y._den * self._scale)
         xy = self._mul_coords(x.coords, y.coords)
         yx = self._mul_coords(y.coords, x.coords)
         return Element(self, _difference(xy, yx))
@@ -492,11 +600,17 @@ class Algebra:
         x -> x*a (side "right", column j = e_j*a)."""
         self._own(a)
         n = self.dim
-        cols = []
-        for j in range(n):
-            e_j = [1 if i == j else 0 for i in range(n)]
-            cols.append(self._mul_coords(a.coords, e_j) if side == "left"
-                        else self._mul_coords(e_j, a.coords))
+        if a._ints is not None:
+            terms, den = _terms(a._ints), a._den * self._scale
+            cols = [self._accumulate(terms, [(j, 1)]) if side == "left"
+                    else self._accumulate([(j, 1)], terms) for j in range(n)]
+            cols = [_fractions(col, den) for col in cols]
+        else:
+            cols = []
+            for j in range(n):
+                e_j = [1 if i == j else 0 for i in range(n)]
+                cols.append(self._mul_coords(a.coords, e_j) if side == "left"
+                            else self._mul_coords(e_j, a.coords))
         return MulOperator(side, [[col[r] for col in cols] for r in range(n)], a)
 
     # -- tensor view ----------------------------------------------------------
@@ -654,6 +768,16 @@ def scaled_ints(values: Sequence) -> list:
     dens = [c.denominator for c in values]
     scale = math.lcm(*dens)
     return [c.numerator * (scale // d) for c, d in zip(values, dens)]
+
+
+def _terms(ints: Sequence) -> list:
+    """The (index, value) pairs of a vector's nonzero entries."""
+    return [(i, c) for i, c in enumerate(ints) if c]
+
+
+def _fractions(ints: Sequence, den: int) -> list:
+    """ints / den as Fractions, one per entry."""
+    return [Fraction(c, den) if c else _ZERO for c in ints]
 
 
 def _difference(a: Sequence, b: Sequence) -> list:

@@ -305,6 +305,174 @@ def test_difference_is_subtraction_for_an_element(H):
                     == _typed(H.element([x - y for x, y in zip(*pairs)])))
 
 
+class _ParentElement:
+    """Reference: Element arithmetic with one parsed scalar per coordinate,
+    a Fraction per coordinate per sum, scalar multiple and product, over
+    the `_mul_coords` products checked above."""
+
+    def __init__(self, A, coords):
+        coords = tuple(core.parse_scalar(c) for c in coords)
+        if A.scalar_mode == "float":
+            coords = tuple(float(c) for c in coords)
+        self.algebra, self.coords = A, coords
+
+    def _new(self, coords):
+        return _ParentElement(self.algebra, coords)
+
+    def __add__(self, other):
+        return self._new([a + b for a, b in zip(self.coords, other.coords)])
+
+    def __sub__(self, other):
+        return self._new([a - b for a, b in zip(self.coords, other.coords)])
+
+    def __neg__(self):
+        return self._new([-a for a in self.coords])
+
+    def scaled(self, s):
+        s = core.parse_scalar(s)
+        return self._new([s * a for a in self.coords])
+
+    def __truediv__(self, s):
+        s = core.parse_scalar(s)
+        return self._new([a / s for a in self.coords])
+
+    def __eq__(self, other):
+        return other.algebra is self.algebra and other.coords == self.coords
+
+    def __hash__(self):
+        return hash((id(self.algebra), self.coords))
+
+    def multiply(self, other):
+        return self._new(self.algebra._mul_coords(self.coords, other.coords))
+
+    def associator(self, y, z):
+        A = self.algebra
+        xy, yz = A._mul_coords(self.coords, y.coords), A._mul_coords(y.coords, z.coords)
+        left, right = A._mul_coords(xy, z.coords), A._mul_coords(self.coords, yz)
+        return self._new([a - b for a, b in zip(left, right)])
+
+    def commutator(self, y):
+        xy = self.algebra._mul_coords(self.coords, y.coords)
+        yx = self.algebra._mul_coords(y.coords, self.coords)
+        return self._new([a - b for a, b in zip(xy, yx)])
+
+    def mul_operator(self, side):
+        n = self.algebra.dim
+        cols = []
+        for j in range(n):
+            e_j = [1 if i == j else 0 for i in range(n)]
+            cols.append(self.algebra._mul_coords(self.coords, e_j) if side == "left"
+                        else self.algebra._mul_coords(e_j, self.coords))
+        return [[col[r] for col in cols] for r in range(n)]
+
+
+SCALARS = [3, -2, 0, Fraction(-3, 4), Fraction(5, 3), 0.5, 2 ** 0.5, -0.0]
+
+
+def _same(got, want):
+    """Same coordinates, value for value and type for type (a float's repr
+    is exact, so floats agree bit for bit), and the same equality and hash
+    as the reference."""
+    assert _typed(got) == _typed(list(want.coords))
+    assert got == got.algebra.element(want.coords)
+    assert hash(got) == hash(want)
+
+
+def _check_element_ops(pairs, step=1):
+    """Every Element operation on every (x, y, z) drawn from ``pairs`` of
+    (Element, reference); returns some results, as pairs, for chaining."""
+    made = []
+    for a, (x, xo) in enumerate(pairs):
+        A = x.algebra
+        _same(-x, -xo)
+        for s in SCALARS:
+            _same(s * x, xo.scaled(s))
+            _same(x * s, xo.scaled(s))
+            if s:
+                _same(x / s, xo / s)
+            else:
+                for divide in (lambda: x / s, lambda: xo / s):
+                    with pytest.raises(ZeroDivisionError):
+                        divide()
+        for side in ("left", "right"):
+            got = A.mul_operator(x, side).matrix
+            assert [_typed(list(r)) for r in got] == [_typed(r) for r in xo.mul_operator(side)]
+        for b in range(0, len(pairs), step):
+            (y, yo), (z, zo) = pairs[b], pairs[(a + b) % len(pairs)]
+            _same(x + y, xo + yo)
+            _same(x - y, xo - yo)
+            _same(x * y, xo.multiply(yo))
+            _same(A.associator(x, y, z), xo.associator(yo, zo))
+            _same(A.commutator(x, y), xo.commutator(yo))
+            if b == a:
+                made += [(x + y, xo + yo), (Fraction(1, 3) * x, xo.scaled(Fraction(1, 3))),
+                         (x * y, xo.multiply(yo)), (x - y / 7, xo - yo / 7)]
+    return made
+
+
+def _element_pairs(A, vectors):
+    return [(A.element(v), _ParentElement(A, v)) for v in vectors]
+
+
+@pytest.mark.parametrize("A", _catalog_tables(), ids=repr)
+def test_element_arithmetic_matches_parent_reference(A):
+    rng = random.Random(A.dim + 1)
+    n = A.dim
+    vectors = [[Fraction(int(i == j)) for i in range(n)] for j in (0, n - 1)]
+    vectors += [[Fraction(rng.randint(-7, 7), rng.randint(1, 6)) * rng.randint(0, 1)
+                 for _ in range(n)] for _ in range(3)]
+    vectors += [[0] * n, [1 if i % 2 else 0 for i in range(n)]]
+    if A.unit is not None:
+        vectors.append(list(A.unit))
+    floats = [[float(c) for c in v] for v in vectors]
+    mixed = [[float(c) * 2 ** 0.5 if i % 2 else c for i, c in enumerate(v)] for v in vectors]
+    step = 1 if n <= 6 else 3
+    # exact table: integer forms; float table: bit for bit; exact table
+    # with float coordinates, alone and beside integer forms
+    for B, vecs in ((A, vectors), (A.to_float(), floats), (A, vectors[:4] + mixed[:4])):
+        made = _check_element_ops(_element_pairs(B, vecs), step)
+        _check_element_ops(made, 5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.one_of(rationals, st.integers(-5, 5),
+                          st.floats(-4, 4, allow_nan=False, allow_infinity=False)),
+                min_size=12, max_size=12),
+       st.sampled_from(["quaternions", "mplus", "mzero", "tp"]), st.booleans())
+def test_element_arithmetic_matches_parent_reference_drawn(values, name, to_float):
+    A = (catalog.tp(alpha1=Fraction(1, 2), beta1=Fraction(-4, 3), delta2=3, gamma2=Fraction(7, 4))
+         if name == "tp" else catalog.build(name))
+    A = A.to_float() if to_float else A
+    pairs = _element_pairs(A, [values[:4], values[4:8], values[8:]])
+    exact = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
+    pairs += _element_pairs(A, [exact[:4], exact[4:8]])  # integer forms on an exact table
+    _check_element_ops(_check_element_ops(pairs), 3)
+
+
+def test_equality_and_hash_across_forms(H):
+    half = H.element([Fraction(1, 2), 0, 0, 0])
+    assert half == H.element([0.5, 0, 0, 0]) == H.element(["1/2", 0.0, 0, 0])
+    assert hash(half) == hash(H.element([0.5, 0, 0, 0])) == hash(H.element(["1/2", 0.0, 0, 0]))
+    assert half != H.element([0.5000001, 0, 0, 0])
+    assert half != H.element([1, 0, 0, 0])  # the same integers over another denominator
+    x = H.element([Fraction(2, 3), -1, Fraction(5, 4), 0])
+    y = H.element([Fraction(1, 6), 3, 0, Fraction(-7, 2)])
+    routes = [(x + y) - y, 2 * (x / 2), x * Fraction(3, 7) / Fraction(3, 7), -(-x),
+              (x * 6 + y) - y - 5 * x, H.element(list(x.coords)),
+              H.element([float(c) for c in x.coords[:2]] + list(x.coords[2:])) + H.zero()]
+    for r in routes[:-1]:
+        assert r == x and hash(r) == hash(x)
+        assert r._ints == x._ints and r._den == x._den  # one canonical form
+    assert x - x == H.zero() == 0 * x == H.one() - H.one()
+    assert hash(x - x) == hash(H.zero()) == hash(0 * x)
+    assert (H.one() - H.one())._den == 1
+    # unit lists dedup exactly as before, with every form in one set
+    i, j = H.by_label("i"), H.by_label("j")
+    units = [i, -i, -(-i), i * 1, (i + j) - j, H.element([0, 1.0, 0, 0]), j, -(j * -1)]
+    assert set(units) == {i, -i, j}
+    assert len(set(units)) == len({_ParentElement(H, u.coords) for u in units}) == 3
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_input_is_rejected(H, bad):
     sc = [[list(cell) for cell in row] for row in H.sc]
