@@ -17,20 +17,20 @@ An exact table is held as one integer table: it is scaled once, at
 construction, by the lcm of its denominators.  The tensor view
 `Algebra.cube` holds the same integers, and `Algebra.mul_operators` reads
 them modulo a prime for the division test.  An Element of an exact algebra
-whose coordinates are all exact is held the same way, as an integer vector
-over one positive denominator, kept canonical (the lcm of its reduced
-coordinate denominators).  Its sums, scalar multiples, products,
-associators and commutators accumulate in Python ints through the table's
-one product loop and make one gcd reduction per result; its `coords`, the
-tuple of Fractions, is built on first read.  An element with a float
-coordinate, and every element of a float algebra, holds its coordinates as
-given and takes the float sums.
+whose coordinates are all exact is held the same way in arithmetic, as an
+integer vector over one positive denominator, kept canonical (the lcm of
+its reduced coordinate denominators).  Its sums, scalar multiples,
+products, associators and commutators accumulate in Python ints through
+the table's one product loop and make one gcd reduction per result; its
+`coords`, the tuple of Fractions, is built on first read.  An element with
+a float coordinate, and every element of a float algebra, holds its
+coordinates as given and takes the float sums.
 
 Values are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to use concurrently.
 The lazily built values (`Algebra.cube`, the basis and unit Elements, an
-Element's `coords`) are read-only and the same whichever caller builds
-them.
+Element's `coords` and integer form) are read-only and the same whichever
+caller builds them.
 """
 
 from __future__ import annotations
@@ -176,15 +176,20 @@ def sqrt_scalar(value) -> Scalar:
 class Element:
     """A vector expressed in the coordinates of a parent algebra's basis.
 
-    An element of an exact algebra whose coordinates are all exact is held
-    as integers over one positive denominator, the lcm of its reduced
-    coordinate denominators, so ``gcd(den, *ints) == 1`` and equal vectors
-    hold equal integers.  Its arithmetic stays in ints, with one gcd
-    reduction per result, and `coords`, the tuple of Fractions, is built on
-    first read.  Any other element (every element of a float algebra, and
-    one with a float coordinate) holds `coords` itself."""
+    An element of an exact algebra whose coordinates are all exact has an
+    integer form: integers over one positive denominator, the lcm of its
+    reduced coordinate denominators, so ``gcd(den, *ints) == 1`` and equal
+    vectors hold equal integers.  Its arithmetic stays in ints, with one
+    gcd reduction per result.  An element made by arithmetic holds only
+    that form, and `coords`, the tuple of Fractions, is built on first
+    read; one made from coordinates holds them, and builds the form on
+    first use in arithmetic.  Any other element (every element of a float
+    algebra, and one with a float coordinate) has no integer form.
 
-    __slots__ = ("algebra", "_ints", "_den", "_coords")
+    ``_den`` is the form's denominator, 0 where there is no form, and None
+    while that is not yet known."""
+
+    __slots__ = ("algebra", "_coords", "_ints", "_den")
 
     def __init__(self, algebra: "Algebra", coords: Sequence):
         coords = tuple(parse_scalar(c) for c in coords)
@@ -193,16 +198,14 @@ class Element:
                 f"coordinate vector of length {len(coords)} in a "
                 f"{algebra.dim}-dimensional algebra"
             )
-        ints = den = None
+        den = None
         if algebra.scalar_mode == "float":
             coords = tuple(float(c) for c in coords)
-        elif not any(isinstance(c, float) for c in coords):
-            den = math.lcm(*(c.denominator for c in coords))
-            ints = tuple(c.numerator * (den // c.denominator) for c in coords)
+            den = 0
         _set(self, "algebra", algebra)
-        _set(self, "_ints", ints)
-        _set(self, "_den", den)
         _set(self, "_coords", coords)
+        _set(self, "_ints", None)
+        _set(self, "_den", den)
 
     @classmethod
     def _exact(cls, algebra: "Algebra", ints: Sequence, den: int) -> "Element":
@@ -214,10 +217,24 @@ class Element:
             den //= g
         e = object.__new__(cls)
         _set(e, "algebra", algebra)
+        _set(e, "_coords", None)
         _set(e, "_ints", tuple(ints))
         _set(e, "_den", den)
-        _set(e, "_coords", None)
         return e
+
+    def _int_form(self) -> bool:
+        """Whether the element has the integer form (`_ints` over `_den`),
+        building it from the coordinates on first use."""
+        if self._den is None:
+            coords = self._coords
+            if any(isinstance(c, float) for c in coords):
+                _set(self, "_den", 0)
+            else:
+                den = math.lcm(*[c.denominator for c in coords])
+                _set(self, "_ints", tuple([c.numerator * (den // c.denominator)
+                                           for c in coords]))
+                _set(self, "_den", den)
+        return self._den != 0
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Element is immutable")
@@ -251,23 +268,23 @@ class Element:
 
     def __add__(self, other):
         self._peer(other)
-        if self._ints is not None and other._ints is not None:
+        if self._int_form() and other._int_form():
             return self._plus(other, 1)
         return Element(self.algebra, [a + b for a, b in zip(self.coords, other.coords)])
 
     def __sub__(self, other):
         self._peer(other)
-        if self._ints is not None and other._ints is not None:
+        if self._int_form() and other._int_form():
             return self._plus(other, -1)
         return Element(self.algebra, [a - b for a, b in zip(self.coords, other.coords)])
 
     def __neg__(self):
-        if self._ints is not None:
+        if self._int_form():
             return Element._exact(self.algebra, [-a for a in self._ints], self._den)
         return Element(self.algebra, [-a for a in self.coords])
 
     def _scaled(self, s: Scalar) -> "Element":
-        if self._ints is not None and not isinstance(s, float):
+        if not isinstance(s, float) and self._int_form():
             return Element._exact(self.algebra, [s.numerator * a for a in self._ints],
                                   s.denominator * self._den)
         return Element(self.algebra, [s * a for a in self.coords])
@@ -286,7 +303,7 @@ class Element:
 
     def __truediv__(self, other):
         s = parse_scalar(other)
-        if self._ints is not None and not isinstance(s, float):
+        if not isinstance(s, float) and self._int_form():
             if not s:
                 raise ZeroDivisionError("division of an Element by zero")
             return self._scaled(1 / s)
@@ -561,7 +578,7 @@ class Algebra:
 
     def multiply(self, a: Element, b: Element) -> Element:
         self._own(a, b)
-        if a._ints is not None and b._ints is not None:
+        if a._int_form() and b._int_form():
             prod = self._accumulate(_terms(a._ints), _terms(b._ints))
             return Element._exact(self, prod, a._den * b._den * self._scale)
         return Element(self, self._mul_coords(a.coords, b.coords))
@@ -569,7 +586,7 @@ class Algebra:
     def associator(self, x: Element, y: Element, z: Element) -> Element:
         """(x, y, z) = (xy)z - x(yz)."""
         self._own(x, y, z)
-        if x._ints is not None and y._ints is not None and z._ints is not None:
+        if x._int_form() and y._int_form() and z._int_form():
             # both sides are integers over den(x) den(y) den(z) scale^2
             mul = self._accumulate
             x_, y_, z_ = _terms(x._ints), _terms(y._ints), _terms(z._ints)
@@ -586,7 +603,7 @@ class Algebra:
     def commutator(self, x: Element, y: Element) -> Element:
         """[x, y] = xy - yx."""
         self._own(x, y)
-        if x._ints is not None and y._ints is not None:
+        if x._int_form() and y._int_form():
             x_, y_ = _terms(x._ints), _terms(y._ints)
             xy, yx = self._accumulate(x_, y_), self._accumulate(y_, x_)
             return Element._exact(self, [a - b for a, b in zip(xy, yx)],
@@ -600,7 +617,7 @@ class Algebra:
         x -> x*a (side "right", column j = e_j*a)."""
         self._own(a)
         n = self.dim
-        if a._ints is not None:
+        if a._int_form():
             terms, den = _terms(a._ints), a._den * self._scale
             cols = [self._accumulate(terms, [(j, 1)]) if side == "left"
                     else self._accumulate([(j, 1)], terms) for j in range(n)]

@@ -454,15 +454,16 @@ def test_equality_and_hash_across_forms(H):
     assert half == H.element([0.5, 0, 0, 0]) == H.element(["1/2", 0.0, 0, 0])
     assert hash(half) == hash(H.element([0.5, 0, 0, 0])) == hash(H.element(["1/2", 0.0, 0, 0]))
     assert half != H.element([0.5000001, 0, 0, 0])
-    assert half != H.element([1, 0, 0, 0])  # the same integers over another denominator
-    x = H.element([Fraction(2, 3), -1, Fraction(5, 4), 0])
+    assert 2 * half != half  # the same integers over another denominator
+    x = H.element([Fraction(2, 3), -1, Fraction(5, 6), Fraction(1, 4)])
     y = H.element([Fraction(1, 6), 3, 0, Fraction(-7, 2)])
     routes = [(x + y) - y, 2 * (x / 2), x * Fraction(3, 7) / Fraction(3, 7), -(-x),
               (x * 6 + y) - y - 5 * x, H.element(list(x.coords)),
               H.element([float(c) for c in x.coords[:2]] + list(x.coords[2:])) + H.zero()]
     for r in routes[:-1]:
         assert r == x and hash(r) == hash(x)
-        assert r._ints == x._ints and r._den == x._den  # one canonical form
+        assert r._int_form() and x._int_form()
+        assert (r._ints, r._den) == (x._ints, x._den)  # one canonical form
     assert x - x == H.zero() == 0 * x == H.one() - H.one()
     assert hash(x - x) == hash(H.zero()) == hash(0 * x)
     assert (H.one() - H.one())._den == 1
