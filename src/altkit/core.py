@@ -28,9 +28,9 @@ coordinates as given and takes the float sums.
 
 Values are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to use concurrently.
-The lazily built values (`Algebra.cube`, the basis and unit Elements, an
-Element's `coords` and integer form) are read-only and the same whichever
-caller builds them.
+The lazily built values (`Algebra.cube`, the coordinates and integer forms
+of the basis and unit vectors, an Element's `coords` and integer form) are
+read-only and the same whichever caller builds them.
 """
 
 from __future__ import annotations
@@ -215,10 +215,15 @@ class Element:
         if g != 1:
             ints = [c // g for c in ints]
             den //= g
+        return cls._of(algebra, None, tuple(ints), den)
+
+    @classmethod
+    def _of(cls, algebra: "Algebra", coords, ints, den) -> "Element":
+        """An Element with the given slots."""
         e = object.__new__(cls)
         _set(e, "algebra", algebra)
-        _set(e, "_coords", None)
-        _set(e, "_ints", tuple(ints))
+        _set(e, "_coords", coords)
+        _set(e, "_ints", ints)
         _set(e, "_den", den)
         return e
 
@@ -417,8 +422,7 @@ class Algebra:
         self._eps = tolerance(eps)
         self._family = family
         self._cube = None
-        self._basis_cache = None
-        self._one = None
+        self._element_slots = None
 
         # _rows[i][j] = ((k, c), ...) over the nonzero entries of sc[i][j]:
         # floats, or for an exact table the integers sc * _scale, _scale being
@@ -502,18 +506,28 @@ class Algebra:
     def basis(self, i: int) -> Element:
         if not 0 <= i < self.dim:
             raise DimensionError(f"basis index {i} out of range")
-        return self._basis()[i]
+        return Element._of(self, *self._slots()[i])
 
     def basis_elements(self) -> list:
-        return list(self._basis())
+        return [Element._of(self, *slots) for slots in self._slots()[:self.dim]]
 
-    def _basis(self) -> tuple:
-        """The basis Elements, built once: Elements are immutable."""
-        if self._basis_cache is None:
+    def _slots(self) -> tuple:
+        """The slots (coordinates and integer form) of the basis Elements
+        and then of the unit, built once.  The algebra keeps these and not
+        the Elements: an Element holds its algebra, so a kept one would make
+        the algebra a reference cycle, freed only by the cyclic collector."""
+        if self._element_slots is None:
             n = self.dim
-            self._basis_cache = tuple(Element(self, [1 if j == i else 0 for j in range(n)])
-                                      for i in range(n))
-        return self._basis_cache
+            vectors = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+            if self._unit is not None:
+                vectors.append(self._unit)
+            slots = []
+            for v in vectors:
+                e = Element(self, v)
+                e._int_form()
+                slots.append((e._coords, e._ints, e._den))
+            self._element_slots = tuple(slots)
+        return self._element_slots
 
     def zero(self) -> Element:
         return Element(self, [0] * self.dim)
@@ -521,9 +535,7 @@ class Algebra:
     def one(self) -> Element:
         if self._unit is None:
             raise AlgebraError("algebra has no designated unit element")
-        if self._one is None:
-            self._one = Element(self, self._unit)
-        return self._one
+        return Element._of(self, *self._slots()[self.dim])
 
     def by_label(self, label: str) -> Element:
         try:

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -472,6 +474,22 @@ def test_equality_and_hash_across_forms(H):
     units = [i, -i, -(-i), i * 1, (i + j) - j, H.element([0, 1.0, 0, 0]), j, -(j * -1)]
     assert set(units) == {i, -i, j}
     assert len(set(units)) == len({_ParentElement(H, u.coords) for u in units}) == 3
+
+
+def test_an_algebra_is_freed_without_the_cycle_collector():
+    # an algebra keeps no Element (an Element holds its algebra), so its
+    # basis, unit and products leave no reference cycle behind
+    gc.disable()
+    try:
+        A = catalog.tp(alpha1=Fraction(1, 2), beta2=-1, delta2=1)
+        x = A.one() + A.basis(1)
+        A.associator(x, x, A.by_label("w")).coords
+        A.basis_elements(), A.mul_operator(x), A.cube
+        ref = weakref.ref(A)
+        del A, x
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
