@@ -307,7 +307,7 @@ def test_difference_is_subtraction_for_an_element(H):
                     == _typed(H.element([x - y for x, y in zip(*pairs)])))
 
 
-class _ParentElement:
+class _FractionElement:
     """Reference: Element arithmetic with one parsed scalar per coordinate,
     a Fraction per coordinate per sum, scalar multiple and product, over
     the `_mul_coords` products checked above."""
@@ -319,7 +319,7 @@ class _ParentElement:
         self.algebra, self.coords = A, coords
 
     def _new(self, coords):
-        return _ParentElement(self.algebra, coords)
+        return _FractionElement(self.algebra, coords)
 
     def __add__(self, other):
         return self._new([a + b for a, b in zip(self.coords, other.coords)])
@@ -413,11 +413,11 @@ def _check_element_ops(pairs, step=1):
 
 
 def _element_pairs(A, vectors):
-    return [(A.element(v), _ParentElement(A, v)) for v in vectors]
+    return [(A.element(v), _FractionElement(A, v)) for v in vectors]
 
 
 @pytest.mark.parametrize("A", _catalog_tables(), ids=repr)
-def test_element_arithmetic_matches_parent_reference(A):
+def test_element_arithmetic_matches_fraction_reference(A):
     rng = random.Random(A.dim + 1)
     n = A.dim
     vectors = [[Fraction(int(i == j)) for i in range(n)] for j in (0, n - 1)]
@@ -441,7 +441,7 @@ def test_element_arithmetic_matches_parent_reference(A):
                           st.floats(-4, 4, allow_nan=False, allow_infinity=False)),
                 min_size=12, max_size=12),
        st.sampled_from(["quaternions", "mplus", "mzero", "tp"]), st.booleans())
-def test_element_arithmetic_matches_parent_reference_drawn(values, name, to_float):
+def test_element_arithmetic_matches_fraction_reference_drawn(values, name, to_float):
     A = (catalog.tp(alpha1=Fraction(1, 2), beta1=Fraction(-4, 3), delta2=3, gamma2=Fraction(7, 4))
          if name == "tp" else catalog.build(name))
     A = A.to_float() if to_float else A
@@ -473,7 +473,7 @@ def test_equality_and_hash_across_forms(H):
     i, j = H.by_label("i"), H.by_label("j")
     units = [i, -i, -(-i), i * 1, (i + j) - j, H.element([0, 1.0, 0, 0]), j, -(j * -1)]
     assert set(units) == {i, -i, j}
-    assert len(set(units)) == len({_ParentElement(H, u.coords) for u in units}) == 3
+    assert len(set(units)) == len({_FractionElement(H, u.coords) for u in units}) == 3
 
 
 def test_an_algebra_is_freed_without_the_cycle_collector():
