@@ -13,6 +13,7 @@ hold, or verify-paper had failing claims); 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -280,11 +281,11 @@ def cmd_lieify(args) -> int:
     A = resolve_algebra(args)
     L = lie.lieify(A)
     ok, witness = lie.check_jacobi(L, tol=args.eps)
-    dims = lie.derived_dims(L, eps=args.eps)
+    classification = lie.classify_lie(L, eps=args.eps)
+    dims = list(classification.derived)
     payload = {"brackets": L.to_dict()["brackets"], "jacobi": ok,
                "derived_dims": dims, "classification": None}
     text = f"jacobi: {ok}; derived dims: {dims}"
-    classification = lie.classify_lie(L, eps=args.eps)
     if classification.type_tag != lie.TYPE_UNRECOGNIZED:
         payload["classification"] = classification.to_dict()
         text += (f"\n  type: {classification.type_tag}"
@@ -330,9 +331,15 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _parser(eps: float) -> argparse.ArgumentParser:
+    """`build_parser()`, built once per process for each default eps that
+    its --eps help shows: an argparse tree is a reference cycle."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser(default_eps()).parse_args(argv)
     try:
         return _COMMANDS[args.verb](args)
     except (AlgebraError, OSError, json.JSONDecodeError) as exc:

@@ -15,22 +15,23 @@ within the caller's eps, which defaults to the algebra's `eps`.
 
 An exact table is held as one integer table: it is scaled once, at
 construction, by the lcm of its denominators.  The tensor view
-`Algebra.cube` holds the same integers, and `Algebra.mul_operators` reads
-them modulo a prime for the division test.  An Element of an exact algebra
-whose coordinates are all exact is held the same way in arithmetic, as an
-integer vector over one positive denominator, kept canonical (the lcm of
-its reduced coordinate denominators).  Its sums, scalar multiples,
-products, associators and commutators accumulate in Python ints through
-the table's one product loop and make one gcd reduction per result; its
-`coords`, the tuple of Fractions, is built on first read.  An element with
-a float coordinate, and every element of a float algebra, holds its
-coordinates as given and takes the float sums.
+`Algebra.cube` holds the same integers.  An Element of an exact algebra
+whose coordinates are all exact is held the same way, as an integer vector
+over one positive denominator, kept canonical (the lcm of its reduced
+coordinate denominators); its form is fixed when it is built.  Its sums,
+scalar multiples, products, associators and commutators accumulate in
+Python ints through the table's one product loop and make one gcd
+reduction per result; its `coords`, the tuple of Fractions, is built on
+first read.  The tensor kernels (`associator_slice`, `mul_operators`,
+`first_singular`) take Elements and read that form.  An element with a
+float coordinate, and every element of a float algebra, holds its
+coordinates as given and takes the float product, `Algebra._mul_coords`.
 
 Values are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to use concurrently.
-The lazily built values (`Algebra.cube`, the coordinates and integer forms
-of the basis and unit vectors, an Element's `coords` and integer form) are
-read-only and the same whichever caller builds them.
+The lazily built values (`Algebra.cube`, the slots of the basis and unit
+vectors, an Element's `coords`) are read-only and the same whichever
+caller builds them.
 """
 
 from __future__ import annotations
@@ -177,34 +178,33 @@ class Element:
     """A vector expressed in the coordinates of a parent algebra's basis.
 
     An element of an exact algebra whose coordinates are all exact has an
-    integer form: integers over one positive denominator, the lcm of its
-    reduced coordinate denominators, so ``gcd(den, *ints) == 1`` and equal
-    vectors hold equal integers.  Its arithmetic stays in ints, with one
-    gcd reduction per result.  An element made by arithmetic holds only
-    that form, and `coords`, the tuple of Fractions, is built on first
-    read; one made from coordinates holds them, and builds the form on
-    first use in arithmetic.  Any other element (every element of a float
-    algebra, and one with a float coordinate) has no integer form.
-
-    ``_den`` is the form's denominator, 0 where there is no form, and None
-    while that is not yet known."""
+    integer form: integers ``_ints`` over one positive denominator ``_den``,
+    the lcm of its reduced coordinate denominators, so ``gcd(den, *ints) ==
+    1`` and equal vectors hold equal integers.  Its arithmetic stays in
+    ints, with one gcd reduction per result.  The form is fixed when the
+    element is built: one made from coordinates holds them and the form,
+    one made by arithmetic holds only the form, and `coords`, the tuple of
+    Fractions, is built on first read.  Any other element (every element of
+    a float algebra, and one with a float coordinate) has ``_den == 0`` and
+    no integer form."""
 
     __slots__ = ("algebra", "_coords", "_ints", "_den")
 
     def __init__(self, algebra: "Algebra", coords: Sequence):
-        coords = tuple(parse_scalar(c) for c in coords)
+        coords = tuple(map(parse_scalar, coords))
         if len(coords) != algebra.dim:
             raise DimensionError(
                 f"coordinate vector of length {len(coords)} in a "
                 f"{algebra.dim}-dimensional algebra"
             )
-        den = None
+        ints, den = None, 0
         if algebra.scalar_mode == "float":
             coords = tuple(float(c) for c in coords)
-            den = 0
+        elif not any(isinstance(c, float) for c in coords):
+            ints, den = integer_form(coords)
         _set(self, "algebra", algebra)
         _set(self, "_coords", coords)
-        _set(self, "_ints", None)
+        _set(self, "_ints", ints)
         _set(self, "_den", den)
 
     @classmethod
@@ -226,20 +226,6 @@ class Element:
         _set(e, "_ints", ints)
         _set(e, "_den", den)
         return e
-
-    def _int_form(self) -> bool:
-        """Whether the element has the integer form (`_ints` over `_den`),
-        building it from the coordinates on first use."""
-        if self._den is None:
-            coords = self._coords
-            if any(isinstance(c, float) for c in coords):
-                _set(self, "_den", 0)
-            else:
-                den = math.lcm(*[c.denominator for c in coords])
-                _set(self, "_ints", tuple([c.numerator * (den // c.denominator)
-                                           for c in coords]))
-                _set(self, "_den", den)
-        return self._den != 0
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Element is immutable")
@@ -273,23 +259,23 @@ class Element:
 
     def __add__(self, other):
         self._peer(other)
-        if self._int_form() and other._int_form():
+        if self._den and other._den:
             return self._plus(other, 1)
         return Element(self.algebra, [a + b for a, b in zip(self.coords, other.coords)])
 
     def __sub__(self, other):
         self._peer(other)
-        if self._int_form() and other._int_form():
+        if self._den and other._den:
             return self._plus(other, -1)
         return Element(self.algebra, [a - b for a, b in zip(self.coords, other.coords)])
 
     def __neg__(self):
-        if self._int_form():
+        if self._den:
             return Element._exact(self.algebra, [-a for a in self._ints], self._den)
         return Element(self.algebra, [-a for a in self.coords])
 
     def _scaled(self, s: Scalar) -> "Element":
-        if not isinstance(s, float) and self._int_form():
+        if self._den and not isinstance(s, float):
             return Element._exact(self.algebra, [s.numerator * a for a in self._ints],
                                   s.denominator * self._den)
         return Element(self.algebra, [s * a for a in self.coords])
@@ -308,7 +294,7 @@ class Element:
 
     def __truediv__(self, other):
         s = parse_scalar(other)
-        if not isinstance(s, float) and self._int_form():
+        if self._den and not isinstance(s, float):
             if not s:
                 raise ZeroDivisionError("division of an Element by zero")
             return self._scaled(1 / s)
@@ -317,7 +303,7 @@ class Element:
     def __eq__(self, other):
         if not (isinstance(other, Element) and other.algebra is self.algebra):
             return False
-        if self._ints is not None and other._ints is not None:
+        if self._den and other._den:
             return self._den == other._den and self._ints == other._ints
         return other.coords == self.coords
 
@@ -328,15 +314,9 @@ class Element:
 
     def is_zero(self, eps: Optional[float] = None) -> bool:
         eps = tolerance(eps, self.algebra.eps)
-        if self._ints is not None:
+        if self._den:
             return not any(self._ints)
         return all(scalar_is_zero(c, eps) for c in self.coords)
-
-    def max_abs(self):
-        return max(abs(c) for c in self.coords)
-
-    def float_coords(self) -> tuple:
-        return tuple(float(c) for c in self.coords)
 
     def json_coords(self) -> list:
         return [scalar_to_json(c) for c in self.coords]
@@ -447,17 +427,13 @@ class Algebra:
             if mode == "float":
                 u = tuple(float(c) for c in u)
             self._unit = u
+            # L_1 = R_1 = I, column by column, 1*x before x*1
+            one = Element(self, u)
+            sides = [self.mul_operator(one, side).matrix for side in ("left", "right")]
             for j in range(n):
-                basis = tuple(
-                    Fraction(1) if i == j else Fraction(0) for i in range(n)
-                )
-                left = self._mul_coords(u, basis)
-                right = self._mul_coords(basis, u)
-                for got, name in ((left, "1*x"), (right, "x*1")):
-                    if any(
-                        not scalars_close(g, b, self._eps)
-                        for g, b in zip(got, basis)
-                    ):
+                for matrix, name in zip(sides, ("1*x", "x*1")):
+                    if any(not scalars_close(row[j], int(r == j), self._eps)
+                           for r, row in enumerate(matrix)):
                         raise AlgebraError(
                             f"unit axiom violated on basis vector "
                             f"{self._labels[j]} ({name})"
@@ -521,12 +497,8 @@ class Algebra:
             vectors = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
             if self._unit is not None:
                 vectors.append(self._unit)
-            slots = []
-            for v in vectors:
-                e = Element(self, v)
-                e._int_form()
-                slots.append((e._coords, e._ints, e._den))
-            self._element_slots = tuple(slots)
+            elements = [Element(self, v) for v in vectors]
+            self._element_slots = tuple((e._coords, e._ints, e._den) for e in elements)
         return self._element_slots
 
     def zero(self) -> Element:
@@ -561,22 +533,11 @@ class Algebra:
         return out
 
     def _mul_coords(self, u: Sequence, v: Sequence) -> list:
-        """Coordinates of uv.  Exact u and v on an exact table: scaled to
-        integers over their own denominators, summed in ints over the
-        table's scale, one Fraction per output.  Any float: float sums."""
-        u = [(i, c) for i, c in enumerate(u) if c]
-        v = [(j, c) for j, c in enumerate(v) if c]
+        """Coordinates of uv for operands without an integer form (a float
+        table, or a float coordinate): the float sums of `_accumulate`,
+        divided by the table's scale."""
+        out = self._accumulate(_terms(u), _terms(v))
         scale = self._scale
-        exact = self._scalar_mode == "exact" and not any(
-            isinstance(c, float) for w in (u, v) for _, c in w)
-        if exact:
-            du = math.lcm(*(c.denominator for _, c in u))
-            dv = math.lcm(*(c.denominator for _, c in v))
-            u = [(i, c.numerator * (du // c.denominator)) for i, c in u]
-            v = [(j, c.numerator * (dv // c.denominator)) for j, c in v]
-        out = self._accumulate(u, v)
-        if exact:
-            return _fractions(out, du * dv * scale)
         if scale != 1:
             return [acc / scale if acc else acc for acc in out]
         return out
@@ -590,7 +551,7 @@ class Algebra:
 
     def multiply(self, a: Element, b: Element) -> Element:
         self._own(a, b)
-        if a._int_form() and b._int_form():
+        if a._den and b._den:
             prod = self._accumulate(_terms(a._ints), _terms(b._ints))
             return Element._exact(self, prod, a._den * b._den * self._scale)
         return Element(self, self._mul_coords(a.coords, b.coords))
@@ -598,7 +559,7 @@ class Algebra:
     def associator(self, x: Element, y: Element, z: Element) -> Element:
         """(x, y, z) = (xy)z - x(yz)."""
         self._own(x, y, z)
-        if x._int_form() and y._int_form() and z._int_form():
+        if x._den and y._den and z._den:
             # both sides are integers over den(x) den(y) den(z) scale^2
             mul = self._accumulate
             x_, y_, z_ = _terms(x._ints), _terms(y._ints), _terms(z._ints)
@@ -615,7 +576,7 @@ class Algebra:
     def commutator(self, x: Element, y: Element) -> Element:
         """[x, y] = xy - yx."""
         self._own(x, y)
-        if x._int_form() and y._int_form():
+        if x._den and y._den:
             x_, y_ = _terms(x._ints), _terms(y._ints)
             xy, yx = self._accumulate(x_, y_), self._accumulate(y_, x_)
             return Element._exact(self, [a - b for a, b in zip(xy, yx)],
@@ -629,7 +590,7 @@ class Algebra:
         x -> x*a (side "right", column j = e_j*a)."""
         self._own(a)
         n = self.dim
-        if a._int_form():
+        if a._den:
             terms, den = _terms(a._ints), a._den * self._scale
             cols = [self._accumulate(terms, [(j, 1)]) if side == "left"
                     else self._accumulate([(j, 1)], terms) for j in range(n)]
@@ -667,23 +628,27 @@ class Algebra:
             self._cube = cube
         return self._cube
 
-    def associator_slice(self, slot: int, v: Sequence) -> np.ndarray:
+    def _cube_vector(self, v: Element):
+        """v as a vector against `cube`: floats on a float table; on an
+        exact table, v's integer form, or with a float coordinate each
+        coordinate at its exact value over their lcm (a positive multiple
+        of v either way)."""
+        if self._scalar_mode == "float":
+            return v.coords
+        return v._ints if v._den else integer_form(v.coords)[0]
+
+    def associator_slice(self, slot: int, v: Element) -> np.ndarray:
         """D[a, b, :] = the associator with argument ``slot`` (0, 1 or 2) set
-        to v and the other two, in order, to e_a and e_b; n^3 entries, never
-        the n^4 tensor.  On an exact table: integers, a positive multiple of
-        the true coordinates.  Otherwise floats.  Test with `first_defect`."""
-        S = self.cube
-        if S.dtype == float:
-            V = np.array(v, dtype=float)
-        else:
-            ints = scaled_ints([Fraction(c) for c in v])  # a float at its exact value
-            big = max(map(abs, ints), default=0)
-            if S.dtype == object or not _fits_int64(
-                self.dim, int(np.abs(S).max(initial=0)), big
-            ):
-                S, V = S.astype(object), np.array(ints, dtype=object)
-            else:
-                V = np.array(ints, dtype=np.int64)
+        to the Element v and the other two, in order, to e_a and e_b; n^3
+        entries, never the n^4 tensor.  On an exact table: integers, a
+        positive multiple of the true coordinates.  Otherwise floats.  Test
+        with `first_defect`."""
+        self._own(v)
+        S, V = self.cube, self._cube_vector(v)
+        if S.dtype != float and (S.dtype == object or not _fits_int64(
+                self.dim, int(np.abs(S).max(initial=0)), max(map(abs, V), default=0))):
+            S = S.astype(object)
+        V = np.array(V, dtype=S.dtype)
         L = np.tensordot(V, S, 1)  # L[m] = v e_m
         R = np.tensordot(V, S, (0, 1))  # R[m] = e_m v
         if slot == 0:  # (v e_a) e_b - v (e_a e_b)
@@ -694,22 +659,25 @@ class Algebra:
             return np.tensordot(S, R, 1) - np.tensordot(R, S, (1, 1)).swapaxes(0, 1)
         raise ParameterError(f"associator slot must be 0, 1 or 2, got {slot!r}")
 
-    def mul_operators(self, vectors) -> np.ndarray:
+    def mul_operators(self, elements: Sequence[Element]) -> np.ndarray:
         """M[c, 0] and M[c, 1], the matrices of x -> v x and x -> x v for
-        each row v = vectors[c], laid out as `mul_operator` lays them out:
-        M[c, 0, r, j] = sum_i v_i S[i, j, r] and M[c, 1, r, j] = sum_i v_i
-        S[j, i, r].  On a float table: floats accumulated over i in order,
-        bit for bit the entries of `mul_operator`.  On an exact table: each
-        row scaled to integers (a float at its exact value) against the
-        table's integers, reduced modulo the prime MODULUS, so a positive
-        multiple of the true matrices, modulo MODULUS."""
+        each Element v = elements[c], laid out as `mul_operator` lays them
+        out: M[c, 0, r, j] = sum_i v_i S[i, j, r] and M[c, 1, r, j] = sum_i
+        v_i S[j, i, r].  On a float table: floats accumulated over i in
+        order, bit for bit the entries of `mul_operator`.  On an exact
+        table: each v as integers (its integer form, or a float coordinate
+        at its exact value) against the table's integers, reduced modulo
+        the prime MODULUS, so a positive multiple of the true matrices,
+        modulo MODULUS."""
+        self._own(*elements)
         S = self.cube
         n = self.dim
+        V = [self._cube_vector(v) for v in elements]
         if S.dtype == float:
-            V = np.array(vectors, dtype=float).reshape(-1, n)
+            V = np.array(V, dtype=float).reshape(-1, n)
         else:
-            V = np.array([[c % MODULUS for c in scaled_ints([Fraction(c) for c in v])]
-                          for v in vectors], dtype=np.int64).reshape(-1, n)
+            V = np.array([[c % MODULUS for c in v] for v in V],
+                         dtype=np.int64).reshape(-1, n)
             S = (S % MODULUS).astype(np.int64)
         # sides[i, 0] = the left operator of e_i, sides[i, 1] the right one
         sides = np.stack((S.transpose(0, 2, 1), S.transpose(1, 2, 0)), axis=1)
@@ -721,24 +689,26 @@ class Algebra:
             M += V[:, i, None, None, None] * sides[i]
         return M
 
-    def first_singular(self, vectors, eps: Optional[float] = None) -> Optional[int]:
-        """The index c of the first row v = vectors[c] for which x -> v x
-        or x -> x v is singular, as `MulOperator.is_singular` decides it at
-        eps, else None; every operator comes from `mul_operators`.  On a
-        float table the determinants are `linalg.det`'s bit for bit
-        (`linalg.dets`).  On an exact table a determinant nonzero modulo
-        the prime MODULUS proves the operator invertible
-        (`linalg.nonsingular_mod`), and only an operator singular modulo
-        the prime is tested with `MulOperator.is_singular`, exactly."""
+    def first_singular(self, elements: Sequence[Element],
+                       eps: Optional[float] = None) -> Optional[int]:
+        """The index c of the first Element v = elements[c] for which
+        x -> v x or x -> x v is singular, as `MulOperator.is_singular`
+        decides it at eps, else None; every operator comes from
+        `mul_operators`.  On a float table the determinants are
+        `linalg.det`'s bit for bit (`linalg.dets`).  On an exact table a
+        determinant nonzero modulo the prime MODULUS proves the operator
+        invertible (`linalg.nonsingular_mod`), and only an operator singular
+        modulo the prime is tested with `MulOperator.is_singular` of that
+        Element, exactly."""
         from . import linalg
 
         eps = tolerance(eps, self.eps)
-        M = self.mul_operators(vectors)
+        M = self.mul_operators(elements)
         exact = M.dtype != float
         flagged = ~linalg.nonsingular_mod(M) if exact else np.abs(linalg.dets(M, eps)) <= eps
         for c, side in zip(*np.nonzero(flagged)):
             if not exact or self.mul_operator(
-                    self.element(vectors[c]), ("left", "right")[side]).is_singular(eps):
+                    elements[c], ("left", "right")[side]).is_singular(eps):
                 return int(c)
         return None
 
@@ -792,11 +762,16 @@ class Algebra:
             return cls.from_dict(json.load(fh))
 
 
-def scaled_ints(values: Sequence) -> list:
-    """Exact rationals times the lcm of their denominators, as ints."""
-    dens = [c.denominator for c in values]
-    scale = math.lcm(*dens)
-    return [c.numerator * (scale // d) for c, d in zip(values, dens)]
+def integer_form(values: Sequence) -> tuple:
+    """(ints, den): rationals, a float at its exact value, as the integers
+    ints over den, the lcm of their denominators (of reduced Fractions: the
+    canonical form, gcd(den, *ints) == 1)."""
+    try:
+        ratios = [c.as_integer_ratio() for c in values]
+    except AttributeError:  # a Rational without the method, a numpy integer say
+        ratios = [Fraction(c).as_integer_ratio() for c in values]
+    den = math.lcm(*[d for _, d in ratios])
+    return tuple([p * (den // d) for p, d in ratios]), den
 
 
 def _terms(ints: Sequence) -> list:
@@ -851,7 +826,7 @@ def morphism_defect(src_sc, dst_sc, mat, eps: float) -> Optional[tuple]:
     if any(isinstance(c, float) for c in flat):
         vals, scale = np.array(flat, dtype=float), 1
     else:
-        *ints, scale = scaled_ints(flat + [1])
+        ints, scale = integer_form(flat)
         vals = np.array(ints, dtype=object)
     S, T = vals[: 2 * n**3].reshape(2, n, n, n)
     Mt = vals[2 * n**3:].reshape(n, n).T

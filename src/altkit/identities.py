@@ -122,7 +122,7 @@ def _slice_witness(A: Algebra, slot: int, fixed, eps: float) -> Optional[Witness
     v in ``fixed`` and then (a, b) in lexicographic order, or None."""
     basis = A.basis_elements()
     for v in fixed:
-        hit = first_defect(A.associator_slice(slot, v.coords), eps)
+        hit = first_defect(A.associator_slice(slot, v), eps)
         if hit is not None:
             triple = [basis[hit[0]], basis[hit[1]]]
             triple.insert(slot, v)
@@ -144,7 +144,7 @@ _QUADRATIC = {
 def _polarized(A: Algebra, slots, i: int) -> np.ndarray:
     """P[k, j] = the law's associator at x polarized to (e_i, e_j), y = e_k:
     the slices with e_i in either slot of x, indexed (y, other x)."""
-    e_i = A.basis(i).coords
+    e_i = A.basis(i)
     total = 0
     for slot, other in (slots, slots[::-1]):
         D = A.associator_slice(slot, e_i)
@@ -377,7 +377,7 @@ def is_division_sampled(
         group = [a for a in group if not a.is_zero(eps)]
         if not group:
             continue
-        c = A.first_singular([a.coords for a in group], eps)
+        c = A.first_singular(group, eps)
         if c is not None:
             return DivisionReport(False, group[c], f"sampled({checked + c + 1})")
         checked += len(group)

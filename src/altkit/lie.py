@@ -65,7 +65,10 @@ class LieAlgebra(Algebra):
     def brackets(self):
         return self.sc
 
-    bracket = Algebra._mul_coords
+    def bracket(self, u: Sequence, v: Sequence) -> list:
+        """The coordinates of [u, v] for coordinate vectors u and v: their
+        Elements' product, `multiply`."""
+        return list(self.multiply(self.element(u), self.element(v)).coords)
 
     def to_dict(self) -> dict:
         data = super().to_dict()
@@ -96,7 +99,7 @@ def check_jacobi(L: LieAlgebra, tol: Optional[float] = None):
     tol = tolerance(tol, L.eps)
     n = L.dim
     for i in range(n):
-        e_i = L.basis(i).coords
+        e_i = L.basis(i)
         cyclic = (L.associator_slice(0, e_i) + L.associator_slice(2, e_i)
                   + L.associator_slice(1, e_i).swapaxes(0, 1))  # [j, k]
         cyclic[: i + 1] = 0  # keep i < j < k
@@ -118,23 +121,24 @@ def _put(b, i: int, j: int, entries: dict) -> None:
 
 
 def derived_series(L: LieAlgebra, eps: Optional[float] = None) -> List[list]:
-    """Bases of L, [L, L], [[L, L], [L, L]], ... until 0 or stabilisation."""
+    """Bases of L, [L, L], [[L, L], [L, L]], ... until 0 or stabilisation,
+    each in reduced row form.  [L, L] is spanned by the table rows sc[i][j]
+    (i < j), the brackets of the basis vectors; each deeper term by the
+    brackets of every two rows of the term before, through `multiply`."""
     n = L.dim
     eps = tolerance(eps, L.eps)
     current = [[Fraction(1) if p == i else Fraction(0) for p in range(n)]
                for i in range(n)]
     series = [current]
+    prods = [L.sc[i][j] for i in range(n) for j in range(i + 1, n)]
     while True:
-        prods = [
-            L.bracket(u, v)
-            for a, u in enumerate(current)
-            for v in current[a + 1:]
-        ]
         nxt = linalg.row_basis(prods, eps) if prods else []
         series.append(nxt)
         if len(nxt) == 0 or len(nxt) == len(current):
             return series
         current = nxt
+        rows = [L.element(u) for u in current]
+        prods = [(x * y).coords for a, x in enumerate(rows) for y in rows[a + 1:]]
 
 
 def derived_dims(L: LieAlgebra, eps: Optional[float] = None) -> List[int]:

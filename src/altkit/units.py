@@ -36,9 +36,9 @@ from .core import (
     AlgebraError,
     Element,
     ParameterError,
+    integer_form,
     scalar_is_zero,
     scalar_to_json,
-    scaled_ints,
     tolerance,
 )
 
@@ -326,7 +326,7 @@ def grid_unit_search(
     # where c_kij = p^2 (C[i][j][k] + C[j][i][k]) for i < j, p^2 C[i][i][k].
     p2, s2 = step.numerator ** 2, step.denominator ** 2
     values = [c for row in A.sc for cell in row for c in cell] + list(A.unit) + [tol]
-    ints = scaled_ints([Fraction(c) for c in values])
+    ints, _ = integer_form(values)
     limit = s2 * ints[-1]
     form = []  # per coordinate k: (s^2 U_k, [(i, j, c_kij) with c_kij != 0])
     for k in range(n):

@@ -1,8 +1,10 @@
+import argparse
+import gc
 import json
 
 import pytest
 
-from altkit import claims, cli
+from altkit import catalog, claims, cli, lie
 from altkit.core import Algebra
 
 
@@ -132,6 +134,48 @@ def test_lieify_subcommand(capsys):
     assert data["jacobi"] is True
     assert data["classification"]["type"] == "g1_plus_g37"
     assert data["classification"]["beta"] == "2"
+
+
+@pytest.mark.parametrize("source", [("--algebra", "tp", "--param", "delta1=1"),
+                                    ("--algebra", "ak", "--param", "k=2"), ("--file",)])
+def test_lieify_derived_dims_come_from_the_classification(tmp_path, capsys, source):
+    if source == ("--file",):
+        A = catalog.tp(delta1=1, beta2=-1).to_float()
+        path = tmp_path / "tp.json"
+        path.write_text(A.dumps())
+        source += (str(path),)
+    else:
+        A = catalog.build(source[1], **dict([source[3].split("=")]))
+    L = lie.lieify(A)
+    dims, (ok, _) = lie.derived_dims(L), lie.check_jacobi(L)
+    code, out, _ = run(capsys, "lieify", *source, "--format", "json")
+    assert code == 0 and json.loads(out)["derived_dims"] == dims
+    code, out, _ = run(capsys, "lieify", *source)
+    assert out.splitlines()[0] == f"jacobi: {ok}; derived dims: {dims}"
+
+
+def test_repeated_calls_leave_no_parser_garbage(capsys):
+    run(capsys, "verify-paper", "--only", "ak.dimension")  # builds the parser
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(5):
+            assert run(capsys, "verify-paper", "--only", "ak.dimension")[0] == 0
+        gc.collect()
+        parsers = [o for o in gc.garbage if isinstance(o, argparse.ArgumentParser)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert parsers == []
+
+
+def test_eps_help_shows_the_current_default(monkeypatch, capsys):
+    for value in ("1e-3", "1e-9"):
+        monkeypatch.setenv("ALTKIT_EPS", value)
+        with pytest.raises(SystemExit):
+            cli.main(["check", "--help"])
+        assert f"(default {float(value)})" in capsys.readouterr().out
 
 
 def test_file_input(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import gc
+import math
 import random
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -164,10 +166,10 @@ def test_associator_unit_slots(H):
             assert core.associator(x, y, one).is_zero(0.0)
 
 
-def _fraction_mul_coords(A, u, v):
+def _fraction_mul_coords(A, u, v, zero=0):
     """Reference: the Fraction loop over the nonzero table entries, one
-    Fraction product and sum per term, int 0 where no term lands."""
-    out = [0] * A.dim
+    Fraction product and sum per term, ``zero`` where no term lands."""
+    out = [zero] * A.dim
     for i, ui in enumerate(u):
         if not ui:
             continue
@@ -216,12 +218,21 @@ def _typed(coords):
     return [(type(c), repr(c)) for c in coords]
 
 
+def _reference_mul(A, u, v):
+    """The reference product of coordinate lists: the Fraction loop, with
+    Fraction zeros, for exact operands on an exact table; otherwise the
+    float product `_mul_coords`, whose float sums the float checks in
+    this file pin bit for bit."""
+    if A.scalar_mode == "exact" and not any(isinstance(c, float) for c in (*u, *v)):
+        return _fraction_mul_coords(A, u, v, Fraction(0))
+    return A._mul_coords(u, v)
+
+
 def _check_exact_products(A, rng):
     for u, v in _exact_pairs(A, rng):
-        got, want = A._mul_coords(u, v), _fraction_mul_coords(A, u, v)
-        assert got == want
-        assert all(type(c) is Fraction for c in got)
-        assert _typed(A.element(u) * A.element(v)) == _typed(A.element(want))
+        want = _fraction_mul_coords(A, u, v, Fraction(0))
+        assert all(type(c) is Fraction for c in want)
+        assert _typed(A.element(u) * A.element(v)) == _typed(want)
 
 
 @pytest.mark.parametrize("A", _catalog_tables(), ids=repr)
@@ -310,7 +321,7 @@ def test_difference_is_subtraction_for_an_element(H):
 class _FractionElement:
     """Reference: Element arithmetic with one parsed scalar per coordinate,
     a Fraction per coordinate per sum, scalar multiple and product, over
-    the `_mul_coords` products checked above."""
+    the `_reference_mul` products."""
 
     def __init__(self, A, coords):
         coords = tuple(core.parse_scalar(c) for c in coords)
@@ -345,17 +356,17 @@ class _FractionElement:
         return hash((id(self.algebra), self.coords))
 
     def multiply(self, other):
-        return self._new(self.algebra._mul_coords(self.coords, other.coords))
+        return self._new(_reference_mul(self.algebra, self.coords, other.coords))
 
     def associator(self, y, z):
         A = self.algebra
-        xy, yz = A._mul_coords(self.coords, y.coords), A._mul_coords(y.coords, z.coords)
-        left, right = A._mul_coords(xy, z.coords), A._mul_coords(self.coords, yz)
+        xy, yz = _reference_mul(A, self.coords, y.coords), _reference_mul(A, y.coords, z.coords)
+        left, right = _reference_mul(A, xy, z.coords), _reference_mul(A, self.coords, yz)
         return self._new([a - b for a, b in zip(left, right)])
 
     def commutator(self, y):
-        xy = self.algebra._mul_coords(self.coords, y.coords)
-        yx = self.algebra._mul_coords(y.coords, self.coords)
+        xy = _reference_mul(self.algebra, self.coords, y.coords)
+        yx = _reference_mul(self.algebra, y.coords, self.coords)
         return self._new([a - b for a, b in zip(xy, yx)])
 
     def mul_operator(self, side):
@@ -363,8 +374,8 @@ class _FractionElement:
         cols = []
         for j in range(n):
             e_j = [1 if i == j else 0 for i in range(n)]
-            cols.append(self.algebra._mul_coords(self.coords, e_j) if side == "left"
-                        else self.algebra._mul_coords(e_j, self.coords))
+            cols.append(_reference_mul(self.algebra, self.coords, e_j) if side == "left"
+                        else _reference_mul(self.algebra, e_j, self.coords))
         return [[col[r] for col in cols] for r in range(n)]
 
 
@@ -464,7 +475,7 @@ def test_equality_and_hash_across_forms(H):
               H.element([float(c) for c in x.coords[:2]] + list(x.coords[2:])) + H.zero()]
     for r in routes[:-1]:
         assert r == x and hash(r) == hash(x)
-        assert r._int_form() and x._int_form()
+        assert r._den and x._den
         assert (r._ints, r._den) == (x._ints, x._den)  # one canonical form
     assert x - x == H.zero() == 0 * x == H.one() - H.one()
     assert hash(x - x) == hash(H.zero()) == hash(0 * x)
@@ -474,6 +485,87 @@ def test_equality_and_hash_across_forms(H):
     units = [i, -i, -(-i), i * 1, (i + j) - j, H.element([0, 1.0, 0, 0]), j, -(j * -1)]
     assert set(units) == {i, -i, j}
     assert len(set(units)) == len({_FractionElement(H, u.coords) for u in units}) == 3
+
+
+@pytest.mark.parametrize("A", _catalog_tables(), ids=repr)
+def test_an_element_form_is_fixed_when_it_is_built(A):
+    # exact coordinates on an exact table: the canonical integer form from
+    # construction on; a float table or a float coordinate: _den == 0
+    rng = random.Random(A.dim + 2)
+    n = A.dim
+    vectors = [[Fraction(rng.randint(-7, 7), rng.randint(1, 6)) for _ in range(n)]
+               for _ in range(3)] + [[0] * n, ["1/2"] * n, list(A.unit)]
+    exact = [A.element(v) for v in vectors] + A.basis_elements() + [A.one(), A.zero()]
+    others = [A.element([float(c) if i == n - 1 else c for i, c in enumerate(e.coords)])
+              for e in exact]
+    others += [A.to_float().element(v) for v in vectors] + [A.to_float().one()]
+    for e in exact:
+        assert e._den > 0 and math.gcd(e._den, *e._ints) == 1
+        assert [Fraction(c, e._den) for c in e._ints] == list(e.coords)
+    for e in others:
+        assert e._den == 0 and e._ints is None
+    # arithmetic reads the form and never changes it
+    slots = [(e._ints, e._den) for e in exact + others]
+    for e in exact + others:
+        e.algebra.associator(e, e, e), e.algebra.mul_operator(e), -e, e / 3, e == e
+        e.algebra.mul_operators([e]), e.algebra.associator_slice(1, e)
+    assert [(e._ints, e._den) for e in exact + others] == slots
+    assert all(r._den > 0 for r in (exact[0] + exact[1], exact[0] * exact[2], exact[1] / 7))
+
+
+@pytest.mark.parametrize("A", _catalog_tables(), ids=repr)
+def test_kernels_read_a_float_coordinate_at_its_exact_value(A):
+    # dyadic floats are exact, so the kernels see the same integers as for
+    # the exact element with those values
+    exact = A.element([Fraction(k - 2, 4) for k in range(A.dim)])
+    floats = A.element([float(c) for c in exact.coords])
+    assert floats._den == 0 and exact._den == 4
+    for slot in range(3):
+        assert np.array_equal(A.associator_slice(slot, floats), A.associator_slice(slot, exact))
+    ops = A.mul_operators([floats, exact])
+    assert np.array_equal(ops[0], ops[1])
+    assert A.first_singular([floats]) == A.first_singular([exact])
+
+
+def _loop_unit_violation(sc, unit, labels, eps):
+    """Reference: the first basis vector e_j, 1*e_j before e_j*1, whose
+    product with the unit is not e_j, as the unit-axiom message, or None."""
+    n = len(sc)
+    for j in range(n):
+        e_j = [int(i == j) for i in range(n)]
+        for u, v, name in ((unit, e_j, "1*x"), (e_j, unit, "x*1")):
+            got = [sum(u[i] * v[m] * sc[i][m][k] for i in range(n) for m in range(n))
+                   for k in range(n)]
+            if any(not core.scalars_close(g, b, eps) for g, b in zip(got, e_j)):
+                return f"unit axiom violated on basis vector {labels[j]} ({name})"
+    return None
+
+
+def test_unit_axiom_message_names_the_first_failing_side():
+    # unit e0; e0*e2 = e1 + e2 breaks 1*x at e2, e1*e0 = right e1 breaks x*1
+    # at the earlier e1 unless right == 1, and e0*e1 = left e1 breaks 1*x
+    # there unless left == 1; the unit is checked column by column, 1*x
+    # before x*1
+    def table(right, left=1):
+        sc = [[[int(k == max(i, j)) if min(i, j) == 0 else 0 for k in range(3)]
+               for j in range(3)] for i in range(3)]
+        sc[0][2] = [0, 1, 1]
+        sc[1][0] = [0, right, 0]
+        sc[0][1] = [0, left, 0]
+        return sc
+
+    labels = ("a", "b", "c")
+    for sc, want in ((table(2), "b (x*1)"), (table(1), "c (1*x)"), (table(2, 3), "b (1*x)")):
+        floats = [[[float(c) for c in cell] for cell in row] for row in sc]
+        for cube, unit in ((sc, [1, 0, 0]), (floats, [1.0, 0.0, 0.0]), (sc, [1.0, 0.0, 0.0])):
+            message = _loop_unit_violation(cube, unit, labels, 1e-9)
+            assert message == f"unit axiom violated on basis vector {want}"
+            with pytest.raises(core.AlgebraError) as err:
+                Algebra(cube, labels=labels, unit=unit)
+            assert str(err.value) == message
+    fixed = table(1)
+    fixed[0][2] = [0, 0, 1]
+    Algebra(fixed, unit=[1, 0, 0]), Algebra(fixed, unit=[1.0, 1e-12, 0.0])
 
 
 def test_an_algebra_is_freed_without_the_cycle_collector():
@@ -525,7 +617,7 @@ def test_bad_per_call_eps_is_rejected_everywhere(bad):
     calls = [
         lambda: H.one().is_zero(bad),
         lambda: H.mul_operator(H.one()).is_singular(bad),
-        lambda: H.first_singular([H.one().coords], bad),
+        lambda: H.first_singular([H.one()], bad),
         lambda: identities.check_identity(H, "associative", eps=bad),
         lambda: identities.is_strictly_middle(H, eps=bad),
         lambda: identities.is_division_sampled(H, eps=bad),

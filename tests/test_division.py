@@ -84,7 +84,7 @@ def test_batched_float_dets_are_det_bit_for_bit():
     for A in tables:
         candidates = A.basis_elements() + [random_element(A, rng) for _ in range(100 - A.dim)]
         for eps in (A.eps, 0.5):
-            dets = linalg.dets(A.mul_operators([a.coords for a in candidates]), eps)
+            dets = linalg.dets(A.mul_operators(candidates), eps)
             for a, pair in zip(candidates, dets):
                 for side, got in zip(("left", "right"), pair):
                     want = linalg.det(A.mul_operator(a, side).matrix, eps)
@@ -97,7 +97,7 @@ def test_determinant_divisible_by_the_modulus_is_confirmed_exactly():
     # e1 * e1 = -MODULUS: det L_(x + y e1) = x^2 + MODULUS y^2, zero modulo
     # the prime whenever x is, yet zero only at x = y = 0
     A = Algebra([[[1, 0], [0, 1]], [[0, 1], [-MODULUS, 0]]], unit=[1, 0])
-    V = [[1, 0], [0, 1], [1, 1]]
+    V = [A.element(v) for v in ([1, 0], [0, 1], [1, 1])]
     assert linalg.nonsingular_mod(A.mul_operators(V)).tolist() == [
         [True, True], [False, False], [True, True]]
     assert [A.first_singular([v]) for v in V] == [None, None, None]
@@ -130,7 +130,7 @@ def test_zero_candidates_are_skipped_and_not_counted():
 
 def test_singular_flags_on_exact_tables_rest_on_the_modulus():
     M = catalog.mplus()
-    V = [[1, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0]]
+    V = [M.element(v) for v in ([1, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0])]
     ops = M.mul_operators(V)
     assert ops.dtype == np.int64 and ops.min() >= 0 and ops.max() < MODULUS
     # 1 + j is a zero divisor of mplus; 1 and i are not

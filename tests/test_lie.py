@@ -38,6 +38,37 @@ def _loop_match_canonical(L, type_tag, witness, parameter=0, eps=None):
     return True, None
 
 
+def _loop_bracket(L, u, v):
+    """Reference: sum over i, j, k of u_i v_j b[i][j][k] e_k, term by term
+    in that order over the nonzero entries, int 0 where no term lands."""
+    out = [0] * L.dim
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            if ui and vj:
+                coeff = ui * vj
+                for k, c in enumerate(L.sc[i][j]):
+                    if c:
+                        out[k] = out[k] + coeff * c
+    return out
+
+
+def _loop_derived_series(L, eps=None):
+    """Reference: every term from the brackets of every two rows of the
+    term before, the first from the unit basis vectors."""
+    eps = L.eps if eps is None else eps
+    n = L.dim
+    current = [[F(1) if p == i else F(0) for p in range(n)] for i in range(n)]
+    series = [current]
+    while True:
+        prods = [_loop_bracket(L, u, v) for a, u in enumerate(current)
+                 for v in current[a + 1:]]
+        nxt = linalg.row_basis(prods, eps) if prods else []
+        series.append(nxt)
+        if len(nxt) == 0 or len(nxt) == len(current):
+            return series
+        current = nxt
+
+
 def random_tp(rng):
     return catalog.tp(**{n: F(rng.randint(-6, 6), rng.randint(1, 4))
                          for n in TP_NAMES})
@@ -126,6 +157,30 @@ def test_brackets_must_be_antisymmetric():
 def test_derived_series_dims(alpha, beta, expected_dims):
     L = lie.tp_lie_algebra(alpha, beta)
     assert lie.derived_dims(L) == expected_dims
+
+
+def _catalog_lie_algebras():
+    tables = [catalog.ak(1, a11=1, a12=1), catalog.ak(2, a11=F(1, 3), a21=F(5, 2)),
+              catalog.ak(3), catalog.tn(a=-3, b=1, c=2, d=F(1, 2), f=1, g=-1, h=3),
+              catalog.tn(a=2, b=1), catalog.tc(a=2, b=F(-1, 3), f=1, g=2, h=1),
+              catalog.tp(alpha1=F(1, 2), alpha2=3, beta1=F(-4, 3), beta2=1,
+                         delta1=2, delta2=F(1, 5), gamma1=-1, gamma2=F(7, 4)),
+              catalog.mplus(), catalog.mzero(), catalog.quaternions(),
+              catalog.complex_numbers()]
+    tables += [catalog.tp(delta1=alpha, delta2=beta) for (alpha, beta), _ in LIE_CASES]
+    return [lie.lieify(B) for A in tables for B in (A, A.to_float())]
+
+
+@pytest.mark.parametrize("L", _catalog_lie_algebras(), ids=repr)
+def test_derived_series_matches_the_pairwise_loop(L):
+    # [L, L] from the table rows, then brackets of the deeper terms only:
+    # the same bases as bracketing every pair at every step, row for row
+    # and type for type (a float's repr is exact, so bit for bit)
+    def typed(series):
+        return [[[(type(c), repr(c)) for c in row] for row in term] for term in series]
+
+    assert typed(lie.derived_series(L)) == typed(_loop_derived_series(L))
+    assert lie.derived_dims(L) == [len(term) for term in _loop_derived_series(L)]
 
 
 @pytest.mark.parametrize(
@@ -223,7 +278,7 @@ def test_classify_reads_alpha_beta_from_tensor():
     cols = [[F(mat[r][c]) for r in range(n)] for c in range(n)]
     for i in range(n):
         for j in range(n):
-            prod = H._mul_coords(cols[i], cols[j])
+            prod = (H.element(cols[i]) * H.element(cols[j])).coords
             sc[i][j] = linalg.matvec(inv, prod)
     T = lie.lieify(catalog.quaternions().__class__(sc, labels=("1", "i", "w", "v"),
                                                    unit=(1, 0, 0, 0)))

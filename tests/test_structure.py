@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -103,6 +104,13 @@ def test_is_automorphism():
     assert (x, y) == (H.by_label("i"), H.by_label("j"))
     assert mapped == H.by_label("k")
     assert direct == -H.by_label("k")
+
+
+def test_is_automorphism_takes_numpy_integer_maps():
+    # numpy integers are Rationals without as_integer_ratio
+    H = catalog.quaternions()
+    assert_same_report(H, H, np.array(REFLECTION))
+    assert_same_report(H, H, np.array([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
 
 
 def test_is_automorphism_rejects_singular():
