@@ -22,10 +22,11 @@ coordinate denominators); its form is fixed when it is built.  Its sums,
 scalar multiples, products, associators and commutators accumulate in
 Python ints through the table's one product loop and make one gcd
 reduction per result; its `coords`, the tuple of Fractions, is built on
-first read.  The tensor kernels (`associator_slice`, `mul_operators`,
-`first_singular`) take Elements and read that form.  An element with a
-float coordinate, and every element of a float algebra, holds its
-coordinates as given and takes the float product, `Algebra._mul_coords`.
+first read.  The tensor kernels (`associator_slice`, `square_slices`,
+`mul_operators`, `first_singular`) take Elements and read that form.  An
+element with a float coordinate, and every element of a float algebra,
+holds its coordinates as given and takes the float product,
+`Algebra._mul_coords`.
 
 Values are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to use concurrently.
@@ -121,14 +122,14 @@ def tolerance(eps: Optional[float], default: Optional[float] = None) -> float:
 def parse_scalar(value) -> Scalar:
     """Coerce a scalar: strings like '3/2' or '0.25' and ints become exact
     Fractions, floats stay floats."""
+    if isinstance(value, float):
+        return value
     if isinstance(value, bool):
         raise ParameterError(f"not a scalar: {value!r}")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, numbers.Integral):
         return Fraction(int(value))
-    if isinstance(value, float):
-        return value
     if isinstance(value, str):
         try:
             return Fraction(value)
@@ -628,14 +629,27 @@ class Algebra:
             self._cube = cube
         return self._cube
 
-    def _cube_vector(self, v: Element):
-        """v as a vector against `cube`: floats on a float table; on an
-        exact table, v's integer form, or with a float coordinate each
-        coordinate at its exact value over their lcm (a positive multiple
-        of v either way)."""
-        if self._scalar_mode == "float":
-            return v.coords
-        return v._ints if v._den else integer_form(v.coords)[0]
+    def _operands(self, elements: Sequence[Element], degree: int) -> tuple:
+        """(S, X, L, R) for the tensor kernels: the cube S, each Element as
+        a row of X, and L[c, m] = x_c e_m, R[c, m] = e_m x_c.  On a float
+        table: floats.  On an exact table: each row is the Element's
+        integer form, or with a float coordinate each coordinate at its
+        exact value over their lcm (a positive multiple of the Element
+        either way); S and X are int64 when `_fits_int64` holds for the
+        kernel's product of ``degree`` such rows, and Python ints otherwise."""
+        self._own(*elements)
+        S, n = self.cube, self.dim
+        if S.dtype == float:
+            X = np.array([v.coords for v in elements], dtype=float)
+        else:
+            X = [v._ints if v._den else integer_form(v.coords)[0] for v in elements]
+            vmax = max((abs(c) for x in X for c in x), default=0)
+            if S.dtype == object or not _fits_int64(
+                    n, int(np.abs(S).max(initial=0)), n ** (degree - 1) * vmax ** degree):
+                S = S.astype(object)
+            X = np.array(X, dtype=S.dtype)
+        X = X.reshape(-1, n)
+        return S, X, np.tensordot(X, S, 1), np.tensordot(X, S, (1, 1))
 
     def associator_slice(self, slot: int, v: Element) -> np.ndarray:
         """D[a, b, :] = the associator with argument ``slot`` (0, 1 or 2) set
@@ -643,21 +657,34 @@ class Algebra:
         entries, never the n^4 tensor.  On an exact table: integers, a
         positive multiple of the true coordinates.  Otherwise floats.  Test
         with `first_defect`."""
-        self._own(v)
-        S, V = self.cube, self._cube_vector(v)
-        if S.dtype != float and (S.dtype == object or not _fits_int64(
-                self.dim, int(np.abs(S).max(initial=0)), max(map(abs, V), default=0))):
-            S = S.astype(object)
-        V = np.array(V, dtype=S.dtype)
-        L = np.tensordot(V, S, 1)  # L[m] = v e_m
-        R = np.tensordot(V, S, (0, 1))  # R[m] = e_m v
+        if slot not in (0, 1, 2):
+            raise ParameterError(f"associator slot must be 0, 1 or 2, got {slot!r}")
+        S, _, (L,), (R,) = self._operands([v], 1)
         if slot == 0:  # (v e_a) e_b - v (e_a e_b)
             return np.tensordot(L, S, 1) - np.tensordot(S, L, 1)
         if slot == 1:  # (e_a v) e_b - e_a (v e_b)
             return np.tensordot(R, S, 1) - np.tensordot(L, S, (1, 1)).swapaxes(0, 1)
-        if slot == 2:  # (e_a e_b) v - e_a (e_b v)
-            return np.tensordot(S, R, 1) - np.tensordot(R, S, (1, 1)).swapaxes(0, 1)
-        raise ParameterError(f"associator slot must be 0, 1 or 2, got {slot!r}")
+        # (e_a e_b) v - e_a (e_b v)
+        return np.tensordot(S, R, 1) - np.tensordot(R, S, (1, 1)).swapaxes(0, 1)
+
+    def square_slices(self, slots: tuple, elements: Sequence[Element]) -> np.ndarray:
+        """Q[c, a, :] = the associator with the Element v = elements[c] in
+        both ``slots`` ((0, 1), (1, 2) or (0, 2)) and e_a in the third: the
+        left alternative, right alternative or flexible law at (v, e_a).
+        Built from L[m] = v e_m and R[m] = e_m v in n^3 work per Element.
+        On an exact table: integers, for each c a positive multiple of the
+        true coordinates.  Otherwise floats.  Test with `first_defect`."""
+        if slots not in ((0, 1), (1, 2), (0, 2)):
+            raise ParameterError(
+                f"square slots must be (0, 1), (1, 2) or (0, 2), got {slots!r}")
+        S, X, L, R = self._operands(elements, 2)
+        if slots == (0, 2):  # (v e_a) v - v (e_a v)
+            return L @ R - R @ L
+        vv = (X[:, None, :] @ L)[:, 0]
+        if slots == (0, 1):  # (v v) e_a - v (v e_a)
+            return np.tensordot(vv, S, 1) - L @ L
+        # (e_a v) v - e_a (v v)
+        return R @ R - np.tensordot(vv, S, (1, 1))
 
     def mul_operators(self, elements: Sequence[Element]) -> np.ndarray:
         """M[c, 0] and M[c, 1], the matrices of x -> v x and x -> x v for
@@ -665,28 +692,18 @@ class Algebra:
         out: M[c, 0, r, j] = sum_i v_i S[i, j, r] and M[c, 1, r, j] = sum_i
         v_i S[j, i, r].  On a float table: floats accumulated over i in
         order, bit for bit the entries of `mul_operator`.  On an exact
-        table: each v as integers (its integer form, or a float coordinate
-        at its exact value) against the table's integers, reduced modulo
-        the prime MODULUS, so a positive multiple of the true matrices,
-        modulo MODULUS."""
-        self._own(*elements)
-        S = self.cube
-        n = self.dim
-        V = [self._cube_vector(v) for v in elements]
-        if S.dtype == float:
-            V = np.array(V, dtype=float).reshape(-1, n)
-        else:
-            V = np.array([[c % MODULUS for c in v] for v in V],
-                         dtype=np.int64).reshape(-1, n)
-            S = (S % MODULUS).astype(np.int64)
+        table: the integer L and R of `_operands` reduced modulo the prime
+        MODULUS, so a positive multiple of the true matrices, modulo
+        MODULUS."""
+        S, X, L, R = self._operands(elements, 1)
+        if S.dtype != float:
+            M = np.stack((L, R), axis=1).swapaxes(2, 3) % MODULUS
+            return M.astype(np.int64, order="C")  # row operations read rows
         # sides[i, 0] = the left operator of e_i, sides[i, 1] the right one
         sides = np.stack((S.transpose(0, 2, 1), S.transpose(1, 2, 0)), axis=1)
-        if S.dtype != float:
-            # n products below 2**52 each: exact in int64, as n < 2**11
-            return np.tensordot(V, sides, 1) % MODULUS
-        M = np.zeros((len(V), 2, n, n))
-        for i in range(n):
-            M += V[:, i, None, None, None] * sides[i]
+        M = np.zeros((len(X), 2, self.dim, self.dim))
+        for i in range(self.dim):
+            M += X[:, i, None, None, None] * sides[i]
         return M
 
     def first_singular(self, elements: Sequence[Element],
@@ -799,7 +816,8 @@ def _require_finite(values, what: str) -> None:
 def _fits_int64(n: int, smax: int, vmax: int) -> bool:
     """Can int64 hold the slices of an n-dim cube with entries up to smax
     against a vector with entries up to vmax?  A slice entry is a difference
-    of two sums of n*n products S*S*v, and callers add up to three slices."""
+    of two sums of n*n products S*S*v; a `square_slices` entry, of two sums
+    of n^3 products S*S*v*v, passes n*vmax^2 as vmax."""
     return 8 * n * n * smax * smax * vmax < 2**63
 
 

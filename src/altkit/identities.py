@@ -4,12 +4,13 @@ distinguished 2-dimensional subalgebra, and the sampled division test.
 
 Verdict strength is explicit in every report.  The eight laws over the
 whole algebra are proofs: zero tests on basis tuples, read from slices
-of the table's tensor.  The quadratic ones (left/right alternative,
-flexible) are tested through their polarizations: over characteristic 0,
-(x, x, z) = 0 for all x iff (e_i, e_j, e_k) + (e_j, e_i, e_k) = 0 on all
-basis triples (Schafer, An Introduction to Nonassociative Algebras, 1966,
-ch. I).  Only the partial forms over a unit set not known to be
-complete, and the division test, are sampled.
+of the table's tensor.  The six quadratic laws (left/right alternative,
+flexible, and their partial forms) read one kernel, `square_slices`, at
+the given units, or over the whole algebra at x = e_i and e_i + e_j: over
+characteristic 0 these points decide a quadratic form in x (Schafer, An
+Introduction to Nonassociative Algebras, 1966, ch. I).  Only the partial
+forms over a unit set not known to be complete, and the division test,
+are sampled.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-import numpy as np
-
 from . import linalg
 from .core import (
     Algebra,
@@ -32,6 +31,7 @@ from .core import (
     first_defect,
     tolerance,
 )
+from .units import verify_unit
 
 DEFAULT_SAMPLES = 200
 
@@ -94,23 +94,14 @@ class IdentityReport:
         }
 
 
-def random_rational(rng: random.Random, span: int = 6, den: int = 4) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, den))
+def random_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
 
 
-def random_element(A: Algebra, rng: random.Random, span: int = 6) -> Element:
+def random_element(A: Algebra, rng: random.Random) -> Element:
     if A.scalar_mode == "float":
-        return A.element([rng.uniform(-span, span) for _ in range(A.dim)])
-    return A.element([random_rational(rng, span) for _ in range(A.dim)])
-
-
-def _scan(A: Algebra, triples, eps: float) -> Optional[Witness]:
-    """First triple with a nonzero associator, or None."""
-    for x, y, z in triples:
-        defect = A.associator(x, y, z)
-        if not defect.is_zero(eps):
-            return Witness(x, y, z, defect)
-    return None
+        return A.element([rng.uniform(-6, 6) for _ in range(A.dim)])
+    return A.element([random_rational(rng) for _ in range(A.dim)])
 
 
 def _witness(A: Algebra, triple) -> Witness:
@@ -141,37 +132,35 @@ _QUADRATIC = {
 }
 
 
-def _polarized(A: Algebra, slots, i: int) -> np.ndarray:
-    """P[k, j] = the law's associator at x polarized to (e_i, e_j), y = e_k:
-    the slices with e_i in either slot of x, indexed (y, other x)."""
-    e_i = A.basis(i)
-    total = 0
-    for slot, other in (slots, slots[::-1]):
-        D = A.associator_slice(slot, e_i)
-        free = 3 - slot - other  # the slot holding y
-        total = total + (D if free < other else D.swapaxes(0, 1))
-    return total
-
-
-def _quadratic_witness(A: Algebra, kind: IdentityKind, eps: float) -> Optional[Witness]:
-    """The first failing basis pair (x, y) = (e_i, e_k), lexicographic; if
-    none, the first polarized failure, in the law's form at x = e_i + e_j."""
+def _quadratic_witness(A: Algebra, kind: IdentityKind, points,
+                       eps: float) -> Optional[Witness]:
+    """The first (x, e_k) at which the quadratic law fails, or None.  Over
+    ``points``: the first point x, then the first k.  Over the whole
+    algebra (``points`` None): the first basis vector x = e_i, then k;
+    then the first i, then k, then j > i, at x = e_i + e_j.  A point set
+    with a float coordinate on an exact table is tested on the float copy,
+    within eps, as the Element associator compares it."""
     slots, shape = _QUADRATIC[kind]
     basis = A.basis_elements()
-    polar = None
-    for i in range(A.dim):
-        P = _polarized(A, slots, i)
-        # the diagonal P[k, i] is twice the basis-pair associator
-        k = first_defect(P[:, i], 2 * eps)
-        if k is not None:
-            return _witness(A, shape(basis[i], basis[k[0]]))
-        if polar is None:
-            hit = first_defect(P, eps)
-            polar = None if hit is None else (i, hit)
-    if polar is None:
-        return None
-    i, (k, j) = polar
-    return _witness(A, shape(basis[i] + basis[j], basis[k]))
+    n = A.dim
+    if points is None:
+        groups = itertools.chain(
+            [(basis, False)],
+            (([basis[i] + basis[j] for j in range(i + 1, n)], True)
+             for i in range(n - 1)))
+    else:
+        groups = [(points, False)]
+    for xs, k_first in groups:
+        B, vs = A, xs
+        if A.scalar_mode == "exact" and not all(x._den for x in xs):
+            B = A.to_float()
+            vs = [B.element(x.coords) for x in xs]
+        Q = B.square_slices(slots, vs)
+        hit = first_defect(Q.swapaxes(0, 1) if k_first else Q, eps)
+        if hit is not None:
+            c, k = hit[::-1] if k_first else hit
+            return _witness(A, shape(xs[c], basis[k]))
+    return None
 
 
 def _commutator_witness(A: Algebra, eps: float) -> Optional[Witness]:
@@ -198,10 +187,8 @@ def _resolve_units(A: Algebra, units, eps: float) -> Tuple[List[Element], bool]:
     points = list(points)
     if not points:
         raise ContextError("partial identities need a nonempty set of imaginary units")
-    one = A.one()
     for q in points:
-        defect = A.multiply(q, q) + one
-        if not defect.is_zero(eps):
+        if not verify_unit(A, q, eps):
             raise ContextError(f"supplied point {q!r} is not an imaginary unit")
     return points, complete
 
@@ -250,9 +237,7 @@ def check_identity(
         points, complete = _resolve_units(A, units, eps)
         if units_complete is not None:
             complete = units_complete
-        shape = _QUADRATIC[kind][1]
-        basis = A.basis_elements()
-        witness = _scan(A, (shape(q, y) for q in points for y in basis), eps)
+        witness = _quadratic_witness(A, kind, points, eps)
         method = "exhaustive-basis" if complete else f"sampled({len(points)})"
         return IdentityReport(kind, witness is None, witness, method)
 
@@ -264,7 +249,7 @@ def check_identity(
         slot = C_ASSOC_KINDS.index(kind)  # left, middle, right
         witness = _slice_witness(A, slot, _resolve_c_span(A, c_span, eps), eps)
     else:
-        witness = _quadratic_witness(A, kind, eps)
+        witness = _quadratic_witness(A, kind, None, eps)
     return IdentityReport(kind, witness is None, witness, "exhaustive-basis")
 
 

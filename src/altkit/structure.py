@@ -200,7 +200,7 @@ def reflection_decompose(
 
     one = A.one()
     i_elem = _choose_i(A, B, eps)
-    if not (A.multiply(i_elem, i_elem) + one).is_zero(eps):
+    if not units.verify_unit(A, i_elem, eps):
         raise DecompositionError("failed to solve x^2 = -1 in the plus-eigenspace")
 
     w_raw = C[0]

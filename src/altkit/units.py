@@ -94,19 +94,17 @@ def solve_units_sampled(
     seeds: int = 200,
     tol: Optional[float] = None,
     seed: int = 0,
-    box: float = 2.0,
-    max_iter: int = 100,
 ) -> UnitLocus:
     """Newton-iterate F(q) = q*q + 1 from seeded starting points.
 
     Start points are all +-basis vectors plus ``seeds`` uniform draws from
-    [-box, box]^n.  All live starts step together: one product of the rows
+    [-2, 2]^n.  All live starts step together: one product of the rows
     with the symmetrised table gives, per row, J = L_q + R_q and, since
     J(q)q = 2 q*q, also F = J(q)q/2 + 1; one stacked solve then steps every
     row.  Rows with max|F| <= tol leave as converged.  A row is abandoned
     when its Jacobian is exactly singular (such an iteration is redone row
     by row), its step is not finite, it leaves max|q| <= 1e6, or it has not
-    converged after ``max_iter`` iterations.  Converged points are
+    converged after 100 iterations.  Converged points are
     deduplicated in start order at distance 10*tol and re-verified before
     being returned as a sampled cloud.
     """
@@ -115,10 +113,6 @@ def solve_units_sampled(
     tol = tolerance(tol, A.eps)
     if seeds < 0:
         raise ParameterError(f"seed count must be nonnegative, got {seeds}")
-    if not 0 < box < math.inf:
-        raise ParameterError(f"start box must be finite and positive, got {box}")
-    if max_iter < 1:
-        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
     rng = random.Random(seed)
     n = A.dim
     sc = np.array(A.sc, dtype=float)
@@ -127,13 +121,13 @@ def solve_units_sampled(
     sym = (sc + sc.transpose(1, 0, 2)).reshape(n, n * n)
 
     basis = np.eye(n)
-    draws = [rng.uniform(-box, box) for _ in range(seeds * n)]
+    draws = [rng.uniform(-2.0, 2.0) for _ in range(seeds * n)]
     x = np.vstack([np.stack([basis, -basis], axis=1).reshape(2 * n, n),
                    np.reshape(draws, (seeds, n))])
 
     converged = np.zeros(len(x), dtype=bool)
     live = np.arange(len(x))
-    for _ in range(max_iter):
+    for _ in range(100):
         if not live.size:
             break
         xl = x[live]

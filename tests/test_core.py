@@ -527,6 +527,48 @@ def test_kernels_read_a_float_coordinate_at_its_exact_value(A):
     assert A.first_singular([floats]) == A.first_singular([exact])
 
 
+SQUARE_SHAPES = {(0, 1): lambda v, y: (v, v, y), (1, 2): lambda v, y: (y, v, v),
+                 (0, 2): lambda v, y: (v, y, v)}
+
+
+def _square_points(A, rng):
+    return A.basis_elements() + [
+        A.element([Fraction(rng.randint(-7, 7), rng.randint(1, 6)) for _ in range(A.dim)])
+        for _ in range(3)]
+
+
+@pytest.mark.parametrize("A", _catalog_tables(), ids=repr)
+def test_square_slices_match_the_element_associator(A):
+    # exact: Q[c] is one positive multiple of the true associators per element
+    rng = random.Random(A.dim + 2)
+    points = _square_points(A, rng)
+    for slots, shape in SQUARE_SHAPES.items():
+        Q = A.square_slices(slots, points)
+        assert Q.shape == (len(points), A.dim, A.dim) and Q.dtype == np.int64
+        for v, rows in zip(points, Q):
+            want = [A.associator(*shape(v, y)).coords for y in A.basis_elements()]
+            ratios = {Fraction(int(q)) / w for row, wrow in zip(rows, want)
+                      for q, w in zip(row, wrow) if w}
+            assert len(ratios) <= 1 and all(r > 0 for r in ratios)
+            assert all((q == 0) == (w == 0) for row, wrow in zip(rows, want)
+                       for q, w in zip(row, wrow))
+    # floats: within a tolerance set by the entries' size
+    Af = A.to_float()
+    fpoints = [Af.element([rng.uniform(-3, 3) for _ in range(A.dim)]) for _ in range(3)]
+    for slots, shape in SQUARE_SHAPES.items():
+        Q = Af.square_slices(slots, fpoints)
+        assert Q.dtype == float
+        want = [[Af.associator(*shape(v, y)).coords for y in Af.basis_elements()]
+                for v in fpoints]
+        assert np.allclose(Q, want, rtol=0, atol=1e-9)
+
+
+def test_square_slices_reject_bad_slots(H):
+    for slots in [(0, 0), (1, 0), (2, 1), (0, 3), (0, 1, 2), 1, None, "left"]:
+        with pytest.raises(ParameterError):
+            H.square_slices(slots, [H.one()])
+
+
 def _loop_unit_violation(sc, unit, labels, eps):
     """Reference: the first basis vector e_j, 1*e_j before e_j*1, whose
     product with the unit is not e_j, as the unit-axiom message, or None."""

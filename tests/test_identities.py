@@ -1,10 +1,11 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from altkit import catalog, core, identities, lie, linalg, structure
+from altkit import catalog, cli, core, identities, lie, linalg, structure
 from altkit.core import Algebra, ContextError, NotApplicableError
 from altkit.identities import IdentityKind
 
@@ -303,24 +304,181 @@ def test_kernel_matches_element_brute_force(sc):
         assert all(A.commutator(x, y).is_zero(eps) for x in nucleus for y in basis)
 
 
-@pytest.mark.parametrize("table", [catalog.quaternions(), catalog.ak(2, a11=Fraction(1, 3))])
+def _units_past_int64(A):
+    """Units of A: +-i (quaternions, tn) or +-e1 (ak), and on the
+    quaternions also c*i + s*j, the circle point at t = 2^20 + 1, whose
+    denominator 1 + t^2 is near 2^40."""
+    q = A.by_label("e1") if A.family[0] == "ak" else A.basis(1)
+    points = [q, -q]
+    if A.family[0] == "quaternions":
+        t = 2 ** 20 + 1
+        c, s = F(1 - t * t, 1 + t * t), F(2 * t, 1 + t * t)
+        points.append(A.element([0, c, s, 0]))
+    return points
+
+
+@pytest.mark.parametrize("table", [catalog.quaternions(), catalog.ak(2, a11=Fraction(1, 3)),
+                                   catalog.tn(a=-1, g=1, h=1)])
 def test_kernel_stays_exact_past_int64(table):
     c = 2 ** 40 + 1
     big = Algebra([[[x * c for x in cell] for cell in row] for row in table.sc],
                   unit=[u / c for u in table.unit])
     assert table.cube.dtype == "int64"
     assert big.cube.dtype == object  # int64 could overflow: Python ints
+    points = _units_past_int64(table)
+    # the units of big are those of table over c
+    big_points = [big.element([x / c for x in q.coords]) for q in points]
+    if len(points) > 2:  # n * vmax^2 past int64: Python ints on the small table too
+        assert table.square_slices((0, 1), points[2:]).dtype == object
     for kind in IdentityKind:
-        if kind in identities.PARTIAL_KINDS:
-            continue
         spans = [None, None]
         if kind in identities.C_ASSOC_KINDS:
             spans = [(A.one(), A.basis(1)) for A in (table, big)]
-        small_report = identities.check_identity(table, kind, c_span=spans[0])
-        report = identities.check_identity(big, kind, c_span=spans[1])
+        small_report = identities.check_identity(table, kind, c_span=spans[0],
+                                                 units=points)
+        report = identities.check_identity(big, kind, c_span=spans[1], units=big_points)
         assert report.holds == small_report.holds, kind
         if not report.holds:
             assert_witness(big, kind, report)
             assert all(isinstance(c, Fraction) for c in report.witness.defect.coords)
-    assert lie.check_jacobi(lie.lieify(big), tol=0.0) == (True, None)
+    assert (lie.check_jacobi(lie.lieify(big), tol=0.0)[0]
+            == lie.check_jacobi(lie.lieify(table), tol=0.0)[0])
     assert len(structure.commutative_nucleus(big)) == len(structure.commutative_nucleus(table))
+
+
+# -- the parent's quadratic searches, kept as references ----------------------
+
+
+def _scan_reference(A, kind, points, eps):
+    """The per-triple Element walk: the first (q, e_k), over q in points and
+    then k, whose associator in the law's shape is nonzero, or None."""
+    shape = identities._QUADRATIC[kind][1]
+    for q in points:
+        for y in A.basis_elements():
+            triple = shape(q, y)
+            defect = A.associator(*triple)
+            if not defect.is_zero(eps):
+                return identities.Witness(*triple, defect)
+    return None
+
+
+def _polarized_reference(A, kind, eps):
+    """The two-slice polarization search: for each i, P[k, j] = the law
+    polarized to (e_i, e_j) at y = e_k, the sum of the slices with e_i in
+    either slot of x.  The first basis pair (e_i, e_k) whose diagonal
+    P[k, i] (twice the law) passes 2 eps wins; failing that, the first i
+    and (k, j) with P[k, j] past eps, at x = e_i + e_j."""
+    slots, shape = identities._QUADRATIC[kind]
+    basis = A.basis_elements()
+    polar = None
+    for i in range(A.dim):
+        P = 0
+        for slot, other in (slots, slots[::-1]):
+            D = A.associator_slice(slot, basis[i])
+            free = 3 - slot - other  # the slot holding y
+            P = P + (D if free < other else D.swapaxes(0, 1))
+        k = core.first_defect(P[:, i], 2 * eps)
+        if k is not None:
+            triple = shape(basis[i], basis[k[0]])
+            return identities.Witness(*triple, A.associator(*triple))
+        if polar is None:
+            hit = core.first_defect(P, eps)
+            polar = None if hit is None else (i, hit)
+    if polar is None:
+        return None
+    i, (k, j) = polar
+    triple = shape(basis[i] + basis[j], basis[k])
+    return identities.Witness(*triple, A.associator(*triple))
+
+
+QUADRATIC_KINDS = (IdentityKind.LEFT_ALT, IdentityKind.RIGHT_ALT, IdentityKind.FLEXIBLE)
+
+
+def assert_quadratic_reports_match(A, points=None, complete=False):
+    """check_identity's report on every quadratic kind equals the one the
+    references give (the partial kinds only when ``points`` is given)."""
+    eps = A.eps
+    for kind in QUADRATIC_KINDS:
+        witness = _polarized_reference(A, kind, eps)
+        want = identities.IdentityReport(kind, witness is None, witness, "exhaustive-basis")
+        assert identities.check_identity(A, kind).to_dict() == want.to_dict(), kind
+    if points is None:
+        return
+    method = "exhaustive-basis" if complete else f"sampled({len(points)})"
+    for kind in identities.PARTIAL_KINDS:
+        witness = _scan_reference(A, kind, points, eps)
+        want = identities.IdentityReport(kind, witness is None, witness, method)
+        got = identities.check_identity(A, kind, units=points, units_complete=complete)
+        assert got.to_dict() == want.to_dict(), kind
+
+
+CATALOG_TABLES = [
+    catalog.ak(1, a11=1, a12=1),
+    catalog.ak(2, a11=F(1, 3), a12=2, a21=F(5, 2), a22=7),
+    catalog.ak(3),
+    catalog.tn(a=-3, b=1, c=2, d=F(1, 2), f=1, g=-1, h=3, e=F(-2, 3)),
+    catalog.tn(a=2, b=1),
+    catalog.tn(a=-1, g=1, h=1),
+    catalog.tc(a=2, b=F(-1, 3), f=1, g=2, h=1),
+    catalog.tp(alpha1=-1, beta2=-1, delta2=1, gamma1=-1),
+    catalog.mplus(),
+    catalog.mzero(),
+    catalog.quaternions(),
+    catalog.complex_numbers(),
+]
+
+
+@pytest.mark.parametrize("A", CATALOG_TABLES, ids=repr)
+def test_quadratic_kernel_matches_the_references_on_catalog(A):
+    points, complete = cli.units_for(A, 25, 0, None)
+    assert_quadratic_reports_match(A, points, complete)
+    Af = A.to_float()
+    assert_quadratic_reports_match(Af, [Af.element(q.coords) for q in points], complete)
+
+
+def _random_tp(seed):
+    rng = random.Random(seed)
+    names = ("alpha1", "alpha2", "beta1", "beta2", "delta1", "delta2", "gamma1", "gamma2")
+    return catalog.tp(**{name: F(rng.randint(-3, 3), rng.randint(1, 3)) for name in names})
+
+
+@pytest.mark.parametrize("A", [
+    catalog.tc(a=F(1, 2), b=F(-5, 2), f=F(3, 2), g=F(1, 2), h=1),
+    catalog.tn(a=2, b=1),
+    _random_tp(11),
+    catalog.quaternions(),
+], ids=repr)
+def test_quadratic_kernel_matches_the_references_on_newton_clouds(A):
+    # a table read from JSON has no family, so units_for samples Newton
+    # points: float coordinates on an exact table
+    copy = Algebra.loads(A.dumps())
+    points, complete = cli.units_for(copy, 60, 0, None)
+    assert points and not complete
+    assert all(q._den == 0 for q in points)
+    assert_quadratic_reports_match(copy, points, complete)
+
+
+def test_a_float_unit_on_an_exact_table_is_compared_within_eps():
+    # 1e-12 off the unit e1: at its exact binary value the left and right
+    # laws do not vanish, but like the Element associator the check
+    # compares a float point's defects within eps
+    A = catalog.ak(1, a11=1, a12=1)
+    q = A.element([0.0, 1.0, 1e-12, 0.0])
+    assert core.first_defect(A.square_slices((0, 1), [q]), 0.0) is not None
+    assert_quadratic_reports_match(A, [q, -q])
+    assert all(r.holds for r in identities.is_partially_alternative(A, [q, -q]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_tables(), st.randoms(use_true_random=False))
+def test_quadratic_kernel_matches_the_references_on_sparse_tables(sc, rng):
+    exact = Algebra(sc)
+    for A in (exact, exact.to_float()):
+        assert_quadratic_reports_match(A)
+        # the partial search at points that need not be units
+        points = [identities.random_element(A, rng) for _ in range(3)]
+        points.append(A.basis(rng.randrange(A.dim)))
+        for kind in identities.PARTIAL_KINDS:
+            got = identities._quadratic_witness(A, kind, points, A.eps)
+            want = _scan_reference(A, kind, points, A.eps)
+            assert (got and got.to_dict()) == (want and want.to_dict()), kind
