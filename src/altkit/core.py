@@ -630,13 +630,13 @@ class Algebra:
         return self._cube
 
     def _operands(self, elements: Sequence[Element], degree: int) -> tuple:
-        """(S, X, L, R) for the tensor kernels: the cube S, each Element as
-        a row of X, and L[c, m] = x_c e_m, R[c, m] = e_m x_c.  On a float
-        table: floats.  On an exact table: each row is the Element's
-        integer form, or with a float coordinate each coordinate at its
-        exact value over their lcm (a positive multiple of the Element
-        either way); S and X are int64 when `_fits_int64` holds for the
-        kernel's product of ``degree`` such rows, and Python ints otherwise."""
+        """(S, X) for the tensor kernels: the cube S and each Element as a
+        row of X.  On a float table: floats.  On an exact table: each row
+        is the Element's integer form, or with a float coordinate each
+        coordinate at its exact value over their lcm (a positive multiple
+        of the Element either way); S and X are int64 when `_fits_int64`
+        holds for the kernel's product of ``degree`` such rows, and Python
+        ints otherwise."""
         self._own(*elements)
         S, n = self.cube, self.dim
         if S.dtype == float:
@@ -648,8 +648,7 @@ class Algebra:
                     n, int(np.abs(S).max(initial=0)), n ** (degree - 1) * vmax ** degree):
                 S = S.astype(object)
             X = np.array(X, dtype=S.dtype)
-        X = X.reshape(-1, n)
-        return S, X, np.tensordot(X, S, 1), np.tensordot(X, S, (1, 1))
+        return S, X.reshape(-1, n)
 
     def associator_slice(self, slot: int, v: Element) -> np.ndarray:
         """D[a, b, :] = the associator with argument ``slot`` (0, 1 or 2) set
@@ -659,7 +658,8 @@ class Algebra:
         with `first_defect`."""
         if slot not in (0, 1, 2):
             raise ParameterError(f"associator slot must be 0, 1 or 2, got {slot!r}")
-        S, _, (L,), (R,) = self._operands([v], 1)
+        S, (x,) = self._operands([v], 1)
+        L, R = np.tensordot(x, S, 1), np.tensordot(x, S, (0, 1))  # v e_m, e_m v
         if slot == 0:  # (v e_a) e_b - v (e_a e_b)
             return np.tensordot(L, S, 1) - np.tensordot(S, L, 1)
         if slot == 1:  # (e_a v) e_b - e_a (v e_b)
@@ -677,7 +677,8 @@ class Algebra:
         if slots not in ((0, 1), (1, 2), (0, 2)):
             raise ParameterError(
                 f"square slots must be (0, 1), (1, 2) or (0, 2), got {slots!r}")
-        S, X, L, R = self._operands(elements, 2)
+        S, X = self._operands(elements, 2)
+        L, R = np.tensordot(X, S, 1), np.tensordot(X, S, (1, 1))  # v e_m, e_m v
         if slots == (0, 2):  # (v e_a) v - v (e_a v)
             return L @ R - R @ L
         vv = (X[:, None, :] @ L)[:, 0]
@@ -692,15 +693,17 @@ class Algebra:
         out: M[c, 0, r, j] = sum_i v_i S[i, j, r] and M[c, 1, r, j] = sum_i
         v_i S[j, i, r].  On a float table: floats accumulated over i in
         order, bit for bit the entries of `mul_operator`.  On an exact
-        table: the integer L and R of `_operands` reduced modulo the prime
-        MODULUS, so a positive multiple of the true matrices, modulo
-        MODULUS."""
-        S, X, L, R = self._operands(elements, 1)
-        if S.dtype != float:
-            M = np.stack((L, R), axis=1).swapaxes(2, 3) % MODULUS
-            return M.astype(np.int64, order="C")  # row operations read rows
+        table: the integer rows of `_operands` against the table's
+        integers, both reduced modulo the prime MODULUS first, so int64
+        whatever the table's entries: a positive multiple of the true
+        matrices, modulo MODULUS."""
+        S, X = self._operands(elements, 1)
         # sides[i, 0] = the left operator of e_i, sides[i, 1] the right one
         sides = np.stack((S.transpose(0, 2, 1), S.transpose(1, 2, 0)), axis=1)
+        if S.dtype != float:
+            # residues: n products below 2**52 each, exact in int64 as n < 2**11
+            X, sides = ((a % MODULUS).astype(np.int64) for a in (X, sides))
+            return np.tensordot(X, sides, 1) % MODULUS
         M = np.zeros((len(X), 2, self.dim, self.dim))
         for i in range(self.dim):
             M += X[:, i, None, None, None] * sides[i]

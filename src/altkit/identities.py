@@ -142,20 +142,16 @@ def _quadratic_witness(A: Algebra, kind: IdentityKind, points,
     within eps, as the Element associator compares it."""
     slots, shape = _QUADRATIC[kind]
     basis = A.basis_elements()
-    n = A.dim
     if points is None:
         groups = itertools.chain(
             [(basis, False)],
-            (([basis[i] + basis[j] for j in range(i + 1, n)], True)
-             for i in range(n - 1)))
+            (([basis[i] + basis[j] for j in range(i + 1, A.dim)], True)
+             for i in range(A.dim - 1)))
     else:
         groups = [(points, False)]
     for xs, k_first in groups:
-        B, vs = A, xs
-        if A.scalar_mode == "exact" and not all(x._den for x in xs):
-            B = A.to_float()
-            vs = [B.element(x.coords) for x in xs]
-        Q = B.square_slices(slots, vs)
+        B = A if all(x._den for x in xs) else A.to_float()  # A itself if float
+        Q = B.square_slices(slots, xs if B is A else [B.element(x.coords) for x in xs])
         hit = first_defect(Q.swapaxes(0, 1) if k_first else Q, eps)
         if hit is not None:
             c, k = hit[::-1] if k_first else hit

@@ -527,6 +527,22 @@ def test_kernels_read_a_float_coordinate_at_its_exact_value(A):
     assert A.first_singular([floats]) == A.first_singular([exact])
 
 
+@pytest.mark.parametrize("A", _catalog_tables(), ids=repr)
+def test_mul_operators_stay_int64_on_a_python_int_cube(A):
+    # big is A with every entry times c: its cube holds Python ints, and an
+    # element's integer form is that of the element of A times c
+    c = 2 ** 40 + 1
+    big = Algebra([[[x * c for x in cell] for cell in row] for row in A.sc])
+    assert big.cube.dtype == object
+    rng = random.Random(A.dim)
+    vectors = [[Fraction(rng.randint(-7, 7), rng.randint(1, 6)) for _ in range(A.dim)]
+               for _ in range(3)] + [[c] * A.dim]
+    small = A.mul_operators([A.element(v) for v in vectors])
+    ops = big.mul_operators([big.element(v) for v in vectors])
+    assert ops.dtype == np.int64
+    assert np.array_equal(ops, small * (c % core.MODULUS) % core.MODULUS)
+
+
 SQUARE_SHAPES = {(0, 1): lambda v, y: (v, v, y), (1, 2): lambda v, y: (y, v, v),
                  (0, 2): lambda v, y: (v, y, v)}
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -317,9 +318,11 @@ def _units_past_int64(A):
     return points
 
 
-@pytest.mark.parametrize("table", [catalog.quaternions(), catalog.ak(2, a11=Fraction(1, 3)),
-                                   catalog.tn(a=-1, g=1, h=1)])
-def test_kernel_stays_exact_past_int64(table):
+@pytest.mark.parametrize("table, jacobi", [(catalog.quaternions(), True),
+                                           (catalog.ak(2, a11=Fraction(1, 3)), True),
+                                           (catalog.tn(a=-1, g=1, h=1), False)],
+                         ids=["table0", "table1", "table2"])
+def test_kernel_stays_exact_past_int64(table, jacobi):
     c = 2 ** 40 + 1
     big = Algebra([[[x * c for x in cell] for cell in row] for row in table.sc],
                   unit=[u / c for u in table.unit])
@@ -341,8 +344,9 @@ def test_kernel_stays_exact_past_int64(table):
         if not report.holds:
             assert_witness(big, kind, report)
             assert all(isinstance(c, Fraction) for c in report.witness.defect.coords)
-    assert (lie.check_jacobi(lie.lieify(big), tol=0.0)[0]
-            == lie.check_jacobi(lie.lieify(table), tol=0.0)[0])
+    for A in (table, big):
+        ok, witness = lie.check_jacobi(lie.lieify(A), tol=0.0)
+        assert ok is jacobi and (witness is None) is jacobi
     assert len(structure.commutative_nucleus(big)) == len(structure.commutative_nucleus(table))
 
 
@@ -467,6 +471,28 @@ def test_a_float_unit_on_an_exact_table_is_compared_within_eps():
     assert core.first_defect(A.square_slices((0, 1), [q]), 0.0) is not None
     assert_quadratic_reports_match(A, [q, -q])
     assert all(r.holds for r in identities.is_partially_alternative(A, [q, -q]))
+
+
+def test_a_float_law_is_decided_by_its_defect_at_e_i_plus_e_j():
+    # e0 e0 = e0 e1 = e1 e1 = s e1, e1 e0 = 0: the flexible law at (x, e0)
+    # is -s^2 (x0^2 + x0 x1 + x1^2) e1, so 0.75 eps at e0 and at e1, and
+    # 2.25 eps at e0 + e1.  The check tests the law's defect within eps at
+    # x = e_i and e_i + e_j, and reports the first of those past it.  The
+    # reference passed the basis at 2 eps on twice the law, then tested
+    # the polarization at eps for every j, j = i too: it reports x = 2 e0.
+    eps = 1e-6
+    s = math.sqrt(0.75 * eps)
+    A = Algebra([[[0.0, s], [0.0, s]], [[0.0, 0.0], [0.0, s]]], eps=eps)
+    basis = A.basis_elements()
+    defects = [A.associator(x, y, x).coords[1] for x in basis for y in basis]
+    assert all(eps / 2 < -d < eps for d in defects[::2]) and defects[1::2] == [0.0, 0.0]
+    old = _polarized_reference(A, IdentityKind.FLEXIBLE, eps)
+    assert (old.x, old.y) == (2 * basis[0], basis[0])
+    report = identities.check_identity(A, IdentityKind.FLEXIBLE)
+    assert not report.holds
+    assert (report.witness.x, report.witness.y) == (basis[0] + basis[1], basis[0])
+    assert -report.witness.defect.coords[1] > 2 * eps
+    assert_witness(A, IdentityKind.FLEXIBLE, report)
 
 
 @settings(max_examples=40, deadline=None)
