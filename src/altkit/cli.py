@@ -123,8 +123,10 @@ def units_for(A: Algebra, samples: int, seed: int,
               eps: Optional[float]) -> Tuple[list, bool]:
     """Wire an imaginary-unit set for the partial checks.
 
-    Returns (points, complete).  Catalog families get their exact loci;
-    anything else falls back to the Newton cloud.
+    Returns (points, complete).  ak gets +-e1 (complete); the tn families
+    their exact locus (complete when finite, else points sampled on it);
+    tc, tp and complex only +-i (not complete: tc has other real units);
+    anything else the Newton cloud.
     """
     name = A.family[0] if A.family else None
     if name == "ak":

@@ -317,13 +317,8 @@ def classify_middle_c(source, eps: Optional[float] = None,
     by the column-scaling map 1->1, i->i, j->sqrt|a| j, k->sqrt|a| k into
     the target table, which is re-verified as an isomorphism.
     """
-    if isinstance(source, Algebra):
-        A = source
-        params = catalog.tn_params(A)
-    else:
-        params = dict(source)
-        A = catalog.tn(**params)
-        params = catalog.tn_params(A)
+    A = source if isinstance(source, Algebra) else catalog.tn(**dict(source))
+    params = catalog.tn_params(A)
     eps = tolerance(eps, A.eps)
 
     def unclassified(reason):

@@ -229,13 +229,8 @@ def classify_locus_tn(target) -> UnitLocus:
     a < 0.  The emitted equation is sign-normalised so the a < 0 case
     reads x^2 + |a|(y^2 + z^2) = 1.
     """
-    if isinstance(target, Algebra):
-        A = target
-        params = catalog.tn_params(A)
-    else:
-        params = {k: v for k, v in dict(target).items()}
-        A = catalog.tn(**params)
-        params = catalog.tn_params(A)
+    A = target if isinstance(target, Algebra) else catalog.tn(**dict(target))
+    params = catalog.tn_params(A)
     a = params["a"]
     i_elem = A.basis(1)
 
@@ -309,7 +304,8 @@ def grid_unit_search(
     if not 0 <= radius < math.inf:
         raise ParameterError(f"grid radius must be finite and nonnegative, got {radius}")
     tol = tolerance(tol)
-    if A.scalar_mode == "exact":
+    exact = A.scalar_mode == "exact"
+    if exact:
         tol = 0
     n = A.dim
     hi_idx = int(Fraction(radius) / step)
@@ -318,7 +314,8 @@ def grid_unit_search(
     # one positive factor D to the integers C, U, T:
     #   D s^2 (q*q + 1)_k = sum_{i<=j} c_kij idx_i idx_j + s^2 U_k  vs  s^2 T
     # where c_kij = p^2 (C[i][j][k] + C[j][i][k]) for i < j, p^2 C[i][i][k].
-    p2, s2 = step.numerator ** 2, step.denominator ** 2
+    p, s = step.numerator, step.denominator
+    p2, s2 = p * p, s * s
     values = [c for row in A.sc for cell in row for c in cell] + list(A.unit) + [tol]
     ints, _ = integer_form(values)
     limit = s2 * ints[-1]
@@ -369,7 +366,9 @@ def grid_unit_search(
         if math.prod(hi - lo + 1 for lo, hi in box) <= 32:
             for idx in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
                 if may_vanish(tuple(zip(idx, idx))):
-                    results.append(A.element([i * step for i in idx]))
+                    # on an exact table the point is the integers idx * p over s
+                    results.append(Element._exact(A, [i * p for i in idx], s) if exact
+                                   else A.element([i * step for i in idx]))
             continue
         # split the widest axis; boxes stay disjoint, so no point repeats
         axis = max(range(n), key=lambda i: box[i][1] - box[i][0])

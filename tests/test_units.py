@@ -234,6 +234,52 @@ def test_grid_search_is_exact_at_zero_tolerance():
     assert len(found) == 2 and set(found) == {q, -q}
 
 
+def test_grid_points_are_canonical_exact_elements():
+    # an exact grid point is built from its integers over the step's
+    # denominator; it must equal the Element made from its coordinates
+    for A in (catalog.mzero(), catalog.quaternions(), catalog.ak(1)):
+        for step in (F(1, 4), F(1, 3), F(1, 2), 1):
+            found = units.grid_unit_search(A, radius=2.0, step=step)
+            assert found
+            for q in found:
+                ref = A.element(q.coords)
+                assert (q._ints, q._den) == (ref._ints, ref._den) and q._den > 0
+                assert all(type(c) is F for c in q.coords)
+                assert q.coords == tuple(F(c) for c in ref.coords)
+                assert all((c / F(step)).denominator == 1 for c in q.coords)
+        # a float copy keeps float points at the same places, in the same order
+        found = units.grid_unit_search(A, radius=2.0, step=F(1, 2))
+        floats = units.grid_unit_search(A.to_float(), radius=2.0, step=F(1, 2))
+        assert [q.coords for q in floats] == [tuple(map(float, q.coords)) for q in found]
+
+
+def test_tc_strict_point_has_units_off_i_where_partial_laws_fail():
+    # the first strictly-middle tc draw of strict.commutative-partial-alternative
+    # (seed 0): that claim is about the unit set {i, -i}; Newton finds a
+    # second real pair of units, and there the partial left and right laws fail
+    from altkit import identities
+    from altkit.identities import IdentityKind
+
+    A = catalog.tc(a=F(1, 2), b=F(-5, 2), f=F(3, 2), g=F(1, 2), h=1).to_float()
+    i = A.basis(1)
+    cloud = units.solve_units_sampled(A, seeds=200, seed=0)
+
+    def dist(x, y):
+        return max(abs(a - b) for a, b in zip(x.coords, y.coords))
+
+    far = [q for q in cloud.points if min(dist(q, i), dist(q, -i)) > 0.1]
+    assert far
+    for q in far:
+        residual = A.multiply(q, q) + A.one()
+        assert max(abs(c) for c in residual.coords) <= 1e-9
+        for kind in (IdentityKind.PARTIAL_LEFT_ALT, IdentityKind.PARTIAL_RIGHT_ALT):
+            report = identities.check_identity(A, kind, units=[q])
+            assert not report.holds
+            assert max(abs(c) for c in report.witness.defect.coords) > 0.5
+        assert identities.check_identity(A, IdentityKind.PARTIAL_FLEXIBLE,
+                                         units=[q]).holds
+
+
 def test_grid_search_rejects_bad_arguments():
     H = catalog.quaternions()
     for step in (0, F(-1, 4), -0.5):
