@@ -15,6 +15,7 @@ the unit and basis vector 1 an imaginary unit.
 
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction
 
 from .core import Algebra, ParameterError, parse_scalar
@@ -91,9 +92,10 @@ def ak(k: int, **coeffs) -> Algebra:
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     names = [f"a{i}{j}" for i in range(1, k + 1) for j in (1, 2)]
-    unknown = set(coeffs) - set(names)
+    unknown = [p for p in coeffs if p not in names]
     if unknown:
-        raise ParameterError(f"unknown ak parameters: {sorted(unknown)}")
+        raise ParameterError(f"family 'ak' has no parameter {', '.join(unknown)} "
+                             f"at k = {k}; it takes k, {', '.join(names)}")
     a = {}
     for name in names:
         value = parse_scalar(coeffs.get(name, 1))
@@ -181,17 +183,28 @@ _BUILDERS = dict(zip(FAMILY_NAMES, (ak, tn, tc, tp, mplus, mzero, quaternions,
 
 
 def build(family: str, **params) -> Algebra:
-    """Build a catalog algebra by family name; see FAMILY_NAMES."""
+    """Build a catalog algebra by family name; see FAMILY_NAMES.  The
+    parameter names are checked against the builder's signature first."""
     try:
         builder = _BUILDERS[family]
     except KeyError:
         raise ParameterError(
             f"unknown family {family!r}; expected one of {', '.join(FAMILY_NAMES)}"
         ) from None
-    try:
-        return builder(**params)
-    except TypeError as exc:
-        raise ParameterError(f"bad parameters for family {family!r}: {exc}") from None
+    spec = [p for p in inspect.signature(builder).parameters.values()
+            if p.kind is p.POSITIONAL_OR_KEYWORD]
+    accepted = [p.name for p in spec]
+    unknown = [p for p in params if p not in accepted]
+    if builder is ak:  # its coefficients depend on k, and ak checks them
+        accepted.append("a11, a12, ..., ak1, ak2")
+        unknown = []
+    missing = [p.name for p in spec if p.default is p.empty and p.name not in params]
+    if unknown or missing:
+        problem = (f"has no parameter {', '.join(unknown)}" if unknown
+                   else f"needs parameter {', '.join(missing)}")
+        raise ParameterError(f"family {family!r} {problem}; it takes "
+                             f"{', '.join(accepted) or 'no parameters'}")
+    return builder(**params)
 
 
 def tn_params(algebra: Algebra) -> dict:

@@ -19,10 +19,11 @@ construction, by the lcm of its denominators.  The tensor view
 whose coordinates are all exact is held the same way, as an integer vector
 over one positive denominator, kept canonical (the lcm of its reduced
 coordinate denominators); its form is fixed when it is built.  Its sums,
-scalar multiples, products, associators and commutators accumulate in
-Python ints through the table's one product loop and make one gcd
-reduction per result; its `coords`, the tuple of Fractions, is built on
-first read.  The tensor kernels (`associator_slice`, `square_slices`,
+scalar multiples and products accumulate in Python ints through the
+table's one product loop and make one gcd reduction per result; its
+`coords`, the tuple of Fractions, is built on first read.  The associator
+and the commutator are stated once, in their defining form, over
+`multiply`.  The tensor kernels (`associator_slice`, `square_slices`,
 `mul_operators`, `first_singular`) take Elements and read that form.  An
 element with a float coordinate, and every element of a float algebra,
 holds its coordinates as given and takes the float product,
@@ -559,32 +560,12 @@ class Algebra:
 
     def associator(self, x: Element, y: Element, z: Element) -> Element:
         """(x, y, z) = (xy)z - x(yz)."""
-        self._own(x, y, z)
-        if x._den and y._den and z._den:
-            # both sides are integers over den(x) den(y) den(z) scale^2
-            mul = self._accumulate
-            x_, y_, z_ = _terms(x._ints), _terms(y._ints), _terms(z._ints)
-            left = mul(_terms(mul(x_, y_)), z_)
-            right = mul(x_, _terms(mul(y_, z_)))
-            return Element._exact(self, [a - b for a, b in zip(left, right)],
-                                  x._den * y._den * z._den * self._scale ** 2)
-        xy = self._mul_coords(x.coords, y.coords)
-        yz = self._mul_coords(y.coords, z.coords)
-        left = self._mul_coords(xy, z.coords)
-        right = self._mul_coords(x.coords, yz)
-        return Element(self, _difference(left, right))
+        mul = self.multiply
+        return mul(mul(x, y), z) - mul(x, mul(y, z))
 
     def commutator(self, x: Element, y: Element) -> Element:
         """[x, y] = xy - yx."""
-        self._own(x, y)
-        if x._den and y._den:
-            x_, y_ = _terms(x._ints), _terms(y._ints)
-            xy, yx = self._accumulate(x_, y_), self._accumulate(y_, x_)
-            return Element._exact(self, [a - b for a, b in zip(xy, yx)],
-                                  x._den * y._den * self._scale)
-        xy = self._mul_coords(x.coords, y.coords)
-        yx = self._mul_coords(y.coords, x.coords)
-        return Element(self, _difference(xy, yx))
+        return self.multiply(x, y) - self.multiply(y, x)
 
     def mul_operator(self, a: Element, side: str = "left") -> MulOperator:
         """Matrix of x -> a*x (side "left", column j = a*e_j) or of
@@ -802,12 +783,6 @@ def _terms(ints: Sequence) -> list:
 def _fractions(ints: Sequence, den: int) -> list:
     """ints / den as Fractions, one per entry."""
     return [Fraction(c, den) if c else _ZERO for c in ints]
-
-
-def _difference(a: Sequence, b: Sequence) -> list:
-    """a - b by coordinates, for an Element; an exact zero in b, common in
-    products of sparse vectors, leaves a's coordinate as it is."""
-    return [x - y if y or isinstance(y, float) else x for x, y in zip(a, b)]
 
 
 def _require_finite(values, what: str) -> None:

@@ -11,6 +11,8 @@ the isomorphism type is decided by (alpha, beta):
     alpha != 0, beta != 0 ->  g1 (+) g3_7
     alpha != 0, beta = 0  ->  g4_9 with zero parameter (solvable)
 
+`check_jacobi` reads the Jacobi sum itself from the bracket cube.
+
 Each verdict ships an explicit change-of-basis witness whose transported
 brackets are checked against the canonical table by `core.morphism_defect`;
 the result is reported, never assumed.  For beta < 0 the scaling follows the
@@ -91,20 +93,18 @@ def lieify(A: Algebra) -> LieAlgebra:
 def check_jacobi(L: LieAlgebra, tol: Optional[float] = None):
     """Exhaustive Jacobi test on basis triples (a proof, by trilinearity).
 
-    For an antisymmetric bracket the cyclic sum of associators
-    (x,y,z) + (y,z,x) + (z,x,y) is -2 times the Jacobi sum, so each e_i
-    needs three associator slices.  Returns (ok, witness) where witness is
-    the first failing i < j < k with the Jacobi sum's coordinates.
+    For each e_i the Jacobi sums J[j, k] = [e_i, [e_j, e_k]] + [e_j, [e_k,
+    e_i]] + [e_k, [e_i, e_j]] are read from the bracket cube S, n^3 entries,
+    and tested at tol.  Returns (ok, witness) where witness is the first
+    failing i < j < k with the Jacobi sum's coordinates.
     """
     tol = tolerance(tol, L.eps)
-    n = L.dim
+    S, n = L.cube, L.dim
     for i in range(n):
-        e_i = L.basis(i)
-        cyclic = (L.associator_slice(0, e_i) + L.associator_slice(2, e_i)
-                  + L.associator_slice(1, e_i).swapaxes(0, 1))  # [j, k]
-        cyclic[: i + 1] = 0  # keep i < j < k
-        cyclic[np.tril_indices(n)] = 0
-        hit = first_defect(cyclic, 2 * tol)
+        J = S @ S[i] + S[:, i] @ S + (S[i] @ S).swapaxes(0, 1)  # the terms in order
+        J[: i + 1] = 0  # keep i < j < k
+        J[np.tril_indices(n)] = 0
+        hit = first_defect(J, tol)
         if hit is not None:
             j, k = hit
             x, y, z = (L.basis(p) for p in (i, j, k))

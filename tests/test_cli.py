@@ -222,6 +222,22 @@ def test_usage_errors(capsys):
     assert code == 2 and "exactly one" in err
 
 
+@pytest.mark.parametrize("family, params, names, takes", [
+    ("complex", ["x=1"], "has no parameter x", "no parameters"),
+    ("tn", ["bogus=1"], "has no parameter bogus", "a, b, c, d, f, g, h, e"),
+    ("ak", [], "needs parameter k", "k, a11, a12, ..., ak1, ak2"),
+    ("ak", ["k=2", "b=1"], "has no parameter b at k = 2", "k, a11, a12, a21, a22"),
+    ("mplus", ["a=1"], "has no parameter a", "no parameters"),
+    ("tp", ["alpha=1"], "has no parameter alpha",
+     "alpha1, alpha2, beta1, beta2, delta1, delta2, gamma1, gamma2"),
+])
+def test_bad_parameter_names_name_the_family(capsys, family, params, names, takes):
+    args = [x for p in params for x in ("--param", p)]
+    code, out, err = run(capsys, "describe", "--algebra", family, *args)
+    assert code == 2 and out == ""
+    assert err == f"altkit: error: family {family!r} {names}; it takes {takes}\n"
+
+
 def test_non_integral_k_is_an_input_error(capsys):
     for k in ("3/2", "2.9"):
         code, out, err = run(capsys, "describe", "--algebra", "ak", "--param", f"k={k}")

@@ -308,16 +308,6 @@ def test_associator_and_commutator_match_fraction_reference():
                 assert (got - want).is_zero(A.eps)
 
 
-def test_difference_is_subtraction_for_an_element(H):
-    # the exact-zero shortcut in associator and commutator keeps every type
-    scalars = [0, Fraction(0), Fraction(1, 2), 0.0, -0.0, 1.5]
-    for a in scalars:
-        for b in scalars:
-            pairs = ([a] * 4, [b] * 4)
-            assert (_typed(H.element(core._difference(*pairs)))
-                    == _typed(H.element([x - y for x, y in zip(*pairs)])))
-
-
 class _FractionElement:
     """Reference: Element arithmetic with one parsed scalar per coordinate,
     a Fraction per coordinate per sum, scalar multiple and product, over

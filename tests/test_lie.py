@@ -1,12 +1,16 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from altkit import catalog, lie, linalg
-from altkit.claims import LIE_CASES
-from altkit.core import AlgebraError, DimensionError, scalar_is_zero, scalars_close
+from altkit.claims import LIE_CASES, _deciding_points
+from altkit.core import (Algebra, AlgebraError, DimensionError, first_defect,
+                         scalar_is_zero, scalars_close)
 
 F = Fraction
 
@@ -120,21 +124,115 @@ def test_jacobi_holds_for_tp():
         assert ok, witness
 
 
-def test_jacobi_fails_for_hand_built_brackets():
+def _hand_built_brackets(scalar=F, delta=1):
+    """[e0, e1] = e2, [e1, e2] = e0, [e2, e0] = delta e0: the Jacobi sum at
+    (0, 1, 2) is -delta e2."""
     n = 3
-    b = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    b = [[[scalar(0)] * n for _ in range(n)] for _ in range(n)]
 
     def put(i, j, entries):
         for k, c in entries.items():
-            b[i][j][k] = F(c)
-            b[j][i][k] = -F(c)
+            b[i][j][k] = scalar(c)
+            b[j][i][k] = -scalar(c)
 
     put(0, 1, {2: 1})
     put(1, 2, {0: 1})
-    put(2, 0, {0: 1})
-    ok, witness = lie.check_jacobi(lie.LieAlgebra(b))
+    put(2, 0, {0: delta})
+    return b
+
+
+def test_jacobi_fails_for_hand_built_brackets():
+    ok, witness = lie.check_jacobi(lie.LieAlgebra(_hand_built_brackets()))
     assert not ok
     assert witness[:3] == (0, 1, 2)
+
+
+def _cyclic_jacobi_reference(L, tol=None):
+    """Reference: for an antisymmetric bracket the cyclic sum of associators
+    (x,y,z) + (y,z,x) + (z,x,y) is -2 times the Jacobi sum, so three
+    associator slices per e_i, compared at 2 tol."""
+    tol = L.eps if tol is None else tol
+    n = L.dim
+    for i in range(n):
+        e_i = L.basis(i)
+        cyclic = (L.associator_slice(0, e_i) + L.associator_slice(2, e_i)
+                  + L.associator_slice(1, e_i).swapaxes(0, 1))  # [j, k]
+        cyclic[: i + 1] = 0  # keep i < j < k
+        cyclic[np.tril_indices(n)] = 0
+        hit = first_defect(cyclic, 2 * tol)
+        if hit is not None:
+            j, k = hit
+            x, y, z = (L.basis(p) for p in (i, j, k))
+            jacobi = x * (y * z) + y * (z * x) + z * (x * y)
+            return False, (i, j, k, list(jacobi.coords))
+    return True, None
+
+
+def _typed_jacobi(result):
+    """(ok, witness) with each scalar's type and repr."""
+    ok, witness = result
+    if witness is None:
+        return ok, None
+    *ijk, coords = witness
+    return ok, [(type(x), repr(x)) for x in ijk], [(type(c), repr(c)) for c in coords]
+
+
+def _jacobi_cases():
+    tables = [
+        catalog.ak(1, a11=1, a12=1),
+        catalog.ak(2, a11=F(1, 3), a12=2, a21=F(5, 2), a22=7),
+        catalog.ak(3),
+        catalog.tn(a=-3, b=1, c=2, d=F(1, 2), f=1, g=-1, h=3, e=F(-2, 3)),
+        catalog.tn(a=2, b=1),
+        catalog.tc(a=2, b=F(-1, 3), f=1, g=2, h=1),
+        catalog.tp(alpha1=-1, beta2=-1, delta2=1, gamma1=-1),
+        catalog.tp(alpha1=F(1, 2), alpha2=3, beta1=F(-4, 3), beta2=1,
+                   delta1=2, delta2=F(1, 5), gamma1=-1, gamma2=F(7, 4)),
+        catalog.mplus(),
+        catalog.mzero(),
+        catalog.quaternions(),
+        catalog.complex_numbers(),
+    ]
+    cases = [lie.lieify(B) for A in tables for B in (A, A.to_float())]
+    cases += [lie.LieAlgebra(_hand_built_brackets(s)) for s in (F, float)]
+    # a float Jacobi sum on either side of eps = 1e-6
+    cases += [lie.LieAlgebra(_hand_built_brackets(float, delta), eps=1e-6)
+              for delta in (0.75e-6, 1.5e-6)]
+    cases.append(lie.lieify(catalog.tn(a=-1, g=1, h=1)))
+    c = 2 ** 40 + 1  # entries past int64's bound: object cubes
+    for A in (catalog.quaternions(), catalog.ak(2, a11=F(1, 3)),
+              catalog.tn(a=-1, g=1, h=1)):
+        big = Algebra([[[x * c for x in cell] for cell in row] for row in A.sc])
+        assert big.cube.dtype == object
+        cases.append(lie.lieify(big))
+    assert sum(L.cube.dtype == object for L in cases) == 2  # ak's bracket is 0
+    return cases
+
+
+def test_jacobi_matches_the_cyclic_associator_reference():
+    failing = 0
+    for L in _jacobi_cases():
+        for tol in (None, 0.0):
+            got = lie.check_jacobi(L, tol=tol)
+            assert _typed_jacobi(got) == _typed_jacobi(_cyclic_jacobi_reference(L, tol))
+            failing += not got[0]
+    # at both tols: the first tn table and the hand-built brackets, exact
+    # and float, and tn(a=-1, g=1, h=1) with its scaled copy; the small
+    # float sums fail at tol 0, and at eps only the one past it
+    assert failing == 15
+
+
+@pytest.mark.parametrize("m", [2, 8])
+def test_deciding_points_determine_a_quadratic(m):
+    # the monomials 1, p_a, p_a p_b (a <= b) at the deciding points: a
+    # square matrix of full rank, so a quadratic zero there is zero
+    names = [f"p{a}" for a in range(m)]
+    points = _deciding_points(names)
+    monomials = ([()] + [(a,) for a in names]
+                 + list(itertools.combinations_with_replacement(names, 2)))
+    rows = [[math.prod(p[x] for x in mono) for mono in monomials] for p in points]
+    assert len(rows) == len(monomials) == 1 + 2 * m + m * (m - 1) // 2
+    assert linalg.rank(rows) == len(monomials)
 
 
 def test_brackets_must_be_antisymmetric():
