@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify",
                        help="classify a tn-family point up to isomorphism")
-    _add_common(p, "eps", "seed")
+    _add_common(p, "eps")
 
     p = sub.add_parser("lieify", help="commutator Lie algebra and its type")
     _add_common(p, "eps")
@@ -269,7 +269,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_classify(args) -> int:
     A = resolve_algebra(args)
-    out = structure.classify_middle_c(A, eps=args.eps, seed=args.seed)
+    out = structure.classify_middle_c(A, eps=args.eps)
     text = f"type: {out.target}"
     if out.reason:
         text += f"\n  reason: {out.reason}"

@@ -10,7 +10,8 @@ the given units, or over the whole algebra at x = e_i and e_i + e_j: over
 characteristic 0 these points decide a quadratic form in x (Schafer, An
 Introduction to Nonassociative Algebras, 1966, ch. I).  Only the partial
 forms over a unit set not known to be complete, and the division test,
-are sampled.
+are sampled.  The distinguished plane is validated by one elimination of
+its pair beside the unit and the pair's four products.
 """
 
 from __future__ import annotations
@@ -197,15 +198,17 @@ def _resolve_c_span(A: Algebra, c_span, eps: float) -> Tuple[Element, Element]:
         )
     c1, c2 = c_span
     A._own(c1, c2)
-    rows = [list(c1.coords), list(c2.coords)]
-    if linalg.rank(rows, eps) != 2:
+    # one elimination of the columns [c1 c2 | 1, c1c1, c1c2, c2c1, c2c2]
+    # (0 for a missing unit): a later pivot puts its vector outside the plane
+    unit = A.unit or (0,) * A.dim
+    prods = [A.multiply(p, q).coords for p, q in itertools.product((c1, c2), repeat=2)]
+    _, pivots = linalg.rref(list(map(list, zip(c1.coords, c2.coords, unit, *prods))), eps)
+    if pivots[:2] != [0, 1]:
         raise ContextError("the two span elements are linearly dependent")
-    if A.unit is None or not linalg.in_span(rows, list(A.unit), eps):
+    if A.unit is None or 2 in pivots:
         raise ContextError("the distinguished plane must contain the unit element")
-    for p, q in itertools.product((c1, c2), repeat=2):
-        prod = A.multiply(p, q)
-        if not linalg.in_span(rows, list(prod.coords), eps):
-            raise ContextError("the distinguished plane is not closed under products")
+    if len(pivots) > 2:
+        raise ContextError("the distinguished plane is not closed under products")
     return c1, c2
 
 

@@ -122,15 +122,16 @@ def _put(b, i: int, j: int, entries: dict) -> None:
 
 def derived_series(L: LieAlgebra, eps: Optional[float] = None) -> List[list]:
     """Bases of L, [L, L], [[L, L], [L, L]], ... until 0 or stabilisation,
-    each in reduced row form.  [L, L] is spanned by the table rows sc[i][j]
-    (i < j), the brackets of the basis vectors; each deeper term by the
-    brackets of every two rows of the term before, through `multiply`."""
+    each in reduced row form.  [L, L] is spanned by the cube's rows (i, j)
+    (i < j), positive multiples of the brackets of the basis vectors; each
+    deeper term by the brackets of every two rows of the term before,
+    through `multiply`."""
     n = L.dim
     eps = tolerance(eps, L.eps)
     current = [[Fraction(1) if p == i else Fraction(0) for p in range(n)]
                for i in range(n)]
     series = [current]
-    prods = [L.sc[i][j] for i in range(n) for j in range(i + 1, n)]
+    prods = L.cube[np.triu_indices(n, 1)].tolist()
     while True:
         nxt = linalg.row_basis(prods, eps) if prods else []
         series.append(nxt)

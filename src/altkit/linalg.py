@@ -5,7 +5,8 @@ eliminated exactly (pivot threshold 0, whatever epsilon the caller
 passes); as soon as a float appears the caller-supplied epsilon (or the
 global default) decides what counts as zero.  Matrices are small (n <= 22
 in the catalog, `ak(10)`), and one at a time they go through plain Python
-loops.  Two routines take a whole stack of them at once, for the division
+loops.  Span membership has no routine of its own: callers eliminate the
+columns [basis | vectors] with `rref` once and read the pivots.  Two routines take a whole stack of them at once, for the division
 test: `dets`, `det` on floats vectorised bit for bit, and
 `nonsingular_mod`, which decides a determinant's zeroness modulo the prime
 `core.MODULUS`.
@@ -214,7 +215,3 @@ def row_basis(rows, eps: Optional[float] = None) -> list:
     reduced, pivots = rref(rows, eps)
     return [reduced[i] for i in range(len(pivots))]
 
-
-def in_span(basis_rows, vec, eps: Optional[float] = None) -> bool:
-    rows = list(basis_rows)
-    return rank(rows + [list(vec)], eps) == rank(rows, eps)

@@ -9,6 +9,8 @@ complementary plane C with B*C = C*B = C and C*C inside B.  Choosing i in
 B with i*i = -1 and a unit-length w in C, with v = w*i, puts the product
 into the canonical reflection table whose last two rows take values in
 span{1, i}; the eight scalars of those rows are what this module reports.
+Each linear question is one elimination: the nucleus reads its rows from
+the integer cube, and a span test the pivots of the columns [basis | x].
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence
 
-from . import catalog, identities, linalg, units
+from . import catalog, linalg, units
 from .core import (
     Algebra,
     DecompositionError,
@@ -61,10 +63,10 @@ class MorphismReport(NamedTuple):
 def commutative_nucleus(A: Algebra, eps: Optional[float] = None) -> List[Element]:
     """Basis of {x : xy = yx for all y}, via the null space of the stacked
     commutator matrices L_{e_i} - R_{e_i}, whose row (i, r) is
-    sc[i][j][r] - sc[j][i][r] over j."""
-    n, sc = A.dim, A.sc
-    stacked = [[sc[i][j][r] - sc[j][i][r] for j in range(n)]
-               for i in range(n) for r in range(n)]
+    S[i, j, r] - S[j, i, r] over j, S the cube: a positive multiple of the
+    table, so the null space is the same."""
+    n, S = A.dim, A.cube
+    stacked = (S - S.swapaxes(0, 1)).transpose(0, 2, 1).reshape(n * n, n).tolist()
     basis = linalg.null_space(stacked, tolerance(eps, A.eps))
     return [A.element(v) for v in basis]
 
@@ -118,18 +120,22 @@ class ReflectionDecomposition:
         }
 
 
-def _in_plane_coeffs(x: Element, plane: Sequence[Element], eps: float):
-    """Coefficients of x in the span of two elements, or None."""
-    # the overdetermined 2-column system [p0 p1 | x]: a pivot in the
-    # augmented column means x lies outside the span
-    p0, p1 = (p.coords for p in plane)
-    reduced, pivots = linalg.rref([list(row) for row in zip(p0, p1, x.coords)], eps)
-    if 2 in pivots:
+def _columns(elements: Sequence[Element]) -> list:
+    """The matrix whose columns are the elements' coordinates."""
+    return [list(row) for row in zip(*(e.coords for e in elements))]
+
+
+def _plane_coords(plane: Sequence[Element], xs: Sequence[Element], eps: float):
+    """The coefficients of each x in span(plane), a plane, or None if any x
+    lies outside it: a pivot of [p0 p1 | x...] in an x's column."""
+    reduced, pivots = linalg.rref(_columns([*plane, *xs]), eps)
+    if any(p >= 2 for p in pivots):
         return None
-    coeffs = [Fraction(0), Fraction(0)]
-    for row_i, p in enumerate(pivots):
-        coeffs[p] = reduced[row_i][2]
-    return coeffs
+    coords = [[Fraction(0), Fraction(0)] for _ in xs]
+    for row, p in zip(reduced, pivots):
+        for coeffs, value in zip(coords, row[2:]):
+            coeffs[p] = value
+    return coords
 
 
 def _choose_i(A: Algebra, plane: List[Element], eps: float) -> Element:
@@ -144,10 +150,10 @@ def _choose_i(A: Algebra, plane: List[Element], eps: float) -> Element:
     if b is None:
         raise DecompositionError("plus-eigenspace is a line through the unit")
     bb = A.multiply(b, b)
-    coeffs = _in_plane_coeffs(bb, [one, b], eps)
-    if coeffs is None:
+    coords = _plane_coords([one, b], [bb], eps)
+    if coords is None:
         raise DecompositionError("plus-eigenspace is not closed under products")
-    p, q = coeffs
+    (p, q), = coords
     disc = p + q * q / 4
     if disc >= 0 or scalar_is_zero(disc, eps):
         raise DecompositionError("plus-eigenspace is not a copy of the complex plane")
@@ -232,18 +238,13 @@ def reflection_decompose(
             "extraction does not apply"
         )
 
-    def plane_coeffs(x: Element):
-        coeffs = _in_plane_coeffs(x, [one, i_elem], eps)
-        if coeffs is None:
-            raise DecompositionError(
-                "a product of minus-eigenvectors lands outside span{1, i}"
-            )
-        return coeffs
-
-    a1, a2 = plane_coeffs(A.multiply(w, w))
-    b1, b2 = plane_coeffs(A.multiply(w, v))
-    d1, d2 = plane_coeffs(A.multiply(v, w))
-    g1, g2 = plane_coeffs(A.multiply(v, v))
+    coords = _plane_coords([one, i_elem], [A.multiply(x, y) for x, y in
+                                           ((w, w), (w, v), (v, w), (v, v))], eps)
+    if coords is None:
+        raise DecompositionError(
+            "a product of minus-eigenvectors lands outside span{1, i}"
+        )
+    (a1, a2), (b1, b2), (d1, d2), (g1, g2) = coords
     params = (a1, a2, b1, b2, d1, d2, g1, g2)
 
     inside, spans = zip(*(_products_in(A, x, y, t, eps)
@@ -265,11 +266,12 @@ def reflection_decompose(
 
 
 def _products_in(A, left, right, target, eps) -> tuple:
-    """Do the products x*y (x in left, y in right) lie in, and span, span(target)?"""
-    prods = [list(A.multiply(x, y).coords) for x in left for y in right]
-    rows = [list(t.coords) for t in target]
-    r = linalg.rank(rows, eps)
-    return linalg.rank(rows + prods, eps) == r, linalg.rank(prods, eps) == r
+    """Do the products x*y (x in left, y in right) lie in, and span,
+    span(target), a plane?  One elimination of [products | target]: the
+    pivots among the products give their rank, all of them the joint rank."""
+    prods = [A.multiply(x, y) for x in left for y in right]
+    _, pivots = linalg.rref(_columns([*prods, *target]), eps)
+    return len(pivots) == 2, sum(p < len(prods) for p in pivots) == 2
 
 
 @dataclass(frozen=True)
@@ -305,17 +307,17 @@ def target_algebra(name: str) -> Algebra:
         raise ParameterError(f"no classification target named {name!r}") from None
 
 
-def classify_middle_c(source, eps: Optional[float] = None,
-                      seed: int = 0) -> MiddleClassification:
+def classify_middle_c(source, eps: Optional[float] = None) -> MiddleClassification:
     """Classify a tn-family point up to isomorphism.
 
-    Preconditions, all verified: b = c = d = 0 (otherwise the units stay on
-    the line through i and no claim is made); partial left and right
-    alternativity over units drawn from the quadric locus; and the derived
-    constraints f = 0, g = -a, h = 0, e = 0.  The verdict then follows the
-    sign of a: positive -> Mplus, zero -> Mzero, negative -> H, witnessed
-    by the column-scaling map 1->1, i->i, j->sqrt|a| j, k->sqrt|a| k into
-    the target table, which is re-verified as an isomorphism.
+    Preconditions, all checked: b = c = d = 0 (otherwise the units stay on
+    the line through i and no claim is made), and the derived constraints
+    f = 0, g = -a, h = 0, e = 0; a violated one is the reason reported.
+    The verdict then follows the sign of a: positive -> Mplus, zero ->
+    Mzero, negative -> H, witnessed by the column-scaling map 1->1, i->i,
+    j->sqrt|a| j, k->sqrt|a| k into the target table, which is re-verified
+    as an isomorphism.  The target is associative, so a verified witness
+    also proves partial left and right alternativity everywhere.
     """
     A = source if isinstance(source, Algebra) else catalog.tn(**dict(source))
     params = catalog.tn_params(A)
@@ -331,14 +333,6 @@ def classify_middle_c(source, eps: Optional[float] = None,
         )
 
     a = params["a"]
-    locus = units.classify_locus_tn(A)
-    sample = units.locus_sample_points(locus, A, 10, seed=seed)
-    for kind in (identities.IdentityKind.PARTIAL_LEFT_ALT,
-                 identities.IdentityKind.PARTIAL_RIGHT_ALT):
-        report = identities.check_identity(A, kind, units=sample, eps=eps)
-        if not report.holds:
-            return unclassified(f"{kind.value} fails over the unit locus")
-
     constraints = {"f": Fraction(0), "g": -a, "h": Fraction(0), "e": Fraction(0)}
     for name, expected in constraints.items():
         if not scalars_close(params[name], expected, eps):

@@ -263,7 +263,7 @@ def locus_sample_points(
         a = eq["y2"] if eq["x2"] == -1 else -eq["y2"]
         points.extend(rational_locus_points(A, Fraction(a), count - len(points),
                                             seed=seed))
-    return points[:count] if count else points
+    return points[:count]
 
 
 def equation_satisfied(locus: UnitLocus, q: Element, tol: float) -> bool:

@@ -133,7 +133,7 @@ def test_criterion_5_classification():
     for a, target in ([(a, "Mplus") for a in positive]
                       + [(F(0), "Mzero")]
                       + [(a, "H") for a in negative]):
-        out = structure.classify_middle_c({"a": a, "g": -a}, seed=SEED)
+        out = structure.classify_middle_c({"a": a, "g": -a})
         assert out.target == target, (a, out.target, out.reason)
         assert out.witness_verified
         scale = out.witness[2][2]

@@ -264,13 +264,13 @@ def test_seed_and_samples_only_on_verbs_that_read_them(capsys):
                  ["decompose", "--algebra", "mplus", "--samples", "5"],
                  ["lieify", "--algebra", "mplus", "--seed", "1"],
                  ["lieify", "--algebra", "mplus", "--samples", "5"],
+                 ["classify", "--algebra", "mplus", "--seed", "1"],
                  ["classify", "--algebra", "mplus", "--samples", "5"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
     capsys.readouterr()
-    for argv in (["classify", "--algebra", "mplus", "--seed", "1"],
-                 ["units", "--algebra", "complex", "--seed", "1", "--samples", "5"],
+    for argv in (["units", "--algebra", "complex", "--seed", "1", "--samples", "5"],
                  ["check", "--algebra", "quaternions", "--identity", "partial-left-alt",
                   "--seed", "1", "--samples", "5"]):
         code, _, _ = run(capsys, *argv)

@@ -247,9 +247,9 @@ def brute_force_jacobi(L, eps):
 
 
 @st.composite
-def small_tables(draw):
+def small_tables(draw, max_dim=4):
     # sparse tables too: there the quadratic laws often fail only at sums
-    n = draw(st.integers(2, 4))
+    n = draw(st.integers(2, max_dim))
     zeros = draw(st.integers(1, 40))
     entries = st.sampled_from([0] * zeros + [1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
     flat = draw(st.lists(entries, min_size=n ** 3, max_size=n ** 3))
@@ -508,3 +508,93 @@ def test_quadratic_kernel_matches_the_references_on_sparse_tables(sc, rng):
             got = identities._quadratic_witness(A, kind, points, A.eps)
             want = _scan_reference(A, kind, points, A.eps)
             assert (got and got.to_dict()) == (want and want.to_dict()), kind
+
+
+# -- the parent's plane check, kept as the reference ----------------------------
+
+
+def _rank_resolve_c_span(A, c_span, eps):
+    """The rank form: a rank for independence, then one rank comparison per
+    vector (the unit and the four products) for membership."""
+    def in_span(rows, vec):
+        return linalg.rank(rows + [list(vec)], eps) == linalg.rank(rows, eps)
+
+    c1, c2 = c_span
+    A._own(c1, c2)
+    rows = [list(c1.coords), list(c2.coords)]
+    if linalg.rank(rows, eps) != 2:
+        raise ContextError("the two span elements are linearly dependent")
+    if A.unit is None or not in_span(rows, list(A.unit)):
+        raise ContextError("the distinguished plane must contain the unit element")
+    for p, q in itertools.product((c1, c2), repeat=2):
+        if not in_span(rows, list(A.multiply(p, q).coords)):
+            raise ContextError("the distinguished plane is not closed under products")
+    return c1, c2
+
+
+def _outcome(fn, *args):
+    """fn's result, or its exception's type and message."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, never swallowed: the caller asserts
+        return type(exc), str(exc)
+
+
+def _planes(A):
+    """Ordered pairs to try as the distinguished plane: (1, e1), (e1, 1),
+    (1 + e1, 3 e1), (e1, 2 e1), and (e1, e2), (1, e2) where there is an e2;
+    e0 stands in for 1 on a table without a unit."""
+    one = A.one() if A.unit is not None else A.basis(0)
+    e1 = A.basis(1)
+    planes = [(one, e1), (e1, one), (one + e1, 3 * e1), (e1, 2 * e1)]
+    if A.dim > 2:
+        planes += [(e1, A.basis(2)), (one, A.basis(2))]
+    return planes
+
+
+def assert_plane_checks_match(A):
+    """_resolve_c_span gives the reference's pair, or its exception and
+    message, on every plane of `_planes`; returns the messages seen."""
+    seen = set()
+    for span in _planes(A):
+        got = _outcome(identities._resolve_c_span, A, span, A.eps)
+        assert got == _outcome(_rank_resolve_c_span, A, span, A.eps), span
+        seen.add(got[1] if got[0] is ContextError else "ok")
+    return seen
+
+
+def _scaled_past_int64(A):
+    """A with its table times 2^40 + 1 (and its unit over it): a cube of
+    Python ints unless the table is zero."""
+    c = 2 ** 40 + 1
+    unit = None if A.unit is None else [u / c for u in A.unit]
+    big = Algebra([[[x * c for x in cell] for cell in row] for row in A.sc], unit=unit)
+    assert big.cube.dtype == object or not big.cube.any()
+    return big
+
+
+def test_plane_check_matches_the_rank_form_on_catalog():
+    seen = set()
+    for A in CATALOG_TABLES:
+        for B in (A, A.to_float(), _scaled_past_int64(A)):
+            seen |= assert_plane_checks_match(B)
+    # (1, e2) on tn(a=1, b=1) contains the unit and is not closed
+    T = catalog.tn(a=1, b=1)
+    for B in (T, T.to_float(), _scaled_past_int64(T)):
+        seen |= assert_plane_checks_match(B)
+        with pytest.raises(ContextError, match="not closed"):
+            identities._resolve_c_span(B, (B.one(), B.basis(2)), B.eps)
+    assert seen == {"ok", "the two span elements are linearly dependent",
+                    "the distinguished plane must contain the unit element",
+                    "the distinguished plane is not closed under products"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_tables(max_dim=5))
+def test_plane_check_matches_the_rank_form_on_sparse_tables(sc):
+    n = len(sc)
+    exact = Algebra(sc)
+    plane = Algebra(unitalized(sc), unit=[1] + [0] * (n - 1))
+    for A in (exact, plane):
+        for B in (A, A.to_float(), _scaled_past_int64(A)):
+            assert_plane_checks_match(B)

@@ -73,6 +73,34 @@ def _loop_derived_series(L, eps=None):
         current = nxt
 
 
+def _sc_derived_series(L, eps=None):
+    """Reference: [L, L] from the table rows sc[i][j] (i < j), each deeper
+    term from the brackets of every two rows of the term before."""
+    eps = L.eps if eps is None else eps
+    n = L.dim
+    current = [[F(1) if p == i else F(0) for p in range(n)] for i in range(n)]
+    series = [current]
+    prods = [L.sc[i][j] for i in range(n) for j in range(i + 1, n)]
+    while True:
+        nxt = linalg.row_basis(prods, eps) if prods else []
+        series.append(nxt)
+        if len(nxt) == 0 or len(nxt) == len(current):
+            return series
+        current = nxt
+        rows = [L.element(u) for u in current]
+        prods = [(x * y).coords for a, x in enumerate(rows) for y in rows[a + 1:]]
+
+
+def _typed_series(series):
+    return [[[(type(c), repr(c)) for c in row] for row in term] for term in series]
+
+
+def _scaled_lie(L, c=2 ** 40 + 1):
+    """L with every bracket times c: a cube of Python ints."""
+    return lie.LieAlgebra([[[x * c for x in cell] for cell in row] for row in L.sc],
+                          eps=L.eps)
+
+
 def random_tp(rng):
     return catalog.tp(**{n: F(rng.randint(-6, 6), rng.randint(1, 4))
                          for n in TP_NAMES})
@@ -279,6 +307,33 @@ def test_derived_series_matches_the_pairwise_loop(L):
 
     assert typed(lie.derived_series(L)) == typed(_loop_derived_series(L))
     assert lie.derived_dims(L) == [len(term) for term in _loop_derived_series(L)]
+    # and the same as the table-row form, on L and on L scaled past int64
+    assert _typed_series(lie.derived_series(L)) == _typed_series(_sc_derived_series(L))
+    big = _scaled_lie(L)
+    assert _typed_series(lie.derived_series(big)) == _typed_series(_sc_derived_series(big))
+
+
+def test_derived_algebra_reads_the_brackets_of_distinct_basis_vectors():
+    # [e0, e0] = 4e-7 e0 is zero within L's eps, not exactly: at a tighter
+    # eps it would be a direction of its own, but [L, L] is spanned by the
+    # brackets [e_i, e_j], i < j, alone
+    b = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
+    b[0][1][2], b[1][0][2] = 1.0, -1.0
+    b[0][0][0] = 4e-7
+    L = lie.LieAlgebra(b, eps=1e-6)
+    assert lie.derived_dims(L, eps=1e-12) == [3, 1, 0]
+    assert _typed_series(lie.derived_series(L, eps=1e-12)) == \
+        _typed_series(_sc_derived_series(L, eps=1e-12))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 30), st.randoms(use_true_random=False))
+def test_derived_series_matches_the_table_rows_on_sparse_tables(n, zeros, rng):
+    values = [0] * zeros + [1, -1, 2, F(1, 2), F(-3, 2)]
+    sc = [[[rng.choice(values) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    L = lie.lieify(Algebra(sc))
+    for M in (L, lie.lieify(Algebra(sc).to_float()), _scaled_lie(L)):
+        assert _typed_series(lie.derived_series(M)) == _typed_series(_sc_derived_series(M))
 
 
 @pytest.mark.parametrize(

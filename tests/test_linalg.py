@@ -53,14 +53,6 @@ def test_inverse_roundtrip():
         linalg.inverse([[F(1), F(2)], [F(2), F(4)]])
 
 
-def test_in_span():
-    basis = [[F(1), F(0), F(1)], [F(0), F(1), F(1)]]
-    assert linalg.in_span(basis, [F(2), F(3), F(5)])
-    assert not linalg.in_span(basis, [F(0), F(0), F(1)])
-    assert linalg.in_span([], [F(0), F(0)])
-    assert not linalg.in_span([], [F(1), F(0)])
-
-
 def test_row_basis():
     rows = [[F(1), F(1)], [F(2), F(2)], [F(1), F(0)]]
     basis = linalg.row_basis(rows)

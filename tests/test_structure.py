@@ -2,18 +2,21 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from altkit import catalog, identities, linalg, structure
+from altkit import catalog, identities, linalg, structure, units
 from altkit.core import (
     Algebra,
     DimensionError,
     NucleusContradictionError,
     ReflectionError,
     scalar_is_zero,
+    scalars_close,
+    sqrt_scalar,
 )
 
 F = Fraction
@@ -88,7 +91,7 @@ def test_nucleus_invariant_under_automorphisms():
     span = [list(b.coords) for b in nucleus]
     phi = structure.LinearMap(tuple(tuple(row) for row in REFLECTION), H)
     for b in nucleus:
-        assert linalg.in_span(span, list(phi(b).coords))
+        assert linalg.rank(span + [list(phi(b).coords)]) == linalg.rank(span)
 
 
 def test_is_automorphism():
@@ -191,10 +194,11 @@ def test_classify_preconditions():
     assert out.target == "Unclassified"
     assert "confined" in out.reason
 
-    # partial alternativity fails when g is not the derived value
+    # partial alternativity fails when g is not the derived value; the
+    # reason names the violated constant
     out = structure.classify_middle_c({"a": 4, "g": -1})
     assert out.target == "Unclassified"
-    assert "partial" in out.reason or "constant" in out.reason
+    assert out.reason == "table constant g = -1 violates the derived value -4"
 
 
 def test_classify_accepts_algebra_input():
@@ -324,3 +328,244 @@ def test_maps_of_the_wrong_shape_are_rejected(bad):
         structure.reflection_decompose(H, bad)
     with pytest.raises(DimensionError):
         structure.LinearMap(tuple(map(tuple, bad)), H)
+
+
+# -- the parent's routines, kept as references ----------------------------------
+
+
+def _sc_nucleus(A, eps=None):
+    """The null space of the Fraction (or float) rows sc[i][j][r] -
+    sc[j][i][r] over j, one row per (i, r)."""
+    n, sc = A.dim, A.sc
+    stacked = [[sc[i][j][r] - sc[j][i][r] for j in range(n)]
+               for i in range(n) for r in range(n)]
+    eps = A.eps if eps is None else eps
+    return [A.element(v) for v in linalg.null_space(stacked, eps)]
+
+
+def _in_plane_coeffs(x, plane, eps):
+    """One elimination per vector: the coefficients of x in span(plane)."""
+    p0, p1 = (p.coords for p in plane)
+    reduced, pivots = linalg.rref([list(row) for row in zip(p0, p1, x.coords)], eps)
+    if 2 in pivots:
+        return None
+    coeffs = [F(0), F(0)]
+    for row_i, p in enumerate(pivots):
+        coeffs[p] = reduced[row_i][2]
+    return coeffs
+
+
+def _four_plane_coords(plane, xs, eps):
+    coords = [_in_plane_coeffs(x, plane, eps) for x in xs]
+    return None if any(c is None for c in coords) else coords
+
+
+def _three_rank_products_in(A, left, right, target, eps):
+    prods = [list(A.multiply(x, y).coords) for x in left for y in right]
+    rows = [list(t.coords) for t in target]
+    r = linalg.rank(rows, eps)
+    return linalg.rank(rows + prods, eps) == r, linalg.rank(prods, eps) == r
+
+
+def _gated_classify(source, eps=None, seed=0):
+    """The classifier that first samples partial left and right
+    alternativity at 10 locus points, then checks the constraints."""
+    A = source if isinstance(source, Algebra) else catalog.tn(**dict(source))
+    params = catalog.tn_params(A)
+    eps = A.eps if eps is None else eps
+    if any(params[key] != 0 for key in ("b", "c", "d")):
+        return "Unclassified", None, None
+    a = params["a"]
+    sample = units.locus_sample_points(units.classify_locus_tn(A), A, 10, seed=seed)
+    for kind in (identities.IdentityKind.PARTIAL_LEFT_ALT,
+                 identities.IdentityKind.PARTIAL_RIGHT_ALT):
+        if not identities.check_identity(A, kind, units=sample, eps=eps).holds:
+            return "Unclassified", None, None
+    for name, expected in {"f": 0, "g": -a, "h": 0, "e": 0}.items():
+        if not scalars_close(params[name], expected, eps):
+            return "Unclassified", None, None
+    if scalar_is_zero(a, eps):
+        target_name, scale = "Mzero", F(1)
+    elif a > 0:
+        target_name, scale = "Mplus", sqrt_scalar(a)
+    else:
+        target_name, scale = "H", sqrt_scalar(-a)
+    witness = [[1 if r == c else 0 for c in range(4)] for r in range(4)]
+    witness[2][2] = witness[3][3] = scale
+    target = structure.target_algebra(target_name)
+    verified = structure.is_isomorphism(A, target, witness, eps).ok
+    return target_name, tuple(tuple(row) for row in witness), verified
+
+
+def _typed_row(row):
+    return [(type(c), repr(c)) for c in row]
+
+
+def _typed(elements):
+    return [_typed_row(e.coords) for e in elements]
+
+
+def _scaled(A, c=2 ** 40 + 1):
+    """A with its table times c and its unit over c (Python-int cube)."""
+    unit = None if A.unit is None else [u / c for u in A.unit]
+    return Algebra([[[x * c for x in cell] for cell in row] for row in A.sc],
+                   unit=unit, eps=A.eps)
+
+
+STRUCTURE_TABLES = [
+    catalog.ak(1, a11=1, a12=1),
+    catalog.ak(2, a11=F(1, 3), a12=2, a21=F(5, 2), a22=7),
+    catalog.ak(3),
+    catalog.tn(a=-3, b=1, c=2, d=F(1, 2), f=1, g=-1, h=3, e=F(-2, 3)),
+    catalog.tn(a=2, b=1),
+    catalog.tn(a=-1, g=1, h=1),
+    catalog.tc(a=2, b=F(-1, 3), f=1, g=2, h=1),
+    catalog.tp(alpha1=-1, beta2=-1, delta2=1, gamma1=-1),
+    catalog.mplus(),
+    catalog.mzero(),
+    catalog.quaternions(),
+    catalog.complex_numbers(),
+]
+
+
+def _seeded_tables(count, seed=5):
+    """Seeded tn, tc and tp points with small rational constants, many of
+    them zero."""
+    rng = random.Random(seed)
+
+    def draw():
+        return F(rng.randint(-4, 4), rng.randint(1, 3)) * rng.randint(0, 1)
+
+    names = {catalog.tn: "abcdfghe", catalog.tc: "abfg",
+             catalog.tp: ("alpha1", "alpha2", "beta1", "beta2",
+                          "delta1", "delta2", "gamma1", "gamma2")}
+    builders = list(names)
+    out = []
+    for k in range(count):
+        build = builders[k % 3]
+        params = {p: draw() for p in names[build]}
+        if build is catalog.tc:
+            params["h"] = rng.randint(0, 1)  # tc takes h = 0 or 1
+        out.append(build(**params))
+    return out
+
+
+def assert_nucleus_matches(A):
+    got = structure.commutative_nucleus(A)
+    assert _typed(got) == _typed(_sc_nucleus(A))
+    return got
+
+
+@pytest.mark.parametrize("A", STRUCTURE_TABLES + _seeded_tables(12), ids=repr)
+def test_nucleus_from_the_cube_matches_the_table_loop(A):
+    # the same basis vector for vector and type for type (a float's repr
+    # is exact, so bit for bit, signed zeros included)
+    dims = {len(assert_nucleus_matches(B)) for B in (A, A.to_float(), _scaled(A))}
+    assert len(dims) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 30), st.randoms(use_true_random=False))
+def test_nucleus_from_the_cube_matches_the_table_loop_on_sparse_tables(n, zeros, rng):
+    values = [0] * zeros + [1, -1, 2, F(1, 2), F(-3, 2)]
+    sc = [[[rng.choice(values) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.5:  # symmetrize part of the table: larger nuclei
+        for i, j in itertools.combinations(range(n), 2):
+            if rng.random() < 0.5:
+                sc[j][i] = list(sc[i][j])
+    A = Algebra(sc)
+    for B in (A, A.to_float(), _scaled(A)):
+        assert_nucleus_matches(B)
+
+
+REFLECTIONS = [[[1, 0, 0, 0], [0, s1, 0, 0], [0, 0, s2, 0], [0, 0, 0, s3]]
+               for s1, s2, s3 in itertools.product((1, -1), repeat=3)]
+
+
+def _decomposition(A, phi):
+    """reflection_decompose's outcome with every scalar typed, or its
+    exception's type and message."""
+    try:
+        dec = structure.reflection_decompose(A, phi)
+    except Exception as exc:  # compared, never swallowed: the caller asserts
+        return type(exc), str(exc)
+    return (_typed(dec.B_basis), _typed(dec.C_basis), _typed(dec.tp_basis),
+            _typed_row(dec.tp_params), dec.verdicts)
+
+
+def _reference_decomposition(A, phi):
+    with mock.patch.object(structure, "_plane_coords", _four_plane_coords), \
+            mock.patch.object(structure, "_products_in", _three_rank_products_in):
+        return _decomposition(A, phi)
+
+
+def test_reflection_split_matches_the_per_vector_eliminations():
+    outcomes = set()
+    tables = STRUCTURE_TABLES + _seeded_tables(24) + [
+        catalog.tn(a=4, g=-4), catalog.tn(a=2, g=-2), catalog.tn(a=-2, g=2)]
+    for A in tables:
+        for B in (A, A.to_float(), _scaled(A)):
+            for phi in REFLECTIONS:
+                got = _decomposition(B, phi)
+                assert got == _reference_decomposition(B, phi), (B, phi)
+                outcomes.add(got[1] if isinstance(got[0], type) else "ok")
+    # non-diagonal reflections, and a float map on an exact table
+    Q = catalog.quaternions()
+    swap = [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    rot = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]]
+    floats = [[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, -1.0, 0], [0, 0, 0, -1.0]]
+    for B in (Q, Q.to_float()):
+        for phi in (swap, rot, floats):
+            assert _decomposition(B, phi) == _reference_decomposition(B, phi)
+    assert "ok" in outcomes and len(outcomes) > 3
+
+
+def test_plane_coords_and_products_in_match_the_references():
+    # the helpers alone: vectors in, and out of, the plane, and product
+    # sets that fall short of the target plane, fill it, or leave it
+    H = catalog.quaternions()
+    for B in (H, H.to_float(), _scaled(H)):
+        one, i, j, k = B.basis_elements()
+        plane = [one, i]
+        for xs in ([one], [i, one + i, 3 * i], [one, j], [k, i], [one - i, 2 * one]):
+            got = structure._plane_coords(plane, xs, B.eps)
+            want = _four_plane_coords(plane, xs, B.eps)
+            assert (got and [_typed_row(c) for c in got]) == \
+                (want and [_typed_row(c) for c in want]), xs
+        for left, right, target in (([one], [j], [j, k]), ([one, i], [j, k], [j, k]),
+                                    ([j, k], [j, k], [one, i]), ([i], [i], [one, i]),
+                                    ([one], [i, j], [j, k]), ([i, j], [j], [one, k])):
+            got = structure._products_in(B, left, right, target, B.eps)
+            assert got == _three_rank_products_in(B, left, right, target, B.eps)
+        assert structure._products_in(B, [one], [j], [j, k], B.eps) == (True, False)
+        assert structure._products_in(B, [one, i], [j, k], [j, k], B.eps) == (True, True)
+        assert structure._products_in(B, [one], [i, j], [j, k], B.eps) == (False, True)
+
+
+def _tn_points(count, seed=7):
+    """Seeded tn points: mostly on b = c = d = 0, often with g = -a and
+    f = h = e = 0, sometimes off by one constant."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        a = F(rng.randint(-9, 9), rng.randint(1, 4))
+        params = {"a": a, "g": -a}
+        roll = rng.random()
+        if roll < 0.15:
+            params[rng.choice("bcd")] = F(rng.randint(1, 3))
+        elif roll < 0.55:
+            params[rng.choice("fghe")] = F(rng.randint(-3, 3), rng.randint(1, 2))
+        out.append(params)
+    return out
+
+
+def test_classifier_matches_the_gated_classifier():
+    targets = set()
+    for params in _tn_points(160):
+        A = catalog.tn(**params)
+        for B in (A, A.to_float()):
+            out = structure.classify_middle_c(B)
+            assert (out.target, out.witness, out.witness_verified) == \
+                _gated_classify(B), params
+            targets.add(out.target)
+    assert targets == {"Mplus", "Mzero", "H", "Unclassified"}
