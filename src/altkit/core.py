@@ -523,7 +523,11 @@ class Algebra:
         """The product loop: out[k] = sum u_i v_j c over the (i, u_i) and
         (j, v_j) pairs given and the entries (k, c) of the table's sparse
         rows (the integers sc * _scale on an exact table).  A coordinate no
-        term reaches stays the int 0."""
+        term reaches stays the int 0.  The values u_i and v_j may be numpy
+        columns, one entry per vector: then out[k] is a column whose
+        entries are summed in the order each vector's own call sums them,
+        with zero terms added where that call skips a zero coordinate
+        (which can change only the sign of a zero sum)."""
         rows = self._rows
         out = [0] * self.dim
         for i, ui in u:

@@ -48,6 +48,9 @@ KIND_HYPERBOLOID = "hyperboloid-two-sheets"
 KIND_PLANES = "parallel-planes"
 KIND_CLOUD = "sampled-cloud"
 
+# cells of one block of the dedup mask: bounds its memory at any sample count
+_BLOCK_CELLS = 1 << 14
+
 
 @dataclass(frozen=True)
 class UnitLocus:
@@ -102,11 +105,18 @@ def solve_units_sampled(
     with the symmetrised table gives, per row, J = L_q + R_q and, since
     J(q)q = 2 q*q, also F = J(q)q/2 + 1; one stacked solve then steps every
     row.  Rows with max|F| <= tol leave as converged.  A row is abandoned
-    when its Jacobian is exactly singular (such an iteration is redone row
-    by row), its step is not finite, it leaves max|q| <= 1e6, or it has not
-    converged after 100 iterations.  Converged points are
-    deduplicated in start order at distance 10*tol and re-verified before
-    being returned as a sampled cloud.
+    when its Jacobian is exactly singular, its step is not finite, it
+    leaves max|q| <= 1e6, or it has not converged after 100 iterations.
+    When the stacked solve meets a singular Jacobian, one batched
+    ``slogdet`` finds every such row (its sign is 0 exactly where LAPACK's
+    LU factorisation meets a zero pivot, which is where the solve fails);
+    those rows ride along as I * step = 0 and the stack is solved again.
+    Converged points are deduplicated in start order: a point is kept
+    unless a kept point lies within 10*tol of it in every coordinate.  The
+    kept points are re-checked together, q*q + 1 within tol in every
+    coordinate, by the product loop of `Algebra._accumulate` run on their
+    coordinate columns, and those that pass are returned as a sampled
+    cloud.
     """
     if A.unit is None:
         raise AlgebraError("unit sampling needs a unital algebra")
@@ -115,7 +125,7 @@ def solve_units_sampled(
         raise ParameterError(f"seed count must be nonnegative, got {seeds}")
     rng = random.Random(seed)
     n = A.dim
-    sc = np.array(A.sc, dtype=float)
+    sc = _float_cube(A)
     one = np.array(A.unit, dtype=float)
     # row x of x @ sym, read as an n x n matrix G, has G[j, k] = (x*e_j + e_j*x)_k
     sym = (sc + sc.transpose(1, 0, 2)).reshape(n, n * n)
@@ -137,39 +147,77 @@ def solve_units_sampled(
         converged[live[done]] = True
         # converged rows ride along in the solve as I * step = 0
         G[done], res[done] = basis, 0.0
-        J = G.transpose(0, 2, 1)
+        J = G.transpose(0, 2, 1)  # a view: writing G writes J
+        ok = ~done
         try:
             step = np.linalg.solve(J, res[..., None])[..., 0]
-            ok = ~done
         except np.linalg.LinAlgError:
-            # some Jacobian is exactly singular: abandon those rows only
-            step = np.zeros_like(res)
-            ok = np.zeros(len(live), dtype=bool)
-            for r in np.flatnonzero(~done):
-                try:
-                    step[r] = np.linalg.solve(J[r], res[r])
-                    ok[r] = True
-                except np.linalg.LinAlgError:
-                    pass
+            singular = np.linalg.slogdet(J)[0] == 0
+            G[singular], res[singular] = basis, 0.0
+            ok &= ~singular
+            step = np.linalg.solve(J, res[..., None])[..., 0]
         ok &= np.all(np.isfinite(step), axis=1)
         live, xl = live[ok], xl[ok] - step[ok]
         inside = np.max(np.abs(xl), axis=1) <= 1e6
         live = live[inside]
         x[live] = xl[inside]
 
-    found = np.empty((int(converged.sum()), n))
-    count = 0
-    for xc in x[converged]:
-        if np.all(np.max(np.abs(found[:count] - xc), axis=1) > 10 * tol):
-            found[count] = xc
-            count += 1
+    found = x[converged]
+    found = found[_first_apart(found, 10 * tol)]
+    # q*q + 1 per coordinate, as `verify_unit` sums it point by point
+    cols = list(enumerate(found.T))
+    passed = np.ones(len(found), dtype=bool)
+    for acc, u in zip(A._accumulate(cols, cols), A.unit):
+        if isinstance(acc, int):  # no table entry reaches this coordinate
+            passed &= scalar_is_zero(u, tol)
+        else:
+            passed &= np.abs(acc / A._scale + float(u)) <= tol
+    points = tuple(A.element(xc.tolist()) for xc in found[passed])
+    return UnitLocus(KIND_CLOUD, points, None, tuple(range(n)))
 
-    points = []
-    for xc in found[:count]:
-        q = A.element(xc.tolist())
-        if verify_unit(A, q, tol):
-            points.append(q)
-    return UnitLocus(KIND_CLOUD, tuple(points), None, tuple(range(n)))
+
+def _float_cube(A: Algebra) -> np.ndarray:
+    """The table as float64, each entry the float nearest its value.  An
+    exact table is read from its integer rows: c / scale, a quotient of
+    ints, rounds once, so it equals float() of the Fraction at any size."""
+    if A.scalar_mode == "float":
+        # the table's -0.0 entries fix the sign of a zero coordinate
+        return np.array(A.sc, dtype=float)
+    n = A.dim
+    sc = np.zeros((n, n, n))
+    for i, row in enumerate(A._rows):
+        for j, cell in enumerate(row):
+            for k, c in cell:
+                sc[i, j, k] = c / A._scale
+    return sc
+
+
+def _first_apart(X: np.ndarray, radius: float) -> np.ndarray:
+    """Mask of the rows of X kept greedily in order: a row is kept unless a
+    kept row lies within ``radius`` of it in every coordinate.  A block of
+    rows is compared, one coordinate at a time, with the rows kept before
+    it and with itself, so memory stays near _BLOCK_CELLS cells whatever
+    the row count."""
+    m, n = X.shape
+    keep = np.zeros(m, dtype=bool)
+    height = max(1, _BLOCK_CELLS // max(m, 1))
+    for a in range(0, m, height):
+        b = min(a + height, m)
+        others = np.concatenate([X[:a][keep[:a]], X[a:b]])
+        kept = len(others) - (b - a)
+        near = np.ones((b - a, len(others)), dtype=bool)
+        gap = np.empty(near.shape)
+        for c in range(n):
+            np.subtract(X[a:b, c, None], others[:, c], out=gap)
+            near &= np.abs(gap, out=gap) <= radius
+        alive = ~near[:, :kept].any(axis=1)
+        # in order, each kept row drops the later rows of the block near it
+        later = np.triu(near[:, kept:], 1)
+        for r in np.flatnonzero(later.any(axis=1)):
+            if alive[r]:
+                alive &= ~later[r]
+        keep[a:b] = alive
+    return keep
 
 
 # -- exact loci for tn-family points ------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from altkit import catalog, units
-from altkit.core import Algebra, ParameterError
+from altkit.core import Algebra, ParameterError, tolerance
 
 F = Fraction
 
@@ -156,6 +156,215 @@ def test_newton_rejects_bad_arguments():
     for kwargs in bad:
         with pytest.raises(ParameterError):
             units.solve_units_sampled(H, **kwargs)
+
+
+def _newton_reference(A, seeds=200, tol=None, seed=0):
+    """The solver with its slow paths unbatched: an iteration that meets an
+    exactly singular Jacobian is redone row by row, converged points are
+    deduplicated one at a time against the kept ones, and each kept point
+    is re-verified as an Element."""
+    tol = tolerance(tol, A.eps)
+    rng = random.Random(seed)
+    n = A.dim
+    sc = np.array(A.sc, dtype=float)
+    one = np.array(A.unit, dtype=float)
+    sym = (sc + sc.transpose(1, 0, 2)).reshape(n, n * n)
+
+    basis = np.eye(n)
+    draws = [rng.uniform(-2.0, 2.0) for _ in range(seeds * n)]
+    x = np.vstack([np.stack([basis, -basis], axis=1).reshape(2 * n, n),
+                   np.reshape(draws, (seeds, n))])
+
+    converged = np.zeros(len(x), dtype=bool)
+    live = np.arange(len(x))
+    for _ in range(100):
+        if not live.size:
+            break
+        xl = x[live]
+        G = (xl @ sym).reshape(-1, n, n)
+        res = 0.5 * np.einsum("sj,sjk->sk", xl, G) + one
+        done = np.max(np.abs(res), axis=1) <= tol
+        converged[live[done]] = True
+        G[done], res[done] = basis, 0.0
+        J = G.transpose(0, 2, 1)
+        try:
+            step = np.linalg.solve(J, res[..., None])[..., 0]
+            ok = ~done
+        except np.linalg.LinAlgError:
+            step = np.zeros_like(res)
+            ok = np.zeros(len(live), dtype=bool)
+            for r in np.flatnonzero(~done):
+                try:
+                    step[r] = np.linalg.solve(J[r], res[r])
+                    ok[r] = True
+                except np.linalg.LinAlgError:
+                    pass
+        ok &= np.all(np.isfinite(step), axis=1)
+        live, xl = live[ok], xl[ok] - step[ok]
+        inside = np.max(np.abs(xl), axis=1) <= 1e6
+        live = live[inside]
+        x[live] = xl[inside]
+
+    found = np.empty((int(converged.sum()), n))
+    count = 0
+    for xc in x[converged]:
+        if np.all(np.max(np.abs(found[:count] - xc), axis=1) > 10 * tol):
+            found[count] = xc
+            count += 1
+
+    points = []
+    for xc in found[:count]:
+        q = A.element(xc.tolist())
+        if units.verify_unit(A, q, tol):
+            points.append(q)
+    return points
+
+
+def _scaled_quaternions():
+    # i*j = (1 + 3^-40) k: the table's scale 3^40 is past 2^53, and float
+    # rounds the entry to 1.0 while the exact re-check does not
+    H = catalog.quaternions()
+    sc = [[list(cell) for cell in row] for row in H.sc]
+    sc[1][2] = [c * (1 + F(1, 3 ** 40)) for c in sc[1][2]]
+    return Algebra(sc, labels=H.labels, unit=H.unit)
+
+
+def _split_complex():
+    # j*j = +1: q*q = -1 has no real solution
+    return Algebra([[[1, 0], [0, 1]], [[0, 1], [1, 0]]], labels=["1", "j"], unit=[1, 0])
+
+
+_NEWTON_TABLES = [
+    catalog.quaternions(),
+    catalog.mplus(),
+    catalog.mzero(),
+    catalog.complex_numbers(),
+    catalog.tn(a=2, b=1),
+    catalog.tn(a=-1, g=1, h=1),
+    catalog.tc(a=F(1, 2), b=F(-5, 2), f=F(3, 2), g=F(1, 2), h=1),
+    _seeded_tp(3),
+    catalog.ak(2),
+    catalog.ak(5),
+    _scaled_quaternions(),
+    _split_complex(),
+]
+_NEWTON_TABLES += [A.to_float() for A in _NEWTON_TABLES]
+
+
+def _hex_points(points):
+    return [tuple(float(c).hex() for c in q.coords) for q in points]
+
+
+@pytest.mark.parametrize("A", _NEWTON_TABLES, ids=repr)
+def test_newton_matches_unbatched_reference_bit_for_bit(A):
+    # float.hex keeps the sign of a zero; exact tables hold float points
+    for seeds, seed in itertools.product((0, 7, 200), range(3)):
+        cloud = units.solve_units_sampled(A, seeds=seeds, seed=seed)
+        assert cloud.kind == units.KIND_CLOUD and cloud.ambient == tuple(range(A.dim))
+        assert all(type(c) is float for q in cloud.points for c in q.coords)
+        assert _hex_points(cloud.points) == \
+            _hex_points(_newton_reference(A, seeds=seeds, seed=seed)), (seeds, seed)
+
+
+@pytest.mark.parametrize("build", [catalog.mplus, lambda: catalog.ak(3)],
+                         ids=["mplus", "ak3"])
+def test_slogdet_sign_is_zero_exactly_where_solve_raises(build):
+    # the solver finds the rows that made a stacked solve fail by the sign of
+    # slogdet: LU meets a zero pivot in both, or in neither
+    A = build()
+    n = A.dim
+    sc = units._float_cube(A)
+    sym = (sc + sc.transpose(1, 0, 2)).reshape(n, n * n)
+    x = np.vstack([np.eye(n), -np.eye(n),
+                   np.random.default_rng(0).uniform(-2, 2, (6, n))])
+    G = (x @ sym).reshape(-1, n, n)
+    J = G.transpose(0, 2, 1)
+    singular = np.linalg.slogdet(J)[0] == 0
+    raises = []
+    for Jr in J:
+        try:
+            np.linalg.solve(Jr, np.ones(n))
+            raises.append(False)
+        except np.linalg.LinAlgError:
+            raises.append(True)
+    assert singular.tolist() == raises
+    assert singular[:2 * n].any() and not singular.all()
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(J, np.ones((len(J), n, 1)))
+    G[singular] = np.eye(n)
+    np.linalg.solve(J, np.ones((len(J), n, 1)))
+
+
+@pytest.mark.parametrize("build,stacks", [
+    (catalog.mplus, [8, 8, 2, 2]),
+    (lambda: catalog.ak(3), [16, 16, 2, 2]),
+], ids=["mplus", "ak3"])
+def test_singular_rows_are_abandoned_after_one_stacked_retry(build, stacks, monkeypatch):
+    # from the +-basis starts alone: the first iteration's stack fails and is
+    # solved once more without row-by-row solves; the +-1 rows step to 0,
+    # where J = 0, and leave with the second iteration's retry
+    sizes = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        sizes.append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    A = build()
+    assert len(units.solve_units_sampled(A, seeds=0).points) == 2
+    assert sizes == stacks
+
+
+def test_first_apart_keeps_points_greedily_in_order(monkeypatch):
+    tol = 2.0 ** -30
+    r = 10 * tol
+    # a point exactly 10*tol away is a duplicate; 2r is apart from the kept 0
+    # although it is within r of the dropped r
+    X = np.array([[0.0, 1.0], [r, 1.0], [2 * r, 1.0], [0.0, 1.0 + 3 * r]])
+    assert units._first_apart(X, r).tolist() == [True, False, True, True]
+    assert units._first_apart(np.empty((0, 3)), r).shape == (0,)
+
+    def greedy(X):
+        kept = []
+        for i, xc in enumerate(X):
+            if all(np.max(np.abs(X[j] - xc)) > r for j in kept):
+                kept.append(i)
+        return kept
+
+    rng = np.random.default_rng(1)
+    X = rng.integers(-3, 4, (300, 3)) * (r / 2)
+    want = greedy(X)
+    for cells in (units._BLOCK_CELLS, 1, 7, 1000):
+        monkeypatch.setattr(units, "_BLOCK_CELLS", cells)
+        assert np.flatnonzero(units._first_apart(X, r)).tolist() == want, cells
+
+
+@pytest.mark.parametrize("A", [
+    catalog.ak(1, a11=1, a12=1),
+    catalog.ak(2, a11=F(1, 3), a12=2, a21=F(5, 2), a22=7),
+    catalog.ak(3),
+    catalog.ak(10),
+    catalog.tn(a=-3, b=1, c=2, d=F(1, 2), f=1, g=-1, h=3, e=F(-2, 3)),
+    catalog.tn(a=2, b=1),
+    catalog.tn(a=-1, g=1, h=1),
+    catalog.tc(a=2, b=F(-1, 3), f=1, g=2, h=1),
+    catalog.tc(a=F(1, 2), b=F(-5, 2), f=F(3, 2), g=F(1, 2), h=1),
+    catalog.tp(alpha1=-1, beta2=-1, delta2=1, gamma1=-1),
+    catalog.tp(alpha1=F(1, 2), alpha2=3, beta1=F(-4, 3), beta2=1,
+               delta1=2, delta2=F(1, 5), gamma1=-1, gamma2=F(7, 4)),
+    catalog.mplus(),
+    catalog.mzero(),
+    catalog.quaternions(),
+    catalog.complex_numbers(),
+    _scaled_quaternions(),
+], ids=repr)
+def test_float_cube_is_float_of_each_entry(A):
+    for table in (A, A.to_float()):
+        want = np.array(table.sc, dtype=float)
+        got = units._float_cube(table)
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize(
