@@ -16,7 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional
 
+import numpy as np
+
 from . import catalog, identities, lie, structure, units
+from .core import _fits_int64
 from .identities import IdentityKind
 
 
@@ -384,21 +387,48 @@ def claim_lie_derived_series(opt: SuiteOptions):
 # -- property suites --------------------------------------------------------------
 
 
+def _bilinearity_draws(rng: random.Random, algebras, samples: int) -> list:
+    """The draws of the bilinearity samples, sample s on the algebra
+    algebras[s % len(algebras)], in the order a loop of one Element per
+    sample takes them: al, be, then the coordinates of x, y and z, each
+    `identities.random_rational`'s randint(-6, 6) over randint(1, 4).  A
+    value num/den is kept as num * (12 // den), its value over 12, and each
+    algebra's samples as the rows [al, be, x, y, z] of one array: int64, or
+    Python ints where `_fits_int64` fails for the claim's products."""
+    k, randint = len(algebras), rng.randint
+    draws = []
+    for a, alg in enumerate(algebras):
+        n = alg.dim
+        smax = int(np.abs(alg.cube).max(initial=0))
+        # entries of (al x + be y) z and al xz + be yz: n^2 terms, each up to
+        # 2 * 72^3 * smax over 12^3
+        dtype = np.int64 if _fits_int64(n, smax, 2 * 72 ** 3) else object
+        draws.append(np.empty(((samples - a + k - 1) // k, 2 + 3 * n), dtype=dtype))
+    for s in range(samples):
+        row = draws[s % k][s // k]
+        row[:] = [randint(-6, 6) * (12 // randint(1, 4)) for _ in range(len(row))]
+    return draws
+
+
 def claim_props_bilinearity(opt: SuiteOptions):
-    rng = random.Random(opt.seed)
-    A = catalog.quaternions()
-    B = catalog.ak(2, a11=2, a12=Fraction(1, 2), a21=3, a22=1)
-    for n in range(1000):
-        alg = A if n % 2 == 0 else B
-        al = identities.random_rational(rng)
-        be = identities.random_rational(rng)
-        x = identities.random_element(alg, rng)
-        y = identities.random_element(alg, rng)
-        z = identities.random_element(alg, rng)
-        left = alg.multiply(al * x + be * y, z)
-        assert left == al * alg.multiply(x, z) + be * alg.multiply(y, z)
-        right = alg.multiply(z, al * x + be * y)
-        assert right == al * alg.multiply(z, x) + be * alg.multiply(z, y)
+    """(al x + be y) z = al xz + be yz and z (al x + be y) = al zx + be zy
+    at 1000 exact random samples, alternating between the quaternions and
+    an ak(2) table.  The samples are the draws of one Element per sample,
+    taken as integers over 12 (`_bilinearity_draws`).  Each product of an
+    operand pair is one batched `Algebra.multiply_rows` call over all of an
+    algebra's samples, and the two sides are compared exactly."""
+    algebras = (catalog.quaternions(),
+                catalog.ak(2, a11=2, a12=Fraction(1, 2), a21=3, a22=1))
+    draws = _bilinearity_draws(random.Random(opt.seed), algebras, 1000)
+    for alg, D in zip(algebras, draws):
+        n, mul = alg.dim, alg.multiply_rows
+        al, be = D[:, :1], D[:, 1:2]
+        x, y, z = D[:, 2:2 + n], D[:, 2 + n:2 + 2 * n], D[:, 2 + 2 * n:]
+        w = al * x + be * y
+        assert np.array_equal(mul(w, z), al * mul(x, z) + be * mul(y, z)), \
+            f"{alg}: the product is not linear in its left argument"
+        assert np.array_equal(mul(z, w), al * mul(z, x) + be * mul(z, y)), \
+            f"{alg}: the product is not linear in its right argument"
 
 
 def claim_props_implications(opt: SuiteOptions):

@@ -548,6 +548,33 @@ class Algebra:
             return [acc / scale if acc else acc for acc in out]
         return out
 
+    def multiply_rows(self, X, Y) -> np.ndarray:
+        """The (N, n) array whose row c is _scale times the product of the
+        coordinate rows X[c] and Y[c]: the loop of `_accumulate` run once
+        over the coordinate columns.  Integer rows on an exact table give
+        int64, or Python ints (object) where `_fits_int64` fails for the
+        rows' largest entries; float rows, or any rows on a float table,
+        give floats summed as each row's own `_mul_coords` call sums them
+        before its division by _scale."""
+        X, Y = np.asarray(X), np.asarray(Y)
+        if X.ndim != 2 or X.shape != Y.shape or X.shape[1] != self.dim:
+            raise DimensionError(
+                f"rows must be two (N, {self.dim}) arrays, got {X.shape} and {Y.shape}")
+        if self._scalar_mode == "float" or "f" in (X.dtype.kind, Y.dtype.kind):
+            dtype = float
+        else:
+            dtype = np.int64
+            vmax = int(np.abs(X).max(initial=0)) * int(np.abs(Y).max(initial=0))
+            if object in (X.dtype, Y.dtype) or not _fits_int64(
+                    self.dim, int(np.abs(self.cube).max(initial=0)), vmax):
+                dtype = object
+            X, Y = X.astype(dtype), Y.astype(dtype)
+        cols = self._accumulate(list(enumerate(X.T)), list(enumerate(Y.T)))
+        out = np.zeros((len(X), self.dim), dtype=dtype)
+        for k, col in enumerate(cols):
+            out[:, k] = col
+        return out
+
     def _own(self, *elements: Element) -> None:
         for e in elements:
             if not isinstance(e, Element):

@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import MODULUS, DimensionError, SingularMatrixError, scalar_is_zero, tolerance
+from .core import MODULUS, DimensionError, scalar_is_zero, tolerance
 
 
 def _has_float(mat) -> bool:
@@ -196,16 +196,6 @@ def nonsingular_mod(mats) -> np.ndarray:
         a[:, c + 1:, c:] = (below * a[:, c, c, None, None]
                             - below[:, :, :1] * a[:, c, None, c:]) % MODULUS
     return alive.reshape(shape)
-
-
-def inverse(mat, eps: Optional[float] = None):
-    n = len(mat)
-    aug = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(mat)]
-    rows, pivots = rref(aug, eps)
-    if len(pivots) < n or pivots[:n] != list(range(n)):
-        raise SingularMatrixError("matrix is singular")
-    return [row[n:] for row in rows[:n]]
 
 
 def row_basis(rows, eps: Optional[float] = None) -> list:

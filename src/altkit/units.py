@@ -114,9 +114,8 @@ def solve_units_sampled(
     Converged points are deduplicated in start order: a point is kept
     unless a kept point lies within 10*tol of it in every coordinate.  The
     kept points are re-checked together, q*q + 1 within tol in every
-    coordinate, by the product loop of `Algebra._accumulate` run on their
-    coordinate columns, and those that pass are returned as a sampled
-    cloud.
+    coordinate, by one `Algebra.multiply_rows` call on their coordinate
+    rows, and those that pass are returned as a sampled cloud.
     """
     if A.unit is None:
         raise AlgebraError("unit sampling needs a unital algebra")
@@ -165,13 +164,8 @@ def solve_units_sampled(
     found = x[converged]
     found = found[_first_apart(found, 10 * tol)]
     # q*q + 1 per coordinate, as `verify_unit` sums it point by point
-    cols = list(enumerate(found.T))
-    passed = np.ones(len(found), dtype=bool)
-    for acc, u in zip(A._accumulate(cols, cols), A.unit):
-        if isinstance(acc, int):  # no table entry reaches this coordinate
-            passed &= scalar_is_zero(u, tol)
-        else:
-            passed &= np.abs(acc / A._scale + float(u)) <= tol
+    sq = A.multiply_rows(found, found) / A._scale
+    passed = np.all(np.abs(sq + one) <= tol, axis=1)
     points = tuple(A.element(xc.tolist()) for xc in found[passed])
     return UnitLocus(KIND_CLOUD, points, None, tuple(range(n)))
 

@@ -1,10 +1,13 @@
 import argparse
 import gc
 import json
+import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from altkit import catalog, claims, cli, lie
+from altkit import catalog, claims, cli, identities, lie
 from altkit.core import Algebra
 
 
@@ -319,6 +322,78 @@ def test_verify_paper_json(capsys):
     rows = json_lines(out)
     assert all(row["passed"] for row in rows)
     assert len(rows) == 5
+
+
+def _element_loop_bilinearity(seed):
+    """Reference: the bilinearity claim as one Element per sample, its draws
+    in order.  Returns the two algebras, each sample's (al, be, x, y, z) and
+    the generator's final state."""
+    rng = random.Random(seed)
+    algebras = (catalog.quaternions(),
+                catalog.ak(2, a11=2, a12=Fraction(1, 2), a21=3, a22=1))
+    samples = []
+    for n in range(1000):
+        alg = algebras[n % 2]
+        al = identities.random_rational(rng)
+        be = identities.random_rational(rng)
+        x = identities.random_element(alg, rng)
+        y = identities.random_element(alg, rng)
+        z = identities.random_element(alg, rng)
+        left = alg.multiply(al * x + be * y, z)
+        assert left == al * alg.multiply(x, z) + be * alg.multiply(y, z)
+        right = alg.multiply(z, al * x + be * y)
+        assert right == al * alg.multiply(z, x) + be * alg.multiply(z, y)
+        samples.append((al, be, x, y, z))
+    return algebras, samples, rng.getstate()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_bilinearity_checks_the_element_loop_samples(seed):
+    algebras, samples, state = _element_loop_bilinearity(seed)
+    rng = random.Random(seed)
+    draws = claims._bilinearity_draws(rng, algebras, len(samples))
+    assert rng.getstate() == state
+    assert [D.dtype for D in draws] == [np.int64, np.int64]
+    for a, (alg, D) in enumerate(zip(algebras, draws)):
+        mine = samples[a::2]
+        n = alg.dim
+        # the same draws, each as its value over 12
+        assert D.tolist() == [[int(12 * v) for v in (al, be, *x.coords, *y.coords, *z.coords)]
+                              for al, be, x, y, z in mine]
+        al, be = D[:, :1], D[:, 1:2]
+        x, y, z = D[:, 2:2 + n], D[:, 2 + n:2 + 2 * n], D[:, 2 + 2 * n:]
+        w = al * x + be * y
+        # each row of multiply_rows is _scale times `multiply` of its sample;
+        # a product of values over 12 and 144 is over 1728
+        for rows, den, pair in ((alg.multiply_rows(x, z), 144, lambda s: (s[2], s[4])),
+                                (alg.multiply_rows(z, y), 144, lambda s: (s[4], s[3])),
+                                (alg.multiply_rows(w, z), 1728,
+                                 lambda s: (s[0] * s[2] + s[1] * s[3], s[4]))):
+            assert [[Fraction(int(c), den) for c in row] for row in rows] == \
+                [[c * alg._scale for c in alg.multiply(*pair(s)).coords] for s in mine]
+
+
+@pytest.mark.parametrize("call", [0, 3, 6, 9])
+def test_verify_paper_fails_bilinearity_on_one_wrong_product_entry(capsys, monkeypatch,
+                                                                  call):
+    # calls 0, 3, 6 and 9 are the products of (al x + be y) with z and of z
+    # with (al x + be y), on the quaternions and then on ak(2)
+    real, calls = Algebra.multiply_rows, []
+
+    def tampered(self, X, Y):
+        out = real(self, X, Y)
+        if len(calls) == call:
+            out[5, 1] += 1
+        calls.append(self)
+        return out
+
+    monkeypatch.setattr(Algebra, "multiply_rows", tampered)
+    code, out, _ = run(capsys, "verify-paper", "--only", "props.bilinearity",
+                       "--format", "json")
+    assert code == 1
+    (row,) = json_lines(out)
+    assert row["id"] == "props.bilinearity" and not row["passed"]
+    assert "not linear" in row["detail"]
 
 
 def test_verify_paper_unknown_group(capsys):

@@ -533,6 +533,48 @@ def test_mul_operators_stay_int64_on_a_python_int_cube(A):
     assert np.array_equal(ops, small * (c % core.MODULUS) % core.MODULUS)
 
 
+def _rows_reference(A, X, Y):
+    """Reference for `multiply_rows` on exact rows: `multiply` of each pair
+    of rows as Elements, times the table's scale."""
+    return [[c * A._scale for c in A.multiply(A.element(x), A.element(y)).coords]
+            for x, y in zip(X.tolist(), Y.tolist())]
+
+
+@pytest.mark.parametrize("A", _catalog_tables(), ids=repr)
+def test_multiply_rows_matches_multiply_on_every_path(A):
+    rng = np.random.default_rng(A.dim)
+    X, Y = rng.integers(-50, 51, (2, 9, A.dim))
+    # int64 on an exact table
+    P = A.multiply_rows(X, Y)
+    assert P.dtype == np.int64 and P.tolist() == _rows_reference(A, X, Y)
+    # Python ints: rows near 2^40 on A, and A with every entry times c,
+    # where `_fits_int64` fails
+    c = 2 ** 40 + 1
+    big = Algebra([[[x * c for x in cell] for cell in row] for row in A.sc])
+    for B, U, V in ((A, X * c, Y * c), (big, X, Y)):
+        P = B.multiply_rows(U, V)
+        assert P.dtype == object and P.tolist() == _rows_reference(B, U, V)
+    # a float table: the float sums of `_mul_coords`, bit for bit
+    U, V = rng.uniform(-2, 2, (2, 9, A.dim))
+    Af = A.to_float()
+    P = Af.multiply_rows(U, V)
+    assert P.dtype == float
+    assert P.tolist() == [Af._mul_coords(u, v) for u, v in zip(U.tolist(), V.tolist())]
+    # float rows on the exact table (the Newton re-check): the same sums over
+    # the table's integers, before `_mul_coords` divides them by the scale
+    P = A.multiply_rows(U, V)
+    assert P.dtype == float
+    assert (P / A._scale).tolist() == [A._mul_coords(u, v)
+                                       for u, v in zip(U.tolist(), V.tolist())]
+
+
+def test_multiply_rows_rejects_mismatched_rows(H):
+    with pytest.raises(DimensionError):
+        H.multiply_rows(np.zeros((2, 3)), np.zeros((2, 3)))
+    with pytest.raises(DimensionError):
+        H.multiply_rows(np.zeros((2, 4)), np.zeros((3, 4)))
+
+
 SQUARE_SHAPES = {(0, 1): lambda v, y: (v, v, y), (1, 2): lambda v, y: (y, v, v),
                  (0, 2): lambda v, y: (v, y, v)}
 

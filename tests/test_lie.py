@@ -20,6 +20,16 @@ TP_NAMES = ("alpha1", "alpha2", "beta1", "beta2",
 rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
 
 
+def _inverse(mat):
+    """The inverse of a square matrix: the right half of `linalg.rref` of
+    [mat | I]."""
+    n = len(mat)
+    rows, pivots = linalg.rref([list(row) + [F(int(i == j)) for j in range(n)]
+                                for i, row in enumerate(mat)])
+    assert pivots[:n] == list(range(n)), "singular matrix"
+    return [row[n:] for row in rows[:n]]
+
+
 def _loop_match_canonical(L, type_tag, witness, parameter=0, eps=None):
     """Reference: every bracket pair p < q transported one at a time."""
     eps = L.eps if eps is None else eps
@@ -426,7 +436,7 @@ def test_classify_reads_alpha_beta_from_tensor():
     n = 4
     sc = [[[None] * n for _ in range(n)] for _ in range(n)]
     H = catalog.quaternions()
-    inv = linalg.inverse([[F(mat[i][j]) for j in range(n)] for i in range(n)])
+    inv = _inverse([[F(mat[i][j]) for j in range(n)] for i in range(n)])
     # transport the product along the basis change and re-derive brackets
     cols = [[F(mat[r][c]) for r in range(n)] for c in range(n)]
     for i in range(n):
