@@ -21,7 +21,6 @@ from .core import (
     NucleusContradictionError,
     ParameterError,
     ReflectionError,
-    SingularMatrixError,
     associator,
     commutator,
     default_eps,

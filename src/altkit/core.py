@@ -92,10 +92,6 @@ class NucleusContradictionError(DecompositionError):
     bigger than the scalars; the input cannot be a division algebra."""
 
 
-class SingularMatrixError(AlgebraError):
-    """Tried to invert or solve against a singular matrix."""
-
-
 def default_eps() -> float:
     """Comparison tolerance for float scalars; env ALTKIT_EPS overrides."""
     return float(os.environ.get("ALTKIT_EPS", "1e-9"))
@@ -842,24 +838,33 @@ def first_defect(D: np.ndarray, eps: float) -> Optional[tuple]:
     return tuple(int(i) for i in hits[0]) if len(hits) else None
 
 
-def morphism_defect(src_sc, dst_sc, mat, eps: float) -> Optional[tuple]:
+def morphism_defect(src: "Algebra", dst: "Algebra", mat, eps: float) -> Optional[tuple]:
     """First (i, j) in lexicographic order with f(e_i e_j) != f(e_i) f(e_j),
     column i of ``mat`` being f(e_i), or None: a proof, by bilinearity.
-    Exact data compares exactly, as ints over one common denominator D;
-    with any float present, all compare as floats within eps."""
+    Exact data compares exactly, in Python ints: the cubes the algebras
+    hold (the tables times their scales s and t) and the map as ints over
+    its denominator d, each side scaled to d^2 s t times its true value.
+    With any float present, all compare as floats within eps."""
     n = len(mat)
-    flat = [c for t in (src_sc, dst_sc, [mat]) for row in t for cell in row
-            for c in cell]
-    if any(isinstance(c, float) for c in flat):
-        vals, scale = np.array(flat, dtype=float), 1
+    if "float" in (src.scalar_mode, dst.scalar_mode) or any(
+            isinstance(c, float) for row in mat for c in row):
+        S, T = (_float_cube(A) for A in (src, dst))
+        Mt = np.array(mat, dtype=float).T
+        lhs, rhs = 1, 1
     else:
-        ints, scale = integer_form(flat)
-        vals = np.array(ints, dtype=object)
-    S, T = vals[: 2 * n**3].reshape(2, n, n, n)
-    Mt = vals[2 * n**3:].reshape(n, n).T
-    # D * mapped and direct are both D^3 times their true values
+        S, T = (A.cube.astype(object) for A in (src, dst))
+        ints, den = integer_form([c for row in mat for c in row])
+        Mt = np.array(ints, dtype=object).reshape(n, n).T
+        lhs, rhs = den * dst._scale, src._scale
     direct = np.dot(Mt, np.dot(Mt, T.reshape(n, -1)).reshape(n, n, n))
-    return first_defect(scale * np.dot(S, Mt) - direct.swapaxes(0, 1), eps)
+    return first_defect(lhs * np.dot(S, Mt) - rhs * direct.swapaxes(0, 1), eps)
+
+
+def _float_cube(A: "Algebra") -> np.ndarray:
+    """A's table as float64: each exact entry is its int over the scale,
+    divided as Python ints, so rounded once, as float() rounds a Fraction."""
+    S = A.cube
+    return S if S.dtype == float else (S.astype(object) / A._scale).astype(float)
 
 
 # module-level operation aliases ------------------------------------------------

@@ -11,6 +11,14 @@ the isomorphism type is decided by (alpha, beta):
     alpha != 0, beta != 0 ->  g1 (+) g3_7
     alpha != 0, beta = 0  ->  g4_9 with zero parameter (solvable)
 
+The reflection shape and the three canonical tables of Patera, Sharp,
+Winternitz and Zassenhaus (J. Math. Phys. 17, 1976) are data, (i, j, k, c)
+entries placed by one antisymmetric builder, `_brackets`.  The shape is
+stated once: `tp_lie_algebra` builds it and `_read_alpha_beta` tests a
+table against it.  The g3_5 parameter is the real part of the eigenvalue
+pair of ad(i) on span{v, w} over its imaginary part; on the shape that
+matrix is [[0, -2], [2, 0]], with trace 0, so the parameter is 0.
+
 `check_jacobi` reads the Jacobi sum itself from the bracket cube.
 
 Each verdict ships an explicit change-of-basis witness whose transported
@@ -113,13 +121,6 @@ def check_jacobi(L: LieAlgebra, tol: Optional[float] = None):
     return True, None
 
 
-def _put(b, i: int, j: int, entries: dict) -> None:
-    """Set [e_i, e_j] = sum entries[k] e_k and [e_j, e_i] to its negative."""
-    for k, c in entries.items():
-        b[i][j][k] = parse_scalar(c)
-        b[j][i][k] = -b[i][j][k]
-
-
 def derived_series(L: LieAlgebra, eps: Optional[float] = None) -> List[list]:
     """Bases of L, [L, L], [[L, L], [L, L]], ... until 0 or stabilisation,
     each in reduced row form.  [L, L] is spanned by the cube's rows (i, j)
@@ -168,48 +169,57 @@ class LieClassification:
         }
 
 
-def canonical_brackets(type_tag: str, parameter=0):
-    """Bracket tensor of a named 4-dimensional type.
+_TP_I, _TP_W, _TP_V = 1, 2, 3  # positions in the (1, i, w, v) basis
 
-    For the decomposable types the first three basis vectors carry the
-    3-dimensional part and e4 spans the central line.
-    """
-    parameter = parse_scalar(parameter)
-    n = 4
-    b = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    if type_tag == TYPE_G1_G37:
-        _put(b, 0, 1, {2: 1})  # [e1, e2] = e3
-        _put(b, 1, 2, {0: 1})  # [e2, e3] = e1
-        _put(b, 2, 0, {1: 1})  # [e3, e1] = e2
-    elif type_tag == TYPE_G1_G35:
-        bp = parameter
-        _put(b, 0, 2, {0: bp, 1: -1})  # [e1, e3] = b'e1 - e2
-        _put(b, 1, 2, {0: 1, 1: bp})   # [e2, e3] = e1 + b'e2
-    elif type_tag == TYPE_G49_ZERO:
-        ap = parameter  # zero-parameter member; kept symbolic for clarity
-        _put(b, 1, 2, {0: 1})           # [e2, e3] = e1
-        _put(b, 0, 3, {0: 2 * ap})      # [e1, e4] = 2a'e1
-        _put(b, 1, 3, {1: ap, 2: -1})   # [e2, e4] = a'e2 - e3
-        _put(b, 2, 3, {1: 1, 2: ap})    # [e3, e4] = e2 + a'e3
-    else:
+
+def _reflection_shape(alpha, beta) -> tuple:
+    """[i, w] = -2v, [i, v] = 2w, [v, w] = alpha*1 + beta*i."""
+    return ((_TP_I, _TP_W, _TP_V, -2), (_TP_I, _TP_V, _TP_W, 2),
+            (_TP_V, _TP_W, 0, alpha), (_TP_V, _TP_W, _TP_I, beta))
+
+
+def _brackets(entries) -> list:
+    """The 4-dimensional bracket cube with [e_i, e_j] = sum c e_k over the
+    entries (i, j, k, c) and [e_j, e_i] = -[e_i, e_j]."""
+    b = [[[Fraction(0)] * 4 for _ in range(4)] for _ in range(4)]
+    for i, j, k, c in entries:
+        b[i][j][k], b[j][i][k] = c, -c
+    return b
+
+
+# The zero-parameter canonical types; in the decomposable ones the first
+# three basis vectors carry the 3-dimensional part and e4 spans the centre.
+_CANONICAL = {tag: LieAlgebra(_brackets(entries)) for tag, entries in (
+    # [e1, e2] = e3, [e2, e3] = e1, [e3, e1] = e2
+    (TYPE_G1_G37, ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1))),
+    # [e1, e3] = -e2, [e2, e3] = e1
+    (TYPE_G1_G35, ((0, 2, 1, -1), (1, 2, 0, 1))),
+    # [e2, e3] = e1, [e2, e4] = -e3, [e3, e4] = e2
+    (TYPE_G49_ZERO, ((1, 2, 0, 1), (1, 3, 2, -1), (2, 3, 1, 1))),
+)}
+
+
+def canonical_brackets(type_tag: str):
+    """Bracket tensor of a named 4-dimensional type."""
+    if type_tag not in _CANONICAL:
         raise ParameterError(f"no canonical table for type {type_tag!r}")
-    return tuple(tuple(tuple(cell) for cell in row) for row in b)
+    return _CANONICAL[type_tag].brackets
 
 
 def match_canonical(L: LieAlgebra, type_tag: str, witness,
-                    parameter=0, eps: Optional[float] = None):
+                    eps: Optional[float] = None):
     """Do the witness-transported brackets equal the canonical table?
 
     witness columns are the images of the canonical basis vectors in L's
     coordinates.  Returns (ok, mismatch) with the first differing bracket.
     """
     eps = tolerance(eps, L.eps)
-    table = canonical_brackets(type_tag, parameter)
+    table = canonical_brackets(type_tag)
     n = L.dim
     witness = linalg.square_matrix(witness, n)
     if scalar_is_zero(linalg.det(witness, eps), eps):
         return False, "witness matrix is singular"
-    hit = morphism_defect(table, L.sc, witness, eps)
+    hit = morphism_defect(_CANONICAL[type_tag], L, witness, eps)
     if hit is None:
         return True, None
     p, q = hit
@@ -222,45 +232,25 @@ def match_canonical(L: LieAlgebra, type_tag: str, witness,
     return False, (p, q, L.bracket(cols[p], cols[q]), want)
 
 
-_TP_I, _TP_W, _TP_V = 1, 2, 3  # positions in the (1, i, w, v) basis
-
-
 def _read_alpha_beta(L: LieAlgebra, eps: float):
-    """Verify the reflection-table bracket shape and read off (alpha, beta).
-
-    Requires [1, -] = 0, [i, w] = -2v, [i, v] = 2w, [v, w] in span{1, i}.
-    Returns None when the shape does not match.
-    """
+    """(alpha, beta) read off [v, w], when every bracket [e_i, e_j] with
+    i < j is within eps of the reflection shape's at that (alpha, beta);
+    None otherwise."""
     if L.dim != 4:
         return None
-    n = 4
-
-    def expect(i, j, want):
-        return all(scalars_close(L.brackets[i][j][k], want[k], eps) for k in range(n))
-
-    for j in range(n):
-        if not expect(0, j, [0, 0, 0, 0]):
-            return None
-    if not expect(_TP_I, _TP_W, [0, 0, 0, -2]):
-        return None
-    if not expect(_TP_I, _TP_V, [0, 0, 2, 0]):
-        return None
-    vw = L.brackets[_TP_V][_TP_W]
-    if not (scalar_is_zero(vw[2], eps) and scalar_is_zero(vw[3], eps)):
-        return None
-    return vw[0], vw[1]
+    b = L.brackets
+    alpha, beta = b[_TP_V][_TP_W][:2]
+    want = _brackets(_reflection_shape(alpha, beta))
+    if all(scalars_close(b[i][j][k], want[i][j][k], eps)
+           for i in range(4) for j in range(i + 1, 4) for k in range(4)):
+        return alpha, beta
+    return None
 
 
 def tp_lie_algebra(alpha, beta) -> LieAlgebra:
     """The commutator brackets of a reflection-table algebra on (1, i, w, v)."""
-    alpha = parse_scalar(alpha)
-    beta = parse_scalar(beta)
-    n = 4
-    b = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    _put(b, _TP_I, _TP_W, {_TP_V: -2})
-    _put(b, _TP_I, _TP_V, {_TP_W: 2})
-    _put(b, _TP_V, _TP_W, {0: alpha, _TP_I: beta})
-    return LieAlgebra(b, labels=("1", "i", "w", "v"))
+    shape = _reflection_shape(parse_scalar(alpha), parse_scalar(beta))
+    return LieAlgebra(_brackets(shape), labels=("1", "i", "w", "v"))
 
 
 def classify_tp_lie(alpha, beta, eps: Optional[float] = None) -> LieClassification:
@@ -281,64 +271,33 @@ def classify_lie(L: LieAlgebra, eps: Optional[float] = None) -> LieClassificatio
     if ab is None:
         return LieClassification(TYPE_UNRECOGNIZED, None, (None, None), None, None, dims)
     alpha, beta = ab
-    zero_a = scalar_is_zero(alpha, eps)
-    zero_b = scalar_is_zero(beta, eps)
-
-    def col_matrix(cols):
-        return tuple(
-            tuple(parse_scalar(cols[c][r]) for c in range(4)) for r in range(4)
-        )
-
     one = [1, 0, 0, 0]
     half_i = [0, Fraction(1, 2), 0, 0]
-
-    if zero_a and zero_b:
-        # solvable decomposable case: e1 = v, e2 = w, e3 = i/2, e4 = 1;
-        # the parameter is the real part of the eigenvalue pair of the
-        # adjoint action of e3 on the derived part, normalised to unit
-        # imaginary part (zero here)
-        witness = col_matrix([
-            [0, 0, 0, 1], [0, 0, 1, 0], half_i, one,
-        ])
-        param = _g35_parameter(L, eps)
-        ok, _ = match_canonical(L, TYPE_G1_G35, witness, parameter=param, eps=eps)
-        return LieClassification(TYPE_G1_G35, param, (alpha, beta), witness, ok, dims)
-
-    if zero_b:  # alpha != 0: indecomposable solvable case
+    if scalar_is_zero(alpha, eps) and scalar_is_zero(beta, eps):
+        # solvable decomposable case: e1 = v, e2 = w, e3 = i/2, e4 = 1; the
+        # parameter is 0 on the shape (see the module docstring), in the
+        # table's scalars
+        tag = TYPE_G1_G35
+        parameter = 0.0 if L.scalar_mode == "float" else Fraction(0)
+        cols = [[0, 0, 0, 1], [0, 0, 1, 0], half_i, one]
+    elif scalar_is_zero(beta, eps):  # alpha != 0: indecomposable solvable case
+        tag, parameter = TYPE_G49_ZERO, Fraction(0)
         scale = 1 / sqrt_scalar(2 * alpha if alpha > 0 else -2 * alpha)
-        sign = 1 if alpha > 0 else -1
-        e1 = [Fraction(sign, 2), 0, 0, 0]
+        e1 = [Fraction(1 if alpha > 0 else -1, 2), 0, 0, 0]
         e2 = [0, 0, 0, scale]          # v / sqrt(2|alpha|)
         e3 = [0, 0, scale, 0]          # w / sqrt(2|alpha|)
-        witness = col_matrix([e1, e2, e3, half_i])
-        ok, _ = match_canonical(L, TYPE_G49_ZERO, witness, parameter=0, eps=eps)
-        return LieClassification(TYPE_G49_ZERO, Fraction(0), (alpha, beta), witness, ok, dims)
-
-    # beta != 0: rotation-type case (h, e, f) = (i~/2, v/s, +-w/s) with
-    # i~ = (alpha*1 + beta*i)/beta and s = sqrt(2|beta|); for beta < 0 this
-    # is the stated case split, but the Killing form is indefinite and the
-    # check below reports the unavoidable mismatch
-    scale = 1 / sqrt_scalar(2 * beta if beta > 0 else -2 * beta)
-    h = [alpha / (2 * beta), Fraction(1, 2), 0, 0]
-    e = [0, 0, 0, scale]
-    f = [0, 0, scale if beta > 0 else -scale, 0]
-    witness = col_matrix([h, e, f, one])
-    ok, _ = match_canonical(L, TYPE_G1_G37, witness, eps=eps)
-    return LieClassification(TYPE_G1_G37, None, (alpha, beta), witness, ok, dims)
-
-
-def _g35_parameter(L: LieAlgebra, eps: float):
-    """Real part of the adjoint eigenvalue pair on the derived plane, after
-    normalising the imaginary part to 1."""
-    # ad(i) restricted to span{v, w} in the reflection-table shape:
-    # i -> [i, v] = 2w, [i, w] = -2v gives [[0, -2], [2, 0]] up to shape
-    a = L.brackets[_TP_I][_TP_V][_TP_V]
-    b = L.brackets[_TP_I][_TP_W][_TP_V]
-    c = L.brackets[_TP_I][_TP_V][_TP_W]
-    d = L.brackets[_TP_I][_TP_W][_TP_W]
-    tr = a + d
-    det = a * d - b * c
-    disc = 4 * det - tr * tr
-    if disc <= 0 or scalar_is_zero(disc, eps):
-        raise AlgebraError("adjoint action on the derived plane has real eigenvalues")
-    return tr / sqrt_scalar(disc)
+        cols = [e1, e2, e3, half_i]
+    else:
+        # beta != 0: rotation-type case (h, e, f) = (i~/2, v/s, +-w/s) with
+        # i~ = (alpha*1 + beta*i)/beta and s = sqrt(2|beta|); for beta < 0
+        # this is the stated case split, but the Killing form is indefinite
+        # and the check below reports the unavoidable mismatch
+        tag, parameter = TYPE_G1_G37, None
+        scale = 1 / sqrt_scalar(2 * beta if beta > 0 else -2 * beta)
+        h = [alpha / (2 * beta), Fraction(1, 2), 0, 0]
+        e = [0, 0, 0, scale]
+        f = [0, 0, scale if beta > 0 else -scale, 0]
+        cols = [h, e, f, one]
+    witness = tuple(tuple(parse_scalar(cols[c][r]) for c in range(4)) for r in range(4))
+    ok, _ = match_canonical(L, tag, witness, eps=eps)
+    return LieClassification(tag, parameter, (alpha, beta), witness, ok, dims)

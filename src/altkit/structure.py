@@ -85,7 +85,7 @@ def is_isomorphism(
     eps = tolerance(eps, max(src.eps, dst.eps))
     if scalar_is_zero(linalg.det(mat, eps), eps):
         return MorphismReport(False, None)
-    hit = morphism_defect(src.sc, dst.sc, mat, eps)
+    hit = morphism_defect(src, dst, mat, eps)
     if hit is None:
         return MorphismReport(True, None)
     x, y = (src.basis(p) for p in hit)

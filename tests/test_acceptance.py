@@ -262,9 +262,7 @@ def test_criterion_8_witnesses_match_canonical(alpha, beta):
     out = lie.classify_tp_lie(alpha, beta)
     assert out.witness_verified
     passed, _ = lie.match_canonical(
-        lie.tp_lie_algebra(alpha, beta), out.type_tag, out.witness,
-        parameter=out.parameter or 0,
-    )
+        lie.tp_lie_algebra(alpha, beta), out.type_tag, out.witness)
     assert passed
     ok(f"8c (canonical witness at ({alpha}, {beta}))")
 

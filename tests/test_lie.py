@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -9,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from altkit import catalog, lie, linalg
 from altkit.claims import LIE_CASES, _deciding_points
-from altkit.core import (Algebra, AlgebraError, DimensionError, first_defect,
-                         scalar_is_zero, scalars_close)
+from altkit.core import (Algebra, AlgebraError, DimensionError, ParameterError,
+                         first_defect, parse_scalar, scalar_is_zero, scalars_close,
+                         sqrt_scalar)
 
 F = Fraction
 
@@ -30,10 +32,120 @@ def _inverse(mat):
     return [row[n:] for row in rows[:n]]
 
 
+def _ref_put(b, i, j, entries):
+    """Reference: set [e_i, e_j] = sum entries[k] e_k and [e_j, e_i] to its
+    negative."""
+    for k, c in entries.items():
+        b[i][j][k] = parse_scalar(c)
+        b[j][i][k] = -b[i][j][k]
+
+
+def _ref_canonical_brackets(type_tag, parameter=0):
+    """Reference: the canonical tables built by hand, with the parameter
+    that only the value 0 ever reached."""
+    parameter = parse_scalar(parameter)
+    n = 4
+    b = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    if type_tag == lie.TYPE_G1_G37:
+        _ref_put(b, 0, 1, {2: 1})  # [e1, e2] = e3
+        _ref_put(b, 1, 2, {0: 1})  # [e2, e3] = e1
+        _ref_put(b, 2, 0, {1: 1})  # [e3, e1] = e2
+    elif type_tag == lie.TYPE_G1_G35:
+        bp = parameter
+        _ref_put(b, 0, 2, {0: bp, 1: -1})  # [e1, e3] = b'e1 - e2
+        _ref_put(b, 1, 2, {0: 1, 1: bp})   # [e2, e3] = e1 + b'e2
+    elif type_tag == lie.TYPE_G49_ZERO:
+        ap = parameter
+        _ref_put(b, 1, 2, {0: 1})           # [e2, e3] = e1
+        _ref_put(b, 0, 3, {0: 2 * ap})      # [e1, e4] = 2a'e1
+        _ref_put(b, 1, 3, {1: ap, 2: -1})   # [e2, e4] = a'e2 - e3
+        _ref_put(b, 2, 3, {1: 1, 2: ap})    # [e3, e4] = e2 + a'e3
+    else:
+        raise ParameterError(f"no canonical table for type {type_tag!r}")
+    return tuple(tuple(tuple(cell) for cell in row) for row in b)
+
+
+def _ref_read_alpha_beta(L, eps):
+    """Reference: [1, -] = 0, [i, w] = -2v, [i, v] = 2w and [v, w] in
+    span{1, i}, each tested on its own; then (alpha, beta) off [v, w]."""
+    if L.dim != 4:
+        return None
+    n = 4
+
+    def expect(i, j, want):
+        return all(scalars_close(L.brackets[i][j][k], want[k], eps) for k in range(n))
+
+    for j in range(n):
+        if not expect(0, j, [0, 0, 0, 0]):
+            return None
+    if not expect(1, 2, [0, 0, 0, -2]) or not expect(1, 3, [0, 0, 2, 0]):
+        return None
+    vw = L.brackets[3][2]
+    if not (scalar_is_zero(vw[2], eps) and scalar_is_zero(vw[3], eps)):
+        return None
+    return vw[0], vw[1]
+
+
+def _ref_g35_parameter(L, eps):
+    """Reference: the real part of ad(i)'s eigenvalue pair on span{v, w}
+    over its imaginary part, from the brackets."""
+    a, b = L.brackets[1][3][3], L.brackets[1][2][3]
+    c, d = L.brackets[1][3][2], L.brackets[1][2][2]
+    tr = a + d
+    disc = 4 * (a * d - b * c) - tr * tr
+    if disc <= 0 or scalar_is_zero(disc, eps):
+        raise AlgebraError("adjoint action on the derived plane has real eigenvalues")
+    return tr / sqrt_scalar(disc)
+
+
+def _ref_classify_lie(L, eps=None):
+    """Reference: the case split with the references above, each witness
+    checked by `_loop_match_canonical` against its reference table."""
+    eps = L.eps if eps is None else eps
+    dims = tuple(lie.derived_dims(L, eps))
+    ab = _ref_read_alpha_beta(L, eps)
+    if ab is None:
+        return lie.LieClassification(lie.TYPE_UNRECOGNIZED, None, (None, None),
+                                     None, None, dims)
+    alpha, beta = ab
+    one, half_i = [1, 0, 0, 0], [0, F(1, 2), 0, 0]
+    if scalar_is_zero(alpha, eps) and scalar_is_zero(beta, eps):
+        tag, param = lie.TYPE_G1_G35, _ref_g35_parameter(L, eps)
+        cols = [[0, 0, 0, 1], [0, 0, 1, 0], half_i, one]
+    elif scalar_is_zero(beta, eps):
+        tag, param = lie.TYPE_G49_ZERO, F(0)
+        scale = 1 / sqrt_scalar(2 * alpha if alpha > 0 else -2 * alpha)
+        cols = [[F(1 if alpha > 0 else -1, 2), 0, 0, 0], [0, 0, 0, scale],
+                [0, 0, scale, 0], half_i]
+    else:
+        tag, param = lie.TYPE_G1_G37, None
+        scale = 1 / sqrt_scalar(2 * beta if beta > 0 else -2 * beta)
+        cols = [[alpha / (2 * beta), F(1, 2), 0, 0], [0, 0, 0, scale],
+                [0, 0, scale if beta > 0 else -scale, 0], one]
+    witness = tuple(tuple(parse_scalar(cols[c][r]) for c in range(4)) for r in range(4))
+    ok, _ = _loop_match_canonical(L, tag, witness, parameter=param or 0, eps=eps)
+    return lie.LieClassification(tag, param, (alpha, beta), witness, ok, dims)
+
+
+def _assert_classifies_as_reference(L, eps=None):
+    """classify_lie(L).to_dict() equals the reference's; on a float g3,5
+    table the reference's parameter may be a float within eps of 0, which
+    the shape fixes at 0.0.  Returns the classification."""
+    got, want = lie.classify_lie(L, eps), _ref_classify_lie(L, eps)
+    if got.type_tag == lie.TYPE_G1_G35 and L.scalar_mode == "float":
+        assert type(got.parameter) is float and got.parameter == 0.0
+        assert abs(want.parameter) <= (L.eps if eps is None else eps)
+        want = dataclasses.replace(want, parameter=0.0)
+    assert got.to_dict() == want.to_dict()
+    assert [type(x) for x in got.to_dict().values()] == \
+        [type(x) for x in want.to_dict().values()]
+    return got
+
+
 def _loop_match_canonical(L, type_tag, witness, parameter=0, eps=None):
     """Reference: every bracket pair p < q transported one at a time."""
     eps = L.eps if eps is None else eps
-    table = lie.canonical_brackets(type_tag, parameter)
+    table = _ref_canonical_brackets(type_tag, parameter)
     n = L.dim
     mat = [list(row) for row in witness]
     if scalar_is_zero(linalg.det(mat, eps), eps):
@@ -109,6 +221,17 @@ def _scaled_lie(L, c=2 ** 40 + 1):
     """L with every bracket times c: a cube of Python ints."""
     return lie.LieAlgebra([[[x * c for x in cell] for cell in row] for row in L.sc],
                           eps=L.eps)
+
+
+def _float_lie(L, moved=None, by=0.0):
+    """L's brackets as floats, with entry (i, j, k) = moved, if given,
+    shifted by ``by`` and its antisymmetric partner by -by."""
+    b = [[[float(c) for c in cell] for cell in row] for row in L.sc]
+    if moved is not None:
+        i, j, k = moved
+        b[i][j][k] += by
+        b[j][i][k] -= by
+    return lie.LieAlgebra(b, labels=L.labels, eps=L.eps)
 
 
 def random_tp(rng):
@@ -361,9 +484,7 @@ def test_classify_types_with_verified_witnesses(alpha, beta, expected):
     assert out.type_tag == expected
     assert out.witness_verified
     ok, _ = lie.match_canonical(
-        lie.tp_lie_algebra(alpha, beta), out.type_tag, out.witness,
-        parameter=out.parameter or 0,
-    )
+        lie.tp_lie_algebra(alpha, beta), out.type_tag, out.witness)
     assert ok
 
 
@@ -386,8 +507,17 @@ def test_exact_witness_when_scaling_is_rational():
 
 
 def test_g35_parameter_is_zero():
-    out = lie.classify_tp_lie(0, 0)
-    assert out.parameter == 0
+    # the shape fixes ad(i) on span{v, w} at [[0, -2], [2, 0]]: the
+    # parameter is the table's typed zero, exact or float
+    L = lie.tp_lie_algebra(0, 0)
+    H = lie.lieify(catalog.tp().to_float())
+    for M, zero in ((L, F(0)), (_float_lie(L), 0.0),
+                    (lie.tp_lie_algebra(0.0, 0.0), 0.0), (H, 0.0)):
+        out = lie.classify_lie(M)
+        assert out.type_tag == lie.TYPE_G1_G35
+        assert type(out.parameter) is type(zero) and out.parameter == zero
+        assert out.parameter == _ref_g35_parameter(M, M.eps)
+        assert out.to_dict()["parameter"] == ("0" if type(zero) is F else 0.0)
 
 
 def test_match_canonical_identity_on_canonical_table():
@@ -480,7 +610,7 @@ def test_match_canonical_matches_reference_on_lie_cases():
         for L in (lie.tp_lie_algebra(alpha, beta),
                   lie.lieify(catalog.tp(delta1=alpha, delta2=beta).to_float())):
             for tag in (lie.TYPE_G1_G35, lie.TYPE_G1_G37, lie.TYPE_G49_ZERO):
-                got = lie.match_canonical(L, tag, out.witness, parameter=parameter)
+                got = lie.match_canonical(L, tag, out.witness)
                 want = _loop_match_canonical(L, tag, out.witness, parameter=parameter)
                 assert got == want
                 if not got[0]:
@@ -492,3 +622,45 @@ def test_match_canonical_matches_reference_on_lie_cases():
                                                lie.TYPE_G1_G37, out.witness)
             assert not ok and len(mismatch) == 4
     assert mismatches >= 28
+
+
+def test_classify_matches_the_reference_on_lie_cases_and_catalog_tables():
+    tables = [lie.tp_lie_algebra(alpha, beta) for (alpha, beta), _ in LIE_CASES]
+    tables += [_float_lie(L) for L in tables]
+    tables += _catalog_lie_algebras()
+    tags = [_assert_classifies_as_reference(L).type_tag for L in tables]
+    assert set(tags) == {lie.TYPE_G1_G35, lie.TYPE_G1_G37,
+                                     lie.TYPE_G49_ZERO, lie.TYPE_UNRECOGNIZED}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.tuples(*([rationals] * 8)))
+def test_classify_matches_the_reference_on_drawn_tp_tables(values):
+    A = catalog.tp(**dict(zip(TP_NAMES, values)))
+    for B in (A, A.to_float()):
+        assert _assert_classifies_as_reference(lie.lieify(B)).type_tag \
+            != lie.TYPE_UNRECOGNIZED
+
+
+# every bracket entry [e_i, e_j]_k, i < j, but the 1 and i coordinates of
+# [w, v]: moving those reads a different (alpha, beta), still on the shape
+_OFF_SHAPE = [(i, j, k) for i in range(4) for j in range(i + 1, 4) for k in range(4)
+              if (i, j) != (2, 3) or k >= 2]
+
+
+@pytest.mark.parametrize("alpha,beta", [(0, 0), (1, 0), (-2, 0), (0, 2), (3, -5)])
+def test_a_bracket_moved_off_the_shape_is_unrecognized(alpha, beta):
+    L = lie.tp_lie_algebra(alpha, beta)
+    eps = L.eps
+    assert len(_OFF_SHAPE) == 22
+    for i, j, k in _OFF_SHAPE:
+        b = [[list(cell) for cell in row] for row in L.sc]
+        b[i][j][k] += F(1, 7)
+        b[j][i][k] -= F(1, 7)
+        moved = lie.LieAlgebra(b, labels=L.labels)
+        assert _assert_classifies_as_reference(moved).type_tag == lie.TYPE_UNRECOGNIZED
+        far = _float_lie(L, (i, j, k), 2 * eps)
+        assert _assert_classifies_as_reference(far).type_tag == lie.TYPE_UNRECOGNIZED
+        near = _float_lie(L, (i, j, k), eps / 2)
+        assert _assert_classifies_as_reference(near).type_tag \
+            == lie.classify_lie(L).type_tag

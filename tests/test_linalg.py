@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from altkit import linalg
-from altkit.core import SingularMatrixError
 
 F = Fraction
 
@@ -52,7 +51,7 @@ def _inverse(mat):
     rows, pivots = linalg.rref([list(row) + [F(int(i == j)) for j in range(n)]
                                 for i, row in enumerate(mat)])
     if pivots[:n] != list(range(n)):
-        raise SingularMatrixError("matrix is singular")
+        raise ValueError("matrix is singular")
     return [row[n:] for row in rows[:n]]
 
 
@@ -60,7 +59,7 @@ def test_inverse_roundtrip():
     mat = [[F(2), F(1), F(0)], [F(0), F(1), F(3)], [F(1), F(0), F(1)]]
     inv = _inverse(mat)
     assert linalg.matmul(mat, inv) == linalg.identity_matrix(3)
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(ValueError):
         _inverse([[F(1), F(2)], [F(2), F(4)]])
 
 

@@ -14,6 +14,9 @@ from altkit.core import (
     DimensionError,
     NucleusContradictionError,
     ReflectionError,
+    first_defect,
+    integer_form,
+    morphism_defect,
     scalar_is_zero,
     scalars_close,
     sqrt_scalar,
@@ -44,11 +47,33 @@ def _loop_is_isomorphism(src, dst, f, eps=None):
     return structure.MorphismReport(True, None)
 
 
+def _flat_morphism_defect(src_sc, dst_sc, mat, eps):
+    """Reference: both tables and the map flattened together, as ints over
+    one common denominator D, or all as floats when any entry is one."""
+    n = len(mat)
+    flat = [c for t in (src_sc, dst_sc, [mat]) for row in t for cell in row
+            for c in cell]
+    if any(isinstance(c, float) for c in flat):
+        vals, scale = np.array(flat, dtype=float), 1
+    else:
+        ints, scale = integer_form(flat)
+        vals = np.array(ints, dtype=object)
+    S, T = vals[: 2 * n**3].reshape(2, n, n, n)
+    Mt = vals[2 * n**3:].reshape(n, n).T
+    direct = np.dot(Mt, np.dot(Mt, T.reshape(n, -1)).reshape(n, n, n))
+    return first_defect(scale * np.dot(S, Mt) - direct.swapaxes(0, 1), eps)
+
+
 def assert_same_report(src, dst, f, eps=None):
-    """is_isomorphism equals the reference loop, coordinate types included."""
+    """is_isomorphism equals the reference loop, coordinate types included,
+    and its basis-pair check the flattened reference."""
     got = structure.is_isomorphism(src, dst, f, eps)
     want = _loop_is_isomorphism(src, dst, f, eps)
     assert got == want
+    if src.dim == dst.dim:
+        mat, tol = [list(r) for r in f], max(src.eps, dst.eps) if eps is None else eps
+        assert morphism_defect(src, dst, mat, tol) == \
+            _flat_morphism_defect(src.sc, dst.sc, mat, tol)
     for g, w in zip(got.witness or (), want.witness or ()):
         assert [type(c) for c in g.coords] == [type(c) for c in w.coords]
     return got
