@@ -432,20 +432,22 @@ def claim_props_bilinearity(opt: SuiteOptions):
 
 
 def claim_props_implications(opt: SuiteOptions):
+    # each table, with whether +-(basis vector 1) are all its units: +-e1 on
+    # ak (the theorem `cli.units_for` relies on), +-i on tn_special_case(1, 1)
     cases = [
-        (catalog.quaternions(), 1),
-        (catalog.mplus(), 1),
-        (catalog.mzero(), 1),
-        (catalog.complex_numbers(), 1),
-        (catalog.ak(1, a11=2, a12=3), None),
-        (catalog.ak(2), None),
-        (catalog.tn_special_case(1, 1), 1),
-        (catalog.tc(a=1, h=1), 1),
-        (catalog.tp(alpha1=-1, beta2=-1, delta2=1, gamma1=-1), 1),
-        (catalog.tn(a=-1, g=1, h=1), 1),
+        (catalog.quaternions(), False),
+        (catalog.mplus(), False),
+        (catalog.mzero(), False),
+        (catalog.complex_numbers(), False),
+        (catalog.ak(1, a11=2, a12=3), True),
+        (catalog.ak(2), True),
+        (catalog.tn_special_case(1, 1), True),
+        (catalog.tc(a=1, h=1), False),
+        (catalog.tp(alpha1=-1, beta2=-1, delta2=1, gamma1=-1), False),
+        (catalog.tn(a=-1, g=1, h=1), False),
     ]
-    for A, unit_index in cases:
-        q = A.basis(unit_index) if unit_index is not None else A.by_label("e1")
+    for A, complete in cases:
+        q = A.basis(1)
         unit_pts = [q, -q]
         assoc = identities.check_identity(A, IdentityKind.ASSOCIATIVE, eps=0.0)
         alts = {
@@ -454,7 +456,8 @@ def claim_props_implications(opt: SuiteOptions):
                          IdentityKind.FLEXIBLE)
         }
         partials = {
-            kind: identities.check_identity(A, kind, units=unit_pts)
+            kind: identities.check_identity(A, kind, units=unit_pts,
+                                            units_complete=complete)
             for kind in identities.PARTIAL_KINDS
         }
         if assoc.holds:

@@ -23,11 +23,12 @@ scalar multiples and products accumulate in Python ints through the
 table's one product loop and make one gcd reduction per result; its
 `coords`, the tuple of Fractions, is built on first read.  The associator
 and the commutator are stated once, in their defining form, over
-`multiply`.  The tensor kernels (`associator_slice`, `square_slices`,
-`mul_operators`, `first_singular`) take Elements and read that form.  An
-element with a float coordinate, and every element of a float algebra,
-holds its coordinates as given and takes the float product,
-`Algebra._mul_coords`.
+`multiply`.  The tensor kernels (`associator_slices`, `mul_operators`,
+`first_singular`) take Elements and read that form.  An element with a
+float coordinate, and every element of a float algebra, holds its
+coordinates as given and takes the float product, `Algebra._mul_coords`;
+given such an Element, a kernel on an exact table is float too, the same
+kernel on `to_float()` bit for bit.
 
 Values are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to use concurrently.
@@ -409,10 +410,9 @@ class Algebra:
                 for row in table]
         scale = 1
         if mode == "exact":
-            scale = math.lcm(*(c.denominator for row in rows for cell in row
-                               for _, c in cell))
-            rows = [[[(k, c.numerator * (scale // c.denominator)) for k, c in cell]
-                     for cell in row] for row in rows]
+            ints, scale = integer_form([c for row in rows for cell in row for _, c in cell])
+            ints = iter(ints)
+            rows = [[[(k, next(ints)) for k, _ in cell] for cell in row] for row in rows]
         self._scale = scale
         self._rows = tuple(tuple(tuple(cell) for cell in row) for row in rows)
 
@@ -639,18 +639,19 @@ class Algebra:
 
     def _operands(self, elements: Sequence[Element], degree: int) -> tuple:
         """(S, X) for the tensor kernels: the cube S and each Element as a
-        row of X.  On a float table: floats.  On an exact table: each row
-        is the Element's integer form, or with a float coordinate each
-        coordinate at its exact value over their lcm (a positive multiple
-        of the Element either way); S and X are int64 when `_fits_int64`
+        row of X.  A float table, or any Element with a float coordinate,
+        makes them floats (an exact table read as `_float_cube`).  Otherwise
+        each row is the Element's integer form, a positive multiple of the
+        Element; S and X are int64 when `_fits_int64`
         holds for the kernel's product of ``degree`` such rows, and Python
         ints otherwise."""
         self._own(*elements)
         S, n = self.cube, self.dim
-        if S.dtype == float:
+        if not all(v._den for v in elements):  # a float table or coordinate
+            S = S if S.dtype == float else _float_cube(self)
             X = np.array([v.coords for v in elements], dtype=float)
         else:
-            X = [v._ints if v._den else integer_form(v.coords)[0] for v in elements]
+            X = [v._ints for v in elements]
             vmax = max((abs(c) for x in X for c in x), default=0)
             if S.dtype == object or not _fits_int64(
                     n, int(np.abs(S).max(initial=0)), n ** (degree - 1) * vmax ** degree):
@@ -658,35 +659,28 @@ class Algebra:
             X = np.array(X, dtype=S.dtype)
         return S, X.reshape(-1, n)
 
-    def associator_slice(self, slot: int, v: Element) -> np.ndarray:
-        """D[a, b, :] = the associator with argument ``slot`` (0, 1 or 2) set
-        to the Element v and the other two, in order, to e_a and e_b; n^3
-        entries, never the n^4 tensor.  On an exact table: integers, a
-        positive multiple of the true coordinates.  Otherwise floats.  Test
-        with `first_defect`."""
-        if slot not in (0, 1, 2):
-            raise ParameterError(f"associator slot must be 0, 1 or 2, got {slot!r}")
-        S, (x,) = self._operands([v], 1)
-        L, R = np.tensordot(x, S, 1), np.tensordot(x, S, (0, 1))  # v e_m, e_m v
-        if slot == 0:  # (v e_a) e_b - v (e_a e_b)
-            return np.tensordot(L, S, 1) - np.tensordot(S, L, 1)
-        if slot == 1:  # (e_a v) e_b - e_a (v e_b)
-            return np.tensordot(R, S, 1) - np.tensordot(L, S, (1, 1)).swapaxes(0, 1)
-        # (e_a e_b) v - e_a (e_b v)
-        return np.tensordot(S, R, 1) - np.tensordot(R, S, (1, 1)).swapaxes(0, 1)
-
-    def square_slices(self, slots: tuple, elements: Sequence[Element]) -> np.ndarray:
-        """Q[c, a, :] = the associator with the Element v = elements[c] in
-        both ``slots`` ((0, 1), (1, 2) or (0, 2)) and e_a in the third: the
-        left alternative, right alternative or flexible law at (v, e_a).
-        Built from L[m] = v e_m and R[m] = e_m v in n^3 work per Element.
-        On an exact table: integers, for each c a positive multiple of the
-        true coordinates.  Otherwise floats.  Test with `first_defect`."""
-        if slots not in ((0, 1), (1, 2), (0, 2)):
+    def associator_slices(self, slots: tuple, elements: Sequence[Element]) -> np.ndarray:
+        """The associator with v = elements[c] in each argument ``slots``
+        names and e_a, then e_b, in the others, in order: one slot, (0,),
+        (1,) or (2,), gives D[c, a, b, :]; two, (0, 1), (1, 2) or (0, 2),
+        give D[c, a, :], the left alternative, right alternative or
+        flexible law at (v, e_a).  Built from L[c, m] = v e_m and R[c, m] =
+        e_m v.  Integers, for each c a positive multiple of the true
+        coordinates, or floats as `_operands` rules.  Test with
+        `first_defect`."""
+        if slots not in ((0,), (1,), (2,), (0, 1), (1, 2), (0, 2)):
             raise ParameterError(
-                f"square slots must be (0, 1), (1, 2) or (0, 2), got {slots!r}")
-        S, X = self._operands(elements, 2)
+                "associator slots must be (0,), (1,), (2,), (0, 1), (1, 2) "
+                f"or (0, 2), got {slots!r}")
+        S, X = self._operands(elements, len(slots))
         L, R = np.tensordot(X, S, 1), np.tensordot(X, S, (1, 1))  # v e_m, e_m v
+        if slots == (0,):  # (v e_a) e_b - v (e_a e_b)
+            return np.tensordot(L, S, 1) - np.moveaxis(np.tensordot(S, L, (2, 1)), 2, 0)
+        if slots == (1,):  # (e_a v) e_b - e_a (v e_b)
+            return np.tensordot(R, S, 1) - np.tensordot(L, S, (2, 1)).swapaxes(1, 2)
+        if slots == (2,):  # (e_a e_b) v - e_a (e_b v)
+            return (np.moveaxis(np.tensordot(S, R, (2, 1)), 2, 0)
+                    - np.tensordot(R, S, (2, 1)).swapaxes(1, 2))
         if slots == (0, 2):  # (v e_a) v - v (e_a v)
             return L @ R - R @ L
         vv = (X[:, None, :] @ L)[:, 0]
@@ -699,9 +693,9 @@ class Algebra:
         """M[c, 0] and M[c, 1], the matrices of x -> v x and x -> x v for
         each Element v = elements[c], laid out as `mul_operator` lays them
         out: M[c, 0, r, j] = sum_i v_i S[i, j, r] and M[c, 1, r, j] = sum_i
-        v_i S[j, i, r].  On a float table: floats accumulated over i in
-        order, bit for bit the entries of `mul_operator`.  On an exact
-        table: the integer rows of `_operands` against the table's
+        v_i S[j, i, r].  Floats as `_operands` rules: accumulated over i in
+        order, on a float table bit for bit the entries of `mul_operator`.
+        Otherwise the integer rows of `_operands` against the table's
         integers, both reduced modulo the prime MODULUS first, so int64
         whatever the table's entries: a positive multiple of the true
         matrices, modulo MODULUS."""
@@ -722,12 +716,14 @@ class Algebra:
         """The index c of the first Element v = elements[c] for which
         x -> v x or x -> x v is singular, as `MulOperator.is_singular`
         decides it at eps, else None; every operator comes from
-        `mul_operators`.  On a float table the determinants are
-        `linalg.det`'s bit for bit (`linalg.dets`).  On an exact table a
-        determinant nonzero modulo the prime MODULUS proves the operator
-        invertible (`linalg.nonsingular_mod`), and only an operator singular
-        modulo the prime is tested with `MulOperator.is_singular` of that
-        Element, exactly."""
+        `mul_operators`.  Float operators (a float table, or a float
+        coordinate, which `MulOperator.is_singular` decides in floats too)
+        have their determinants compared within eps, on a float table bit
+        for bit `linalg.det`'s (`linalg.dets`).  Otherwise a determinant
+        nonzero modulo the prime MODULUS proves the operator invertible
+        (`linalg.nonsingular_mod`), and only an operator singular modulo
+        the prime is tested with `MulOperator.is_singular` of that Element,
+        exactly."""
         from . import linalg
 
         eps = tolerance(eps, self.eps)
@@ -821,8 +817,8 @@ def _require_finite(values, what: str) -> None:
 def _fits_int64(n: int, smax: int, vmax: int) -> bool:
     """Can int64 hold the slices of an n-dim cube with entries up to smax
     against a vector with entries up to vmax?  A slice entry is a difference
-    of two sums of n*n products S*S*v; a `square_slices` entry, of two sums
-    of n^3 products S*S*v*v, passes n*vmax^2 as vmax."""
+    of two sums of n*n products S*S*v; a two-slot `associator_slices`
+    entry, of two sums of n^3 products S*S*v*v, passes n*vmax^2 as vmax."""
     return 8 * n * n * smax * smax * vmax < 2**63
 
 
@@ -861,10 +857,19 @@ def morphism_defect(src: "Algebra", dst: "Algebra", mat, eps: float) -> Optional
 
 
 def _float_cube(A: "Algebra") -> np.ndarray:
-    """A's table as float64: each exact entry is its int over the scale,
-    divided as Python ints, so rounded once, as float() rounds a Fraction."""
-    S = A.cube
-    return S if S.dtype == float else (S.astype(object) / A._scale).astype(float)
+    """A's table as float64: a float table as given, its -0.0 entries
+    fixing the sign of a zero coordinate; an exact table from its integer
+    rows, each entry c / scale, a quotient of ints rounded once, as float()
+    rounds a Fraction."""
+    if A.scalar_mode == "float":
+        return np.array(A.sc, dtype=float)
+    n = A.dim
+    sc = np.zeros((n, n, n))
+    for i, row in enumerate(A._rows):
+        for j, cell in enumerate(row):
+            for k, c in cell:
+                sc[i, j, k] = c / A._scale
+    return sc
 
 
 # module-level operation aliases ------------------------------------------------

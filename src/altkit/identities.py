@@ -3,15 +3,19 @@ restricted to imaginary units, plane-associativity with respect to a
 distinguished 2-dimensional subalgebra, and the sampled division test.
 
 Verdict strength is explicit in every report.  The eight laws over the
-whole algebra are proofs: zero tests on basis tuples, read from slices
-of the table's tensor.  The six quadratic laws (left/right alternative,
-flexible, and their partial forms) read one kernel, `square_slices`, at
-the given units, or over the whole algebra at x = e_i and e_i + e_j: over
+whole algebra are proofs: zero tests on basis tuples.  Each law but
+commutativity says the associator vanishes with the arguments its
+`_SLOTS` entry names tied to one point x, so one kernel,
+`Algebra.associator_slices`, and one witness search decide all ten.  x
+runs over the basis, the plane's pair, the given units, or, for the
+quadratic laws over the whole algebra, x = e_i and e_i + e_j: over
 characteristic 0 these points decide a quadratic form in x (Schafer, An
-Introduction to Nonassociative Algebras, 1966, ch. I).  Only the partial
+Introduction to Nonassociative Algebras, 1966, ch. I).  A point with a
+float coordinate makes the kernel float, so its defects are compared
+within eps, as the Element associator compares them.  Only the partial
 forms over a unit set not known to be complete, and the division test,
-are sampled.  The distinguished plane is validated by one elimination of
-its pair beside the unit and the pair's four products.
+are sampled.  The distinguished plane is validated by one elimination
+of its pair beside the unit and the pair's four products.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .core import (
     first_defect,
     tolerance,
 )
-from .units import verify_unit
+from .units import UnitLocus, verify_unit
 
 DEFAULT_SAMPLES = 200
 
@@ -105,58 +109,36 @@ def random_element(A: Algebra, rng: random.Random) -> Element:
     return A.element([random_rational(rng) for _ in range(A.dim)])
 
 
-def _witness(A: Algebra, triple) -> Witness:
-    return Witness(*triple, A.associator(*triple))
-
-
-def _slice_witness(A: Algebra, slot: int, fixed, eps: float) -> Optional[Witness]:
-    """First (v, e_a, e_b) (v in ``slot``) with a nonzero associator, over
-    v in ``fixed`` and then (a, b) in lexicographic order, or None."""
-    basis = A.basis_elements()
-    for v in fixed:
-        hit = first_defect(A.associator_slice(slot, v), eps)
-        if hit is not None:
-            triple = [basis[hit[0]], basis[hit[1]]]
-            triple.insert(slot, v)
-            return _witness(A, triple)
-    return None
-
-
-# law -> (the slots of its repeated argument x, its triple from x and y)
-_LEFT = ((0, 1), lambda x, y: (x, x, y))
-_RIGHT = ((1, 2), lambda x, y: (y, x, x))
-_FLEXIBLE = ((0, 2), lambda x, y: (x, y, x))
-_QUADRATIC = {
-    IdentityKind.LEFT_ALT: _LEFT, IdentityKind.PARTIAL_LEFT_ALT: _LEFT,
-    IdentityKind.RIGHT_ALT: _RIGHT, IdentityKind.PARTIAL_RIGHT_ALT: _RIGHT,
-    IdentityKind.FLEXIBLE: _FLEXIBLE, IdentityKind.PARTIAL_FLEXIBLE: _FLEXIBLE,
+# law -> the argument slots of its point x; basis vectors fill the others
+_SLOTS = {
+    IdentityKind.ASSOCIATIVE: (0,),
+    IdentityKind.LEFT_C_ASSOC: (0,),
+    IdentityKind.MIDDLE_C_ASSOC: (1,),
+    IdentityKind.RIGHT_C_ASSOC: (2,),
+    IdentityKind.LEFT_ALT: (0, 1), IdentityKind.PARTIAL_LEFT_ALT: (0, 1),
+    IdentityKind.RIGHT_ALT: (1, 2), IdentityKind.PARTIAL_RIGHT_ALT: (1, 2),
+    IdentityKind.FLEXIBLE: (0, 2), IdentityKind.PARTIAL_FLEXIBLE: (0, 2),
 }
 
 
-def _quadratic_witness(A: Algebra, kind: IdentityKind, points,
-                       eps: float) -> Optional[Witness]:
-    """The first (x, e_k) at which the quadratic law fails, or None.  Over
-    ``points``: the first point x, then the first k.  Over the whole
-    algebra (``points`` None): the first basis vector x = e_i, then k;
-    then the first i, then k, then j > i, at x = e_i + e_j.  A point set
-    with a float coordinate on an exact table is tested on the float copy,
-    within eps, as the Element associator compares it."""
-    slots, shape = _QUADRATIC[kind]
+def _associator_witness(A: Algebra, kind: IdentityKind, groups,
+                        eps: float) -> Optional[Witness]:
+    """The first triple at which the law's associator is nonzero, or None.
+    ``groups`` yields (points, k_first): one `Algebra.associator_slices`
+    call each, read point by point and then by basis index, or with
+    k_first (two slots) basis index first.  The triple holds the point in
+    the law's slots and the basis vectors found in the others."""
+    slots = _SLOTS[kind]
     basis = A.basis_elements()
-    if points is None:
-        groups = itertools.chain(
-            [(basis, False)],
-            (([basis[i] + basis[j] for j in range(i + 1, A.dim)], True)
-             for i in range(A.dim - 1)))
-    else:
-        groups = [(points, False)]
-    for xs, k_first in groups:
-        B = A if all(x._den for x in xs) else A.to_float()  # A itself if float
-        Q = B.square_slices(slots, xs if B is A else [B.element(x.coords) for x in xs])
-        hit = first_defect(Q.swapaxes(0, 1) if k_first else Q, eps)
+    for points, k_first in groups:
+        D = A.associator_slices(slots, points)
+        hit = first_defect(D.swapaxes(0, 1) if k_first else D, eps)
         if hit is not None:
-            c, k = hit[::-1] if k_first else hit
-            return _witness(A, shape(xs[c], basis[k]))
+            c, *rest = hit[::-1] if k_first else hit
+            triple = [basis[i] for i in rest]
+            for slot in slots:
+                triple.insert(slot, points[c])
+            return Witness(*triple, A.associator(*triple))
     return None
 
 
@@ -178,9 +160,8 @@ def _resolve_units(A: Algebra, units, eps: float) -> Tuple[List[Element], bool]:
     if units is None:
         raise ContextError("partial identities need a nonempty set of imaginary units")
     points = units
-    if hasattr(units, "points") and hasattr(units, "kind"):  # UnitLocus
-        points = list(units.points)
-        complete = getattr(units, "complete", False)
+    if isinstance(units, UnitLocus):
+        points, complete = units.points, units.complete
     points = list(points)
     if not points:
         raise ContextError("partial identities need a nonempty set of imaginary units")
@@ -236,19 +217,23 @@ def check_identity(
         points, complete = _resolve_units(A, units, eps)
         if units_complete is not None:
             complete = units_complete
-        witness = _quadratic_witness(A, kind, points, eps)
+        witness = _associator_witness(A, kind, [(points, False)], eps)
         method = "exhaustive-basis" if complete else f"sampled({len(points)})"
         return IdentityReport(kind, witness is None, witness, method)
 
-    if kind == IdentityKind.ASSOCIATIVE:
-        witness = _slice_witness(A, 0, A.basis_elements(), eps)
-    elif kind == IdentityKind.COMMUTATIVE:
+    basis = A.basis_elements()
+    if kind == IdentityKind.COMMUTATIVE:
         witness = _commutator_witness(A, eps)
-    elif kind in C_ASSOC_KINDS:
-        slot = C_ASSOC_KINDS.index(kind)  # left, middle, right
-        witness = _slice_witness(A, slot, _resolve_c_span(A, c_span, eps), eps)
     else:
-        witness = _quadratic_witness(A, kind, None, eps)
+        if kind in C_ASSOC_KINDS:
+            groups = [(_resolve_c_span(A, c_span, eps), False)]
+        elif kind == IdentityKind.ASSOCIATIVE:  # all n at once: n^5 entries
+            groups = [([e], False) for e in basis]
+        else:  # x = e_i, then for each i the sums e_i + e_j, j > i
+            groups = itertools.chain([(basis, False)], (
+                ([basis[i] + basis[j] for j in range(i + 1, A.dim)], True)
+                for i in range(A.dim - 1)))
+        witness = _associator_witness(A, kind, groups, eps)
     return IdentityReport(kind, witness is None, witness, "exhaustive-basis")
 
 

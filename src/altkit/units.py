@@ -36,6 +36,7 @@ from .core import (
     AlgebraError,
     Element,
     ParameterError,
+    _float_cube,
     integer_form,
     scalar_is_zero,
     scalar_to_json,
@@ -168,22 +169,6 @@ def solve_units_sampled(
     passed = np.all(np.abs(sq + one) <= tol, axis=1)
     points = tuple(A.element(xc.tolist()) for xc in found[passed])
     return UnitLocus(KIND_CLOUD, points, None, tuple(range(n)))
-
-
-def _float_cube(A: Algebra) -> np.ndarray:
-    """The table as float64, each entry the float nearest its value.  An
-    exact table is read from its integer rows: c / scale, a quotient of
-    ints, rounds once, so it equals float() of the Fraction at any size."""
-    if A.scalar_mode == "float":
-        # the table's -0.0 entries fix the sign of a zero coordinate
-        return np.array(A.sc, dtype=float)
-    n = A.dim
-    sc = np.zeros((n, n, n))
-    for i, row in enumerate(A._rows):
-        for j, cell in enumerate(row):
-            for k, c in cell:
-                sc[i, j, k] = c / A._scale
-    return sc
 
 
 def _first_apart(X: np.ndarray, radius: float) -> np.ndarray:

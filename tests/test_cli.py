@@ -396,6 +396,27 @@ def test_verify_paper_fails_bilinearity_on_one_wrong_product_entry(capsys, monke
     assert "not linear" in row["detail"]
 
 
+def test_implication_unit_flags_match_units_for(monkeypatch):
+    # +-e1 are all the units of ak and +-i all those of tn_special_case(1, 1),
+    # as units_for finds; so those partial verdicts are proofs
+    partial = []
+
+    def spy(A, kind, **kwargs):
+        report = check_identity(A, kind, **kwargs)
+        if report.kind in identities.PARTIAL_KINDS:
+            partial.append((A, kwargs["units_complete"], report.method))
+        return report
+
+    check_identity = identities.check_identity
+    monkeypatch.setattr(identities, "check_identity", spy)
+    [result] = claims.run_claims(only="props.implications")
+    assert result.passed and len(partial) == 30
+    for A, complete, method in partial:
+        assert cli.units_for(A, 25, 0, None)[1] is complete, A
+        assert method == ("exhaustive-basis" if complete else "sampled(2)")
+    assert sum(complete for _, complete, _ in partial) == 9
+
+
 def test_verify_paper_unknown_group(capsys):
     code, _, err = run(capsys, "verify-paper", "--only", "bogus")
     assert code == 2

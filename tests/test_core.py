@@ -498,23 +498,44 @@ def test_an_element_form_is_fixed_when_it_is_built(A):
     slots = [(e._ints, e._den) for e in exact + others]
     for e in exact + others:
         e.algebra.associator(e, e, e), e.algebra.mul_operator(e), -e, e / 3, e == e
-        e.algebra.mul_operators([e]), e.algebra.associator_slice(1, e)
+        e.algebra.mul_operators([e]), e.algebra.associator_slices((1,), [e])
     assert [(e._ints, e._den) for e in exact + others] == slots
     assert all(r._den > 0 for r in (exact[0] + exact[1], exact[0] * exact[2], exact[1] / 7))
 
 
+SLOT_SETS = ((0,), (1,), (2,), (0, 1), (1, 2), (0, 2))
+
+
+def _bits(M):
+    """A float array's bit patterns: equal arrays of these are equal bit for
+    bit, the sign of a zero included."""
+    assert M.dtype == float
+    return M.view(np.int64)
+
+
 @pytest.mark.parametrize("A", _catalog_tables(), ids=repr)
-def test_kernels_read_a_float_coordinate_at_its_exact_value(A):
-    # dyadic floats are exact, so the kernels see the same integers as for
-    # the exact element with those values
-    exact = A.element([Fraction(k - 2, 4) for k in range(A.dim)])
-    floats = A.element([float(c) for c in exact.coords])
-    assert floats._den == 0 and exact._den == 4
-    for slot in range(3):
-        assert np.array_equal(A.associator_slice(slot, floats), A.associator_slice(slot, exact))
-    ops = A.mul_operators([floats, exact])
-    assert np.array_equal(ops[0], ops[1])
-    assert A.first_singular([floats]) == A.first_singular([exact])
+def test_kernels_read_float_coords_as_to_float(A):
+    # a float coordinate makes the kernel float: on the exact table it gives
+    # the arrays of the same coordinates on A.to_float(), bit for bit
+    rng = random.Random(A.dim + 5)
+    n = A.dim
+    rows = [[float(Fraction(k - 2, 4)) for k in range(n)],
+            [rng.uniform(-3, 3) for _ in range(n)],
+            [0.1] + [Fraction(rng.randint(-7, 7), rng.randint(1, 6)) for _ in range(n - 1)],
+            [0.0] * n]
+    Af = A.to_float()
+    floats, copies = [A.element(r) for r in rows], [Af.element(r) for r in rows]
+    assert all(v._den == 0 for v in floats)
+    for slots in SLOT_SETS:
+        got = A.associator_slices(slots, floats)
+        assert np.array_equal(_bits(got), _bits(Af.associator_slices(slots, copies)))
+        for v, w in zip(floats, copies):
+            assert np.array_equal(_bits(A.associator_slices(slots, [v])),
+                                  _bits(Af.associator_slices(slots, [w])))
+    assert np.array_equal(_bits(A.mul_operators(floats)), _bits(Af.mul_operators(copies)))
+    for k in range(len(rows)):
+        assert A.first_singular(floats[k:]) == Af.first_singular(copies[k:])
+    assert A.first_singular(floats[-1:]) == 0  # the zero element
 
 
 @pytest.mark.parametrize("A", _catalog_tables(), ids=repr)
@@ -587,11 +608,12 @@ def _square_points(A, rng):
 
 @pytest.mark.parametrize("A", _catalog_tables(), ids=repr)
 def test_square_slices_match_the_element_associator(A):
-    # exact: Q[c] is one positive multiple of the true associators per element
+    # the two-slot kernel, v in two arguments; exact: Q[c] is one positive
+    # multiple of the true associators per element
     rng = random.Random(A.dim + 2)
     points = _square_points(A, rng)
     for slots, shape in SQUARE_SHAPES.items():
-        Q = A.square_slices(slots, points)
+        Q = A.associator_slices(slots, points)
         assert Q.shape == (len(points), A.dim, A.dim) and Q.dtype == np.int64
         for v, rows in zip(points, Q):
             want = [A.associator(*shape(v, y)).coords for y in A.basis_elements()]
@@ -604,7 +626,7 @@ def test_square_slices_match_the_element_associator(A):
     Af = A.to_float()
     fpoints = [Af.element([rng.uniform(-3, 3) for _ in range(A.dim)]) for _ in range(3)]
     for slots, shape in SQUARE_SHAPES.items():
-        Q = Af.square_slices(slots, fpoints)
+        Q = Af.associator_slices(slots, fpoints)
         assert Q.dtype == float
         want = [[Af.associator(*shape(v, y)).coords for y in Af.basis_elements()]
                 for v in fpoints]
@@ -612,9 +634,36 @@ def test_square_slices_match_the_element_associator(A):
 
 
 def test_square_slices_reject_bad_slots(H):
-    for slots in [(0, 0), (1, 0), (2, 1), (0, 3), (0, 1, 2), 1, None, "left"]:
+    for slots in [(0, 0), (1, 0), (2, 1), (0, 3), (0, 1, 2), (), (3,), (-1,),
+                  [0, 1], 0, 1, None, "left"]:
         with pytest.raises(ParameterError):
-            H.square_slices(slots, [H.one()])
+            H.associator_slices(slots, [H.one()])
+
+
+ONE_SLOT_SHAPES = {(0,): lambda v, y, z: (v, y, z), (1,): lambda v, y, z: (y, v, z),
+                   (2,): lambda v, y, z: (y, z, v)}
+
+
+@pytest.mark.parametrize("A", _catalog_tables(), ids=repr)
+def test_one_slot_slices_match_the_element_associator(A):
+    # D[c, a, b] is (v, e_a, e_b) with v in the slot: exact on an exact
+    # table (one positive multiple per element), within eps on a float one
+    rng = random.Random(A.dim + 3)
+    basis = A.basis_elements()
+    points = _square_points(A, rng)
+    Af = A.to_float()
+    fpoints = [Af.element([rng.uniform(-3, 3) for _ in range(A.dim)]) for _ in range(2)]
+    for slots, shape in ONE_SLOT_SHAPES.items():
+        D = A.associator_slices(slots, points)
+        assert D.shape == (len(points),) + (A.dim,) * 3 and D.dtype == np.int64
+        for v, rows in zip(points, D):
+            want = [[A.associator(*shape(v, y, z)).coords for z in basis] for y in basis]
+            ratios = {Fraction(int(q)) / w for q, w in zip(rows.flat, np.ravel(want)) if w}
+            assert len(ratios) <= 1 and all(r > 0 for r in ratios)
+            assert all((q == 0) == (w == 0) for q, w in zip(rows.flat, np.ravel(want)))
+        want = [[[Af.associator(*shape(v, y, z)).coords for z in Af.basis_elements()]
+                 for y in Af.basis_elements()] for v in fpoints]
+        assert np.allclose(Af.associator_slices(slots, fpoints), want, rtol=0, atol=1e-9)
 
 
 def _loop_unit_violation(sc, unit, labels, eps):

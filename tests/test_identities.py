@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -332,7 +333,7 @@ def test_kernel_stays_exact_past_int64(table, jacobi):
     # the units of big are those of table over c
     big_points = [big.element([x / c for x in q.coords]) for q in points]
     if len(points) > 2:  # n * vmax^2 past int64: Python ints on the small table too
-        assert table.square_slices((0, 1), points[2:]).dtype == object
+        assert table.associator_slices((0, 1), points[2:]).dtype == object
     for kind in IdentityKind:
         spans = [None, None]
         if kind in identities.C_ASSOC_KINDS:
@@ -350,13 +351,126 @@ def test_kernel_stays_exact_past_int64(table, jacobi):
     assert len(structure.commutative_nucleus(big)) == len(structure.commutative_nucleus(table))
 
 
-# -- the parent's quadratic searches, kept as references ----------------------
+# -- the parent's kernels and searches, kept as references --------------------
+
+
+def _operands_reference(A, elements, degree):
+    """The parent's kernel operands: on an exact table a float coordinate
+    is read at its exact binary value."""
+    A._own(*elements)
+    S, n = A.cube, A.dim
+    if S.dtype == float:
+        X = np.array([v.coords for v in elements], dtype=float)
+    else:
+        X = [v._ints if v._den else core.integer_form(v.coords)[0] for v in elements]
+        vmax = max((abs(c) for x in X for c in x), default=0)
+        if S.dtype == object or not core._fits_int64(
+                n, int(np.abs(S).max(initial=0)), n ** (degree - 1) * vmax ** degree):
+            S = S.astype(object)
+        X = np.array(X, dtype=S.dtype)
+    return S, X.reshape(-1, n)
+
+
+def associator_slice(A, slot, v):
+    """D[a, b, :] = the associator with argument ``slot`` set to v and the
+    other two, in order, to e_a and e_b."""
+    S, (x,) = _operands_reference(A, [v], 1)
+    L, R = np.tensordot(x, S, 1), np.tensordot(x, S, (0, 1))  # v e_m, e_m v
+    if slot == 0:  # (v e_a) e_b - v (e_a e_b)
+        return np.tensordot(L, S, 1) - np.tensordot(S, L, 1)
+    if slot == 1:  # (e_a v) e_b - e_a (v e_b)
+        return np.tensordot(R, S, 1) - np.tensordot(L, S, (1, 1)).swapaxes(0, 1)
+    # (e_a e_b) v - e_a (e_b v)
+    return np.tensordot(S, R, 1) - np.tensordot(R, S, (1, 1)).swapaxes(0, 1)
+
+
+def square_slices(A, slots, elements):
+    """Q[c, a, :] = the associator with v = elements[c] in both ``slots``
+    and e_a in the third."""
+    S, X = _operands_reference(A, elements, 2)
+    L, R = np.tensordot(X, S, 1), np.tensordot(X, S, (1, 1))  # v e_m, e_m v
+    if slots == (0, 2):  # (v e_a) v - v (e_a v)
+        return L @ R - R @ L
+    vv = (X[:, None, :] @ L)[:, 0]
+    if slots == (0, 1):  # (v v) e_a - v (v e_a)
+        return np.tensordot(vv, S, 1) - L @ L
+    # (e_a v) v - e_a (v v)
+    return R @ R - np.tensordot(vv, S, (1, 1))
+
+
+# law -> (the slots of its repeated argument x, its triple from x and y)
+_LEFT = ((0, 1), lambda x, y: (x, x, y))
+_RIGHT = ((1, 2), lambda x, y: (y, x, x))
+_FLEXIBLE = ((0, 2), lambda x, y: (x, y, x))
+QUADRATIC = {
+    IdentityKind.LEFT_ALT: _LEFT, IdentityKind.PARTIAL_LEFT_ALT: _LEFT,
+    IdentityKind.RIGHT_ALT: _RIGHT, IdentityKind.PARTIAL_RIGHT_ALT: _RIGHT,
+    IdentityKind.FLEXIBLE: _FLEXIBLE, IdentityKind.PARTIAL_FLEXIBLE: _FLEXIBLE,
+}
+
+
+def _witness(A, triple):
+    return identities.Witness(*triple, A.associator(*triple))
+
+
+def _slice_witness(A, slot, fixed, eps):
+    """First (v, e_a, e_b) (v in ``slot``) with a nonzero associator, over
+    v in ``fixed`` and then (a, b) in lexicographic order, or None."""
+    basis = A.basis_elements()
+    for v in fixed:
+        hit = core.first_defect(associator_slice(A, slot, v), eps)
+        if hit is not None:
+            triple = [basis[hit[0]], basis[hit[1]]]
+            triple.insert(slot, v)
+            return _witness(A, triple)
+    return None
+
+
+def _quadratic_witness(A, kind, points, eps):
+    """The first (x, e_k) at which the quadratic law fails, or None: over
+    ``points``, the first x, then k; over the whole algebra (``points``
+    None), x = e_i, then k; then i, k, j > i at x = e_i + e_j.  A point
+    set with a float coordinate on an exact table is tested on the float
+    copy."""
+    slots, shape = QUADRATIC[kind]
+    basis = A.basis_elements()
+    if points is None:
+        groups = itertools.chain(
+            [(basis, False)],
+            (([basis[i] + basis[j] for j in range(i + 1, A.dim)], True)
+             for i in range(A.dim - 1)))
+    else:
+        groups = [(points, False)]
+    for xs, k_first in groups:
+        B = A if all(x._den for x in xs) else A.to_float()  # A itself if float
+        Q = square_slices(B, slots, xs if B is A else [B.element(x.coords) for x in xs])
+        hit = core.first_defect(Q.swapaxes(0, 1) if k_first else Q, eps)
+        if hit is not None:
+            c, k = hit[::-1] if k_first else hit
+            return _witness(A, shape(xs[c], basis[k]))
+    return None
+
+
+def _reference_report(A, kind, points=None, complete=False, c_span=None):
+    """The parent's check_identity report on one of the ten associator laws."""
+    eps = A.eps
+    method = "exhaustive-basis"
+    if kind in identities.PARTIAL_KINDS:
+        witness = _quadratic_witness(A, kind, points, eps)
+        method = method if complete else f"sampled({len(points)})"
+    elif kind == IdentityKind.ASSOCIATIVE:
+        witness = _slice_witness(A, 0, A.basis_elements(), eps)
+    elif kind in identities.C_ASSOC_KINDS:
+        witness = _slice_witness(A, identities.C_ASSOC_KINDS.index(kind), c_span, eps)
+    else:
+        witness = _quadratic_witness(A, kind, None, eps)
+    return identities.IdentityReport(kind, witness is None, witness, method)
 
 
 def _scan_reference(A, kind, points, eps):
     """The per-triple Element walk: the first (q, e_k), over q in points and
     then k, whose associator in the law's shape is nonzero, or None."""
-    shape = identities._QUADRATIC[kind][1]
+    shape = QUADRATIC[kind][1]
     for q in points:
         for y in A.basis_elements():
             triple = shape(q, y)
@@ -372,13 +486,13 @@ def _polarized_reference(A, kind, eps):
     either slot of x.  The first basis pair (e_i, e_k) whose diagonal
     P[k, i] (twice the law) passes 2 eps wins; failing that, the first i
     and (k, j) with P[k, j] past eps, at x = e_i + e_j."""
-    slots, shape = identities._QUADRATIC[kind]
+    slots, shape = QUADRATIC[kind]
     basis = A.basis_elements()
     polar = None
     for i in range(A.dim):
         P = 0
         for slot, other in (slots, slots[::-1]):
-            D = A.associator_slice(slot, basis[i])
+            D = associator_slice(A, slot, basis[i])
             free = 3 - slot - other  # the slot holding y
             P = P + (D if free < other else D.swapaxes(0, 1))
         k = core.first_defect(P[:, i], 2 * eps)
@@ -468,7 +582,7 @@ def test_a_float_unit_on_an_exact_table_is_compared_within_eps():
     # compares a float point's defects within eps
     A = catalog.ak(1, a11=1, a12=1)
     q = A.element([0.0, 1.0, 1e-12, 0.0])
-    assert core.first_defect(A.square_slices((0, 1), [q]), 0.0) is not None
+    assert core.first_defect(square_slices(A, (0, 1), [q]), 0.0) is not None
     assert_quadratic_reports_match(A, [q, -q])
     assert all(r.holds for r in identities.is_partially_alternative(A, [q, -q]))
 
@@ -505,8 +619,131 @@ def test_quadratic_kernel_matches_the_references_on_sparse_tables(sc, rng):
         points = [identities.random_element(A, rng) for _ in range(3)]
         points.append(A.basis(rng.randrange(A.dim)))
         for kind in identities.PARTIAL_KINDS:
-            got = identities._quadratic_witness(A, kind, points, A.eps)
+            got = identities._associator_witness(A, kind, [(points, False)], A.eps)
             want = _scan_reference(A, kind, points, A.eps)
+            assert (got and got.to_dict()) == (want and want.to_dict()), kind
+
+
+# -- the one associator kernel and search against the parent's -----------------
+
+SLOT_SETS = ((0,), (1,), (2,), (0, 1), (1, 2), (0, 2))
+ASSOCIATOR_KINDS = tuple(k for k in IdentityKind if k != IdentityKind.COMMUTATIVE)
+
+
+def _same(got, want):
+    """Equal values of equal dtype; floats bit for bit."""
+    if got.dtype != want.dtype or got.shape != want.shape:
+        return False
+    if got.dtype == float:
+        return np.array_equal(got.view(np.int64), want.view(np.int64))
+    return np.array_equal(got, want)
+
+
+def assert_slices_match_the_references(A, points):
+    """associator_slices at every slot set equals the parent's kernels: one
+    point at a time exactly (floats bit for bit), and over ``points`` at
+    once exactly on an exact table.  Batched float products may sum in
+    another order than the parent's one-point slices: within 1e-12."""
+    for slots in SLOT_SETS:
+        if len(slots) == 2:
+            want = square_slices(A, slots, points)
+        else:  # the parent sliced one point at a time, each in its own dtype
+            want = np.stack([associator_slice(A, slots[0], v) for v in points])
+        got = A.associator_slices(slots, points)
+        if got.dtype == float:
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12), slots
+        else:
+            assert np.array_equal(got, want), slots
+        for v in points:
+            want = (square_slices(A, slots, [v]) if len(slots) == 2
+                    else associator_slice(A, slots[0], v)[None])
+            assert _same(A.associator_slices(slots, [v]), want), slots
+
+
+def _plane(A):
+    """(1, e1) when it spans a distinguished plane of A, else None."""
+    if A.unit is None or A.dim < 2:
+        return None
+    try:
+        return identities._resolve_c_span(A, (A.one(), A.basis(1)), A.eps)
+    except ContextError:
+        return None
+
+
+def assert_reports_match_the_parent(A, points=None, complete=False):
+    """check_identity's report on each of the ten associator laws equals the
+    parent's search (the c-assoc laws at (1, e1) when that is a plane, the
+    partial laws when ``points`` are given)."""
+    c_span = _plane(A)
+    for kind in ASSOCIATOR_KINDS:
+        if (kind in identities.C_ASSOC_KINDS and c_span is None
+                or kind in identities.PARTIAL_KINDS and not points):
+            continue
+        got = identities.check_identity(A, kind, units=points, units_complete=complete,
+                                        c_span=c_span)
+        want = _reference_report(A, kind, points, complete, c_span)
+        assert got.to_dict() == want.to_dict(), kind
+
+
+def _tables_and_units(A):
+    """A, A.to_float() and A scaled past int64, each with its units."""
+    points, complete = cli.units_for(A, 25, 0, None)
+    Af, big = A.to_float(), _scaled_past_int64(A)
+    c = 2 ** 40 + 1
+    return [(A, points, complete),
+            (Af, [Af.element(q.coords) for q in points], complete),
+            (big, [big.element([x / c for x in q.coords]) for q in points], complete)]
+
+
+@pytest.mark.parametrize("A", CATALOG_TABLES, ids=repr)
+def test_associator_slices_match_the_parent_kernels_on_catalog(A):
+    rng = random.Random(A.dim)
+    for B, points, _ in _tables_and_units(A):
+        drawn = [identities.random_element(B, rng) for _ in range(3)]
+        assert_slices_match_the_references(B, B.basis_elements() + points + drawn)
+
+
+@pytest.mark.parametrize("A", CATALOG_TABLES, ids=repr)
+def test_associator_reports_match_the_parent_search_on_catalog(A):
+    for B, points, complete in _tables_and_units(A):
+        assert_reports_match_the_parent(B, points, complete)
+    # a table read from JSON has no family: its units are a Newton cloud,
+    # float coordinates on an exact table
+    copy = Algebra.loads(A.dumps())
+    points, complete = cli.units_for(copy, 60, 0, None)
+    assert all(q._den == 0 for q in points) and not complete
+    assert_reports_match_the_parent(copy, points, complete)
+
+
+def test_a_sum_witness_is_read_basis_index_first():
+    # e0 e0 = -e0, e2 e3 = -e0, e3 e2 = e0: each quadratic law holds on the
+    # basis and fails at (x, y) = (e0 + e2, e3) and (e0 + e3, e2) only.  For
+    # each i the search reads y = e_k before x = e_i + e_j: e2 comes first
+    sc = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    sc[0][0][0], sc[2][3][0], sc[3][2][0] = -1, -1, 1
+    A = Algebra(sc)
+    e0, _, e2, e3 = A.basis_elements()
+    for kind, shape in QUADRATIC_SHAPES.items():
+        report = identities.check_identity(A, kind)
+        assert (report.witness.x, report.witness.y, report.witness.z) == shape(e0 + e3, e2)
+        assert report.to_dict() == _reference_report(A, kind).to_dict()
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_tables(), st.randoms(use_true_random=False))
+def test_associator_kernel_and_search_match_the_parent_on_sparse_tables(sc, rng):
+    n = len(sc)
+    exact = Algebra(sc)
+    plane = Algebra(unitalized(sc), unit=[1] + [0] * (n - 1))
+    for A in (exact, exact.to_float(), plane, plane.to_float(), _scaled_past_int64(plane)):
+        points = [identities.random_element(A, rng) for _ in range(3)]
+        points.append(A.basis(rng.randrange(A.dim)))
+        assert_slices_match_the_references(A, points)
+        assert_reports_match_the_parent(A)
+        # the partial search at points that need not be units
+        for kind in identities.PARTIAL_KINDS:
+            got = identities._associator_witness(A, kind, [(points, False)], A.eps)
+            want = _quadratic_witness(A, kind, points, A.eps)
             assert (got and got.to_dict()) == (want and want.to_dict()), kind
 
 

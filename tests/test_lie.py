@@ -308,6 +308,19 @@ def test_jacobi_fails_for_hand_built_brackets():
     assert witness[:3] == (0, 1, 2)
 
 
+def _associator_slice(A, slot, v):
+    """The parent's one-Element kernel: D[a, b, :] = the associator with
+    argument ``slot`` set to v and the other two, in order, to e_a, e_b."""
+    S, (x,) = A._operands([v], 1)
+    L, R = np.tensordot(x, S, 1), np.tensordot(x, S, (0, 1))  # v e_m, e_m v
+    if slot == 0:  # (v e_a) e_b - v (e_a e_b)
+        return np.tensordot(L, S, 1) - np.tensordot(S, L, 1)
+    if slot == 1:  # (e_a v) e_b - e_a (v e_b)
+        return np.tensordot(R, S, 1) - np.tensordot(L, S, (1, 1)).swapaxes(0, 1)
+    # (e_a e_b) v - e_a (e_b v)
+    return np.tensordot(S, R, 1) - np.tensordot(R, S, (1, 1)).swapaxes(0, 1)
+
+
 def _cyclic_jacobi_reference(L, tol=None):
     """Reference: for an antisymmetric bracket the cyclic sum of associators
     (x,y,z) + (y,z,x) + (z,x,y) is -2 times the Jacobi sum, so three
@@ -316,8 +329,8 @@ def _cyclic_jacobi_reference(L, tol=None):
     n = L.dim
     for i in range(n):
         e_i = L.basis(i)
-        cyclic = (L.associator_slice(0, e_i) + L.associator_slice(2, e_i)
-                  + L.associator_slice(1, e_i).swapaxes(0, 1))  # [j, k]
+        cyclic = (_associator_slice(L, 0, e_i) + _associator_slice(L, 2, e_i)
+                  + _associator_slice(L, 1, e_i).swapaxes(0, 1))  # [j, k]
         cyclic[: i + 1] = 0  # keep i < j < k
         cyclic[np.tril_indices(n)] = 0
         hit = first_defect(cyclic, 2 * tol)

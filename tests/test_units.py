@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from altkit import catalog, units
+from altkit import catalog, core, units
 from altkit.core import Algebra, ParameterError, tolerance
 
 F = Fraction
@@ -273,7 +273,7 @@ def test_slogdet_sign_is_zero_exactly_where_solve_raises(build):
     # slogdet: LU meets a zero pivot in both, or in neither
     A = build()
     n = A.dim
-    sc = units._float_cube(A)
+    sc = core._float_cube(A)
     sym = (sc + sc.transpose(1, 0, 2)).reshape(n, n * n)
     x = np.vstack([np.eye(n), -np.eye(n),
                    np.random.default_rng(0).uniform(-2, 2, (6, n))])
@@ -362,7 +362,7 @@ def test_first_apart_keeps_points_greedily_in_order(monkeypatch):
 def test_float_cube_is_float_of_each_entry(A):
     for table in (A, A.to_float()):
         want = np.array(table.sc, dtype=float)
-        got = units._float_cube(table)
+        got = core._float_cube(table)
         assert got.dtype == want.dtype == np.float64
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
