@@ -24,17 +24,19 @@ table's one product loop and make one gcd reduction per result; its
 `coords`, the tuple of Fractions, is built on first read.  The associator
 and the commutator are stated once, in their defining form, over
 `multiply`.  The tensor kernels (`associator_slices`, `mul_operators`,
-`first_singular`) take Elements and read that form.  An element with a
-float coordinate, and every element of a float algebra, holds its
-coordinates as given and takes the float product, `Algebra._mul_coords`;
-given such an Element, a kernel on an exact table is float too, the same
-kernel on `to_float()` bit for bit.
+`first_singular`) take Elements and read that form.  An exact table has
+one float reading, its `to_float()` copy, built on first use and kept.
+An element with a float coordinate, and every element of a float
+algebra, holds its coordinates as given; every float computation (a
+product, `mul_operator`, `multiply_rows` on float rows, the tensor
+kernels, `morphism_defect`, Newton) runs on that copy, bit for bit the
+same call on `to_float()`.
 
 Values are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to use concurrently.
-The lazily built values (`Algebra.cube`, the slots of the basis and unit
-vectors, an Element's `coords`) are read-only and the same whichever
-caller builds them.
+The lazily built values (`Algebra.cube`, `to_float()`, the slots of the
+basis and unit vectors, an Element's `coords`) are read-only and equal
+whichever caller builds them.
 """
 
 from __future__ import annotations
@@ -416,6 +418,7 @@ class Algebra:
         self._scale = scale
         self._rows = tuple(tuple(tuple(cell) for cell in row) for row in rows)
 
+        self._float_copy = None
         self._unit = None
         if unit is not None:
             u = tuple(parse_scalar(c) for c in unit)
@@ -425,17 +428,20 @@ class Algebra:
             if mode == "float":
                 u = tuple(float(c) for c in u)
             self._unit = u
-            # L_1 = R_1 = I, column by column, 1*x before x*1
-            one = Element(self, u)
-            sides = [self.mul_operator(one, side).matrix for side in ("left", "right")]
-            for j in range(n):
-                for matrix, name in zip(sides, ("1*x", "x*1")):
-                    if any(not scalars_close(row[j], int(r == j), self._eps)
-                           for r, row in enumerate(matrix)):
-                        raise AlgebraError(
-                            f"unit axiom violated on basis vector "
-                            f"{self._labels[j]} ({name})"
-                        )
+            if mode == "exact" and any(isinstance(c, float) for c in u):
+                self.to_float()  # the unit's product is float: the copy checks it
+            else:
+                # 1*e_j = e_j*1 = e_j on the rows, 1*x before x*1: exactly
+                # den * scale e_j from the unit's integers over den, or within eps
+                ints, den = integer_form(u) if mode == "exact" else (u, 1)
+                terms, eps = _terms(ints), 0 if mode == "exact" else self._eps
+                for j in range(n):
+                    for name, x, y in (("1*x", terms, [(j, 1)]), ("x*1", [(j, 1)], terms)):
+                        prod = self._accumulate(x, y)
+                        prod[j] -= den * scale
+                        if any(abs(c) > eps for c in prod):
+                            raise AlgebraError(f"unit axiom violated on basis vector "
+                                               f"{self._labels[j]} ({name})")
 
     # -- basic accessors ----------------------------------------------------
 
@@ -534,38 +540,28 @@ class Algebra:
                     out[k] = out[k] + coeff * c
         return out
 
-    def _mul_coords(self, u: Sequence, v: Sequence) -> list:
-        """Coordinates of uv for operands without an integer form (a float
-        table, or a float coordinate): the float sums of `_accumulate`,
-        divided by the table's scale."""
-        out = self._accumulate(_terms(u), _terms(v))
-        scale = self._scale
-        if scale != 1:
-            return [acc / scale if acc else acc for acc in out]
-        return out
-
     def multiply_rows(self, X, Y) -> np.ndarray:
-        """The (N, n) array whose row c is _scale times the product of the
-        coordinate rows X[c] and Y[c]: the loop of `_accumulate` run once
-        over the coordinate columns.  Integer rows on an exact table give
-        int64, or Python ints (object) where `_fits_int64` fails for the
-        rows' largest entries; float rows, or any rows on a float table,
-        give floats summed as each row's own `_mul_coords` call sums them
-        before its division by _scale."""
+        """The (N, n) array whose row c is the product of the coordinate
+        rows X[c] and Y[c]: the loop of `_accumulate` run once over the
+        coordinate columns.  Float rows, or any rows on a float table, give
+        floats, summed on `to_float()` as each row's own `multiply` sums
+        them.  Integer rows on an exact table give _scale times the product,
+        as int64, or Python ints (object) where `_fits_int64` fails for the
+        rows' largest entries."""
         X, Y = np.asarray(X), np.asarray(Y)
         if X.ndim != 2 or X.shape != Y.shape or X.shape[1] != self.dim:
             raise DimensionError(
                 f"rows must be two (N, {self.dim}) arrays, got {X.shape} and {Y.shape}")
         if self._scalar_mode == "float" or "f" in (X.dtype.kind, Y.dtype.kind):
-            dtype = float
+            table, dtype = self.to_float(), float
         else:
-            dtype = np.int64
+            table, dtype = self, np.int64
             vmax = int(np.abs(X).max(initial=0)) * int(np.abs(Y).max(initial=0))
             if object in (X.dtype, Y.dtype) or not _fits_int64(
                     self.dim, int(np.abs(self.cube).max(initial=0)), vmax):
                 dtype = object
             X, Y = X.astype(dtype), Y.astype(dtype)
-        cols = self._accumulate(list(enumerate(X.T)), list(enumerate(Y.T)))
+        cols = table._accumulate(list(enumerate(X.T)), list(enumerate(Y.T)))
         out = np.zeros((len(X), self.dim), dtype=dtype)
         for k, col in enumerate(cols):
             out[:, k] = col
@@ -583,7 +579,8 @@ class Algebra:
         if a._den and b._den:
             prod = self._accumulate(_terms(a._ints), _terms(b._ints))
             return Element._exact(self, prod, a._den * b._den * self._scale)
-        return Element(self, self._mul_coords(a.coords, b.coords))
+        return Element(self, self.to_float()._accumulate(_terms(map(float, a.coords)),
+                                                         _terms(map(float, b.coords))))
 
     def associator(self, x: Element, y: Element, z: Element) -> Element:
         """(x, y, z) = (xy)z - x(yz)."""
@@ -600,39 +597,35 @@ class Algebra:
         self._own(a)
         n = self.dim
         if a._den:
-            terms, den = _terms(a._ints), a._den * self._scale
-            cols = [self._accumulate(terms, [(j, 1)]) if side == "left"
-                    else self._accumulate([(j, 1)], terms) for j in range(n)]
-            cols = [_fractions(col, den) for col in cols]
+            acc, terms, den = self._accumulate, _terms(a._ints), a._den * self._scale
         else:
-            cols = []
-            for j in range(n):
-                e_j = [1 if i == j else 0 for i in range(n)]
-                cols.append(self._mul_coords(a.coords, e_j) if side == "left"
-                            else self._mul_coords(e_j, a.coords))
+            acc, terms, den = self.to_float()._accumulate, _terms(map(float, a.coords)), 0
+        cols = [acc(terms, [(j, 1)]) if side == "left" else acc([(j, 1)], terms)
+                for j in range(n)]
+        if den:
+            cols = [_fractions(col, den) for col in cols]
         return MulOperator(side, [[col[r] for col in cols] for r in range(n)], a)
 
     # -- tensor view ----------------------------------------------------------
 
     @property
     def cube(self) -> np.ndarray:
-        """The table as a read-only n*n*n array, built on first use from the
-        one sparse view the products read: float64 for a float table; for an
-        exact one, the table's integers over its lcm scale, as int64 (Python
-        ints where `_fits_int64` fails).  Only zero tests read it, and a
-        positive scale cannot change those."""
+        """The table as a read-only n*n*n array, built on first use: a float
+        table as float64 from `sc`, its -0.0 entries kept; an exact one from
+        its sparse rows, the table's integers over its lcm scale, as int64
+        (Python ints where `_fits_int64` fails).  Only zero tests read an
+        exact cube, and a positive scale cannot change those."""
         if self._cube is None:
-            n = self.dim
-            entries = [(i, j, k, c) for i, row in enumerate(self._rows)
-                       for j, cell in enumerate(row) for k, c in cell]
             if self._scalar_mode == "float":
-                dtype = float
+                cube = np.array(self._sc, dtype=float)
             else:
+                n = self.dim
+                entries = [(i, j, k, c) for i, row in enumerate(self._rows)
+                           for j, cell in enumerate(row) for k, c in cell]
                 big = max((abs(e[3]) for e in entries), default=0)
-                dtype = np.int64 if _fits_int64(n, big, 1) else object
-            cube = np.zeros((n,) * 3, dtype=dtype)
-            for i, j, k, c in entries:
-                cube[i, j, k] = c
+                cube = np.zeros((n,) * 3, dtype=np.int64 if _fits_int64(n, big, 1) else object)
+                for i, j, k, c in entries:
+                    cube[i, j, k] = c
             cube.flags.writeable = False
             self._cube = cube
         return self._cube
@@ -640,15 +633,14 @@ class Algebra:
     def _operands(self, elements: Sequence[Element], degree: int) -> tuple:
         """(S, X) for the tensor kernels: the cube S and each Element as a
         row of X.  A float table, or any Element with a float coordinate,
-        makes them floats (an exact table read as `_float_cube`).  Otherwise
-        each row is the Element's integer form, a positive multiple of the
-        Element; S and X are int64 when `_fits_int64`
-        holds for the kernel's product of ``degree`` such rows, and Python
-        ints otherwise."""
+        makes them floats, S the cube of `to_float()`.  Otherwise each row
+        is the Element's integer form, a positive multiple of the Element;
+        S and X are int64 when `_fits_int64` holds for the kernel's product
+        of ``degree`` such rows, and Python ints otherwise."""
         self._own(*elements)
         S, n = self.cube, self.dim
         if not all(v._den for v in elements):  # a float table or coordinate
-            S = S if S.dtype == float else _float_cube(self)
+            S = self.to_float().cube
             X = np.array([v.coords for v in elements], dtype=float)
         else:
             X = [v._ints for v in elements]
@@ -739,13 +731,17 @@ class Algebra:
     # -- conversions ----------------------------------------------------------
 
     def to_float(self) -> "Algebra":
-        """A float-scalar copy (used by the numeric solvers)."""
+        """The float copy, each entry rounded once, built on first use and
+        kept; a float table is its own.  Building it checks the unit axiom
+        in floats (AlgebraError)."""
         if self._scalar_mode == "float":
             return self
-        sc = [[[float(c) for c in cell] for cell in row] for row in self._sc]
-        unit = None if self._unit is None else [float(c) for c in self._unit]
-        return Algebra(sc, labels=self._labels, unit=unit, eps=self._eps,
-                       family=self._family)
+        if self._float_copy is None:
+            sc = [[[float(c) for c in cell] for cell in row] for row in self._sc]
+            unit = None if self._unit is None else [float(c) for c in self._unit]
+            self._float_copy = Algebra(sc, labels=self._labels, unit=unit, eps=self._eps,
+                                       family=self._family)
+        return self._float_copy
 
     def to_dict(self) -> dict:
         return {
@@ -840,11 +836,11 @@ def morphism_defect(src: "Algebra", dst: "Algebra", mat, eps: float) -> Optional
     Exact data compares exactly, in Python ints: the cubes the algebras
     hold (the tables times their scales s and t) and the map as ints over
     its denominator d, each side scaled to d^2 s t times its true value.
-    With any float present, all compare as floats within eps."""
+    With any float present, the cubes of `to_float()` compare within eps."""
     n = len(mat)
     if "float" in (src.scalar_mode, dst.scalar_mode) or any(
             isinstance(c, float) for row in mat for c in row):
-        S, T = (_float_cube(A) for A in (src, dst))
+        S, T = (A.to_float().cube for A in (src, dst))
         Mt = np.array(mat, dtype=float).T
         lhs, rhs = 1, 1
     else:
@@ -854,22 +850,6 @@ def morphism_defect(src: "Algebra", dst: "Algebra", mat, eps: float) -> Optional
         lhs, rhs = den * dst._scale, src._scale
     direct = np.dot(Mt, np.dot(Mt, T.reshape(n, -1)).reshape(n, n, n))
     return first_defect(lhs * np.dot(S, Mt) - rhs * direct.swapaxes(0, 1), eps)
-
-
-def _float_cube(A: "Algebra") -> np.ndarray:
-    """A's table as float64: a float table as given, its -0.0 entries
-    fixing the sign of a zero coordinate; an exact table from its integer
-    rows, each entry c / scale, a quotient of ints rounded once, as float()
-    rounds a Fraction."""
-    if A.scalar_mode == "float":
-        return np.array(A.sc, dtype=float)
-    n = A.dim
-    sc = np.zeros((n, n, n))
-    for i, row in enumerate(A._rows):
-        for j, cell in enumerate(row):
-            for k, c in cell:
-                sc[i, j, k] = c / A._scale
-    return sc
 
 
 # module-level operation aliases ------------------------------------------------

@@ -36,7 +36,6 @@ from .core import (
     AlgebraError,
     Element,
     ParameterError,
-    _float_cube,
     integer_form,
     scalar_is_zero,
     scalar_to_json,
@@ -125,7 +124,7 @@ def solve_units_sampled(
         raise ParameterError(f"seed count must be nonnegative, got {seeds}")
     rng = random.Random(seed)
     n = A.dim
-    sc = _float_cube(A)
+    sc = A.to_float().cube
     one = np.array(A.unit, dtype=float)
     # row x of x @ sym, read as an n x n matrix G, has G[j, k] = (x*e_j + e_j*x)_k
     sym = (sc + sc.transpose(1, 0, 2)).reshape(n, n * n)
@@ -165,7 +164,7 @@ def solve_units_sampled(
     found = x[converged]
     found = found[_first_apart(found, 10 * tol)]
     # q*q + 1 per coordinate, as `verify_unit` sums it point by point
-    sq = A.multiply_rows(found, found) / A._scale
+    sq = A.multiply_rows(found, found)
     passed = np.all(np.abs(sq + one) <= tol, axis=1)
     points = tuple(A.element(xc.tolist()) for xc in found[passed])
     return UnitLocus(KIND_CLOUD, points, None, tuple(range(n)))

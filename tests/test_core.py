@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import random
 import weakref
@@ -6,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from altkit import catalog, core
 from altkit.core import Algebra, DimensionError, ParameterError
@@ -218,14 +219,28 @@ def _typed(coords):
     return [(type(c), repr(c)) for c in coords]
 
 
+def _floats(coords):
+    return [float(c) for c in coords]
+
+
 def _reference_mul(A, u, v):
     """The reference product of coordinate lists: the Fraction loop, with
     Fraction zeros, for exact operands on an exact table; otherwise the
-    float product `_mul_coords`, whose float sums the float checks in
-    this file pin bit for bit."""
+    same loop on `A.to_float()` over the coordinates as floats, whose float
+    sums the float checks in this file pin bit for bit."""
     if A.scalar_mode == "exact" and not any(isinstance(c, float) for c in (*u, *v)):
         return _fraction_mul_coords(A, u, v, Fraction(0))
-    return A._mul_coords(u, v)
+    return _fraction_mul_coords(A.to_float(), _floats(u), _floats(v))
+
+
+def _end_of_sum_mul_coords(A, u, v):
+    """A float product that `multiply` does not take on an exact table:
+    the float sums over the table's integers (its entries times its scale),
+    each divided by the scale once, at the end.  Its last bits differ from
+    the product on `to_float()`, whose entries are each rounded once."""
+    out = A._accumulate([(i, c) for i, c in enumerate(u) if c],
+                        [(j, c) for j, c in enumerate(v) if c])
+    return [acc / A._scale if acc else acc for acc in out]
 
 
 def _check_exact_products(A, rng):
@@ -244,25 +259,25 @@ def test_product_matches_fraction_reference_on_catalog(A):
     # a float table: the same float loop, bit for bit and type for type
     Af = A.to_float()
     for u, v in _exact_pairs(A, rng):
-        uf, vf = [float(c) for c in u], [float(c) for c in v]
-        assert _typed(Af._mul_coords(uf, vf)) == _typed(_fraction_mul_coords(Af, uf, vf))
-        assert _typed(Af._mul_coords(u, v)) == _typed(_fraction_mul_coords(Af, u, v))
+        uf, vf = _floats(u), _floats(v)
         want = _fraction_mul_coords(Af, uf, vf)
         assert _typed(Af.element(uf) * Af.element(vf)) == _typed(Af.element(want))
+        assert _typed(Af.element(u) * Af.element(v)) == _typed(Af.element(want))
 
     # float coordinates on the exact table (Newton points, sqrt witnesses):
-    # floats within the algebra's eps, and floats exactly where the reference
-    # has them (a float zero adds no term, so it may leave the result exact)
+    # the product on `to_float()` of the coordinates as floats, bit for bit,
+    # so a float wherever a term lands, even a term of exact coordinates (a
+    # float zero adds no term, so it may leave the result exact); within
+    # the algebra's eps of the Fraction reference
     for u, v in _exact_pairs(A, rng):
         uf = [float(c) * 2 ** 0.5 for c in u]
         mixed = [float(c) if i % 2 else c for i, c in enumerate(v)]
         for x, y in ((uf, v), (u, mixed), (uf, mixed)):
-            got, want = A._mul_coords(x, y), _fraction_mul_coords(A, x, y)
-            assert ([isinstance(c, float) for c in got]
-                    == [isinstance(c, float) for c in want])
-            assert all(core.scalars_close(g, w, A.eps) for g, w in zip(got, want))
-            prod = (A.element(x) * A.element(y)).coords
-            assert [type(c) for c in prod] == [type(c) for c in A.element(want).coords]
+            prod = A.element(x) * A.element(y)
+            want = _fraction_mul_coords(Af, _floats(x), _floats(y))
+            assert _typed(prod) == _typed(A.element(want))
+            exact = _fraction_mul_coords(A, x, y)
+            assert all(core.scalars_close(g, w, A.eps) for g, w in zip(prod.coords, exact))
 
 
 @pytest.mark.parametrize("table", [catalog.quaternions(),
@@ -275,7 +290,8 @@ def test_product_matches_fraction_reference_past_int64(table):
     _check_exact_products(big, random.Random(3))
     bigf = big.to_float()
     for u, v in _exact_pairs(big, random.Random(4)):
-        assert _typed(bigf._mul_coords(u, v)) == _typed(_fraction_mul_coords(bigf, u, v))
+        want = _fraction_mul_coords(bigf, _floats(u), _floats(v))
+        assert _typed(bigf.element(u) * bigf.element(v)) == _typed(bigf.element(want))
 
 
 def _reference_laws(A, u, v, w):
@@ -442,6 +458,9 @@ def test_element_arithmetic_matches_fraction_reference(A):
                           st.floats(-4, 4, allow_nan=False, allow_infinity=False)),
                 min_size=12, max_size=12),
        st.sampled_from(["quaternions", "mplus", "mzero", "tp"]), st.booleans())
+# a tiny float whose square underflows: an exact coordinate that rounds to
+# 0.0 then adds no float term, as on to_float()
+@example([0] * 7 + [1.6581956938105584e-202] + [Fraction(0)] * 2 + [0] * 2, "quaternions", False)
 def test_element_arithmetic_matches_fraction_reference_drawn(values, name, to_float):
     A = (catalog.tp(alpha1=Fraction(1, 2), beta1=Fraction(-4, 3), delta2=3, gamma2=Fraction(7, 4))
          if name == "tp" else catalog.build(name))
@@ -538,6 +557,59 @@ def test_kernels_read_float_coords_as_to_float(A):
     assert A.first_singular(floats[-1:]) == 0  # the zero element
 
 
+def _float_bits(coords):
+    """`_bits` of coordinates read as floats (an exact zero reads as 0.0)."""
+    return _bits(np.array(_floats(coords), dtype=float))
+
+
+@pytest.mark.parametrize("A", [A for A in _catalog_tables() if A._scale > 1], ids=repr)
+def test_float_work_on_an_exact_table_is_the_work_on_to_float(A):
+    # entries that are not all integers (scale > 1): a float coordinate
+    # makes every computation run on the one cached float copy, bit for bit
+    from altkit import identities, units
+
+    Af = A.to_float()
+    assert Af is A.to_float() and Af.to_float() is Af
+    rng = random.Random(A.dim + 7)
+    n = A.dim
+    rows = [[rng.uniform(-2, 2) for _ in range(n)] for _ in range(5)]
+    rows.append([0.5] + [Fraction(rng.randint(-7, 7), rng.randint(1, 6)) for _ in range(n - 1)])
+    pairs = [(A.element(r), Af.element(r)) for r in rows]
+    moved = False
+    for a, b in itertools.product(range(len(pairs)), repeat=2):
+        (x, xf), (y, yf), (z, zf) = pairs[a], pairs[b], pairs[(a + b) % len(pairs)]
+        prod = x * y
+        assert np.array_equal(_float_bits(prod.coords), _float_bits((xf * yf).coords))
+        moved |= _floats(prod.coords) != _end_of_sum_mul_coords(A, _floats(x.coords),
+                                                                _floats(y.coords))
+        assert np.array_equal(_float_bits(A.associator(x, y, z).coords),
+                              _float_bits(Af.associator(xf, yf, zf).coords))
+    assert moved  # the end-of-sum reading gives other last bits
+    for (x, xf), side in itertools.product(pairs, ("left", "right")):
+        got, want = A.mul_operator(x, side).matrix, Af.mul_operator(xf, side).matrix
+        assert np.array_equal(_bits(np.array(got, dtype=float)),
+                              _bits(np.array(want, dtype=float)))
+    U = np.array(rows[:5])
+    assert np.array_equal(_bits(A.multiply_rows(U, U[::-1])), _bits(Af.multiply_rows(U, U[::-1])))
+
+    # a Newton cloud: the same points, the same unit verdicts, and the same
+    # partial-law witnesses and defects
+    cloud, cloudf = (units.solve_units_sampled(B, seeds=30, seed=1) for B in (A, Af))
+    assert [_float_bits(q.coords).tolist() for q in cloud.points] == \
+        [_float_bits(q.coords).tolist() for q in cloudf.points]
+    for tol in (None, 0.0):
+        assert [units.verify_unit(A, q, tol) for q in cloud.points] == \
+            [units.verify_unit(Af, q, tol) for q in cloudf.points]
+    for kind in identities.PARTIAL_KINDS:
+        got, want = (identities.check_identity(B, kind, units=c.points)
+                     for B, c in ((A, cloud), (Af, cloudf)))
+        assert got.holds == want.holds
+        if got.witness is not None:
+            for u, w in zip((got.witness.x, got.witness.y, got.witness.z, got.witness.defect),
+                            (want.witness.x, want.witness.y, want.witness.z, want.witness.defect)):
+                assert np.array_equal(_float_bits(u.coords), _float_bits(w.coords))
+
+
 @pytest.mark.parametrize("A", _catalog_tables(), ids=repr)
 def test_mul_operators_stay_int64_on_a_python_int_cube(A):
     # big is A with every entry times c: its cube holds Python ints, and an
@@ -575,18 +647,16 @@ def test_multiply_rows_matches_multiply_on_every_path(A):
     for B, U, V in ((A, X * c, Y * c), (big, X, Y)):
         P = B.multiply_rows(U, V)
         assert P.dtype == object and P.tolist() == _rows_reference(B, U, V)
-    # a float table: the float sums of `_mul_coords`, bit for bit
+    # a float table: the float sums of `multiply`, bit for bit
     U, V = rng.uniform(-2, 2, (2, 9, A.dim))
     Af = A.to_float()
     P = Af.multiply_rows(U, V)
     assert P.dtype == float
-    assert P.tolist() == [Af._mul_coords(u, v) for u, v in zip(U.tolist(), V.tolist())]
-    # float rows on the exact table (the Newton re-check): the same sums over
-    # the table's integers, before `_mul_coords` divides them by the scale
-    P = A.multiply_rows(U, V)
-    assert P.dtype == float
-    assert (P / A._scale).tolist() == [A._mul_coords(u, v)
-                                       for u, v in zip(U.tolist(), V.tolist())]
+    assert P.tolist() == [list((Af.element(u) * Af.element(v)).coords)
+                          for u, v in zip(U.tolist(), V.tolist())]
+    # float rows on the exact table (the Newton re-check): the true product,
+    # summed on `to_float()` as there, bit for bit
+    assert np.array_equal(_bits(A.multiply_rows(U, V)), _bits(P))
 
 
 def test_multiply_rows_rejects_mismatched_rows(H):
@@ -705,6 +775,27 @@ def test_unit_axiom_message_names_the_first_failing_side():
     fixed = table(1)
     fixed[0][2] = [0, 0, 1]
     Algebra(fixed, unit=[1, 0, 0]), Algebra(fixed, unit=[1.0, 1e-12, 0.0])
+
+
+def test_unit_axiom_on_a_scaled_table_compares_the_true_product():
+    # e*e = e/2 (scale 2): 2e is the unit, and 1*e = 2 * (e/2) = e; the
+    # table's integers would give 2e, so a float unit is checked on the
+    # float product, not on the scaled sums
+    half = [[[Fraction(1, 2)]]]
+    for unit in ([2], ["2"], [2.0]):
+        A = Algebra(half, unit=unit)
+        assert A._scale == 2 and A.one() * A.basis(0) == A.basis(0)
+    for unit in ([1], [1.0], [Fraction(1, 2)], [2.000001]):
+        with pytest.raises(core.AlgebraError, match="e0 \\(1\\*x\\)"):
+            Algebra(half, unit=unit)
+    # the float copy checks the axiom in floats: 49 * float(1/49) != 1, so
+    # at eps 0 the exact table stands and its float work raises
+    A = Algebra([[[Fraction(1, 49)]]], unit=[49], eps=0)
+    assert A.one() * A.one() == A.one()
+    with pytest.raises(core.AlgebraError, match="unit axiom"):
+        A.to_float()
+    with pytest.raises(core.AlgebraError, match="unit axiom"):
+        A.multiply(A.element([0.5]), A.one())
 
 
 def test_an_algebra_is_freed_without_the_cycle_collector():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from altkit import catalog, core, units
+from altkit import catalog, units
 from altkit.core import Algebra, ParameterError, tolerance
 
 F = Fraction
@@ -229,6 +229,28 @@ def _scaled_quaternions():
     return Algebra(sc, labels=H.labels, unit=H.unit)
 
 
+def _negative_zero_quaternions():
+    # a float table with a -0.0 entry, which fixes the sign of a zero sum
+    H = catalog.quaternions()
+    sc = [[[float(c) for c in cell] for cell in row] for row in H.sc]
+    sc[1][2][0] = -0.0
+    return Algebra(sc, labels=H.labels, unit=H.unit)
+
+
+def _float_cube(A):
+    """Reference: A's table as float64, a float table as given; an exact
+    table entry by entry from its integer rows, each c / scale, a quotient
+    of ints rounded once, as float() rounds a Fraction."""
+    if A.scalar_mode == "float":
+        return np.array(A.sc, dtype=float)
+    sc = np.zeros((A.dim,) * 3)
+    for i, row in enumerate(A._rows):
+        for j, cell in enumerate(row):
+            for k, c in cell:
+                sc[i, j, k] = c / A._scale
+    return sc
+
+
 def _split_complex():
     # j*j = +1: q*q = -1 has no real solution
     return Algebra([[[1, 0], [0, 1]], [[0, 1], [1, 0]]], labels=["1", "j"], unit=[1, 0])
@@ -273,7 +295,7 @@ def test_slogdet_sign_is_zero_exactly_where_solve_raises(build):
     # slogdet: LU meets a zero pivot in both, or in neither
     A = build()
     n = A.dim
-    sc = core._float_cube(A)
+    sc = A.to_float().cube
     sym = (sc + sc.transpose(1, 0, 2)).reshape(n, n * n)
     x = np.vstack([np.eye(n), -np.eye(n),
                    np.random.default_rng(0).uniform(-2, 2, (6, n))])
@@ -358,13 +380,16 @@ def test_first_apart_keeps_points_greedily_in_order(monkeypatch):
     catalog.quaternions(),
     catalog.complex_numbers(),
     _scaled_quaternions(),
+    _negative_zero_quaternions(),
 ], ids=repr)
 def test_float_cube_is_float_of_each_entry(A):
+    # the float copy's cube: each entry rounded once, a float table's -0.0
+    # entries kept, the cube entry by entry from an exact table's integers
     for table in (A, A.to_float()):
         want = np.array(table.sc, dtype=float)
-        got = core._float_cube(table)
-        assert got.dtype == want.dtype == np.float64
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for got in (table.to_float().cube, _float_cube(table)):
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize(
