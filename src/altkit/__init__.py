@@ -47,7 +47,6 @@ from .lie import (
     match_canonical,
 )
 from .structure import (
-    LinearMap,
     MiddleClassification,
     ReflectionDecomposition,
     classify_middle_c,

@@ -51,6 +51,8 @@ _TP = (
                         ("gamma", 3, 3))
      for m in (0, 1)},
 )
+# tp's parameter names, in the order its table scalars are reported
+TP_PARAMS = tuple(_TP[1])
 
 
 def _table(labels, fixed, slots, params, family) -> Algebra:
@@ -143,7 +145,7 @@ def tp(alpha1=0, alpha2=0, beta1=0, beta2=0, delta1=0, delta2=0,
     w*w = alpha1 + alpha2 i, w*v = beta1 + beta2 i,
     v*w = delta1 + delta2 i, v*v = gamma1 + gamma2 i.
     """
-    params = dict(zip(_TP[1], map(parse_scalar, (
+    params = dict(zip(TP_PARAMS, map(parse_scalar, (
         alpha1, alpha2, beta1, beta2, delta1, delta2, gamma1, gamma2))))
     return _table(("1", "i", "w", "v"), *_TP, params, ("tp", params))
 

@@ -321,9 +321,7 @@ def claim_reflection_split(opt: SuiteOptions):
 
     # the extracted scalars rebuild a table isomorphic to the source along
     # the (1, i, w, v) basis matrix
-    names = ("alpha1", "alpha2", "beta1", "beta2", "delta1", "delta2",
-             "gamma1", "gamma2")
-    T = catalog.tp(**dict(zip(names, dec.tp_params)))
+    T = catalog.tp(**dict(zip(catalog.TP_PARAMS, dec.tp_params)))
     basis_matrix = [[e.coords[r] for e in dec.tp_basis] for r in range(4)]
     assert structure.is_isomorphism(T, H, basis_matrix, eps=0.0).ok, (
         "extracted table is not isomorphic to the source along (1, i, w, v)"
@@ -345,8 +343,7 @@ LIE_CASES = (
 
 
 def claim_lie_jacobi(opt: SuiteOptions):
-    for params in _deciding_points(("alpha1", "alpha2", "beta1", "beta2",
-                                    "delta1", "delta2", "gamma1", "gamma2")):
+    for params in _deciding_points(catalog.TP_PARAMS):
         L = lie.lieify(catalog.tp(**params))
         ok, witness = lie.check_jacobi(L, tol=0.0)
         assert ok, f"{params}: Jacobi fails at {witness}"

@@ -252,15 +252,13 @@ def cmd_decompose(args) -> int:
     A = resolve_algebra(args)
     phi = _reflection_matrix(args, A)
     dec = structure.reflection_decompose(A, phi, eps=args.eps)
-    names = ("alpha1", "alpha2", "beta1", "beta2", "delta1", "delta2",
-             "gamma1", "gamma2")
     text = (
         "plus-plane: " + " ".join(repr(b) for b in dec.B_basis)
         + "\nminus-plane: " + " ".join(repr(c) for c in dec.C_basis)
         + "\ncanonical basis (1, i, w, v): "
         + " ".join(repr(e) for e in dec.tp_basis)
         + "\ntable scalars: "
-        + ", ".join(f"{n}={v}" for n, v in zip(names, dec.tp_params))
+        + ", ".join(f"{n}={v}" for n, v in zip(catalog.TP_PARAMS, dec.tp_params))
         + "\nverdicts: " + ", ".join(f"{k}={v}" for k, v in dec.verdicts.items())
     )
     _emit(args, dec.to_dict(), text)

@@ -5,12 +5,14 @@ reflection table, and classification of middle plane-associative tables.
 A reflection is an algebra automorphism of order two.  Its +1 and -1
 eigenspaces B and C split a 4-dimensional unital division algebra into a
 plane subalgebra B (necessarily a copy of the complex numbers) and a
-complementary plane C with B*C = C*B = C and C*C inside B.  Choosing i in
-B with i*i = -1 and a unit-length w in C, with v = w*i, puts the product
-into the canonical reflection table whose last two rows take values in
-span{1, i}; the eight scalars of those rows are what this module reports.
+complementary plane C.  Choosing i in B with i*i = -1 and a unit-length w
+in C, with v = w*i, the split reads the eight scalars of the canonical
+reflection table `catalog.tp` and checks, with one `core.morphism_defect`,
+that the product in the basis (1, i, w, v) is exactly that table.  The
+containments B*C = C*B = C and C*C inside B are then theorems of the
+verified automorphism; only whether C*C spans B is read from the scalars.
 Each linear question is one elimination: the nucleus reads its rows from
-the integer cube, and a span test the pivots of the columns [basis | x].
+the integer cube, and coordinates the pivots of the columns [basis | x].
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence
 
-from . import catalog, linalg, units
+from . import catalog, linalg
 from .core import (
     Algebra,
     DecompositionError,
@@ -34,25 +36,6 @@ from .core import (
     sqrt_scalar,
     tolerance,
 )
-
-
-@dataclass(frozen=True)
-class LinearMap:
-    """A square matrix acting on a parent algebra's coordinates."""
-
-    matrix: tuple
-    algebra: Algebra
-
-    def __post_init__(self):
-        mat = _as_matrix(self.matrix, self.algebra.dim)
-        object.__setattr__(self, "matrix", tuple(map(tuple, mat)))
-
-    def __call__(self, x: Element) -> Element:
-        return self.algebra.element(linalg.matvec(self.matrix, list(x.coords)))
-
-
-def _as_matrix(f, n: int):
-    return linalg.square_matrix(f.matrix if isinstance(f, LinearMap) else f, n)
 
 
 class MorphismReport(NamedTuple):
@@ -81,7 +64,7 @@ def is_isomorphism(
     """
     if src.dim != dst.dim:
         return MorphismReport(False, None)
-    mat = _as_matrix(f, src.dim)
+    mat = linalg.square_matrix(f, src.dim)
     eps = tolerance(eps, max(src.eps, dst.eps))
     if scalar_is_zero(linalg.det(mat, eps), eps):
         return MorphismReport(False, None)
@@ -104,18 +87,17 @@ class ReflectionDecomposition:
     B_basis: tuple  # +1 eigenvectors
     C_basis: tuple  # -1 eigenvectors
     tp_basis: tuple  # (1, i, w, v)
-    tp_params: tuple  # (alpha1, alpha2, beta1, beta2, delta1, delta2, gamma1, gamma2)
+    tp_params: tuple  # in the order of catalog.TP_PARAMS
     verdicts: dict
 
     def to_dict(self) -> dict:
-        names = ("alpha1", "alpha2", "beta1", "beta2",
-                 "delta1", "delta2", "gamma1", "gamma2")
         return {
             "B_basis": [b.json_coords() for b in self.B_basis],
             "C_basis": [c.json_coords() for c in self.C_basis],
             "tp_basis": {name: e.json_coords() for name, e in
                          zip(("one", "i", "w", "v"), self.tp_basis)},
-            "tp_params": {n: scalar_to_json(v) for n, v in zip(names, self.tp_params)},
+            "tp_params": {n: scalar_to_json(v)
+                          for n, v in zip(catalog.TP_PARAMS, self.tp_params)},
             "verdicts": dict(self.verdicts),
         }
 
@@ -125,17 +107,15 @@ def _columns(elements: Sequence[Element]) -> list:
     return [list(row) for row in zip(*(e.coords for e in elements))]
 
 
-def _plane_coords(plane: Sequence[Element], xs: Sequence[Element], eps: float):
-    """The coefficients of each x in span(plane), a plane, or None if any x
-    lies outside it: a pivot of [p0 p1 | x...] in an x's column."""
-    reduced, pivots = linalg.rref(_columns([*plane, *xs]), eps)
-    if any(p >= 2 for p in pivots):
+def _coords(basis: Sequence[Element], xs: Sequence[Element], eps: float):
+    """The coefficients of each x in ``basis``, or None if the basis is
+    dependent or some x lies outside its span: one elimination of the
+    columns [basis | xs], whose pivots must be exactly the basis columns."""
+    k = len(basis)
+    reduced, pivots = linalg.rref(_columns([*basis, *xs]), eps)
+    if pivots != list(range(k)):
         return None
-    coords = [[Fraction(0), Fraction(0)] for _ in xs]
-    for row, p in zip(reduced, pivots):
-        for coeffs, value in zip(coords, row[2:]):
-            coeffs[p] = value
-    return coords
+    return [[row[k + c] for row in reduced[:k]] for c in range(len(xs))]
 
 
 def _choose_i(A: Algebra, plane: List[Element], eps: float) -> Element:
@@ -150,7 +130,7 @@ def _choose_i(A: Algebra, plane: List[Element], eps: float) -> Element:
     if b is None:
         raise DecompositionError("plus-eigenspace is a line through the unit")
     bb = A.multiply(b, b)
-    coords = _plane_coords([one, b], [bb], eps)
+    coords = _coords([one, b], [bb], eps)
     if coords is None:
         raise DecompositionError("plus-eigenspace is not closed under products")
     (p, q), = coords
@@ -172,15 +152,23 @@ def reflection_decompose(
     eigenspaces must both be planes.  i is the root of x^2 = -1 in the
     plus-eigenspace with positive coordinate on the non-unit basis
     direction; w is the first minus-eigenvector normalised to Euclidean
-    length 1; v = w*i.  Anticommutation of i with the minus-eigenspace is
-    verified: if instead i commutes with it the commutative nucleus
+    length 1; v = w*i.  If i commutes with w, the commutative nucleus
     exceeds the scalars, which a division algebra cannot allow, and
     NucleusContradictionError is raised.
+
+    What is checked: the eight scalars are the (1, i) coordinates of ww,
+    wv, vw and vv, and one `core.morphism_defect` proves that the product
+    in the basis (1, i, w, v) is `catalog.tp` at those scalars, that is
+    i*i = -1, i anticommutes with w and v, i*v = w, and C*C lies in
+    span{1, i}; otherwise a DecompositionError names the first product
+    that differs.  What follows: phi(xy) = phi(x)phi(y) puts B*C and C*B
+    in C and C*C in B, and phi fixes 1, so 1 in B gives B*C = C*B = C.
+    C*C = B iff the four (1, i) coordinate pairs have rank 2.
     """
     eps = tolerance(eps, A.eps)
     if A.unit is None or A.dim != 4:
         raise DecompositionError("reflection split needs a 4-dimensional unital algebra")
-    mat = _as_matrix(phi, A.dim)
+    mat = linalg.square_matrix(phi, A.dim)
 
     auto = is_automorphism(A, mat, eps)
     if not auto.ok:
@@ -206,72 +194,46 @@ def reflection_decompose(
 
     one = A.one()
     i_elem = _choose_i(A, B, eps)
-    if not units.verify_unit(A, i_elem, eps):
-        raise DecompositionError("failed to solve x^2 = -1 in the plus-eigenspace")
-
     w_raw = C[0]
     norm2 = sum(c * c for c in w_raw.coords)
     w = w_raw / sqrt_scalar(norm2)
     v = A.multiply(w, i_elem)
-
-    basis_mat = [list(e.coords) for e in (one, i_elem, w, v)]
-    if linalg.rank(basis_mat, eps) != 4:
+    basis = (one, i_elem, w, v)
+    coords = _coords(basis, [A.multiply(x, y) for x, y in
+                             ((w, w), (w, v), (v, w), (v, v))], eps)
+    if coords is None:
         raise DecompositionError("1, i, w, w*i do not form a basis")
-
-    iw = A.multiply(i_elem, w)
-    wi = A.multiply(w, i_elem)
-    if (iw - wi).is_zero(eps):
+    if (A.multiply(i_elem, w) - v).is_zero(eps):
         raise NucleusContradictionError(
             "i commutes with the minus-eigenspace; the commutative nucleus "
             "exceeds the scalars, so the input is not a division algebra"
         )
-    anticommute = ((iw + wi).is_zero(eps)
-                   and (A.multiply(i_elem, v) + A.multiply(v, i_elem)).is_zero(eps))
-    if not anticommute:
-        raise DecompositionError(
-            "i neither commutes nor anticommutes with the minus-eigenspace; "
-            "the input is not partially alternative"
-        )
-    if not (A.multiply(i_elem, v) - w).is_zero(eps):
-        raise DecompositionError(
-            "i*(w*i) != w: the alternative law fails at i; canonical table "
-            "extraction does not apply"
-        )
 
-    coords = _plane_coords([one, i_elem], [A.multiply(x, y) for x, y in
-                                           ((w, w), (w, v), (v, w), (v, v))], eps)
-    if coords is None:
+    pairs = [c[:2] for c in coords]
+    params = tuple(x for pair in pairs for x in pair)
+    table = catalog.tp(**dict(zip(catalog.TP_PARAMS, params)))
+    hit = morphism_defect(table, A, _columns(basis), eps)
+    if hit is not None:
+        x, y = (table.labels[p] for p in hit)
         raise DecompositionError(
-            "a product of minus-eigenvectors lands outside span{1, i}"
+            f"{x}*{y} in the basis (1, i, w, v = w*i) is not the canonical "
+            "reflection table's; canonical table extraction does not apply"
         )
-    (a1, a2), (b1, b2), (d1, d2), (g1, g2) = coords
-    params = (a1, a2, b1, b2, d1, d2, g1, g2)
-
-    inside, spans = zip(*(_products_in(A, x, y, t, eps)
-                          for x, y, t in ((B, C, C), (C, B, C), (C, C, B))))
     verdicts = {
         "eigendims_2_2": True,
         "i_squares_to_minus_one": True,
         "anticommutation": True,
-        **dict(zip(("BC_in_C", "CB_in_C", "CC_in_B"), inside)),
-        **dict(zip(("BC_equals_C", "CB_equals_C", "CC_equals_B"), spans)),
+        **dict.fromkeys(("BC_in_C", "CB_in_C", "CC_in_B",
+                         "BC_equals_C", "CB_equals_C"), True),
+        "CC_equals_B": linalg.rank(pairs, eps) == 2,
     }
     return ReflectionDecomposition(
         B_basis=tuple(B),
         C_basis=tuple(C),
-        tp_basis=(one, i_elem, w, v),
+        tp_basis=basis,
         tp_params=params,
         verdicts=verdicts,
     )
-
-
-def _products_in(A, left, right, target, eps) -> tuple:
-    """Do the products x*y (x in left, y in right) lie in, and span,
-    span(target), a plane?  One elimination of [products | target]: the
-    pivots among the products give their rank, all of them the joint rank."""
-    prods = [A.multiply(x, y) for x in left for y in right]
-    _, pivots = linalg.rref(_columns([*prods, *target]), eps)
-    return len(pivots) == 2, sum(p < len(prods) for p in pivots) == 2
 
 
 @dataclass(frozen=True)

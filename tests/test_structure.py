@@ -1,8 +1,8 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 from altkit import catalog, identities, linalg, structure, units
 from altkit.core import (
     Algebra,
+    AlgebraError,
+    DecompositionError,
     DimensionError,
     NucleusContradictionError,
     ReflectionError,
@@ -20,6 +22,7 @@ from altkit.core import (
     scalar_is_zero,
     scalars_close,
     sqrt_scalar,
+    tolerance,
 )
 
 F = Fraction
@@ -124,9 +127,9 @@ def test_nucleus_invariant_under_automorphisms():
     H = catalog.quaternions()
     nucleus = structure.commutative_nucleus(H)
     span = [list(b.coords) for b in nucleus]
-    phi = structure.LinearMap(tuple(tuple(row) for row in REFLECTION), H)
     for b in nucleus:
-        assert linalg.rank(span + [list(phi(b).coords)]) == linalg.rank(span)
+        image = linalg.matvec(REFLECTION, list(b.coords))
+        assert linalg.rank(span + [image]) == linalg.rank(span)
 
 
 def test_is_automorphism():
@@ -256,6 +259,8 @@ def test_decomposition_json():
     H = catalog.quaternions()
     dec = structure.reflection_decompose(H, REFLECTION)
     data = dec.to_dict()
+    assert tuple(data["tp_params"]) == catalog.TP_PARAMS == (
+        "alpha1", "alpha2", "beta1", "beta2", "delta1", "delta2", "gamma1", "gamma2")
     assert data["tp_params"]["alpha1"] == "-1"
     assert data["verdicts"]["CC_in_B"]
     assert data["tp_basis"]["w"] == ["0", "0", "1", "0"]
@@ -361,8 +366,6 @@ def test_maps_of_the_wrong_shape_are_rejected(bad):
         structure.is_automorphism(H, bad)
     with pytest.raises(DimensionError):
         structure.reflection_decompose(H, bad)
-    with pytest.raises(DimensionError):
-        structure.LinearMap(tuple(map(tuple, bad)), H)
 
 
 # -- the parent's routines, kept as references ----------------------------------
@@ -400,6 +403,115 @@ def _three_rank_products_in(A, left, right, target, eps):
     rows = [list(t.coords) for t in target]
     r = linalg.rank(rows, eps)
     return linalg.rank(rows + prods, eps) == r, linalg.rank(prods, eps) == r
+
+
+def _columns(elements):
+    return [list(row) for row in zip(*(e.coords for e in elements))]
+
+
+def _parent_plane_coords(plane, xs, eps):
+    """One elimination of [p0 p1 | xs]: the coefficients of each x in
+    span(plane), or None if a pivot falls in an x's column."""
+    reduced, pivots = linalg.rref(_columns([*plane, *xs]), eps)
+    if any(p >= 2 for p in pivots):
+        return None
+    coords = [[F(0), F(0)] for _ in xs]
+    for row, p in zip(reduced, pivots):
+        for coeffs, value in zip(coords, row[2:]):
+            coeffs[p] = value
+    return coords
+
+
+def _parent_products_in(A, left, right, target, eps):
+    """One elimination of [products | target]: do the products lie in, and
+    span, span(target)?"""
+    prods = [A.multiply(x, y) for x in left for y in right]
+    _, pivots = linalg.rref(_columns([*prods, *target]), eps)
+    return len(pivots) == 2, sum(p < len(prods) for p in pivots) == 2
+
+
+def _parent_choose_i(A, plane, eps):
+    one = A.one()
+    b = next((c for c in plane
+              if linalg.rank([list(one.coords), list(c.coords)], eps) == 2), None)
+    if b is None:
+        raise DecompositionError("plus-eigenspace is a line through the unit")
+    coords = _parent_plane_coords([one, b], [A.multiply(b, b)], eps)
+    if coords is None:
+        raise DecompositionError("plus-eigenspace is not closed under products")
+    (p, q), = coords
+    disc = p + q * q / 4
+    if disc >= 0 or scalar_is_zero(disc, eps):
+        raise DecompositionError("plus-eigenspace is not a copy of the complex plane")
+    y = sqrt_scalar(-1 / disc)
+    return -q * y / 2 * one + y * b
+
+
+def _parent_reflection_decompose(A, phi, eps=None):
+    """The split with five hand-written product tests (i*i = -1, the two
+    anticommutations, i*(w*i) = w, C*C in span{1, i}) and three
+    eliminations for the containment verdicts."""
+    eps = tolerance(eps, A.eps)
+    if A.unit is None or A.dim != 4:
+        raise DecompositionError("reflection split needs a 4-dimensional unital algebra")
+    mat = linalg.square_matrix(phi, A.dim)
+    if not structure.is_automorphism(A, mat, eps).ok:
+        raise ReflectionError("the supplied map is not an automorphism")
+    n = A.dim
+    ident = linalg.identity_matrix(n)
+    plus = [[mat[i][j] - ident[i][j] for j in range(n)] for i in range(n)]
+    if all(scalar_is_zero(x, eps) for row in plus for x in row):
+        raise ReflectionError("the identity map is not a reflection")
+    sq = linalg.matmul(mat, mat)
+    if any(not scalars_close(sq[i][j], ident[i][j], eps)
+           for i in range(n) for j in range(n)):
+        raise ReflectionError("the map does not square to the identity")
+    minus = [[mat[i][j] + ident[i][j] for j in range(n)] for i in range(n)]
+    B = [A.element(v) for v in linalg.null_space(plus, eps)]
+    C = [A.element(v) for v in linalg.null_space(minus, eps)]
+    if len(B) != 2 or len(C) != 2:
+        raise DecompositionError(
+            f"eigenspace dimensions ({len(B)}, {len(C)}) are not (2, 2); "
+            "the input is degenerate or not a division algebra")
+
+    one = A.one()
+    i_elem = _parent_choose_i(A, B, eps)
+    if not units.verify_unit(A, i_elem, eps):
+        raise DecompositionError("failed to solve x^2 = -1 in the plus-eigenspace")
+    w = C[0] / sqrt_scalar(sum(c * c for c in C[0].coords))
+    v = A.multiply(w, i_elem)
+    if linalg.rank([list(e.coords) for e in (one, i_elem, w, v)], eps) != 4:
+        raise DecompositionError("1, i, w, w*i do not form a basis")
+    iw, wi = A.multiply(i_elem, w), A.multiply(w, i_elem)
+    if (iw - wi).is_zero(eps):
+        raise NucleusContradictionError(
+            "i commutes with the minus-eigenspace; the commutative nucleus "
+            "exceeds the scalars, so the input is not a division algebra")
+    if not ((iw + wi).is_zero(eps)
+            and (A.multiply(i_elem, v) + A.multiply(v, i_elem)).is_zero(eps)):
+        raise DecompositionError(
+            "i neither commutes nor anticommutes with the minus-eigenspace; "
+            "the input is not partially alternative")
+    if not (A.multiply(i_elem, v) - w).is_zero(eps):
+        raise DecompositionError(
+            "i*(w*i) != w: the alternative law fails at i; canonical table "
+            "extraction does not apply")
+    coords = _parent_plane_coords([one, i_elem], [A.multiply(x, y) for x, y in
+                                                  ((w, w), (w, v), (v, w), (v, v))], eps)
+    if coords is None:
+        raise DecompositionError("a product of minus-eigenvectors lands outside span{1, i}")
+    params = tuple(x for pair in coords for x in pair)
+    inside, spans = zip(*(_parent_products_in(A, x, y, t, eps)
+                          for x, y, t in ((B, C, C), (C, B, C), (C, C, B))))
+    verdicts = {
+        "eigendims_2_2": True,
+        "i_squares_to_minus_one": True,
+        "anticommutation": True,
+        **dict(zip(("BC_in_C", "CB_in_C", "CC_in_B"), inside)),
+        **dict(zip(("BC_equals_C", "CB_equals_C", "CC_equals_B"), spans)),
+    }
+    return structure.ReflectionDecomposition(tuple(B), tuple(C), (one, i_elem, w, v),
+                                             params, verdicts)
 
 
 def _gated_classify(source, eps=None, seed=0):
@@ -517,64 +629,111 @@ REFLECTIONS = [[[1, 0, 0, 0], [0, s1, 0, 0], [0, 0, s2, 0], [0, 0, 0, s3]]
                for s1, s2, s3 in itertools.product((1, -1), repeat=3)]
 
 
-def _decomposition(A, phi):
-    """reflection_decompose's outcome with every scalar typed, or its
-    exception's type and message."""
+def _split_cases():
+    """(table, reflection) pairs: catalog and seeded tables, each exact, as
+    floats and scaled, under the diagonal reflections; then non-diagonal
+    reflections, and a float map on an exact table."""
+    tables = STRUCTURE_TABLES + _seeded_tables(60) + [
+        catalog.tn(a=4, g=-4), catalog.tn(a=2, g=-2), catalog.tn(a=-2, g=2),
+        catalog.tn(a=-1, c=F(-1, 3))]
+    cases = [(B, phi) for A in tables for B in (A, A.to_float(), _scaled(A))
+             for phi in REFLECTIONS]
+    Q = catalog.quaternions()
+    swap = [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    rot = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]]
+    floats = [[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, -1.0, 0], [0, 0, 0, -1.0]]
+    return cases + [(B, phi) for B in (Q, Q.to_float()) for phi in (swap, rot, floats)]
+
+
+def _decomposition(A, phi, split=structure.reflection_decompose):
+    """The split's outcome with every scalar typed, or its exception's type
+    and message."""
     try:
-        dec = structure.reflection_decompose(A, phi)
+        dec = split(A, phi)
     except Exception as exc:  # compared, never swallowed: the caller asserts
         return type(exc), str(exc)
     return (_typed(dec.B_basis), _typed(dec.C_basis), _typed(dec.tp_basis),
             _typed_row(dec.tp_params), dec.verdicts)
 
 
-def _reference_decomposition(A, phi):
-    with mock.patch.object(structure, "_plane_coords", _four_plane_coords), \
-            mock.patch.object(structure, "_products_in", _three_rank_products_in):
-        return _decomposition(A, phi)
+# the parent's messages for a product off the canonical table, and the
+# products the one table check may name in their place
+FOLDED = {
+    "i*(w*i) != w": {"i*v"},
+    "i neither commutes nor anticommutes": {"i*w", "i*v"},
+}
+TABLE_MESSAGE = re.compile(
+    r"(\S+) in the basis \(1, i, w, v = w\*i\) is not the canonical "
+    r"reflection table's; canonical table extraction does not apply")
 
 
-def test_reflection_split_matches_the_per_vector_eliminations():
-    outcomes = set()
-    tables = STRUCTURE_TABLES + _seeded_tables(24) + [
-        catalog.tn(a=4, g=-4), catalog.tn(a=2, g=-2), catalog.tn(a=-2, g=2)]
-    for A in tables:
-        for B in (A, A.to_float(), _scaled(A)):
-            for phi in REFLECTIONS:
-                got = _decomposition(B, phi)
-                assert got == _reference_decomposition(B, phi), (B, phi)
-                outcomes.add(got[1] if isinstance(got[0], type) else "ok")
-    # non-diagonal reflections, and a float map on an exact table
-    Q = catalog.quaternions()
-    swap = [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
-    rot = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]]
-    floats = [[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, -1.0, 0], [0, 0, 0, -1.0]]
-    for B in (Q, Q.to_float()):
-        for phi in (swap, rot, floats):
-            assert _decomposition(B, phi) == _reference_decomposition(B, phi)
+def test_reflection_split_matches_the_parent_split():
+    # the same bases, scalars and verdicts type for type, and the same
+    # errors; the parent's two messages for a product off the canonical
+    # table are one message now, which names the product
+    outcomes, folded, named = set(), set(), set()
+    for B, phi in _split_cases():
+        got = _decomposition(B, phi)
+        want = _decomposition(B, phi, _parent_reflection_decompose)
+        if isinstance(want[0], type):
+            prefix = next((p for p in FOLDED if want[1].startswith(p)), None)
+            if prefix is not None:
+                assert got[0] is DecompositionError, (B, phi)
+                product = TABLE_MESSAGE.fullmatch(got[1])
+                assert product and product.group(1) in FOLDED[prefix], got[1]
+                folded.add(prefix)
+                named.add(product.group(1))
+                continue
+        assert got == want, (B, phi)
+        outcomes.add(got[1] if isinstance(got[0], type) else "ok")
+    assert folded == set(FOLDED) and named == {"i*w", "i*v"}
     assert "ok" in outcomes and len(outcomes) > 3
 
 
-def test_plane_coords_and_products_in_match_the_references():
-    # the helpers alone: vectors in, and out of, the plane, and product
-    # sets that fall short of the target plane, fill it, or leave it
+def test_split_verdicts_match_the_three_eliminations():
+    # what the verified automorphism proves, and the rank of the scalars,
+    # against eliminating B*C, C*B and C*C on each successful split
+    seen = set()
+    for B, phi in _split_cases():
+        try:
+            dec = structure.reflection_decompose(B, phi)
+        except AlgebraError:
+            continue
+        P, C = dec.B_basis, dec.C_basis
+        inside, spans = zip(*(_three_rank_products_in(B, x, y, t, B.eps)
+                              for x, y, t in ((P, C, C), (C, P, C), (C, C, P))))
+        assert dec.verdicts == {
+            "eigendims_2_2": True,
+            "i_squares_to_minus_one": True,
+            "anticommutation": True,
+            **dict(zip(("BC_in_C", "CB_in_C", "CC_in_B"), inside)),
+            **dict(zip(("BC_equals_C", "CB_equals_C", "CC_equals_B"), spans)),
+        }, (B, phi)
+        seen.add(dec.verdicts["CC_equals_B"])
+    assert seen == {True, False}
+
+
+def test_coords_reads_one_elimination():
     H = catalog.quaternions()
     for B in (H, H.to_float(), _scaled(H)):
         one, i, j, k = B.basis_elements()
-        plane = [one, i]
-        for xs in ([one], [i, one + i, 3 * i], [one, j], [k, i], [one - i, 2 * one]):
-            got = structure._plane_coords(plane, xs, B.eps)
-            want = _four_plane_coords(plane, xs, B.eps)
-            assert (got and [_typed_row(c) for c in got]) == \
-                (want and [_typed_row(c) for c in want]), xs
-        for left, right, target in (([one], [j], [j, k]), ([one, i], [j, k], [j, k]),
-                                    ([j, k], [j, k], [one, i]), ([i], [i], [one, i]),
-                                    ([one], [i, j], [j, k]), ([i, j], [j], [one, k])):
-            got = structure._products_in(B, left, right, target, B.eps)
-            assert got == _three_rank_products_in(B, left, right, target, B.eps)
-        assert structure._products_in(B, [one], [j], [j, k], B.eps) == (True, False)
-        assert structure._products_in(B, [one, i], [j, k], [j, k], B.eps) == (True, True)
-        assert structure._products_in(B, [one], [i, j], [j, k], B.eps) == (False, True)
+        # a plane: the parent's plane coordinates, type for type
+        for xs in ([one], [i, one + i, 3 * i], [one - i, 2 * one]):
+            got = structure._coords([one, i], xs, B.eps)
+            for want in (_parent_plane_coords([one, i], xs, B.eps),
+                         _four_plane_coords([one, i], xs, B.eps)):
+                assert [_typed_row(c) for c in got] == [_typed_row(c) for c in want]
+        # a four-vector basis: each x is the combination of its coefficients
+        basis = [one + i, i - j, 2 * j + k, 3 * k]
+        xs = [one, j, 3 * one - k, B.element([1, 2, 3, 4])]
+        for x, coeffs in zip(xs, structure._coords(basis, xs, B.eps)):
+            combo = 0 * one
+            for c, b in zip(coeffs, basis):
+                combo = combo + c * b
+            assert (combo - x).is_zero(B.eps)
+        # a dependent basis, and a vector outside the span
+        assert structure._coords([one, i, one + i], [i], B.eps) is None
+        assert structure._coords([one, i], [i, j], B.eps) is None
 
 
 def _tn_points(count, seed=7):
