@@ -34,7 +34,7 @@ same call on `to_float()`.
 
 Values are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to use concurrently.
-The lazily built values (`Algebra.cube`, `to_float()`, the slots of the
+The lazily built values (`Algebra.sc`, `to_float()`, the slots of the
 basis and unit vectors, an Element's `coords`) are read-only and equal
 whichever caller builds them.
 """
@@ -383,74 +383,107 @@ class Algebra:
         for row in table:
             if len(row) != n or any(len(cell) != n for cell in row):
                 raise DimensionError("structure constants must be an n*n*n cube")
-        mode = "exact"
-        for row in table:
-            for cell in row:
-                if any(isinstance(c, float) for c in cell):
-                    mode = "float"
-        if mode == "float":
-            table = [[[float(c) for c in cell] for cell in row] for row in table]
-            _require_finite((c for row in table for cell in row for c in cell),
-                            "structure constant")
-
-        self._sc = tuple(tuple(tuple(cell) for cell in row) for row in table)
-        self._labels = tuple(labels) if labels is not None else tuple(f"e{i}" for i in range(n))
-        if len(self._labels) != n:
+        flat = [c for row in table for cell in row for c in cell]
+        if any(isinstance(c, float) for c in flat):
+            flat = [float(c) for c in flat]
+            _require_finite(flat, "structure constant")
+            cube, scale = np.array(flat, dtype=float), 1
+        else:
+            nonzero = [p for p, c in enumerate(flat) if c]
+            ints, scale = integer_form([flat[p] for p in nonzero])
+            big = max(map(abs, ints), default=0)
+            cube = np.zeros(n ** 3, dtype=np.int64 if _fits_int64(n, big, 1) else object)
+            cube[nonzero] = ints
+        labels = tuple(labels) if labels is not None else tuple(f"e{i}" for i in range(n))
+        if len(labels) != n:
             raise DimensionError("label count must match the dimension")
-        if len(set(self._labels)) != n:
+        if len(set(labels)) != n:
             raise AlgebraError("basis labels must be unique")
-        self._scalar_mode = mode
-        self._eps = tolerance(eps)
-        self._family = family
-        self._cube = None
-        self._element_slots = None
-
-        # _rows[i][j] = ((k, c), ...) over the nonzero entries of sc[i][j]:
-        # floats, or for an exact table the integers sc * _scale, _scale being
-        # the lcm of the table's denominators
-        rows = [[[(k, c) for k, c in enumerate(cell) if c] for cell in row]
-                for row in table]
-        scale = 1
-        if mode == "exact":
-            ints, scale = integer_form([c for row in rows for cell in row for _, c in cell])
-            ints = iter(ints)
-            rows = [[[(k, next(ints)) for k, _ in cell] for cell in row] for row in rows]
-        self._scale = scale
-        self._rows = tuple(tuple(tuple(cell) for cell in row) for row in rows)
-
-        self._float_copy = None
-        self._unit = None
+        eps = tolerance(eps)
         if unit is not None:
-            u = tuple(parse_scalar(c) for c in unit)
-            if len(u) != n:
+            unit = tuple(parse_scalar(c) for c in unit)
+            if len(unit) != n:
                 raise DimensionError("unit coordinate length must match the dimension")
-            _require_finite((c for c in u if isinstance(c, float)), "unit coordinate")
-            if mode == "float":
-                u = tuple(float(c) for c in u)
-            self._unit = u
-            if mode == "exact" and any(isinstance(c, float) for c in u):
-                self.to_float()  # the unit's product is float: the copy checks it
-            else:
-                # 1*e_j = e_j*1 = e_j on the rows, 1*x before x*1: exactly
-                # den * scale e_j from the unit's integers over den, or within eps
-                ints, den = integer_form(u) if mode == "exact" else (u, 1)
-                terms, eps = _terms(ints), 0 if mode == "exact" else self._eps
-                for j in range(n):
-                    for name, x, y in (("1*x", terms, [(j, 1)]), ("x*1", [(j, 1)], terms)):
-                        prod = self._accumulate(x, y)
-                        prod[j] -= den * scale
-                        if any(abs(c) > eps for c in prod):
-                            raise AlgebraError(f"unit axiom violated on basis vector "
-                                               f"{self._labels[j]} ({name})")
+            _require_finite((c for c in unit if isinstance(c, float)), "unit coordinate")
+            if cube.dtype == float:
+                unit = tuple(float(c) for c in unit)
+        self._setup(cube.reshape((n,) * 3), scale, labels, unit, eps, family)
+
+    @classmethod
+    def _built(cls, cube: np.ndarray, scale: int, labels: tuple, eps: float,
+               unit: Optional[tuple] = None, family: Optional[tuple] = None) -> "Algebra":
+        """The algebra of a validated table, built by `_setup` with no parsing."""
+        algebra = cls.__new__(cls)
+        algebra._setup(cube, scale, labels, unit, eps, family)
+        return algebra
+
+    def _setup(self, cube: np.ndarray, scale: int, labels: tuple, unit: Optional[tuple],
+               eps: float, family: Optional[tuple]) -> None:
+        """Fill the algebra from a validated table and check the unit axiom.
+        ``cube`` is the table, float64 for a float table and otherwise its
+        integers sc * scale, scale being the lcm of its reduced denominators
+        (int64, or Python ints where `_fits_int64` fails); ``unit`` holds
+        parsed coordinates, floats on a float table."""
+        cube.flags.writeable = False
+        n = len(cube)
+        self._cube = cube
+        self._scale = scale
+        self._scalar_mode = mode = "float" if cube.dtype == float else "exact"
+        self._labels = labels
+        self._unit = unit
+        self._eps = eps
+        self._family = family
+        self._sc = None
+        self._element_slots = None
+        self._float_copy = None
+
+        # _rows[i][j] = ((k, c), ...) over the nonzero entries of cube[i, j]:
+        # floats, or for an exact table the integers sc * _scale
+        rows = [[[] for _ in range(n)] for _ in range(n)]
+        index, values = nonzero_entries(cube)
+        for i, j, k, c in zip(*(a.tolist() for a in index), values):
+            rows[i][j].append((k, c))
+        self._rows = tuple(tuple(map(tuple, row)) for row in rows)
+
+        if unit is None:
+            return
+        if mode == "exact" and any(isinstance(c, float) for c in unit):
+            self.to_float()  # the unit's product is float: the copy checks it
+            return
+        # 1*e_j = e_j*1 = e_j on the rows, 1*x before x*1: exactly den * scale
+        # e_j from the unit's integers over den, or within eps
+        ints, den = integer_form(unit) if mode == "exact" else (unit, 1)
+        terms, eps = _terms(ints), 0 if mode == "exact" else eps
+        for j in range(n):
+            for name, x, y in (("1*x", terms, [(j, 1)]), ("x*1", [(j, 1)], terms)):
+                prod = self._accumulate(x, y)
+                prod[j] -= den * scale
+                if any(abs(c) > eps for c in prod):
+                    raise AlgebraError(f"unit axiom violated on basis vector "
+                                       f"{labels[j]} ({name})")
 
     # -- basic accessors ----------------------------------------------------
 
     @property
     def dim(self) -> int:
-        return len(self._sc)
+        return len(self._cube)
 
     @property
     def sc(self):
+        """The table as nested tuples, built on first read: floats on a
+        float table, and on an exact one Fractions, c / scale for each
+        nonzero integer c of its rows."""
+        if self._sc is None:
+            if self._scalar_mode == "float":
+                sc = self._cube.tolist()
+            else:
+                n = self.dim
+                sc = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
+                for i, row in enumerate(self._rows):
+                    for j, cell in enumerate(row):
+                        for k, c in cell:
+                            sc[i][j][k] = Fraction(c, self._scale)
+            self._sc = tuple(tuple(map(tuple, row)) for row in sc)
         return self._sc
 
     @property
@@ -610,24 +643,10 @@ class Algebra:
 
     @property
     def cube(self) -> np.ndarray:
-        """The table as a read-only n*n*n array, built on first use: a float
-        table as float64 from `sc`, its -0.0 entries kept; an exact one from
-        its sparse rows, the table's integers over its lcm scale, as int64
-        (Python ints where `_fits_int64` fails).  Only zero tests read an
-        exact cube, and a positive scale cannot change those."""
-        if self._cube is None:
-            if self._scalar_mode == "float":
-                cube = np.array(self._sc, dtype=float)
-            else:
-                n = self.dim
-                entries = [(i, j, k, c) for i, row in enumerate(self._rows)
-                           for j, cell in enumerate(row) for k, c in cell]
-                big = max((abs(e[3]) for e in entries), default=0)
-                cube = np.zeros((n,) * 3, dtype=np.int64 if _fits_int64(n, big, 1) else object)
-                for i, j, k, c in entries:
-                    cube[i, j, k] = c
-            cube.flags.writeable = False
-            self._cube = cube
+        """The table as a read-only n*n*n array: a float table as float64,
+        its -0.0 entries kept; an exact one as its integers over its lcm
+        scale, int64 (Python ints where `_fits_int64` fails).  Only zero
+        tests read an exact cube, and a positive scale cannot change those."""
         return self._cube
 
     def _operands(self, elements: Sequence[Element], degree: int) -> tuple:
@@ -731,16 +750,19 @@ class Algebra:
     # -- conversions ----------------------------------------------------------
 
     def to_float(self) -> "Algebra":
-        """The float copy, each entry rounded once, built on first use and
-        kept; a float table is its own.  Building it checks the unit axiom
-        in floats (AlgebraError)."""
+        """The float copy, built on first use and kept; a float table is its
+        own.  Each entry is c / scale for the cube's integer c, a quotient of
+        ints rounded once (as float() rounds a Fraction).  Building it checks
+        the unit axiom in floats (AlgebraError)."""
         if self._scalar_mode == "float":
             return self
         if self._float_copy is None:
-            sc = [[[float(c) for c in cell] for cell in row] for row in self._sc]
-            unit = None if self._unit is None else [float(c) for c in self._unit]
-            self._float_copy = Algebra(sc, labels=self._labels, unit=unit, eps=self._eps,
-                                       family=self._family)
+            cube = np.zeros(self._cube.shape)
+            index, values = nonzero_entries(self._cube)
+            cube[index] = [c / self._scale for c in values]
+            unit = None if self._unit is None else tuple(float(c) for c in self._unit)
+            self._float_copy = Algebra._built(cube, 1, self._labels, self._eps, unit,
+                                              self._family)
         return self._float_copy
 
     def to_dict(self) -> dict:
@@ -750,7 +772,7 @@ class Algebra:
             "unit": None if self._unit is None else [scalar_to_json(c) for c in self._unit],
             "sc": [
                 [[scalar_to_json(c) for c in cell] for cell in row]
-                for row in self._sc
+                for row in self.sc
             ],
         }
 
@@ -792,6 +814,13 @@ def integer_form(values: Sequence) -> tuple:
         ratios = [Fraction(c).as_integer_ratio() for c in values]
     den = math.lcm(*[d for _, d in ratios])
     return tuple([p * (den // d) for p, d in ratios]), den
+
+
+def nonzero_entries(cube: np.ndarray) -> tuple:
+    """(index, values): the index arrays of a cube's nonzero entries, in
+    C order, and those entries as Python scalars."""
+    index = np.nonzero(cube)
+    return index, cube[index].tolist()
 
 
 def _terms(ints: Sequence) -> list:

@@ -19,7 +19,9 @@ table against it.  The g3_5 parameter is the real part of the eigenvalue
 pair of ad(i) on span{v, w} over its imaginary part; on the shape that
 matrix is [[0, -2], [2, 0]], with trace 0, so the parameter is 0.
 
-`check_jacobi` reads the Jacobi sum itself from the bracket cube.
+The bracket cube is read off the table's cube: `lieify` forms S - S^T
+over its first two axes, and `check_jacobi` gets every Jacobi sum from
+one product of the nonzero bracket rows with the cube.
 
 Each verdict ships an explicit change-of-basis witness whose transported
 brackets are checked against the canonical table by `core.morphism_defect`;
@@ -32,6 +34,7 @@ canonical table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -43,8 +46,10 @@ from .core import (
     Algebra,
     AlgebraError,
     ParameterError,
+    _fits_int64,
     first_defect,
     morphism_defect,
+    nonzero_entries,
     parse_scalar,
     scalar_is_zero,
     scalar_to_json,
@@ -86,53 +91,75 @@ class LieAlgebra(Algebra):
 
 
 def lieify(A: Algebra) -> LieAlgebra:
-    """Commutator Lie structure: b[i][j][k] = sc[i][j][k] - sc[j][i][k]."""
-    n = A.dim
-    b = [
-        [
-            [A.sc[i][j][k] - A.sc[j][i][k] for k in range(n)]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return LieAlgebra(b, labels=A.labels, eps=A.eps)
+    """Commutator Lie structure: b[i][j][k] = sc[i][j][k] - sc[j][i][k],
+    read off the cube as D = S - S^T over its first two axes.  A float
+    table's D is its brackets, IEEE differences with the sign of zero; an
+    exact table's is its brackets times its scale s, so dividing D and s by
+    g = gcd(s, D) gives the brackets' integers over the lcm of their
+    reduced denominators."""
+    S = A.cube
+    D, scale = S - S.swapaxes(0, 1), 1
+    if A.scalar_mode == "exact":
+        index, values = nonzero_entries(D)
+        g = math.gcd(A._scale, *values)
+        scale = A._scale // g
+        values = [c // g for c in values]
+        big = max(map(abs, values), default=0)
+        D = np.zeros(D.shape, dtype=np.int64 if _fits_int64(A.dim, big, 1) else object)
+        D[index] = values
+    return LieAlgebra._built(D, scale, A.labels, A.eps)
 
 
 def check_jacobi(L: LieAlgebra, tol: Optional[float] = None):
     """Exhaustive Jacobi test on basis triples (a proof, by trilinearity).
 
-    For each e_i the Jacobi sums J[j, k] = [e_i, [e_j, e_k]] + [e_j, [e_k,
-    e_i]] + [e_k, [e_i, e_j]] are read from the bracket cube S, n^3 entries,
-    and tested at tol.  Returns (ok, witness) where witness is the first
-    failing i < j < k with the Jacobi sum's coordinates.
+    One product of the nonzero bracket rows of the cube S with S gives
+    T[a, b, c] = [e_c, [e_a, e_b]], and the Jacobi sums [e_i, [e_j, e_k]] +
+    [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]] = T[j, k, i] + T[k, i, j] +
+    T[i, j, k] over i < j < k are tested at tol.  Returns (ok, witness)
+    where witness is the first failing i < j < k with the Jacobi sum's
+    coordinates.
     """
     tol = tolerance(tol, L.eps)
     S, n = L.cube, L.dim
-    for i in range(n):
-        J = S @ S[i] + S[:, i] @ S + (S[i] @ S).swapaxes(0, 1)  # the terms in order
-        J[: i + 1] = 0  # keep i < j < k
-        J[np.tril_indices(n)] = 0
-        hit = first_defect(J, tol)
-        if hit is not None:
-            j, k = hit
-            x, y, z = (L.basis(p) for p in (i, j, k))
-            jacobi = x * (y * z) + y * (z * x) + z * (x * y)
-            return False, (i, j, k, list(jacobi.coords))
-    return True, None
+    flat = S.reshape(n * n, n)
+    pairs = np.flatnonzero(np.any(flat != 0, axis=1))  # the nonzero [e_a, e_b]
+    if len(pairs) == 0:
+        return True, None
+    T = np.zeros((n * n, n * n), dtype=S.dtype)
+    T[pairs] = flat[pairs] @ S.swapaxes(0, 1).reshape(n, n * n)
+    T = T.reshape((n,) * 4)
+    r = np.arange(n)
+    i, j, k = np.nonzero((r[:, None, None] < r[:, None]) & (r[:, None] < r))
+    hit = first_defect(T[j, k, i] + T[k, i, j] + T[i, j, k], tol)
+    if hit is None:
+        return True, None
+    i, j, k = (int(p[hit[0]]) for p in (i, j, k))
+    x, y, z = (L.basis(p) for p in (i, j, k))
+    jacobi = x * (y * z) + y * (z * x) + z * (x * y)
+    return False, (i, j, k, list(jacobi.coords))
 
 
 def derived_series(L: LieAlgebra, eps: Optional[float] = None) -> List[list]:
     """Bases of L, [L, L], [[L, L], [L, L]], ... until 0 or stabilisation,
     each in reduced row form.  [L, L] is spanned by the cube's rows (i, j)
-    (i < j), positive multiples of the brackets of the basis vectors; each
-    deeper term by the brackets of every two rows of the term before,
-    through `multiply`."""
+    (i < j), positive multiples of the brackets of the basis vectors, of
+    which only the nonzero ones are eliminated (on a float table, every row
+    up to the last nonzero one); each deeper term by the brackets of every
+    two rows of the term before, through `multiply`."""
     n = L.dim
     eps = tolerance(eps, L.eps)
     current = [[Fraction(1) if p == i else Fraction(0) for p in range(n)]
                for i in range(n)]
     series = [current]
-    prods = L.cube[np.triu_indices(n, 1)].tolist()
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if L._rows[i][j]]
+    if pairs and L.scalar_mode == "float":
+        # float elimination breaks pivot ties by row position, so the zero
+        # rows before the last nonzero one stay; an exact reduced row form
+        # is the same whatever zero rows it is given
+        last = pairs[-1]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) <= last]
+    prods = [L.cube[i, j].tolist() for i, j in pairs]
     while True:
         nxt = linalg.row_basis(prods, eps) if prods else []
         series.append(nxt)

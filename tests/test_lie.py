@@ -278,6 +278,73 @@ def test_lieify_antisymmetric(values):
                 assert L.brackets[i][j][k] == -L.brackets[j][i][k]
 
 
+def _typed(x):
+    """x with every scalar as its type and repr, arrays with their dtype."""
+    if isinstance(x, np.ndarray):
+        return x.dtype, _typed(x.tolist())
+    if isinstance(x, (tuple, list)):
+        return [_typed(y) for y in x]
+    return type(x), repr(x)
+
+
+def _ref_lieify(A):
+    """Reference: the LieAlgebra of the definition, [e_i, e_j] = sum_k
+    (sc[i][j][k] - sc[j][i][k]) e_k, parsed from those scalars."""
+    n = A.dim
+    b = [[[A.sc[i][j][k] - A.sc[j][i][k] for k in range(n)] for j in range(n)]
+         for i in range(n)]
+    return lie.LieAlgebra(b, labels=A.labels, eps=A.eps)
+
+
+def _assert_lieify_is_its_definition(A):
+    got, want = lie.lieify(A), _ref_lieify(A)
+    assert type(got) is lie.LieAlgebra
+    assert _typed(got.sc) == _typed(want.sc)  # builds each one's sc
+    assert vars(got).keys() == vars(want).keys()
+    for name, value in vars(want).items():
+        assert _typed(getattr(got, name)) == _typed(value), name
+
+
+def _signed_zero_table(A, rng):
+    """A's table as floats with about half of its zeros -0.0."""
+    return Algebra([[[-0.0 if c == 0 and rng.random() < 0.5 else float(c) for c in cell]
+                     for cell in row] for row in A.sc], labels=A.labels)
+
+
+def _scaled_table(A, c=2 ** 40 + 1):
+    """A's table times c: a cube of Python ints unless the table is 0."""
+    return Algebra([[[x * c for x in cell] for cell in row] for row in A.sc],
+                   labels=A.labels)
+
+
+def test_lieify_is_its_definition_on_catalog_tables():
+    rng = random.Random(5)
+    tables = _catalog_tables()
+    tables += [_signed_zero_table(A, rng) for A in tables if A.scalar_mode == "exact"]
+    tables += [_scaled_table(A) for A in (catalog.quaternions(), catalog.ak(2, a11=F(1, 3)),
+                                          catalog.tn(a=-1, g=1, h=1))]
+    assert any(np.signbit(A.cube).any() for A in tables if A.scalar_mode == "float")
+    assert sum(A.cube.dtype == object for A in tables) == 3
+    for A in tables:
+        _assert_lieify_is_its_definition(A)
+
+
+def _sparse_tables(n, zeros, rng):
+    """An exact table drawn from a few values, mostly zeros, as itself,
+    as its float copy, with signed float zeros, and scaled past int64."""
+    values = [0] * zeros + [1, -1, 2, F(1, 2), F(-3, 2)]
+    A = Algebra([[[rng.choice(values) for _ in range(n)] for _ in range(n)]
+                 for _ in range(n)])
+    return A, A.to_float(), _signed_zero_table(A, rng), _scaled_table(A)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 30), st.randoms(use_true_random=True))
+def test_lieify_is_its_definition_on_sparse_tables(n, zeros, rng):
+    for A in _sparse_tables(n, zeros, rng):
+        _assert_lieify_is_its_definition(A)
+
+
 def test_jacobi_holds_for_tp():
     rng = random.Random(3)
     for _ in range(20):
@@ -373,10 +440,9 @@ def _jacobi_cases():
     cases += [lie.LieAlgebra(_hand_built_brackets(float, delta), eps=1e-6)
               for delta in (0.75e-6, 1.5e-6)]
     cases.append(lie.lieify(catalog.tn(a=-1, g=1, h=1)))
-    c = 2 ** 40 + 1  # entries past int64's bound: object cubes
     for A in (catalog.quaternions(), catalog.ak(2, a11=F(1, 3)),
               catalog.tn(a=-1, g=1, h=1)):
-        big = Algebra([[[x * c for x in cell] for cell in row] for row in A.sc])
+        big = _scaled_table(A)  # entries past int64's bound: object cubes
         assert big.cube.dtype == object
         cases.append(lie.lieify(big))
     assert sum(L.cube.dtype == object for L in cases) == 2  # ak's bracket is 0
@@ -394,6 +460,16 @@ def test_jacobi_matches_the_cyclic_associator_reference():
     # and float, and tn(a=-1, g=1, h=1) with its scaled copy; the small
     # float sums fail at tol 0, and at eps only the one past it
     assert failing == 15
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 30), st.randoms(use_true_random=True))
+def test_jacobi_matches_the_cyclic_associator_reference_on_sparse_tables(n, zeros, rng):
+    for A in _sparse_tables(n, zeros, rng):
+        L = lie.lieify(A)
+        for tol in (None, 0.0):
+            got = lie.check_jacobi(L, tol=tol)
+            assert _typed_jacobi(got) == _typed_jacobi(_cyclic_jacobi_reference(L, tol))
 
 
 @pytest.mark.parametrize("m", [2, 8])
@@ -431,7 +507,7 @@ def test_derived_series_dims(alpha, beta, expected_dims):
     assert lie.derived_dims(L) == expected_dims
 
 
-def _catalog_lie_algebras():
+def _catalog_tables():
     tables = [catalog.ak(1, a11=1, a12=1), catalog.ak(2, a11=F(1, 3), a21=F(5, 2)),
               catalog.ak(3), catalog.tn(a=-3, b=1, c=2, d=F(1, 2), f=1, g=-1, h=3),
               catalog.tn(a=2, b=1), catalog.tc(a=2, b=F(-1, 3), f=1, g=2, h=1),
@@ -440,7 +516,11 @@ def _catalog_lie_algebras():
               catalog.mplus(), catalog.mzero(), catalog.quaternions(),
               catalog.complex_numbers()]
     tables += [catalog.tp(delta1=alpha, delta2=beta) for (alpha, beta), _ in LIE_CASES]
-    return [lie.lieify(B) for A in tables for B in (A, A.to_float())]
+    return [B for A in tables for B in (A, A.to_float())]
+
+
+def _catalog_lie_algebras():
+    return [lie.lieify(A) for A in _catalog_tables()]
 
 
 @pytest.mark.parametrize("L", _catalog_lie_algebras(), ids=repr)
@@ -470,6 +550,21 @@ def test_derived_algebra_reads_the_brackets_of_distinct_basis_vectors():
     assert lie.derived_dims(L, eps=1e-12) == [3, 1, 0]
     assert _typed_series(lie.derived_series(L, eps=1e-12)) == \
         _typed_series(_sc_derived_series(L, eps=1e-12))
+
+
+def test_derived_series_keeps_a_float_zero_row_before_a_nonzero_one():
+    # float elimination takes the first of two pivots of equal size, so the
+    # zero row [e0, e1] = 0, by its place among the rows, fixes the signs
+    # of the zeros in [L, L]'s basis: dropping it gives -0.0 for 0.0
+    rows = [[0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, -1.0], [0.0, -1.0, 0.0, 1.0],
+            [-1.5, 0.0, 0.5, 1.5], [2.0, 0.0, -0.5, 1.0], [-1.5, -1.0, 0.5, -2.0]]
+    b = [[[0.0] * 4 for _ in range(4)] for _ in range(4)]
+    for (i, j), row in zip(itertools.combinations(range(4), 2), rows):
+        b[i][j], b[j][i] = row, [-c for c in row]
+    L = lie.LieAlgebra(b)
+    want = _typed_series(_sc_derived_series(L))
+    assert _typed_series(lie.derived_series(L)) == want
+    assert _typed_series([linalg.row_basis(rows[1:], L.eps)]) != want[1:2]
 
 
 @settings(max_examples=40, deadline=None)
