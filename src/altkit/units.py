@@ -292,12 +292,14 @@ def locus_sample_points(
     return points[:count]
 
 
-def equation_satisfied(locus: UnitLocus, q: Element, tol: float) -> bool:
-    """Whether a point satisfies the locus equation record."""
+def equation_satisfied(locus: UnitLocus, q: Element,
+                       tol: Optional[float] = None) -> bool:
+    """Whether a point satisfies the locus equation record, a float value
+    within ``tol``, else within the point's algebra's eps."""
     if locus.equation is None:
         raise AlgebraError("locus has no equation record")
     eq = locus.equation
-    tol = tolerance(tol)
+    tol = tolerance(tol, q.algebra.eps)
     x, y, z = (q.coords[i] for i in locus.ambient[:3])
     value = eq["x2"] * x * x + eq["y2"] * y * y + eq["z2"] * z * z - eq["rhs"]
     return scalar_is_zero(value, tol)
@@ -310,7 +312,7 @@ def grid_unit_search(
     A: Algebra,
     radius: float = 3.0,
     step=Fraction(1, 4),
-    tol: float = 1e-9,
+    tol: Optional[float] = None,
 ) -> List[Element]:
     """Every grid point q of [-radius, radius]^n with ||q*q + 1||_inf <= tol.
 
@@ -319,8 +321,9 @@ def grid_unit_search(
     wholesale; only surviving boxes are enumerated point by point.  Bounds
     and point tests are exact integer arithmetic on the table's exact values
     (a float at its binary value), so the list is complete, not sampled.
-    Like every tolerance in altkit, ``tol`` acts only on float tables: on an
-    exact table it is ignored and each listed point solves q*q = -1 exactly.
+    Like every tolerance in altkit, ``tol`` (default: ``A.eps``) acts only
+    on float tables: on an exact table it is ignored and each listed point
+    solves q*q = -1 exactly.
     """
     if A.unit is None:
         raise AlgebraError("grid search needs a unital algebra")
@@ -329,7 +332,7 @@ def grid_unit_search(
         raise ParameterError(f"grid step must be positive, got {step}")
     if not 0 <= radius < math.inf:
         raise ParameterError(f"grid radius must be finite and nonnegative, got {radius}")
-    tol = tolerance(tol)
+    tol = tolerance(tol, A.eps)
     exact = A.scalar_mode == "exact"
     if exact:
         tol = 0

@@ -157,6 +157,7 @@ def test_tn_params_extraction():
 
 # -- the slot statement against the earlier per-family builders ----------------
 #
+# contract: each table as the paper states it, independent of the slot data.
 # The builders below are the catalog as it was before each family was stated
 # as slots, kept as the reference: every table must match them entry for
 # entry and type for type.

@@ -11,6 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from altkit import catalog, core
 from altkit.core import Algebra, DimensionError, ParameterError
+import oracle
+from oracle import typed
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 coords4 = st.tuples(rationals, rationals, rationals, rationals)
@@ -213,12 +215,6 @@ def _exact_pairs(A, rng):
     return [(u, v) for u in vecs for v in vecs]
 
 
-def _typed(coords):
-    """Each scalar's type and repr, of a coordinate list or an Element."""
-    coords = coords.coords if isinstance(coords, core.Element) else coords
-    return [(type(c), repr(c)) for c in coords]
-
-
 def _floats(coords):
     return [float(c) for c in coords]
 
@@ -247,7 +243,7 @@ def _check_exact_products(A, rng):
     for u, v in _exact_pairs(A, rng):
         want = _fraction_mul_coords(A, u, v, Fraction(0))
         assert all(type(c) is Fraction for c in want)
-        assert _typed(A.element(u) * A.element(v)) == _typed(want)
+        assert typed(A.element(u) * A.element(v)) == typed(want)
 
 
 @pytest.mark.parametrize("A", _catalog_tables(), ids=repr)
@@ -261,8 +257,8 @@ def test_product_matches_fraction_reference_on_catalog(A):
     for u, v in _exact_pairs(A, rng):
         uf, vf = _floats(u), _floats(v)
         want = _fraction_mul_coords(Af, uf, vf)
-        assert _typed(Af.element(uf) * Af.element(vf)) == _typed(Af.element(want))
-        assert _typed(Af.element(u) * Af.element(v)) == _typed(Af.element(want))
+        assert typed(Af.element(uf) * Af.element(vf)) == typed(Af.element(want))
+        assert typed(Af.element(u) * Af.element(v)) == typed(Af.element(want))
 
     # float coordinates on the exact table (Newton points, sqrt witnesses):
     # the product on `to_float()` of the coordinates as floats, bit for bit,
@@ -275,7 +271,7 @@ def test_product_matches_fraction_reference_on_catalog(A):
         for x, y in ((uf, v), (u, mixed), (uf, mixed)):
             prod = A.element(x) * A.element(y)
             want = _fraction_mul_coords(Af, _floats(x), _floats(y))
-            assert _typed(prod) == _typed(A.element(want))
+            assert typed(prod) == typed(A.element(want))
             exact = _fraction_mul_coords(A, x, y)
             assert all(core.scalars_close(g, w, A.eps) for g, w in zip(prod.coords, exact))
 
@@ -283,15 +279,13 @@ def test_product_matches_fraction_reference_on_catalog(A):
 @pytest.mark.parametrize("table", [catalog.quaternions(),
                                    catalog.ak(2, a11=Fraction(1, 3))])
 def test_product_matches_fraction_reference_past_int64(table):
-    c = 2 ** 40 + 1
-    big = Algebra([[[x * c for x in cell] for cell in row] for row in table.sc],
-                  unit=[u / c for u in table.unit])
+    big = oracle.scaled(table)
     assert big.cube.dtype == object  # the cube falls back to Python ints
     _check_exact_products(big, random.Random(3))
     bigf = big.to_float()
     for u, v in _exact_pairs(big, random.Random(4)):
         want = _fraction_mul_coords(bigf, _floats(u), _floats(v))
-        assert _typed(bigf.element(u) * bigf.element(v)) == _typed(bigf.element(want))
+        assert typed(bigf.element(u) * bigf.element(v)) == typed(bigf.element(want))
 
 
 def _reference_laws(A, u, v, w):
@@ -314,8 +308,8 @@ def test_associator_and_commutator_match_fraction_reference():
             for B, x, y, z in ((A, u, v, w), (Af, uf, vf, wf)):  # exact, bit for bit
                 assoc, comm = _reference_laws(B, x, y, z)
                 x, y, z = B.element(x), B.element(y), B.element(z)
-                assert _typed(B.associator(x, y, z)) == _typed(assoc)
-                assert _typed(B.commutator(x, y)) == _typed(comm)
+                assert typed(B.associator(x, y, z)) == typed(assoc)
+                assert typed(B.commutator(x, y)) == typed(comm)
             x = [c * 2 ** 0.5 for c in uf]  # a float point on the exact table
             assoc, comm = _reference_laws(A, x, v, w)
             x, y, z = A.element(x), A.element(v), A.element(w)
@@ -324,6 +318,7 @@ def test_associator_and_commutator_match_fraction_reference():
                 assert (got - want).is_zero(A.eps)
 
 
+# contract: Element arithmetic, value for value and type for type
 class _FractionElement:
     """Reference: Element arithmetic with one parsed scalar per coordinate,
     a Fraction per coordinate per sum, scalar multiple and product, over
@@ -392,7 +387,7 @@ def _same(got, want):
     """Same coordinates, value for value and type for type (a float's repr
     is exact, so floats agree bit for bit), and the same equality and hash
     as the reference."""
-    assert _typed(got) == _typed(list(want.coords))
+    assert typed(got) == typed(list(want.coords))
     assert got == got.algebra.element(want.coords)
     assert hash(got) == hash(want)
 
@@ -415,7 +410,7 @@ def _check_element_ops(pairs, step=1):
                         divide()
         for side in ("left", "right"):
             got = A.mul_operator(x, side).matrix
-            assert [_typed(list(r)) for r in got] == [_typed(r) for r in xo.mul_operator(side)]
+            assert [typed(list(r)) for r in got] == [typed(r) for r in xo.mul_operator(side)]
         for b in range(0, len(pairs), step):
             (y, yo), (z, zo) = pairs[b], pairs[(a + b) % len(pairs)]
             _same(x + y, xo + yo)
@@ -615,7 +610,7 @@ def test_mul_operators_stay_int64_on_a_python_int_cube(A):
     # big is A with every entry times c: its cube holds Python ints, and an
     # element's integer form is that of the element of A times c
     c = 2 ** 40 + 1
-    big = Algebra([[[x * c for x in cell] for cell in row] for row in A.sc])
+    big = oracle.scaled(A, c)
     assert big.cube.dtype == object
     rng = random.Random(A.dim)
     vectors = [[Fraction(rng.randint(-7, 7), rng.randint(1, 6)) for _ in range(A.dim)]
@@ -626,6 +621,7 @@ def test_mul_operators_stay_int64_on_a_python_int_cube(A):
     assert np.array_equal(ops, small * (c % core.MODULUS) % core.MODULUS)
 
 
+# contract: multiply_rows is multiply row for row, floats bit for bit
 def _rows_reference(A, X, Y):
     """Reference for `multiply_rows` on exact rows: `multiply` of each pair
     of rows as Elements, times the table's scale."""
@@ -643,7 +639,7 @@ def test_multiply_rows_matches_multiply_on_every_path(A):
     # Python ints: rows near 2^40 on A, and A with every entry times c,
     # where `_fits_int64` fails
     c = 2 ** 40 + 1
-    big = Algebra([[[x * c for x in cell] for cell in row] for row in A.sc])
+    big = oracle.scaled(A, c)
     for B, U, V in ((A, X * c, Y * c), (big, X, Y)):
         P = B.multiply_rows(U, V)
         assert P.dtype == object and P.tolist() == _rows_reference(B, U, V)

@@ -10,8 +10,11 @@ import pytest
 from altkit import catalog, identities, linalg
 from altkit.core import MODULUS, Algebra
 from altkit.identities import DivisionReport, random_element
+import oracle
+from oracle import typed
 
 
+# contract: the division test's verdict, witness and sampled(k) count
 def _loop_is_division_sampled(A, samples=identities.DEFAULT_SAMPLES, seed=0, eps=None):
     """The reference: one candidate at a time, two Fraction or float
     determinants each, stopping at the first singular operator."""
@@ -35,10 +38,8 @@ def _loop_is_division_sampled(A, samples=identities.DEFAULT_SAMPLES, seed=0, eps
 
 
 def _typed(report):
-    """to_dict() with the type of every witness coordinate."""
-    data = report.to_dict()
-    witness = report.witness
-    return data, None if witness is None else [type(c) for c in witness.coords]
+    """to_dict() beside the witness coordinates' types and reprs."""
+    return report.to_dict(), typed(report.witness)
 
 
 def _sweep_tables():
@@ -75,6 +76,7 @@ def test_batched_division_matches_the_loop(A):
             assert _typed(got) == _typed(want), (samples, seed)
 
 
+# contract: mul_operators and linalg.dets give linalg.det's float determinants bit for bit
 def test_batched_float_dets_are_det_bit_for_bit():
     rng = random.Random(11)
     tables = [A.to_float() for A in (catalog.quaternions(), catalog.mplus(),
@@ -108,9 +110,7 @@ def test_determinant_divisible_by_the_modulus_is_confirmed_exactly():
 
 @pytest.mark.parametrize("table", [catalog.quaternions(), catalog.ak(2, a11=Fraction(1, 3))])
 def test_division_on_an_object_cube(table):
-    c = 2 ** 40 + 1
-    big = Algebra([[[x * c for x in cell] for cell in row] for row in table.sc],
-                  unit=[u / c for u in table.unit])
+    big = oracle.scaled(table)
     assert big.cube.dtype == object
     report = identities.is_division_sampled(big, samples=20, seed=1)
     assert report.division == identities.is_division_sampled(table, samples=20, seed=1).division

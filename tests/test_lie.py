@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -8,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle
 from altkit import catalog, lie, linalg
 from altkit.claims import LIE_CASES, _deciding_points
-from altkit.core import (Algebra, AlgebraError, DimensionError, ParameterError,
-                         first_defect, parse_scalar, scalar_is_zero, scalars_close,
-                         sqrt_scalar)
+from altkit.core import Algebra, AlgebraError, DimensionError
+from oracle import typed
 
 F = Fraction
 
@@ -22,179 +21,27 @@ TP_NAMES = ("alpha1", "alpha2", "beta1", "beta2",
 rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
 
 
-def _inverse(mat):
-    """The inverse of a square matrix: the right half of `linalg.rref` of
-    [mat | I]."""
-    n = len(mat)
-    rows, pivots = linalg.rref([list(row) + [F(int(i == j)) for j in range(n)]
-                                for i, row in enumerate(mat)])
-    assert pivots[:n] == list(range(n)), "singular matrix"
-    return [row[n:] for row in rows[:n]]
-
-
-def _ref_put(b, i, j, entries):
-    """Reference: set [e_i, e_j] = sum entries[k] e_k and [e_j, e_i] to its
-    negative."""
-    for k, c in entries.items():
-        b[i][j][k] = parse_scalar(c)
-        b[j][i][k] = -b[i][j][k]
-
-
-def _ref_canonical_brackets(type_tag, parameter=0):
-    """Reference: the canonical tables built by hand, with the parameter
-    that only the value 0 ever reached."""
-    parameter = parse_scalar(parameter)
-    n = 4
-    b = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
-    if type_tag == lie.TYPE_G1_G37:
-        _ref_put(b, 0, 1, {2: 1})  # [e1, e2] = e3
-        _ref_put(b, 1, 2, {0: 1})  # [e2, e3] = e1
-        _ref_put(b, 2, 0, {1: 1})  # [e3, e1] = e2
-    elif type_tag == lie.TYPE_G1_G35:
-        bp = parameter
-        _ref_put(b, 0, 2, {0: bp, 1: -1})  # [e1, e3] = b'e1 - e2
-        _ref_put(b, 1, 2, {0: 1, 1: bp})   # [e2, e3] = e1 + b'e2
-    elif type_tag == lie.TYPE_G49_ZERO:
-        ap = parameter
-        _ref_put(b, 1, 2, {0: 1})           # [e2, e3] = e1
-        _ref_put(b, 0, 3, {0: 2 * ap})      # [e1, e4] = 2a'e1
-        _ref_put(b, 1, 3, {1: ap, 2: -1})   # [e2, e4] = a'e2 - e3
-        _ref_put(b, 2, 3, {1: 1, 2: ap})    # [e3, e4] = e2 + a'e3
-    else:
-        raise ParameterError(f"no canonical table for type {type_tag!r}")
-    return tuple(tuple(tuple(cell) for cell in row) for row in b)
-
-
-def _ref_read_alpha_beta(L, eps):
-    """Reference: [1, -] = 0, [i, w] = -2v, [i, v] = 2w and [v, w] in
-    span{1, i}, each tested on its own; then (alpha, beta) off [v, w]."""
-    if L.dim != 4:
-        return None
-    n = 4
-
-    def expect(i, j, want):
-        return all(scalars_close(L.brackets[i][j][k], want[k], eps) for k in range(n))
-
-    for j in range(n):
-        if not expect(0, j, [0, 0, 0, 0]):
-            return None
-    if not expect(1, 2, [0, 0, 0, -2]) or not expect(1, 3, [0, 0, 2, 0]):
-        return None
-    vw = L.brackets[3][2]
-    if not (scalar_is_zero(vw[2], eps) and scalar_is_zero(vw[3], eps)):
-        return None
-    return vw[0], vw[1]
-
-
-def _ref_g35_parameter(L, eps):
-    """Reference: the real part of ad(i)'s eigenvalue pair on span{v, w}
-    over its imaginary part, from the brackets."""
-    a, b = L.brackets[1][3][3], L.brackets[1][2][3]
-    c, d = L.brackets[1][3][2], L.brackets[1][2][2]
-    tr = a + d
-    disc = 4 * (a * d - b * c) - tr * tr
-    if disc <= 0 or scalar_is_zero(disc, eps):
-        raise AlgebraError("adjoint action on the derived plane has real eigenvalues")
-    return tr / sqrt_scalar(disc)
-
-
-def _ref_classify_lie(L, eps=None):
-    """Reference: the case split with the references above, each witness
-    checked by `_loop_match_canonical` against its reference table."""
-    eps = L.eps if eps is None else eps
-    dims = tuple(lie.derived_dims(L, eps))
-    ab = _ref_read_alpha_beta(L, eps)
-    if ab is None:
-        return lie.LieClassification(lie.TYPE_UNRECOGNIZED, None, (None, None),
-                                     None, None, dims)
-    alpha, beta = ab
-    one, half_i = [1, 0, 0, 0], [0, F(1, 2), 0, 0]
-    if scalar_is_zero(alpha, eps) and scalar_is_zero(beta, eps):
-        tag, param = lie.TYPE_G1_G35, _ref_g35_parameter(L, eps)
-        cols = [[0, 0, 0, 1], [0, 0, 1, 0], half_i, one]
-    elif scalar_is_zero(beta, eps):
-        tag, param = lie.TYPE_G49_ZERO, F(0)
-        scale = 1 / sqrt_scalar(2 * alpha if alpha > 0 else -2 * alpha)
-        cols = [[F(1 if alpha > 0 else -1, 2), 0, 0, 0], [0, 0, 0, scale],
-                [0, 0, scale, 0], half_i]
-    else:
-        tag, param = lie.TYPE_G1_G37, None
-        scale = 1 / sqrt_scalar(2 * beta if beta > 0 else -2 * beta)
-        cols = [[alpha / (2 * beta), F(1, 2), 0, 0], [0, 0, 0, scale],
-                [0, 0, scale if beta > 0 else -scale, 0], one]
-    witness = tuple(tuple(parse_scalar(cols[c][r]) for c in range(4)) for r in range(4))
-    ok, _ = _loop_match_canonical(L, tag, witness, parameter=param or 0, eps=eps)
-    return lie.LieClassification(tag, param, (alpha, beta), witness, ok, dims)
-
-
-def _assert_classifies_as_reference(L, eps=None):
-    """classify_lie(L).to_dict() equals the reference's; on a float g3,5
-    table the reference's parameter may be a float within eps of 0, which
-    the shape fixes at 0.0.  Returns the classification."""
-    got, want = lie.classify_lie(L, eps), _ref_classify_lie(L, eps)
-    if got.type_tag == lie.TYPE_G1_G35 and L.scalar_mode == "float":
-        assert type(got.parameter) is float and got.parameter == 0.0
-        assert abs(want.parameter) <= (L.eps if eps is None else eps)
-        want = dataclasses.replace(want, parameter=0.0)
-    assert got.to_dict() == want.to_dict()
-    assert [type(x) for x in got.to_dict().values()] == \
-        [type(x) for x in want.to_dict().values()]
+def _assert_classifies_as_reference(L):
+    """classify_lie(L) against RefTable's type, witness verdict, Jacobi
+    verdict and derived dimensions for L's brackets, with its witness
+    checked by transporting the canonical brackets.  Returns it."""
+    got, series = lie.classify_lie(L), lie.derived_series(L)
+    assert oracle.lie_ref(L).lie_ok(L.brackets, lie.check_jacobi(L)[0], series,
+                                    got.type_tag, got.witness_verified)
+    assert list(got.derived) == [len(term) for term in series]
+    if got.type_tag == lie.TYPE_UNRECOGNIZED:
+        assert (got.parameter, got.alpha_beta, got.witness, got.witness_verified) == \
+            (None, (None, None), None, None)
+        return got
+    assert got.alpha_beta == tuple(L.brackets[3][2][:2])
+    assert got.parameter == (None if got.type_tag == lie.TYPE_G1_G37 else 0)
+    canonical = lie.LieAlgebra(lie.canonical_brackets(got.type_tag))
+    assert oracle.is_isomorphism(canonical, L, got.witness) == got.witness_verified
     return got
 
 
-def _loop_match_canonical(L, type_tag, witness, parameter=0, eps=None):
-    """Reference: every bracket pair p < q transported one at a time."""
-    eps = L.eps if eps is None else eps
-    table = _ref_canonical_brackets(type_tag, parameter)
-    n = L.dim
-    mat = [list(row) for row in witness]
-    if scalar_is_zero(linalg.det(mat, eps), eps):
-        return False, "witness matrix is singular"
-    cols = [[mat[r][c] for r in range(n)] for c in range(n)]
-    for p in range(n):
-        for q in range(p + 1, n):
-            got = L.bracket(cols[p], cols[q])
-            want = [0] * n
-            for r in range(n):
-                c = table[p][q][r]
-                if c:
-                    want = [w + c * x for w, x in zip(want, cols[r])]
-            if any(not scalars_close(g, w, eps) for g, w in zip(got, want)):
-                return False, (p, q, got, want)
-    return True, None
-
-
-def _loop_bracket(L, u, v):
-    """Reference: sum over i, j, k of u_i v_j b[i][j][k] e_k, term by term
-    in that order over the nonzero entries, int 0 where no term lands."""
-    out = [0] * L.dim
-    for i, ui in enumerate(u):
-        for j, vj in enumerate(v):
-            if ui and vj:
-                coeff = ui * vj
-                for k, c in enumerate(L.sc[i][j]):
-                    if c:
-                        out[k] = out[k] + coeff * c
-    return out
-
-
-def _loop_derived_series(L, eps=None):
-    """Reference: every term from the brackets of every two rows of the
-    term before, the first from the unit basis vectors."""
-    eps = L.eps if eps is None else eps
-    n = L.dim
-    current = [[F(1) if p == i else F(0) for p in range(n)] for i in range(n)]
-    series = [current]
-    while True:
-        prods = [_loop_bracket(L, u, v) for a, u in enumerate(current)
-                 for v in current[a + 1:]]
-        nxt = linalg.row_basis(prods, eps) if prods else []
-        series.append(nxt)
-        if len(nxt) == 0 or len(nxt) == len(current):
-            return series
-        current = nxt
-
-
+# contract: the derived series row for row, floats bit for bit, since the
+# order of [L, L]'s rows fixes the signs of the zeros a float elimination leaves
 def _sc_derived_series(L, eps=None):
     """Reference: [L, L] from the table rows sc[i][j] (i < j), each deeper
     term from the brackets of every two rows of the term before."""
@@ -211,10 +58,6 @@ def _sc_derived_series(L, eps=None):
         current = nxt
         rows = [L.element(u) for u in current]
         prods = [(x * y).coords for a, x in enumerate(rows) for y in rows[a + 1:]]
-
-
-def _typed_series(series):
-    return [[[(type(c), repr(c)) for c in row] for row in term] for term in series]
 
 
 def _scaled_lie(L, c=2 ** 40 + 1):
@@ -278,15 +121,6 @@ def test_lieify_antisymmetric(values):
                 assert L.brackets[i][j][k] == -L.brackets[j][i][k]
 
 
-def _typed(x):
-    """x with every scalar as its type and repr, arrays with their dtype."""
-    if isinstance(x, np.ndarray):
-        return x.dtype, _typed(x.tolist())
-    if isinstance(x, (tuple, list)):
-        return [_typed(y) for y in x]
-    return type(x), repr(x)
-
-
 def _ref_lieify(A):
     """Reference: the LieAlgebra of the definition, [e_i, e_j] = sum_k
     (sc[i][j][k] - sc[j][i][k]) e_k, parsed from those scalars."""
@@ -299,10 +133,10 @@ def _ref_lieify(A):
 def _assert_lieify_is_its_definition(A):
     got, want = lie.lieify(A), _ref_lieify(A)
     assert type(got) is lie.LieAlgebra
-    assert _typed(got.sc) == _typed(want.sc)  # builds each one's sc
+    assert typed(got.sc) == typed(want.sc)  # builds each one's sc
     assert vars(got).keys() == vars(want).keys()
     for name, value in vars(want).items():
-        assert _typed(getattr(got, name)) == _typed(value), name
+        assert typed(getattr(got, name)) == typed(value), name
 
 
 def _signed_zero_table(A, rng):
@@ -311,17 +145,11 @@ def _signed_zero_table(A, rng):
                      for cell in row] for row in A.sc], labels=A.labels)
 
 
-def _scaled_table(A, c=2 ** 40 + 1):
-    """A's table times c: a cube of Python ints unless the table is 0."""
-    return Algebra([[[x * c for x in cell] for cell in row] for row in A.sc],
-                   labels=A.labels)
-
-
 def test_lieify_is_its_definition_on_catalog_tables():
     rng = random.Random(5)
     tables = _catalog_tables()
     tables += [_signed_zero_table(A, rng) for A in tables if A.scalar_mode == "exact"]
-    tables += [_scaled_table(A) for A in (catalog.quaternions(), catalog.ak(2, a11=F(1, 3)),
+    tables += [oracle.scaled(A) for A in (catalog.quaternions(), catalog.ak(2, a11=F(1, 3)),
                                           catalog.tn(a=-1, g=1, h=1))]
     assert any(np.signbit(A.cube).any() for A in tables if A.scalar_mode == "float")
     assert sum(A.cube.dtype == object for A in tables) == 3
@@ -335,7 +163,7 @@ def _sparse_tables(n, zeros, rng):
     values = [0] * zeros + [1, -1, 2, F(1, 2), F(-3, 2)]
     A = Algebra([[[rng.choice(values) for _ in range(n)] for _ in range(n)]
                  for _ in range(n)])
-    return A, A.to_float(), _signed_zero_table(A, rng), _scaled_table(A)
+    return A, A.to_float(), _signed_zero_table(A, rng), oracle.scaled(A)
 
 
 @settings(max_examples=40, deadline=None)
@@ -375,47 +203,32 @@ def test_jacobi_fails_for_hand_built_brackets():
     assert witness[:3] == (0, 1, 2)
 
 
-def _associator_slice(A, slot, v):
-    """The parent's one-Element kernel: D[a, b, :] = the associator with
-    argument ``slot`` set to v and the other two, in order, to e_a, e_b."""
-    S, (x,) = A._operands([v], 1)
-    L, R = np.tensordot(x, S, 1), np.tensordot(x, S, (0, 1))  # v e_m, e_m v
-    if slot == 0:  # (v e_a) e_b - v (e_a e_b)
-        return np.tensordot(L, S, 1) - np.tensordot(S, L, 1)
-    if slot == 1:  # (e_a v) e_b - e_a (v e_b)
-        return np.tensordot(R, S, 1) - np.tensordot(L, S, (1, 1)).swapaxes(0, 1)
-    # (e_a e_b) v - e_a (e_b v)
-    return np.tensordot(S, R, 1) - np.tensordot(R, S, (1, 1)).swapaxes(0, 1)
-
-
 def _cyclic_jacobi_reference(L, tol=None):
     """Reference: for an antisymmetric bracket the cyclic sum of associators
-    (x,y,z) + (y,z,x) + (z,x,y) is -2 times the Jacobi sum, so three
-    associator slices per e_i, compared at 2 tol."""
+    (x, y, z) + (y, z, x) + (z, x, y) is -2 times the Jacobi sum.  The first
+    i < j < k at which RefTable's associators of the bracket table give a
+    cyclic sum past 2 tol, with the Jacobi sum of RefTable's brackets."""
+    R, n = oracle.ref(L), L.dim
     tol = L.eps if tol is None else tol
-    n = L.dim
-    for i in range(n):
-        e_i = L.basis(i)
-        cyclic = (_associator_slice(L, 0, e_i) + _associator_slice(L, 2, e_i)
-                  + _associator_slice(L, 1, e_i).swapaxes(0, 1))  # [j, k]
-        cyclic[: i + 1] = 0  # keep i < j < k
-        cyclic[np.tril_indices(n)] = 0
-        hit = first_defect(cyclic, 2 * tol)
-        if hit is not None:
-            j, k = hit
-            x, y, z = (L.basis(p) for p in (i, j, k))
-            jacobi = x * (y * z) + y * (z * x) + z * (x * y)
-            return False, (i, j, k, list(jacobi.coords))
+    T = R.T  # the associators times the table's scale squared
+    cyclic = T + T.transpose(2, 0, 1, 3) + T.transpose(1, 2, 0, 3)
+    e = [[int(p == q) for p in range(n)] for q in range(n)]
+    for i, j, k in itertools.combinations(range(n), 3):
+        if not R.vec_zero(list(cyclic[i, j, k]), 2 * tol):
+            x, y, z = e[i], e[j], e[k]
+            terms = (R.mul(x, R.mul(y, z)), R.mul(y, R.mul(z, x)), R.mul(z, R.mul(x, y)))
+            return False, (i, j, k, [sum(c) for c in zip(*terms)])
     return True, None
 
 
-def _typed_jacobi(result):
-    """(ok, witness) with each scalar's type and repr."""
-    ok, witness = result
-    if witness is None:
-        return ok, None
-    *ijk, coords = witness
-    return ok, [(type(x), repr(x)) for x in ijk], [(type(c), repr(c)) for c in coords]
+def assert_jacobi_is_the_reference(L, tol):
+    """check_jacobi's verdict, failing triple and Jacobi sum are the
+    reference's; returns the verdict."""
+    (ok, got), (want_ok, want) = lie.check_jacobi(L, tol=tol), _cyclic_jacobi_reference(L, tol)
+    assert ok == want_ok
+    if not ok:
+        assert got[:3] == want[:3] and oracle.ref(L).vec_close(got[3], want[3])
+    return ok
 
 
 def _jacobi_cases():
@@ -442,7 +255,7 @@ def _jacobi_cases():
     cases.append(lie.lieify(catalog.tn(a=-1, g=1, h=1)))
     for A in (catalog.quaternions(), catalog.ak(2, a11=F(1, 3)),
               catalog.tn(a=-1, g=1, h=1)):
-        big = _scaled_table(A)  # entries past int64's bound: object cubes
+        big = oracle.scaled(A)  # entries past int64's bound: object cubes
         assert big.cube.dtype == object
         cases.append(lie.lieify(big))
     assert sum(L.cube.dtype == object for L in cases) == 2  # ak's bracket is 0
@@ -453,9 +266,7 @@ def test_jacobi_matches_the_cyclic_associator_reference():
     failing = 0
     for L in _jacobi_cases():
         for tol in (None, 0.0):
-            got = lie.check_jacobi(L, tol=tol)
-            assert _typed_jacobi(got) == _typed_jacobi(_cyclic_jacobi_reference(L, tol))
-            failing += not got[0]
+            failing += not assert_jacobi_is_the_reference(L, tol)
     # at both tols: the first tn table and the hand-built brackets, exact
     # and float, and tn(a=-1, g=1, h=1) with its scaled copy; the small
     # float sums fail at tol 0, and at eps only the one past it
@@ -468,8 +279,7 @@ def test_jacobi_matches_the_cyclic_associator_reference_on_sparse_tables(n, zero
     for A in _sparse_tables(n, zeros, rng):
         L = lie.lieify(A)
         for tol in (None, 0.0):
-            got = lie.check_jacobi(L, tol=tol)
-            assert _typed_jacobi(got) == _typed_jacobi(_cyclic_jacobi_reference(L, tol))
+            assert_jacobi_is_the_reference(L, tol)
 
 
 @pytest.mark.parametrize("m", [2, 8])
@@ -525,18 +335,21 @@ def _catalog_lie_algebras():
 
 @pytest.mark.parametrize("L", _catalog_lie_algebras(), ids=repr)
 def test_derived_series_matches_the_pairwise_loop(L):
-    # [L, L] from the table rows, then brackets of the deeper terms only:
-    # the same bases as bracketing every pair at every step, row for row
-    # and type for type (a float's repr is exact, so bit for bit)
-    def typed(series):
-        return [[[(type(c), repr(c)) for c in row] for row in term] for term in series]
-
-    assert typed(lie.derived_series(L)) == typed(_loop_derived_series(L))
-    assert lie.derived_dims(L) == [len(term) for term in _loop_derived_series(L)]
-    # and the same as the table-row form, on L and on L scaled past int64
-    assert _typed_series(lie.derived_series(L)) == _typed_series(_sc_derived_series(L))
+    # each term is independent and spans the brackets of every two rows of
+    # the term before (RefTable's products on the bracket table); the
+    # series stops at 0 or where the dimension stays
+    series = lie.derived_series(L)
+    R = oracle.ref(L)
+    for before, term in zip(series, series[1:]):
+        brackets = [R.mul(u, v) for a, u in enumerate(before) for v in before[a + 1:]]
+        assert oracle.rank(term, L.eps) == len(term)
+        assert oracle.same_span(term, brackets, L.eps)
+    dims = [len(term) for term in series]
+    assert dims[-1] in (0, dims[-2]) and all(a > b for a, b in zip(dims[:-2], dims[1:-1]))
+    # and the table-row pin, on L and on L scaled past int64
+    assert typed(lie.derived_series(L)) == typed(_sc_derived_series(L))
     big = _scaled_lie(L)
-    assert _typed_series(lie.derived_series(big)) == _typed_series(_sc_derived_series(big))
+    assert typed(lie.derived_series(big)) == typed(_sc_derived_series(big))
 
 
 def test_derived_algebra_reads_the_brackets_of_distinct_basis_vectors():
@@ -548,8 +361,8 @@ def test_derived_algebra_reads_the_brackets_of_distinct_basis_vectors():
     b[0][0][0] = 4e-7
     L = lie.LieAlgebra(b, eps=1e-6)
     assert lie.derived_dims(L, eps=1e-12) == [3, 1, 0]
-    assert _typed_series(lie.derived_series(L, eps=1e-12)) == \
-        _typed_series(_sc_derived_series(L, eps=1e-12))
+    assert typed(lie.derived_series(L, eps=1e-12)) == \
+        typed(_sc_derived_series(L, eps=1e-12))
 
 
 def test_derived_series_keeps_a_float_zero_row_before_a_nonzero_one():
@@ -562,19 +375,39 @@ def test_derived_series_keeps_a_float_zero_row_before_a_nonzero_one():
     for (i, j), row in zip(itertools.combinations(range(4), 2), rows):
         b[i][j], b[j][i] = row, [-c for c in row]
     L = lie.LieAlgebra(b)
-    want = _typed_series(_sc_derived_series(L))
-    assert _typed_series(lie.derived_series(L)) == want
-    assert _typed_series([linalg.row_basis(rows[1:], L.eps)]) != want[1:2]
+    want = typed(_sc_derived_series(L))
+    assert typed(lie.derived_series(L)) == want
+    assert typed([linalg.row_basis(rows[1:], L.eps)]) != want[1:2]
+
+
+def _zero_row_ahead_of_a_tie(n, rng):
+    """Brackets whose row [e0, e1] is zero and whose next two rows start
+    0, +-1 (the second, half the time, the first negated), the rest drawn
+    from a few values: float elimination breaks the tie in column 1 by row
+    position, which the zero row shifts."""
+    values = [0, 1, -1, 2, F(1, 2), F(-3, 2)]
+    pairs = list(itertools.combinations(range(n), 2))
+    rows = [[rng.choice(values) for _ in range(n)] for _ in pairs]
+    rows[0], rows[1][:2], rows[2][:2] = [0] * n, [0, rng.choice([1, -1])], [0, rng.choice([1, -1])]
+    if rng.random() < 0.5:
+        rows[2] = [-c for c in rows[1]]
+    b = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), row in zip(pairs, rows):
+        b[i][j], b[j][i] = row, [-c for c in row]
+    return b
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(2, 5), st.integers(1, 30), st.randoms(use_true_random=False))
+@given(st.integers(2, 5), st.integers(1, 30), st.randoms(use_true_random=True))
 def test_derived_series_matches_the_table_rows_on_sparse_tables(n, zeros, rng):
     values = [0] * zeros + [1, -1, 2, F(1, 2), F(-3, 2)]
     sc = [[[rng.choice(values) for _ in range(n)] for _ in range(n)] for _ in range(n)]
     L = lie.lieify(Algebra(sc))
-    for M in (L, lie.lieify(Algebra(sc).to_float()), _scaled_lie(L)):
-        assert _typed_series(lie.derived_series(M)) == _typed_series(_sc_derived_series(M))
+    tie = _zero_row_ahead_of_a_tie(max(n, 4), rng)
+    for M in (L, lie.lieify(Algebra(sc).to_float()), _scaled_lie(L),
+              lie.LieAlgebra(tie), lie.LieAlgebra([[[float(c) for c in cell] for cell in row]
+                                                   for row in tie])):
+        assert typed(lie.derived_series(M)) == typed(_sc_derived_series(M))
 
 
 @pytest.mark.parametrize(
@@ -624,7 +457,6 @@ def test_g35_parameter_is_zero():
         out = lie.classify_lie(M)
         assert out.type_tag == lie.TYPE_G1_G35
         assert type(out.parameter) is type(zero) and out.parameter == zero
-        assert out.parameter == _ref_g35_parameter(M, M.eps)
         assert out.to_dict()["parameter"] == ("0" if type(zero) is F else 0.0)
 
 
@@ -671,18 +503,9 @@ def test_classify_reads_alpha_beta_from_tensor():
         [0, 0, 1, 0],
         [0, 0, 0, -1],
     ]
-    n = 4
-    sc = [[[None] * n for _ in range(n)] for _ in range(n)]
-    H = catalog.quaternions()
-    inv = _inverse([[F(mat[i][j]) for j in range(n)] for i in range(n)])
-    # transport the product along the basis change and re-derive brackets
-    cols = [[F(mat[r][c]) for r in range(n)] for c in range(n)]
-    for i in range(n):
-        for j in range(n):
-            prod = (H.element(cols[i]) * H.element(cols[j])).coords
-            sc[i][j] = linalg.matvec(inv, prod)
-    T = lie.lieify(catalog.quaternions().__class__(sc, labels=("1", "i", "w", "v"),
-                                                   unit=(1, 0, 0, 0)))
+    # the product in that basis, and its brackets
+    sc = oracle.transport(catalog.quaternions(), oracle.inverse(mat))
+    T = lie.lieify(Algebra(sc, labels=("1", "i", "w", "v"), unit=(1, 0, 0, 0)))
     out = lie.classify_lie(T)
     assert out.type_tag == lie.TYPE_G1_G37
     assert out.alpha_beta == (0, 2)
@@ -709,22 +532,24 @@ def test_classification_json():
 
 
 def test_match_canonical_matches_reference_on_lie_cases():
-    # every case witness against every canonical table: the verdicts, the
-    # mismatching pair and the scalar type of each coordinate
+    # every case witness against every canonical table, by the transported
+    # brackets: the verdict, and the first mismatching pair with both sides
     mismatches = 0
     for (alpha, beta), _ in LIE_CASES:
         out = lie.classify_tp_lie(alpha, beta)
-        parameter = out.parameter or 0
         for L in (lie.tp_lie_algebra(alpha, beta),
                   lie.lieify(catalog.tp(delta1=alpha, delta2=beta).to_float())):
             for tag in (lie.TYPE_G1_G35, lie.TYPE_G1_G37, lie.TYPE_G49_ZERO):
-                got = lie.match_canonical(L, tag, out.witness)
-                want = _loop_match_canonical(L, tag, out.witness, parameter=parameter)
-                assert got == want
-                if not got[0]:
+                ok, mismatch = lie.match_canonical(L, tag, out.witness)
+                canonical = lie.LieAlgebra(lie.canonical_brackets(tag))
+                hit = oracle.morphism_defect(canonical, L, out.witness)
+                assert ok == (hit is None)
+                if not ok:
                     mismatches += 1
-                    for g, w in zip(got[1][2:], want[1][2:]):
-                        assert [type(c) for c in g] == [type(c) for c in w]
+                    (p, q), mapped, direct = hit
+                    R = oracle.ref(L)
+                    assert mismatch[:2] == (p, q)
+                    assert R.vec_close(mismatch[2], direct) and R.vec_close(mismatch[3], mapped)
         if beta < 0:  # the stated case split: this witness cannot validate
             ok, mismatch = lie.match_canonical(lie.tp_lie_algebra(alpha, beta),
                                                lie.TYPE_G1_G37, out.witness)
@@ -759,7 +584,7 @@ _OFF_SHAPE = [(i, j, k) for i in range(4) for j in range(i + 1, 4) for k in rang
 @pytest.mark.parametrize("alpha,beta", [(0, 0), (1, 0), (-2, 0), (0, 2), (3, -5)])
 def test_a_bracket_moved_off_the_shape_is_unrecognized(alpha, beta):
     L = lie.tp_lie_algebra(alpha, beta)
-    eps = L.eps
+    eps, tag = L.eps, lie.classify_lie(L).type_tag
     assert len(_OFF_SHAPE) == 22
     for i, j, k in _OFF_SHAPE:
         b = [[list(cell) for cell in row] for row in L.sc]
@@ -770,5 +595,4 @@ def test_a_bracket_moved_off_the_shape_is_unrecognized(alpha, beta):
         far = _float_lie(L, (i, j, k), 2 * eps)
         assert _assert_classifies_as_reference(far).type_tag == lie.TYPE_UNRECOGNIZED
         near = _float_lie(L, (i, j, k), eps / 2)
-        assert _assert_classifies_as_reference(near).type_tag \
-            == lie.classify_lie(L).type_tag
+        assert _assert_classifies_as_reference(near).type_tag == tag

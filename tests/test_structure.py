@@ -8,98 +8,41 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from altkit import catalog, identities, linalg, structure, units
+import oracle
+from altkit import catalog, identities, linalg, structure
 from altkit.core import (
     Algebra,
     AlgebraError,
-    DecompositionError,
     DimensionError,
     NucleusContradictionError,
     ReflectionError,
-    first_defect,
-    integer_form,
     morphism_defect,
-    scalar_is_zero,
-    scalars_close,
-    sqrt_scalar,
-    tolerance,
 )
+from oracle import transport
 
 F = Fraction
 
 REFLECTION = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
 
 
-def _loop_is_isomorphism(src, dst, f, eps=None):
-    """Reference: every basis pair through Element products, one at a time."""
-    if src.dim != dst.dim:
-        return structure.MorphismReport(False, None)
-    mat = [list(r) for r in f]
-    eps = max(src.eps, dst.eps) if eps is None else eps
-    if scalar_is_zero(linalg.det(mat, eps), eps):
-        return structure.MorphismReport(False, None)
-    images = [dst.element([mat[r][j] for r in range(dst.dim)])
-              for j in range(src.dim)]
-    for i, j in itertools.product(range(src.dim), repeat=2):
-        prod = src.multiply(src.basis(i), src.basis(j))
-        mapped = dst.element(linalg.matvec(mat, list(prod.coords)))
-        direct = dst.multiply(images[i], images[j])
-        if not (mapped - direct).is_zero(eps):
-            return structure.MorphismReport(False, (src.basis(i), src.basis(j),
-                                                    mapped, direct))
-    return structure.MorphismReport(True, None)
-
-
-def _flat_morphism_defect(src_sc, dst_sc, mat, eps):
-    """Reference: both tables and the map flattened together, as ints over
-    one common denominator D, or all as floats when any entry is one."""
-    n = len(mat)
-    flat = [c for t in (src_sc, dst_sc, [mat]) for row in t for cell in row
-            for c in cell]
-    if any(isinstance(c, float) for c in flat):
-        vals, scale = np.array(flat, dtype=float), 1
-    else:
-        ints, scale = integer_form(flat)
-        vals = np.array(ints, dtype=object)
-    S, T = vals[: 2 * n**3].reshape(2, n, n, n)
-    Mt = vals[2 * n**3:].reshape(n, n).T
-    direct = np.dot(Mt, np.dot(Mt, T.reshape(n, -1)).reshape(n, n, n))
-    return first_defect(scale * np.dot(S, Mt) - direct.swapaxes(0, 1), eps)
-
-
 def assert_same_report(src, dst, f, eps=None):
-    """is_isomorphism equals the reference loop, coordinate types included,
-    and its basis-pair check the flattened reference."""
+    """is_isomorphism against the transported products: the verdict, and on
+    a failure the first basis pair with both its sides, which
+    `core.morphism_defect` names too."""
     got = structure.is_isomorphism(src, dst, f, eps)
-    want = _loop_is_isomorphism(src, dst, f, eps)
-    assert got == want
-    if src.dim == dst.dim:
-        mat, tol = [list(r) for r in f], max(src.eps, dst.eps) if eps is None else eps
-        assert morphism_defect(src, dst, mat, tol) == \
-            _flat_morphism_defect(src.sc, dst.sc, mat, tol)
-    for g, w in zip(got.witness or (), want.witness or ()):
-        assert [type(c) for c in g.coords] == [type(c) for c in w.coords]
+    tol = max(src.eps, dst.eps) if eps is None else eps
+    if src.dim != dst.dim or oracle.rank(f, tol) < src.dim:
+        assert got == (False, None)
+        return got
+    hit = oracle.morphism_defect(src, dst, f, tol)
+    assert got.ok == (hit is None)
+    if hit is not None:
+        (i, j), mapped, direct = hit
+        x, y, got_mapped, got_direct = got.witness
+        assert (x, y) == (src.basis(i), src.basis(j))
+        assert oracle.close(got_mapped.coords, mapped) and oracle.close(got_direct.coords, direct)
+        assert morphism_defect(src, dst, [list(r) for r in f], tol) == (i, j)
     return got
-
-
-def _inverse(mat):
-    """The inverse of a square matrix: the right half of `linalg.rref` of
-    [mat | I]."""
-    n = len(mat)
-    rows, pivots = linalg.rref([list(row) + [F(int(i == j)) for j in range(n)]
-                                for i, row in enumerate(mat)])
-    assert pivots[:n] == list(range(n)), "singular matrix"
-    return [row[n:] for row in rows[:n]]
-
-
-def transport(src, mat):
-    """The table that makes mat (columns: images of src basis vectors) an
-    isomorphism: e_a * e_b = f(f^-1(e_a) f^-1(e_b))."""
-    n = src.dim
-    inv = _inverse(mat)
-    pre = [src.element([inv[i][a] for i in range(n)]) for a in range(n)]
-    return [[linalg.matvec(mat, list((pre[a] * pre[b]).coords)) for b in range(n)]
-            for a in range(n)]
 
 
 def test_nucleus_quaternions():
@@ -343,7 +286,7 @@ def test_is_isomorphism_stays_exact_near_two_to_the_forty():
     # f(e0) f(e0) by 2^64
     wide = [[2**32, 0], [0, 1]]
     dst_int = [[[1, 0], [3, 5]], [[-2, 7], [0, -1]]]
-    src_int = Algebra(transport(Algebra(dst_int), _inverse(wide)))
+    src_int = Algebra(transport(Algebra(dst_int), oracle.inverse(wide)))
     cases = (
         (src, [[lam, 0], [0, lam]], scaled, (1, 0, 1), F(1, lam**2)),
         (src, unimodular, transport(src, unimodular), (1, 0, 1), F(1, lam**2)),
@@ -366,197 +309,6 @@ def test_maps_of_the_wrong_shape_are_rejected(bad):
         structure.is_automorphism(H, bad)
     with pytest.raises(DimensionError):
         structure.reflection_decompose(H, bad)
-
-
-# -- the parent's routines, kept as references ----------------------------------
-
-
-def _sc_nucleus(A, eps=None):
-    """The null space of the Fraction (or float) rows sc[i][j][r] -
-    sc[j][i][r] over j, one row per (i, r)."""
-    n, sc = A.dim, A.sc
-    stacked = [[sc[i][j][r] - sc[j][i][r] for j in range(n)]
-               for i in range(n) for r in range(n)]
-    eps = A.eps if eps is None else eps
-    return [A.element(v) for v in linalg.null_space(stacked, eps)]
-
-
-def _in_plane_coeffs(x, plane, eps):
-    """One elimination per vector: the coefficients of x in span(plane)."""
-    p0, p1 = (p.coords for p in plane)
-    reduced, pivots = linalg.rref([list(row) for row in zip(p0, p1, x.coords)], eps)
-    if 2 in pivots:
-        return None
-    coeffs = [F(0), F(0)]
-    for row_i, p in enumerate(pivots):
-        coeffs[p] = reduced[row_i][2]
-    return coeffs
-
-
-def _four_plane_coords(plane, xs, eps):
-    coords = [_in_plane_coeffs(x, plane, eps) for x in xs]
-    return None if any(c is None for c in coords) else coords
-
-
-def _three_rank_products_in(A, left, right, target, eps):
-    prods = [list(A.multiply(x, y).coords) for x in left for y in right]
-    rows = [list(t.coords) for t in target]
-    r = linalg.rank(rows, eps)
-    return linalg.rank(rows + prods, eps) == r, linalg.rank(prods, eps) == r
-
-
-def _columns(elements):
-    return [list(row) for row in zip(*(e.coords for e in elements))]
-
-
-def _parent_plane_coords(plane, xs, eps):
-    """One elimination of [p0 p1 | xs]: the coefficients of each x in
-    span(plane), or None if a pivot falls in an x's column."""
-    reduced, pivots = linalg.rref(_columns([*plane, *xs]), eps)
-    if any(p >= 2 for p in pivots):
-        return None
-    coords = [[F(0), F(0)] for _ in xs]
-    for row, p in zip(reduced, pivots):
-        for coeffs, value in zip(coords, row[2:]):
-            coeffs[p] = value
-    return coords
-
-
-def _parent_products_in(A, left, right, target, eps):
-    """One elimination of [products | target]: do the products lie in, and
-    span, span(target)?"""
-    prods = [A.multiply(x, y) for x in left for y in right]
-    _, pivots = linalg.rref(_columns([*prods, *target]), eps)
-    return len(pivots) == 2, sum(p < len(prods) for p in pivots) == 2
-
-
-def _parent_choose_i(A, plane, eps):
-    one = A.one()
-    b = next((c for c in plane
-              if linalg.rank([list(one.coords), list(c.coords)], eps) == 2), None)
-    if b is None:
-        raise DecompositionError("plus-eigenspace is a line through the unit")
-    coords = _parent_plane_coords([one, b], [A.multiply(b, b)], eps)
-    if coords is None:
-        raise DecompositionError("plus-eigenspace is not closed under products")
-    (p, q), = coords
-    disc = p + q * q / 4
-    if disc >= 0 or scalar_is_zero(disc, eps):
-        raise DecompositionError("plus-eigenspace is not a copy of the complex plane")
-    y = sqrt_scalar(-1 / disc)
-    return -q * y / 2 * one + y * b
-
-
-def _parent_reflection_decompose(A, phi, eps=None):
-    """The split with five hand-written product tests (i*i = -1, the two
-    anticommutations, i*(w*i) = w, C*C in span{1, i}) and three
-    eliminations for the containment verdicts."""
-    eps = tolerance(eps, A.eps)
-    if A.unit is None or A.dim != 4:
-        raise DecompositionError("reflection split needs a 4-dimensional unital algebra")
-    mat = linalg.square_matrix(phi, A.dim)
-    if not structure.is_automorphism(A, mat, eps).ok:
-        raise ReflectionError("the supplied map is not an automorphism")
-    n = A.dim
-    ident = linalg.identity_matrix(n)
-    plus = [[mat[i][j] - ident[i][j] for j in range(n)] for i in range(n)]
-    if all(scalar_is_zero(x, eps) for row in plus for x in row):
-        raise ReflectionError("the identity map is not a reflection")
-    sq = linalg.matmul(mat, mat)
-    if any(not scalars_close(sq[i][j], ident[i][j], eps)
-           for i in range(n) for j in range(n)):
-        raise ReflectionError("the map does not square to the identity")
-    minus = [[mat[i][j] + ident[i][j] for j in range(n)] for i in range(n)]
-    B = [A.element(v) for v in linalg.null_space(plus, eps)]
-    C = [A.element(v) for v in linalg.null_space(minus, eps)]
-    if len(B) != 2 or len(C) != 2:
-        raise DecompositionError(
-            f"eigenspace dimensions ({len(B)}, {len(C)}) are not (2, 2); "
-            "the input is degenerate or not a division algebra")
-
-    one = A.one()
-    i_elem = _parent_choose_i(A, B, eps)
-    if not units.verify_unit(A, i_elem, eps):
-        raise DecompositionError("failed to solve x^2 = -1 in the plus-eigenspace")
-    w = C[0] / sqrt_scalar(sum(c * c for c in C[0].coords))
-    v = A.multiply(w, i_elem)
-    if linalg.rank([list(e.coords) for e in (one, i_elem, w, v)], eps) != 4:
-        raise DecompositionError("1, i, w, w*i do not form a basis")
-    iw, wi = A.multiply(i_elem, w), A.multiply(w, i_elem)
-    if (iw - wi).is_zero(eps):
-        raise NucleusContradictionError(
-            "i commutes with the minus-eigenspace; the commutative nucleus "
-            "exceeds the scalars, so the input is not a division algebra")
-    if not ((iw + wi).is_zero(eps)
-            and (A.multiply(i_elem, v) + A.multiply(v, i_elem)).is_zero(eps)):
-        raise DecompositionError(
-            "i neither commutes nor anticommutes with the minus-eigenspace; "
-            "the input is not partially alternative")
-    if not (A.multiply(i_elem, v) - w).is_zero(eps):
-        raise DecompositionError(
-            "i*(w*i) != w: the alternative law fails at i; canonical table "
-            "extraction does not apply")
-    coords = _parent_plane_coords([one, i_elem], [A.multiply(x, y) for x, y in
-                                                  ((w, w), (w, v), (v, w), (v, v))], eps)
-    if coords is None:
-        raise DecompositionError("a product of minus-eigenvectors lands outside span{1, i}")
-    params = tuple(x for pair in coords for x in pair)
-    inside, spans = zip(*(_parent_products_in(A, x, y, t, eps)
-                          for x, y, t in ((B, C, C), (C, B, C), (C, C, B))))
-    verdicts = {
-        "eigendims_2_2": True,
-        "i_squares_to_minus_one": True,
-        "anticommutation": True,
-        **dict(zip(("BC_in_C", "CB_in_C", "CC_in_B"), inside)),
-        **dict(zip(("BC_equals_C", "CB_equals_C", "CC_equals_B"), spans)),
-    }
-    return structure.ReflectionDecomposition(tuple(B), tuple(C), (one, i_elem, w, v),
-                                             params, verdicts)
-
-
-def _gated_classify(source, eps=None, seed=0):
-    """The classifier that first samples partial left and right
-    alternativity at 10 locus points, then checks the constraints."""
-    A = source if isinstance(source, Algebra) else catalog.tn(**dict(source))
-    params = catalog.tn_params(A)
-    eps = A.eps if eps is None else eps
-    if any(params[key] != 0 for key in ("b", "c", "d")):
-        return "Unclassified", None, None
-    a = params["a"]
-    sample = units.locus_sample_points(units.classify_locus_tn(A), A, 10, seed=seed)
-    for kind in (identities.IdentityKind.PARTIAL_LEFT_ALT,
-                 identities.IdentityKind.PARTIAL_RIGHT_ALT):
-        if not identities.check_identity(A, kind, units=sample, eps=eps).holds:
-            return "Unclassified", None, None
-    for name, expected in {"f": 0, "g": -a, "h": 0, "e": 0}.items():
-        if not scalars_close(params[name], expected, eps):
-            return "Unclassified", None, None
-    if scalar_is_zero(a, eps):
-        target_name, scale = "Mzero", F(1)
-    elif a > 0:
-        target_name, scale = "Mplus", sqrt_scalar(a)
-    else:
-        target_name, scale = "H", sqrt_scalar(-a)
-    witness = [[1 if r == c else 0 for c in range(4)] for r in range(4)]
-    witness[2][2] = witness[3][3] = scale
-    target = structure.target_algebra(target_name)
-    verified = structure.is_isomorphism(A, target, witness, eps).ok
-    return target_name, tuple(tuple(row) for row in witness), verified
-
-
-def _typed_row(row):
-    return [(type(c), repr(c)) for c in row]
-
-
-def _typed(elements):
-    return [_typed_row(e.coords) for e in elements]
-
-
-def _scaled(A, c=2 ** 40 + 1):
-    """A with its table times c and its unit over c (Python-int cube)."""
-    unit = None if A.unit is None else [u / c for u in A.unit]
-    return Algebra([[[x * c for x in cell] for cell in row] for row in A.sc],
-                   unit=unit, eps=A.eps)
 
 
 STRUCTURE_TABLES = [
@@ -598,21 +350,24 @@ def _seeded_tables(count, seed=5):
 
 
 def assert_nucleus_matches(A):
+    """RefTable's nucleus verdict: the basis commutes with every basis
+    vector, is independent and has the nucleus's dimension."""
     got = structure.commutative_nucleus(A)
-    assert _typed(got) == _typed(_sc_nucleus(A))
+    assert oracle.ref(A).nucleus_ok(oracle.coords(got))
     return got
 
 
 @pytest.mark.parametrize("A", STRUCTURE_TABLES + _seeded_tables(12), ids=repr)
 def test_nucleus_from_the_cube_matches_the_table_loop(A):
-    # the same basis vector for vector and type for type (a float's repr
-    # is exact, so bit for bit, signed zeros included)
-    dims = {len(assert_nucleus_matches(B)) for B in (A, A.to_float(), _scaled(A))}
-    assert len(dims) == 1
+    # the same nucleus on the table, its float copy and the table scaled
+    # past int64
+    bases = [oracle.coords(assert_nucleus_matches(B))
+             for B in (A, A.to_float(), oracle.scaled(A))]
+    assert all(oracle.same_span(bases[0], basis, A.eps) for basis in bases[1:])
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(2, 5), st.integers(1, 30), st.randoms(use_true_random=False))
+@given(st.integers(2, 5), st.integers(1, 30), st.randoms(use_true_random=True))
 def test_nucleus_from_the_cube_matches_the_table_loop_on_sparse_tables(n, zeros, rng):
     values = [0] * zeros + [1, -1, 2, F(1, 2), F(-3, 2)]
     sc = [[[rng.choice(values) for _ in range(n)] for _ in range(n)] for _ in range(n)]
@@ -621,7 +376,7 @@ def test_nucleus_from_the_cube_matches_the_table_loop_on_sparse_tables(n, zeros,
             if rng.random() < 0.5:
                 sc[j][i] = list(sc[i][j])
     A = Algebra(sc)
-    for B in (A, A.to_float(), _scaled(A)):
+    for B in (A, A.to_float(), oracle.scaled(A)):
         assert_nucleus_matches(B)
 
 
@@ -636,7 +391,7 @@ def _split_cases():
     tables = STRUCTURE_TABLES + _seeded_tables(60) + [
         catalog.tn(a=4, g=-4), catalog.tn(a=2, g=-2), catalog.tn(a=-2, g=2),
         catalog.tn(a=-1, c=F(-1, 3))]
-    cases = [(B, phi) for A in tables for B in (A, A.to_float(), _scaled(A))
+    cases = [(B, phi) for A in tables for B in (A, A.to_float(), oracle.scaled(A))
              for phi in REFLECTIONS]
     Q = catalog.quaternions()
     swap = [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
@@ -645,92 +400,88 @@ def _split_cases():
     return cases + [(B, phi) for B in (Q, Q.to_float()) for phi in (swap, rot, floats)]
 
 
-def _decomposition(A, phi, split=structure.reflection_decompose):
-    """The split's outcome with every scalar typed, or its exception's type
-    and message."""
-    try:
-        dec = split(A, phi)
-    except Exception as exc:  # compared, never swallowed: the caller asserts
-        return type(exc), str(exc)
-    return (_typed(dec.B_basis), _typed(dec.C_basis), _typed(dec.tp_basis),
-            _typed_row(dec.tp_params), dec.verdicts)
+def _assert_split_is_the_tp_table(A, phi, dec):
+    """What a split states, on RefTable: B and C are the +1 and -1
+    eigenvectors of phi; (1, i, w, v) is the unit, a point of B, a point of
+    C of length 1, and w*i; its transported products are `catalog.tp` at
+    the split's eight scalars; and its verdicts are those the products of
+    B and C give."""
+    R, eps = oracle.ref(A), A.eps
+    plus, minus = oracle.coords(dec.B_basis), oracle.coords(dec.C_basis)
+    images = [[sum(m * c for m, c in zip(row, x)) for row in phi] for x in plus + minus]
+    for x, image, sign in zip(plus + minus, images, (1, 1, -1, -1)):
+        assert R.vec_zero([a - sign * b for a, b in zip(image, x)])
+    one, i, w, v = oracle.coords(dec.tp_basis)
+    assert R.vec_close(one, A.unit) and R.vec_close(v, R.mul(w, i))
+    assert oracle.same_span(plus, plus + [i], eps) and oracle.same_span(minus, minus + [w], eps)
+    assert R.vec_zero([sum(c * c for c in w) - 1])
+    tp = catalog.tp(**dict(zip(catalog.TP_PARAMS, dec.tp_params)))
+    assert oracle.morphism_defect(tp, A, list(zip(one, i, w, v))) is None
+
+    def products_in(left, right, target):
+        prods = [R.mul(x, y) for x in left for y in right]
+        return oracle.same_span(target, target + prods, eps), oracle.same_span(target, prods, eps)
+
+    # the verdicts, against eliminating B*C, C*B and C*C
+    inside, spans = zip(*(products_in(x, y, t) for x, y, t in
+                          ((plus, minus, minus), (minus, plus, minus), (minus, minus, plus))))
+    assert dec.verdicts == {
+        "eigendims_2_2": True,
+        "i_squares_to_minus_one": True,
+        "anticommutation": True,
+        **dict(zip(("BC_in_C", "CB_in_C", "CC_in_B"), inside)),
+        **dict(zip(("BC_equals_C", "CB_equals_C", "CC_equals_B"), spans)),
+    }
 
 
-# the parent's messages for a product off the canonical table, and the
-# products the one table check may name in their place
-FOLDED = {
-    "i*(w*i) != w": {"i*v"},
-    "i neither commutes nor anticommutes": {"i*w", "i*v"},
-}
+# a product off the canonical table: the one table check names it
 TABLE_MESSAGE = re.compile(
     r"(\S+) in the basis \(1, i, w, v = w\*i\) is not the canonical "
     r"reflection table's; canonical table extraction does not apply")
 
 
-def test_reflection_split_matches_the_parent_split():
-    # the same bases, scalars and verdicts type for type, and the same
-    # errors; the parent's two messages for a product off the canonical
-    # table are one message now, which names the product
-    outcomes, folded, named = set(), set(), set()
-    for B, phi in _split_cases():
-        got = _decomposition(B, phi)
-        want = _decomposition(B, phi, _parent_reflection_decompose)
-        if isinstance(want[0], type):
-            prefix = next((p for p in FOLDED if want[1].startswith(p)), None)
-            if prefix is not None:
-                assert got[0] is DecompositionError, (B, phi)
-                product = TABLE_MESSAGE.fullmatch(got[1])
-                assert product and product.group(1) in FOLDED[prefix], got[1]
-                folded.add(prefix)
-                named.add(product.group(1))
-                continue
-        assert got == want, (B, phi)
-        outcomes.add(got[1] if isinstance(got[0], type) else "ok")
-    assert folded == set(FOLDED) and named == {"i*w", "i*v"}
-    assert "ok" in outcomes and len(outcomes) > 3
-
-
-def test_split_verdicts_match_the_three_eliminations():
-    # what the verified automorphism proves, and the rank of the scalars,
-    # against eliminating B*C, C*B and C*C on each successful split
-    seen = set()
+def test_reflection_split_is_the_transported_tp_table():
+    # every split is the tp table transported along its basis; on a 4-dim
+    # table the map is refused as a reflection exactly when it is the
+    # identity or the transported products reject it; a tp table splits
+    # along its own basis into its own scalars
+    outcomes, spans = set(), set()
     for B, phi in _split_cases():
         try:
             dec = structure.reflection_decompose(B, phi)
-        except AlgebraError:
+        except AlgebraError as exc:
+            if B.dim == 4:
+                automorphism = oracle.is_isomorphism(B, B, phi)
+                assert isinstance(exc, ReflectionError) == \
+                    (not automorphism or phi == linalg.identity_matrix(4))
+            named = TABLE_MESSAGE.fullmatch(str(exc))
+            outcomes.add(named.group(1) if named else type(exc).__name__)
             continue
-        P, C = dec.B_basis, dec.C_basis
-        inside, spans = zip(*(_three_rank_products_in(B, x, y, t, B.eps)
-                              for x, y, t in ((P, C, C), (C, P, C), (C, C, P))))
-        assert dec.verdicts == {
-            "eigendims_2_2": True,
-            "i_squares_to_minus_one": True,
-            "anticommutation": True,
-            **dict(zip(("BC_in_C", "CB_in_C", "CC_in_B"), inside)),
-            **dict(zip(("BC_equals_C", "CB_equals_C", "CC_equals_B"), spans)),
-        }, (B, phi)
-        seen.add(dec.verdicts["CC_equals_B"])
-    assert seen == {True, False}
+        _assert_split_is_the_tp_table(B, phi, dec)
+        if B.family and B.family[0] == "tp" and B.scalar_mode == "exact" and phi == REFLECTION:
+            assert dec.tp_params == tuple(B.family[1][p] for p in catalog.TP_PARAMS)
+        outcomes.add("ok")
+        spans.add(dec.verdicts["CC_equals_B"])
+    assert outcomes == {"ok", "i*w", "i*v", "ReflectionError", "DecompositionError",
+                        "NucleusContradictionError"}
+    assert spans == {True, False}
 
 
 def test_coords_reads_one_elimination():
     H = catalog.quaternions()
-    for B in (H, H.to_float(), _scaled(H)):
+    for B in (H, H.to_float(), oracle.scaled(H)):
         one, i, j, k = B.basis_elements()
-        # a plane: the parent's plane coordinates, type for type
-        for xs in ([one], [i, one + i, 3 * i], [one - i, 2 * one]):
-            got = structure._coords([one, i], xs, B.eps)
-            for want in (_parent_plane_coords([one, i], xs, B.eps),
-                         _four_plane_coords([one, i], xs, B.eps)):
-                assert [_typed_row(c) for c in got] == [_typed_row(c) for c in want]
-        # a four-vector basis: each x is the combination of its coefficients
-        basis = [one + i, i - j, 2 * j + k, 3 * k]
-        xs = [one, j, 3 * one - k, B.element([1, 2, 3, 4])]
-        for x, coeffs in zip(xs, structure._coords(basis, xs, B.eps)):
-            combo = 0 * one
-            for c, b in zip(coeffs, basis):
-                combo = combo + c * b
-            assert (combo - x).is_zero(B.eps)
+        # each x is the combination of its coefficients, in a plane and in a
+        # four-vector basis
+        for basis, xs in (([one, i], [one]), ([one, i], [i, one + i, 3 * i]),
+                          ([one, i], [one - i, 2 * one]),
+                          ([one + i, i - j, 2 * j + k, 3 * k],
+                           [one, j, 3 * one - k, B.element([1, 2, 3, 4])])):
+            for x, coeffs in zip(xs, structure._coords(basis, xs, B.eps)):
+                combo = 0 * one
+                for c, b in zip(coeffs, basis):
+                    combo = combo + c * b
+                assert (combo - x).is_zero(B.eps)
         # a dependent basis, and a vector outside the span
         assert structure._coords([one, i, one + i], [i], B.eps) is None
         assert structure._coords([one, i], [i, j], B.eps) is None
@@ -753,13 +504,26 @@ def _tn_points(count, seed=7):
     return out
 
 
-def test_classifier_matches_the_gated_classifier():
+def test_classifier_targets_exactly_the_isomorphic_table():
+    # the target the sign of a names is the verdict exactly when the
+    # scaling map diag(1, 1, s, s), s^2 = |a| (s = 1 at a = 0), carries the
+    # table onto it, which the transported products decide; the witness is
+    # that map
+    tables = {"Mzero": catalog.mzero(), "Mplus": catalog.mplus(), "H": catalog.quaternions()}
     targets = set()
     for params in _tn_points(160):
-        A = catalog.tn(**params)
+        A, a = catalog.tn(**params), params["a"]
+        name = "Mzero" if a == 0 else "Mplus" if a > 0 else "H"
+        root = F(math.isqrt(abs(a.numerator)), math.isqrt(a.denominator))
+        s = 1 if a == 0 else root if root * root == abs(a) else math.sqrt(abs(a))
+        scaling = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, s, 0], [0, 0, 0, s]]
         for B in (A, A.to_float()):
             out = structure.classify_middle_c(B)
-            assert (out.target, out.witness, out.witness_verified) == \
-                _gated_classify(B), params
+            if oracle.is_isomorphism(B, tables[name], scaling):
+                assert (out.target, out.witness_verified) == (name, True), params
+                assert oracle.ref(B).vec_close([c for row in out.witness for c in row],
+                                               [c for row in scaling for c in row])
+            else:
+                assert (out.target, out.witness) == ("Unclassified", None), params
             targets.add(out.target)
     assert targets == {"Mplus", "Mzero", "H", "Unclassified"}

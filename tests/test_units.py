@@ -53,6 +53,7 @@ def test_newton_empty_for_reals():
     assert cloud.points == ()
 
 
+# contract: the Newton cloud bit for bit, the points root certification will read
 def _per_start_newton(A, seeds=200, tol=1e-9, seed=0, box=2.0, max_iter=100):
     """Reference: each start point iterated alone, one solve per step, then
     deduplicated at 10*tol against each kept point in turn."""
@@ -158,6 +159,7 @@ def test_newton_rejects_bad_arguments():
             units.solve_units_sampled(H, **kwargs)
 
 
+# contract: the Newton cloud bit for bit, the points root certification will read
 def _newton_reference(A, seeds=200, tol=None, seed=0):
     """The solver with its slow paths unbatched: an iteration that meets an
     exactly singular Jacobian is redone row by row, converged points are
@@ -444,6 +446,24 @@ def test_grid_search_finds_only_the_two_roots():
     A = catalog.ak(1, a11=F(3, 2), a12=F(7, 4))
     found = units.grid_unit_search(A)
     assert set(found) == {A.by_label("e1"), -A.by_label("e1")}
+
+
+def test_unit_checks_default_to_the_algebras_eps():
+    # the float complex numbers with e1*e1 = -1 + 1e-6 at eps 1e-3: e1 is a
+    # unit at the algebra's eps, so the grid search finds +-e1 there, and a
+    # point 1e-6 off a locus equation satisfies it there
+    A = Algebra([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [-1.0 + 1e-6, 0.0]]],
+                unit=[1.0, 0.0], eps=1e-3)
+    e1 = A.basis(1)
+    assert units.verify_unit(A, e1)
+    assert set(units.grid_unit_search(A, radius=1, step=1)) == {e1, -e1}
+    assert units.grid_unit_search(A, radius=1, step=1, tol=1e-9) == []
+    T = catalog.tn(a=-1, g=1)
+    locus = units.classify_locus_tn(T)
+    B = Algebra(T.to_float().sc, unit=T.to_float().unit, eps=1e-3)
+    q = B.element([0.0, 1.0 + 1e-6, 0.0, 0.0])
+    assert units.equation_satisfied(locus, q)
+    assert not units.equation_satisfied(locus, q, 1e-9)
 
 
 def test_grid_search_finds_grid_units_on_sphere():
