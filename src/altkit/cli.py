@@ -26,6 +26,7 @@ from .core import (
     ParameterError,
     default_eps,
     parse_scalar,
+    tolerance,
 )
 from .identities import IdentityKind
 
@@ -130,7 +131,7 @@ def units_for(A: Algebra, samples: int, seed: int,
     """
     name = A.family[0] if A.family else None
     if name == "ak":
-        q = A.by_label("e1")
+        q = A.basis(1)
         return [q, -q], True
     if name in catalog.TN_FAMILIES:
         locus = units.classify_locus_tn(A)
@@ -338,9 +339,19 @@ def _parser(eps: float) -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _check_flags(args) -> None:
+    """A bad --eps or a negative --samples is an input error on every verb
+    that takes it, whichever path its table then takes."""
+    if getattr(args, "eps", None) is not None:
+        tolerance(args.eps)
+    if getattr(args, "samples", 0) < 0:
+        raise ParameterError(f"--samples must be nonnegative, got {args.samples}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser(default_eps()).parse_args(argv)
     try:
+        _check_flags(args)
         return _COMMANDS[args.verb](args)
     except (AlgebraError, OSError, json.JSONDecodeError) as exc:
         print(f"altkit: error: {exc}", file=sys.stderr)

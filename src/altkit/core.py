@@ -54,6 +54,7 @@ Scalar = Union[Fraction, float]
 
 _ZERO = Fraction(0)
 _set = object.__setattr__  # fills the slots of an immutable Element
+_UNREAD = object()  # an Algebra's family before its first read
 
 # The largest prime below 2**26.  A product of two residues is below 2**52,
 # so int64 holds a sum of up to 2**11 of them: an entry of
@@ -376,7 +377,6 @@ class Algebra:
         labels: Optional[Sequence[str]] = None,
         unit: Optional[Sequence] = None,
         eps: Optional[float] = None,
-        family: Optional[tuple] = None,
     ):
         table = [[[parse_scalar(c) for c in cell] for cell in row] for row in sc]
         n = len(table)
@@ -407,18 +407,18 @@ class Algebra:
             _require_finite((c for c in unit if isinstance(c, float)), "unit coordinate")
             if cube.dtype == float:
                 unit = tuple(float(c) for c in unit)
-        self._setup(cube.reshape((n,) * 3), scale, labels, unit, eps, family)
+        self._setup(cube.reshape((n,) * 3), scale, labels, unit, eps)
 
     @classmethod
     def _built(cls, cube: np.ndarray, scale: int, labels: tuple, eps: float,
-               unit: Optional[tuple] = None, family: Optional[tuple] = None) -> "Algebra":
+               unit: Optional[tuple] = None) -> "Algebra":
         """The algebra of a validated table, built by `_setup` with no parsing."""
         algebra = cls.__new__(cls)
-        algebra._setup(cube, scale, labels, unit, eps, family)
+        algebra._setup(cube, scale, labels, unit, eps)
         return algebra
 
     def _setup(self, cube: np.ndarray, scale: int, labels: tuple, unit: Optional[tuple],
-               eps: float, family: Optional[tuple]) -> None:
+               eps: float) -> None:
         """Fill the algebra from a validated table and check the unit axiom.
         ``cube`` is the table, float64 for a float table and otherwise its
         integers sc * scale, scale being the lcm of its reduced denominators
@@ -432,7 +432,7 @@ class Algebra:
         self._labels = labels
         self._unit = unit
         self._eps = eps
-        self._family = family
+        self._family = _UNREAD
         self._sc = None
         self._element_slots = None
         self._float_copy = None
@@ -504,11 +504,17 @@ class Algebra:
 
     @property
     def family(self):
-        """(name, params) tag recorded by the catalog constructors, or None."""
+        """(name, params) of the catalog family whose point the table is in
+        its given basis (`catalog.recognise`), or None; read off the cube on
+        first use and kept."""
+        if self._family is _UNREAD:
+            from . import catalog
+
+            self._family = catalog.recognise(self)
         return self._family
 
     def __repr__(self):
-        tag = self._family[0] if self._family else "algebra"
+        tag = self.family[0] if self.family else "algebra"
         return f"Algebra<{tag}, dim={self.dim}, {self._scalar_mode}>"
 
     # -- element constructors -------------------------------------------------
@@ -761,8 +767,7 @@ class Algebra:
             index, values = nonzero_entries(self._cube)
             cube[index] = [c / self._scale for c in values]
             unit = None if self._unit is None else tuple(float(c) for c in self._unit)
-            self._float_copy = Algebra._built(cube, 1, self._labels, self._eps, unit,
-                                              self._family)
+            self._float_copy = Algebra._built(cube, 1, self._labels, self._eps, unit)
         return self._float_copy
 
     def to_dict(self) -> dict:

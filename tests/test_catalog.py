@@ -197,11 +197,10 @@ def _ref_ak(k, **coeffs):
         put(v2, 1, {v1: F(-1)})
         put(v1, v1, {0: a[f"a{i}1"]})
         put(v2, v2, {0: a[f"a{i}2"]})
-    return Algebra(sc, labels=labels, unit=_ref_vec(n, {0: F(1)}),
-                   family=("ak", {"k": k, **a}))
+    return Algebra(sc, labels=labels, unit=_ref_vec(n, {0: F(1)}))
 
 
-def _ref_four_dim(j_row, k_row, labels, name, i_rows, params):
+def _ref_four_dim(j_row, k_row, labels, i_rows):
     one, i, j, kv = (_ref_vec(4, {m: 1}) for m in range(4))
     ij, ik, ji, ki = (_ref_vec(4, {m: c}) for m, c in i_rows)
     sc = [
@@ -210,24 +209,21 @@ def _ref_four_dim(j_row, k_row, labels, name, i_rows, params):
         [j, ji, j_row[0], j_row[1]],
         [kv, ki, k_row[0], k_row[1]],
     ]
-    return Algebra(sc, labels=labels, unit=one, family=(name, params))
+    return Algebra(sc, labels=labels, unit=one)
 
 
 def _ref_tn(a=0, b=0, c=0, d=0, f=0, g=0, h=0, e=0):
     a, b, c, d, f, g, h, e = map(parse_scalar, (a, b, c, d, f, g, h, e))
     jj, jk = [a, b, c, d], [f, g, h, e]
     return _ref_four_dim((jj, jk), (_ref_neg(jk), list(jj)), ["1", "i", "j", "k"],
-                         "tn", ((3, 1), (2, -1), (3, -1), (2, 1)),
-                         {"a": a, "b": b, "c": c, "d": d, "f": f, "g": g, "h": h,
-                          "e": e})
+                         ((3, 1), (2, -1), (3, -1), (2, 1)))
 
 
 def _ref_tc(a=0, b=0, f=0, g=0, h=0):
     a, b, f, g, h = map(parse_scalar, (a, b, f, g, h))
     jj, jk = [a, b, F(0), F(0)], [f, g, h, F(0)]
     return _ref_four_dim((jj, jk), (list(jk), _ref_neg(jj)), ["1", "i", "j", "k"],
-                         "tc", ((3, 1), (2, -1), (3, 1), (2, -1)),
-                         {"a": a, "b": b, "f": f, "g": g, "h": h})
+                         ((3, 1), (2, -1), (3, 1), (2, -1)))
 
 
 _TP_NAMES = ("alpha1", "alpha2", "beta1", "beta2", "delta1", "delta2",
@@ -239,23 +235,16 @@ def _ref_tp(**params):
     ww, wv, vw, vv = ([ps[f"{x}1"], ps[f"{x}2"], F(0), F(0)]
                       for x in ("alpha", "beta", "delta", "gamma"))
     return _ref_four_dim((ww, wv), (vw, vv), ["1", "i", "w", "v"],
-                         "tp", ((3, -1), (2, 1), (3, 1), (2, -1)), ps)
-
-
-def _ref_fixed(name, point):
-    out = _ref_tn(**point)
-    return Algebra(out.sc, labels=out.labels, unit=out.unit,
-                   family=(name, {"tn": {k: F(v) for k, v in point.items()}}))
+                         ((3, -1), (2, 1), (3, 1), (2, -1)))
 
 
 def _ref_complex():
     one, i = [F(1), F(0)], [F(0), F(1)]
-    return Algebra([[one, i], [i, _ref_neg(one)]], labels=["1", "i"], unit=one,
-                   family=("complex", {}))
+    return Algebra([[one, i], [i, _ref_neg(one)]], labels=["1", "i"], unit=one)
 
 
 def _fingerprint(A):
-    return (A.scalar_mode, repr(A.sc), repr(A.labels), repr(A.unit), repr(A.family))
+    return (A.scalar_mode, repr(A.sc), repr(A.labels), repr(A.unit))
 
 
 def _draw(rng):
@@ -293,9 +282,9 @@ def test_tables_equal_the_reference_builders():
         assert _fingerprint(catalog.ak(k, **coeffs)) == _fingerprint(_ref_ak(k, **coeffs))
         count += 5
     fixed = [
-        (catalog.mplus(), _ref_fixed("mplus", {"a": 1, "g": -1})),
-        (catalog.mzero(), _ref_fixed("mzero", {})),
-        (catalog.quaternions(), _ref_fixed("quaternions", {"a": -1, "g": 1})),
+        (catalog.mplus(), _ref_tn(a=1, g=-1)),
+        (catalog.mzero(), _ref_tn()),
+        (catalog.quaternions(), _ref_tn(a=-1, g=1)),
         (catalog.complex_numbers(), _ref_complex()),
     ]
     for new, ref in fixed:
@@ -308,19 +297,22 @@ def test_tables_equal_the_reference_builders():
     assert math.copysign(1.0, A.sc[2][3][0]) == 1.0
 
 
+# parameters for each builder that no other family name matches (tn()
+# is mzero)
+_SMALL = {"ak": {"k": 3}, "tn": {"a": 2, "b": 1}}
+
+
 def test_slots_are_disjoint_from_each_other_and_the_fixed_entries(monkeypatch):
     statements = []  # (family, labels, fixed, slots) as handed to the builder
     real = catalog._table
 
-    def spy(labels, fixed, slots, params, family):
-        statements.append((family[0], labels, fixed, slots))
-        return real(labels, fixed, slots, params, family)
+    def spy(labels, fixed, slots, params):
+        statements.append((name, labels, fixed, slots))
+        return real(labels, fixed, slots, params)
 
     monkeypatch.setattr(catalog, "_table", spy)
-    for build in (lambda: catalog.ak(3), catalog.tn, catalog.tc, catalog.tp,
-                  catalog.mplus, catalog.mzero, catalog.quaternions,
-                  catalog.complex_numbers):
-        build()
+    for name in catalog.FAMILY_NAMES:
+        catalog.build(name, **_SMALL.get(name, {}))
     assert [s[0] for s in statements] == list(catalog.FAMILY_NAMES)
     for name, labels, fixed, slots in statements:
         n = len(labels)
@@ -338,17 +330,166 @@ def test_slots_are_disjoint_from_each_other_and_the_fixed_entries(monkeypatch):
 
 
 def test_each_table_is_constructed_once(monkeypatch):
+    # one Algebra per builder call, and none while its family is recognised
     calls = []
     init = Algebra.__init__
 
     def counting(self, *args, **kwargs):
-        calls.append(kwargs.get("family"))
+        calls.append(self)
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Algebra, "__init__", counting)
-    for build in (catalog.mplus, catalog.mzero, catalog.quaternions,
-                  catalog.complex_numbers, catalog.tn, catalog.tc, catalog.tp,
-                  lambda: catalog.ak(2)):
+    for name in catalog.FAMILY_NAMES:
         calls.clear()
-        A = build()
-        assert len(calls) == 1 and calls[0] == A.family
+        A = catalog.build(name, **_SMALL.get(name, {}))
+        assert A.family[0] == name
+        assert len(calls) == 1 and calls[0] is A
+
+
+# -- recognising a table from its cube ---------------------------------------
+#
+# A family's params, stated here from its builder's documentation: every
+# parameter the builder takes, at its default where not given.
+
+_TN_NAMED = {"mplus": {"a": 1, "g": -1}, "mzero": {}, "quaternions": {"a": -1, "g": 1}}
+_DEFAULTS = {"tn": dict.fromkeys("abcdfghe", 0), "tc": dict.fromkeys("abfgh", 0),
+             "tp": dict.fromkeys(_TP_NAMES, 0), "complex": {}}
+
+
+def _family(name, **given):
+    """The (name, params) that recognition reads off build(name, **given)."""
+    if name == "ak":
+        k = given["k"]
+        return "ak", {"k": k, **{f"a{i}{j}": given.get(f"a{i}{j}", 1)
+                                 for i in range(1, k + 1) for j in (1, 2)}}
+    if name in _TN_NAMED:
+        given, name = _TN_NAMED[name], "tn"
+    params = {**_DEFAULTS[name], **given}
+    if name == "tn":  # a tn point equal to a named one takes its name
+        name = next((point for point, nonzero in _TN_NAMED.items()
+                     if params == {**_DEFAULTS["tn"], **nonzero}), "tn")
+    return name, params
+
+
+# the catalog tables of the tests, each family at zero parameters, and a
+# float table
+_BUILDS = [
+    ("ak", {"k": 1, "a11": 1, "a12": 1}),
+    ("ak", {"k": 2, "a11": F(1, 3), "a12": 2, "a21": F(5, 2), "a22": 7}),
+    ("ak", {"k": 3}), ("ak", {"k": 10}),
+    ("tn", {"a": -3, "b": 1, "c": 2, "d": F(1, 2), "f": 1, "g": -1, "h": 3, "e": F(-2, 3)}),
+    ("tn", {"a": 2, "b": 1}), ("tn", {"a": -1, "g": 1, "h": 1}), ("tn", {"a": 1, "g": -1}),
+    ("tn", {}), ("tn", {"a": 0.5, "f": -0.0}),
+    ("tc", {"a": 2, "b": F(-1, 3), "f": 1, "g": 2, "h": 1}), ("tc", {"a": 1, "h": 1}),
+    ("tc", {}),
+    ("tp", {"alpha1": -1, "beta2": -1, "delta2": 1, "gamma1": -1}), ("tp", {"delta1": 1}),
+    ("tp", {"alpha1": F(1, 3), "beta2": F(-2, 5), "delta2": F(1, 7), "gamma1": F(-3, 2)}),
+    ("tp", {}),
+    ("mplus", {}), ("mzero", {}), ("quaternions", {}), ("complex", {}),
+]
+
+
+def _wanted(B, name, given):
+    """B's family as `_family` states it, on a float table with each
+    parameter rounded to float once, as `to_float()` rounds each entry."""
+    name, params = _family(name, **given)
+    if B.scalar_mode == "float":
+        params = {p: v if p == "k" else float(v) for p, v in params.items()}
+    return name, params
+
+
+def test_a_catalog_table_is_recognised_as_its_builders_point():
+    for name, given in _BUILDS:
+        A = catalog.build(name, **given)
+        for B in (A, A.to_float()):
+            for C in (B, Algebra.loads(B.dumps())):
+                want = _wanted(C, name, given)
+                assert catalog.recognise(C) == want and C.family == want, (name, given, C)
+                # exact params on an exact table, floats on a float one
+                kind = float if C.scalar_mode == "float" else Fraction
+                assert all(type(v) is kind for p, v in C.family[1].items() if p != "k")
+
+
+def _matches(A):
+    """The names under which each family's statement alone recognises A."""
+    names = []
+    for statement in catalog._statements(A.dim):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(catalog, "_statements", lambda n: [statement])
+            found = catalog.recognise(A)
+        names += [found[0]] if found else []
+    return names
+
+
+def _drawn_builds(rng):
+    """Seeded tn, tc, tp and ak draws, many of their parameters zero."""
+    tn = {p: _draw(rng) for p in "abcdfghe" if rng.random() < 0.5}
+    tc = {p: _draw(rng) for p in "abfg" if rng.random() < 0.5}
+    tc["h"] = rng.choice((0, 1))
+    tp = {p: _draw(rng) for p in _TP_NAMES if rng.random() < 0.5}
+    k = rng.randint(1, 3)
+    ak = {"k": k, **{f"a{i}{j}": F(rng.randint(1, 9), rng.randint(1, 4))
+                     for i in range(1, k + 1) for j in (1, 2) if rng.random() < 0.5}}
+    return [("tn", tn), ("tc", tc), ("tp", tp), ("ak", ak)]
+
+
+def test_at_most_one_family_matches_a_table():
+    rng = random.Random(23)
+    builds = list(_BUILDS)
+    for _ in range(300):
+        builds += _drawn_builds(rng)
+    for name, given in builds:
+        A = catalog.build(name, **given)
+        for B in (A, A.to_float()):
+            want = _wanted(B, name, given)
+            assert _matches(B) == [want[0]] and B.family == want, (name, given)
+
+
+def _edited(A, cells=(), unit="same"):
+    """A's table with each cell (i, j, k) of ``cells`` set to its value,
+    and the unit given (A's by default)."""
+    sc = [[list(cell) for cell in row] for row in A.sc]
+    for (i, j, k), value in dict(cells).items():
+        sc[i][j][k] = value
+    return Algebra(sc, labels=A.labels, unit=A.unit if unit == "same" else unit)
+
+
+def _moved(A, src, dst):
+    """A with the entry at cell src moved to cell dst."""
+    return _edited(A, {src: 0, dst: A.sc[src[0]][src[1]][src[2]]})
+
+
+def _swapped(A, p, q):
+    """A in the basis with e_p and e_q swapped."""
+    perm = list(range(A.dim))
+    perm[p], perm[q] = q, p
+    n = range(A.dim)
+    sc = [[[A.sc[perm[i]][perm[j]][perm[k]] for k in n] for j in n] for i in n]
+    return Algebra(sc, labels=[A.labels[i] for i in perm],
+                   unit=[A.unit[i] for i in perm])
+
+
+def test_a_table_off_every_family_is_not_recognised():
+    tn, tc = catalog.tn(a=2, b=1), catalog.tc(a=1, h=1)
+    tp = catalog.tp(alpha1=F(1, 3), beta2=F(-2, 5), delta2=F(1, 7), gamma1=F(-3, 2))
+    ak = catalog.ak(2, a11=F(1, 3), a21=2)
+    off = [
+        # one entry moved off its slot
+        _moved(tn, (3, 3, 1), (3, 3, 2)), _moved(tc, (2, 3, 2), (2, 3, 3)),
+        _moved(tp, (3, 2, 1), (3, 2, 2)), _moved(ak, (4, 4, 0), (4, 4, 1)),
+        # two basis vectors swapped
+        _swapped(tn, 1, 2), _swapped(tc, 1, 2), _swapped(tp, 1, 2),
+        _swapped(catalog.mplus(), 1, 2), _swapped(ak, 1, 2), _swapped(ak, 2, 4),
+        _swapped(catalog.tn(a=-3, b=1, c=2, d=F(1, 2), f=1, g=-1, h=3, e=F(-2, 3)), 2, 3),
+        # no unit
+        _edited(tn, unit=None), _edited(catalog.complex_numbers(), unit=None),
+        # tc's slots holding h = 2
+        _edited(tc, {(2, 3, 2): 2, (3, 2, 2): 2}),
+        # a float table only within eps of a family
+        _edited(tn.to_float(), {(2, 2, 0): 2 + 1e-12}),
+    ]
+    for A in off:
+        assert catalog.recognise(A) is None and A.family is None, A.sc
+    # the basis counts: the quaternions with i and j swapped are a tp point
+    assert catalog.recognise(_swapped(catalog.quaternions(), 1, 2)) == \
+        _family("tp", alpha1=-1, beta2=-1, delta2=1, gamma1=-1)

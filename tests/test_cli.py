@@ -191,13 +191,64 @@ def test_file_input(tmp_path, capsys):
     assert code == 0
 
 
+# the catalog test tables as CLI arguments
+CLI_TABLES = [
+    ("ak", "k=1", "a11=1", "a12=1"), ("ak", "k=2", "a11=1/3", "a12=2", "a21=5/2", "a22=7"),
+    ("ak", "k=3"),
+    ("tn", "a=-3", "b=1", "c=2", "d=1/2", "f=1", "g=-1", "h=3", "e=-2/3"),
+    ("tn", "a=2", "b=1"), ("tn", "a=-1", "g=1", "h=1"), ("tn", "a=4", "g=-1"),
+    ("tc", "a=2", "b=-1/3", "f=1", "g=2", "h=1"),
+    ("tp", "alpha1=-1", "beta2=-1", "delta2=1", "gamma1=-1"),
+    ("mplus",), ("mzero",), ("quaternions",), ("complex",),
+]
+
+
+@pytest.mark.parametrize("table", CLI_TABLES, ids=" ".join)
+def test_a_described_table_gets_the_answers_of_its_family(tmp_path, capsys, table):
+    # a catalog table read from its JSON is recognised, so --file and
+    # --algebra take one code path
+    name, *params = table
+    catalog_args = ["--algebra", name] + [x for p in params for x in ("--param", p)]
+    code, out, _ = run(capsys, "describe", *catalog_args, "--format", "json")
+    assert code == 0
+    path = tmp_path / "table.json"
+    path.write_text(out)
+    verbs = [("check", "--identity", kind) for kind in cli.CHECK_NAMES]
+    verbs += [("units",), ("classify",)]
+    for verb, *rest in verbs:
+        argv = [*rest, "--format", "json"]
+        assert run(capsys, verb, *catalog_args, *argv) == \
+            run(capsys, verb, "--file", str(path), *argv), (verb, *rest)
+
+
+def test_a_described_tn_table_keeps_its_exact_locus(tmp_path, capsys):
+    # the table's only units are +-i: a proof, not a Newton cloud whose
+    # noise points fail the law just past eps
+    path = tmp_path / "tn.json"
+    path.write_text(catalog.tn(a=2, b=1).dumps())
+    code, out, _ = run(capsys, "check", "--file", str(path), "--identity", "partial-left-alt")
+    assert code == 0 and out == "partial-left-alt: holds [exhaustive-basis]\n"
+    path.write_text(catalog.quaternions().dumps())
+    code, out, _ = run(capsys, "classify", "--file", str(path))
+    assert code == 0 and out.startswith("type: H\n")
+
+
 def test_units_bad_newton_arguments_exit_two(tmp_path, capsys):
     path = tmp_path / "alg.json"
     path.write_text(Algebra([[[1, 0], [0, 1]], [[0, 1], [-1, 0]]],
                             unit=[1, 0]).dumps())
-    for flags in (("--samples", "-3"), ("--eps", "nan")):
-        code, out, err = run(capsys, "units", "--file", str(path), *flags)
-        assert code == 2 and out == "" and "altkit: error" in err
+    tn_path = tmp_path / "tn.json"
+    tn_path.write_text(catalog.tn(a=2, b=1).dumps())
+    # on the Newton path and on those that never run it: a tn family's
+    # exact locus, from the catalog or a described file, and tc's +-i
+    for flags in (("--samples", "-3"), ("--eps", "nan"), ("--eps", "inf")):
+        for argv in (("units", "--file", str(path)), ("units", "--algebra", "mplus"),
+                     ("units", "--file", str(tn_path)),
+                     ("check", "--algebra", "quaternions", "--identity", "partial-left-alt"),
+                     ("check", "--file", str(tn_path), "--identity", "partial-left-alt"),
+                     ("check", "--algebra", "tc", "--identity", "partial-flexible")):
+            code, out, err = run(capsys, *argv, *flags)
+            assert code == 2 and out == "" and "altkit: error" in err, (argv, flags)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -439,8 +490,13 @@ def test_bad_eps_is_an_input_error_on_every_verb(tmp_path, capsys, value):
     path.write_text(json.dumps({"sc": [[[1.0, 0], [0, 1.0]], [[0, 1.0], [-1.0, 0]]],
                                 "unit": [1.0, 0]}))
     source = ("--file", str(path))
+    tn_path = tmp_path / "tn.json"
+    tn_path.write_text(catalog.tn(a=2, b=1).dumps())
     for argv in (("check", *source, "--identity", "associative", "--format", "json"),
                  ("nucleus", *source), ("lieify", *source), ("units", *source),
+                 ("units", "--algebra", "mplus"), ("units", "--file", str(tn_path)),
+                 ("check", "--algebra", "quaternions", "--identity", "partial-left-alt"),
+                 ("check", "--file", str(tn_path), "--identity", "partial-left-alt"),
                  ("decompose", "--algebra", "quaternions"),
                  ("classify", "--family", "tn", "--param", "a=-1", "--param", "g=1")):
         code, out, err = run(capsys, *argv, f"--eps={value}")

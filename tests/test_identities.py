@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from altkit import catalog, cli, core, identities, lie, linalg, structure
+from altkit import catalog, cli, core, identities, lie, linalg, structure, units
 from altkit.core import Algebra, ContextError, NotApplicableError
 from altkit.identities import IdentityKind
 
@@ -507,13 +507,10 @@ def _random_tp(seed):
     catalog.quaternions(),
 ], ids=repr)
 def test_quadratic_kernel_matches_the_references_on_newton_clouds(A):
-    # a table read from JSON has no family, so units_for samples Newton
-    # points: float coordinates on an exact table
-    copy = Algebra.loads(A.dumps())
-    points, complete = cli.units_for(copy, 60, 0, None)
-    assert points and not complete
-    assert all(q._den == 0 for q in points)
-    assert_quadratic_reports_match(copy, points, complete)
+    # Newton points: float coordinates on an exact table
+    points = list(units.solve_units_sampled(A, seeds=60, seed=0).points)
+    assert points and all(q._den == 0 for q in points)
+    assert_quadratic_reports_match(A, points, False)
 
 
 def test_a_float_unit_on_an_exact_table_is_compared_within_eps():
@@ -615,7 +612,7 @@ def _tables_and_units(A):
 
 
 @pytest.mark.parametrize("A", CATALOG_TABLES, ids=repr)
-def test_associator_slices_match_the_parent_kernels_on_catalog(A):
+def test_associator_slices_match_the_reftable_slices_on_catalog(A):
     # the kernel against RefTable's slices
     rng = random.Random(A.dim)
     for B, points, _ in _tables_and_units(A):
@@ -624,29 +621,29 @@ def test_associator_slices_match_the_parent_kernels_on_catalog(A):
 
 
 @pytest.mark.parametrize("A", CATALOG_TABLES, ids=repr)
-def test_associator_reports_match_the_parent_search_on_catalog(A):
-    # every report against RefTable's scan
+def test_associator_reports_match_the_reftable_scan_on_catalog(A):
+    # every report against RefTable's scan, at the family's units and at a
+    # Newton cloud: float coordinates on an exact table
     for B, points, complete in _tables_and_units(A):
         assert_reports_are_the_scan(B, points, complete)
-    # a table read from JSON has no family: its units are a Newton cloud,
-    # float coordinates on an exact table
-    copy = Algebra.loads(A.dumps())
-    points, complete = cli.units_for(copy, 60, 0, None)
-    assert all(q._den == 0 for q in points) and not complete
-    assert_reports_are_the_scan(copy, points, complete)
+    points = list(units.solve_units_sampled(A, seeds=60, seed=0).points)
+    assert all(q._den == 0 for q in points)
+    assert_reports_are_the_scan(A, points, False)
 
 
 def test_a_sum_witness_is_read_basis_index_first():
-    # e0 e0 = -e0, e2 e3 = -e0, e3 e2 = e0: each quadratic law holds on the
-    # basis and fails at (x, y) = (e0 + e2, e3) and (e0 + e3, e2) only.  For
-    # each i the search reads y = e_k before x = e_i + e_j: e2 comes first
+    # e0 e0 = -e0, e1 e3 = -e0, e3 e1 = e0: each quadratic law holds on the
+    # basis and fails at (x, y) = (e0 + e1, e3) and (e0 + e3, e1) only.  For
+    # each i the search reads y = e_k before x = e_i + e_j: e1 comes first.
+    # Both sums lie off the diagonal (e0 + e3 is point 2 of e0's group, e1
+    # basis vector 1), so reading point first finds the other one
     sc = [[[0] * 4 for _ in range(4)] for _ in range(4)]
-    sc[0][0][0], sc[2][3][0], sc[3][2][0] = -1, -1, 1
+    sc[0][0][0], sc[1][3][0], sc[3][1][0] = -1, -1, 1
     A = Algebra(sc)
-    e0, _, e2, e3 = A.basis_elements()
+    e0, e1, _, e3 = A.basis_elements()
     for kind, shape in QUADRATIC_SHAPES.items():
         report = identities.check_identity(A, kind)
-        assert (report.witness.x, report.witness.y, report.witness.z) == shape(e0 + e3, e2)
+        assert (report.witness.x, report.witness.y, report.witness.z) == shape(e0 + e3, e1)
         assert_report_is_the_scan(A, kind)
 
 
