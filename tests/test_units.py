@@ -253,6 +253,15 @@ def _float_cube(A):
     return sc
 
 
+def _perturbed_float_quaternions():
+    # a float table outside the catalog: i*j = (1 + 2^-20) k, which float
+    # keeps, where the float copy of _scaled_quaternions is the quaternions
+    H = catalog.quaternions()
+    sc = [[[float(c) for c in cell] for cell in row] for row in H.sc]
+    sc[1][2] = [c * (1 + 2.0 ** -20) for c in sc[1][2]]
+    return Algebra(sc, labels=H.labels, unit=H.unit)
+
+
 def _split_complex():
     # j*j = +1: q*q = -1 has no real solution
     return Algebra([[[1, 0], [0, 1]], [[0, 1], [1, 0]]], labels=["1", "j"], unit=[1, 0])
@@ -269,10 +278,12 @@ _NEWTON_TABLES = [
     _seeded_tp(3),
     catalog.ak(2),
     catalog.ak(5),
-    _scaled_quaternions(),
     _split_complex(),
 ]
 _NEWTON_TABLES += [A.to_float() for A in _NEWTON_TABLES]
+# the float copy of _scaled_quaternions is the float quaternions, so a float
+# table outside the catalog stands in for it
+_NEWTON_TABLES += [_scaled_quaternions(), _perturbed_float_quaternions()]
 
 
 def _hex_points(points):
