@@ -44,7 +44,6 @@ from .lie import (
     classify_tp_lie,
     derived_series,
     lieify,
-    match_canonical,
 )
 from .structure import (
     MiddleClassification,

@@ -213,8 +213,13 @@ def claim_sampled_on_quadric(opt: SuiteOptions):
             assert units.equation_satisfied(locus, q, 1e-8), (
                 f"{A}: cloud point off the locus equation"
             )
+        # rational_locus_points keeps only units, so a wrong equation shows
+        # as fewer distinct points than asked for
         a = catalog.tn_params(A)["a"]
-        for q in units.rational_locus_points(A, Fraction(a), 10, seed=opt.seed):
+        points = units.rational_locus_points(A, Fraction(a), 10, seed=opt.seed)
+        distinct = {q.coords for q in points}
+        assert len(distinct) == 10, f"{A}: {len(distinct)} distinct locus points of 10"
+        for q in points:
             assert units.verify_unit(A, q, 0.0)
 
 

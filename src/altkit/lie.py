@@ -25,7 +25,9 @@ one product of the nonzero bracket rows with the cube.
 
 Each verdict ships an explicit change-of-basis witness whose transported
 brackets are checked against the canonical table by `core.morphism_defect`;
-the result is reported, never assumed.  For beta < 0 the scaling follows the
+the result is reported, never assumed.  Each case's witness is invertible
+by construction, so preserving the basis-pair brackets makes it an
+isomorphism, by bilinearity.  For beta < 0 the scaling follows the
 case split above but cannot validate: the Killing form of span{i, v, w}
 is diag(-8, -4*beta, -4*beta), indefinite for beta < 0, so the algebra is
 the noncompact sl(2, R) type and no real basis change reaches the compact
@@ -79,11 +81,6 @@ class LieAlgebra(Algebra):
     @property
     def brackets(self):
         return self.sc
-
-    def bracket(self, u: Sequence, v: Sequence) -> list:
-        """The coordinates of [u, v] for coordinate vectors u and v: their
-        Elements' product, `multiply`."""
-        return list(self.multiply(self.element(u), self.element(v)).coords)
 
     def to_dict(self) -> dict:
         data = super().to_dict()
@@ -144,22 +141,19 @@ def derived_series(L: LieAlgebra, eps: Optional[float] = None) -> List[list]:
     """Bases of L, [L, L], [[L, L], [L, L]], ... until 0 or stabilisation,
     each in reduced row form.  [L, L] is spanned by the cube's rows (i, j)
     (i < j), positive multiples of the brackets of the basis vectors, of
-    which only the nonzero ones are eliminated (on a float table, every row
-    up to the last nonzero one); each deeper term by the brackets of every
-    two rows of the term before, through `multiply`."""
+    which those up to the last nonzero one are eliminated: float
+    elimination breaks pivot ties by row position, so the zero rows before
+    it stay, and an exact reduced row form is the same whatever zero rows
+    it is given.  Each deeper term is spanned by the brackets of every two
+    rows of the term before, through `multiply`."""
     n = L.dim
     eps = tolerance(eps, L.eps)
     current = [[Fraction(1) if p == i else Fraction(0) for p in range(n)]
                for i in range(n)]
     series = [current]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if L._rows[i][j]]
-    if pairs and L.scalar_mode == "float":
-        # float elimination breaks pivot ties by row position, so the zero
-        # rows before the last nonzero one stay; an exact reduced row form
-        # is the same whatever zero rows it is given
-        last = pairs[-1]
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) <= last]
-    prods = [L.cube[i, j].tolist() for i, j in pairs]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    last = max((r for r, (i, j) in enumerate(pairs) if L._rows[i][j]), default=-1)
+    prods = [L.cube[i, j].tolist() for i, j in pairs[:last + 1]]
     while True:
         nxt = linalg.row_basis(prods, eps) if prods else []
         series.append(nxt)
@@ -233,32 +227,6 @@ def canonical_brackets(type_tag: str):
     return _CANONICAL[type_tag].brackets
 
 
-def match_canonical(L: LieAlgebra, type_tag: str, witness,
-                    eps: Optional[float] = None):
-    """Do the witness-transported brackets equal the canonical table?
-
-    witness columns are the images of the canonical basis vectors in L's
-    coordinates.  Returns (ok, mismatch) with the first differing bracket.
-    """
-    eps = tolerance(eps, L.eps)
-    table = canonical_brackets(type_tag)
-    n = L.dim
-    witness = linalg.square_matrix(witness, n)
-    if scalar_is_zero(linalg.det(witness, eps), eps):
-        return False, "witness matrix is singular"
-    hit = morphism_defect(_CANONICAL[type_tag], L, witness, eps)
-    if hit is None:
-        return True, None
-    p, q = hit
-    cols = list(zip(*witness))
-    want = [0] * n
-    for r in range(n):
-        c = table[p][q][r]
-        if c:
-            want = [w + c * x for w, x in zip(want, cols[r])]
-    return False, (p, q, L.bracket(cols[p], cols[q]), want)
-
-
 def _read_alpha_beta(L: LieAlgebra, eps: float):
     """(alpha, beta) read off [v, w], when every bracket [e_i, e_j] with
     i < j is within eps of the reflection shape's at that (alpha, beta);
@@ -326,5 +294,8 @@ def classify_lie(L: LieAlgebra, eps: Optional[float] = None) -> LieClassificatio
         f = [0, 0, scale if beta > 0 else -scale, 0]
         cols = [h, e, f, one]
     witness = tuple(tuple(parse_scalar(cols[c][r]) for c in range(4)) for r in range(4))
-    ok, _ = match_canonical(L, tag, witness, eps=eps)
+    # each case's columns are independent by construction (a scaled
+    # permutation, plus alpha/(2 beta) * 1 in the rotation case), so a
+    # witness that preserves every basis-pair bracket is an isomorphism
+    ok = morphism_defect(_CANONICAL[tag], L, witness, eps) is None
     return LieClassification(tag, parameter, (alpha, beta), witness, ok, dims)

@@ -52,11 +52,6 @@ def matvec(mat, vec):
     return [sum(m * v for m, v in zip(row, vec)) for row in mat]
 
 
-def matmul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def rref(mat, eps: Optional[float] = None) -> Tuple[list, List[int]]:
     """Reduced row echelon form; returns (rows, pivot_columns)."""
     rows = [list(r) for r in mat]

@@ -17,6 +17,7 @@ the integer cube, and coordinates the pivots of the columns [basis | x].
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence
@@ -173,19 +174,18 @@ def reflection_decompose(
     auto = is_automorphism(A, mat, eps)
     if not auto.ok:
         raise ReflectionError("the supplied map is not an automorphism")
-    n = A.dim
-    ident = linalg.identity_matrix(n)
-    plus = [[mat[i][j] - ident[i][j] for j in range(n)] for i in range(n)]
-    if all(scalar_is_zero(x, eps) for row in plus for x in row):
-        raise ReflectionError("the identity map is not a reflection")
-    sq = linalg.matmul(mat, mat)
-    if any(not scalars_close(sq[i][j], ident[i][j], eps)
-           for i in range(n) for j in range(n)):
-        raise ReflectionError("the map does not square to the identity")
 
-    minus = [[mat[i][j] + ident[i][j] for j in range(n)] for i in range(n)]
-    B = [A.element(v) for v in linalg.null_space(plus, eps)]
-    C = [A.element(v) for v in linalg.null_space(minus, eps)]
+    def kernel(op):  # ker(phi - Id) for op = sub, ker(phi + Id) for op = add
+        rows = [[op(x, i == j) for j, x in enumerate(row)] for i, row in enumerate(mat)]
+        return [A.element(v) for v in linalg.null_space(rows, eps)]
+
+    # x^2 - 1 has the distinct roots 1 and -1, so phi^2 = Id iff its +1 and
+    # -1 eigenspaces together span the space, and phi = Id iff the first does
+    B, C = kernel(operator.sub), kernel(operator.add)
+    if len(B) == A.dim:
+        raise ReflectionError("the identity map is not a reflection")
+    if len(B) + len(C) != A.dim:
+        raise ReflectionError("the map does not square to the identity")
     if len(B) != 2 or len(C) != 2:
         raise DecompositionError(
             f"eigenspace dimensions ({len(B)}, {len(C)}) are not (2, 2); "

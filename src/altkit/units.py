@@ -218,7 +218,28 @@ def _conic_point(a: Fraction, t: Fraction) -> Optional[Tuple[Fraction, Fraction]
 def rational_locus_points(
     A: Algebra, a: Fraction, count: int, seed: int = 0
 ) -> List[Element]:
-    """Exact rational points of -x^2 + a(y^2 + z^2) = -1 in span{i, j, k}."""
+    """Distinct exact rational points of -x^2 + a(y^2 + z^2) = -1 in
+    span{i, j, k}."""
+    return _fresh_locus_points(A, a, count, seed, set())
+
+
+def _point_key(A: Algebra, x, y, z) -> tuple:
+    """A name of the point x i + y j + z k of A that is cheap to hash: the
+    numerators and denominators of its rational coordinates, or on a float
+    table its coordinates as floats."""
+    if A.scalar_mode == "float":
+        return float(x), float(y), float(z)
+    return x.numerator, x.denominator, y.numerator, y.denominator, z.numerator, z.denominator
+
+
+def _fresh_locus_points(
+    A: Algebra, a: Fraction, count: int, seed: int, seen: set
+) -> List[Element]:
+    """Up to ``count`` points of the quadric drawn from ``seed``, each
+    verified a unit, none whose `_point_key` is in ``seen``.  A draw that
+    repeats a point is skipped before its Element is built, and drawing
+    goes on within 50 * count + 50 tries; ``seen`` gains every point
+    drawn."""
     rng = random.Random(seed)
     out: List[Element] = []
     tries = 0
@@ -237,6 +258,10 @@ def rational_locus_points(
             u = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
             c, s = _rational_circle_point(u)
             y, z = r * c, r * s
+        key = _point_key(A, x, y, z)
+        if key in seen:
+            continue
+        seen.add(key)
         coords = [Fraction(0)] * A.dim
         coords[1], coords[2], coords[3] = x, y, z
         q = A.element(coords)
@@ -264,7 +289,8 @@ def classify_locus_tn(target) -> UnitLocus:
         points = (i_elem, -i_elem)
         return UnitLocus(KIND_FINITE, points, None, (1,))
 
-    sample = [i_elem, -i_elem] + rational_locus_points(A, Fraction(a), 8)
+    seen = {_point_key(A, x, 0, 0) for x in (1, -1)}
+    sample = [i_elem, -i_elem] + _fresh_locus_points(A, Fraction(a), 8, 0, seen)
     if a > 0:
         kind = KIND_HYPERBOLOID
         equation = {"x2": Fraction(-1), "y2": a, "z2": a, "rhs": Fraction(-1)}
@@ -282,13 +308,14 @@ def locus_sample_points(
     locus: UnitLocus, A: Algebra, count: int, seed: int = 0
 ) -> List[Element]:
     """Points usable for partial-identity checks: the stored points, padded
-    with fresh rational locus points when the locus has an equation."""
+    with rational locus points not among them when the locus has an
+    equation, so each point is held once."""
     points = list(locus.points)
     if locus.equation is not None and len(points) < count:
         eq = locus.equation
         a = eq["y2"] if eq["x2"] == -1 else -eq["y2"]
-        points.extend(rational_locus_points(A, Fraction(a), count - len(points),
-                                            seed=seed))
+        seen = {_point_key(A, *q.coords[1:4]) for q in points}
+        points += _fresh_locus_points(A, Fraction(a), count - len(points), seed, seen)
     return points[:count]
 
 

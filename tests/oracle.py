@@ -11,7 +11,8 @@ module holds only what it lacks, and imports no altkit either:
 - `inverse`: the exact inverse of a matrix;
 - `typed`: a type-for-type view, for the pins that compare bit for bit;
 - `coords`: the coordinate lists of some elements;
-- `scaled`: a table times 2^40 + 1, the tests' cube past int64.
+- `scaled`: a table times 2^40 + 1, the tests' cube past int64;
+- `CATALOG_TABLES`: the catalog points the test modules share, as data.
 
 A table is read through its ``sc``, ``unit`` and ``eps``.  Rational data
 compares exactly; as soon as a float is involved, within eps.
@@ -236,3 +237,29 @@ def scaled(A, c=2**40 + 1):
 def coords(elements):
     """The coordinate lists of some elements; None for None."""
     return None if elements is None else [list(e.coords) for e in elements]
+
+
+# The catalog points the test modules share, as (family, parameters) for
+# `altkit.catalog.build`; each module adds only its own extras.
+CATALOG_TABLES = (
+    ("ak", {"k": 1, "a11": 1, "a12": 1}),
+    ("ak", {"k": 2, "a11": Fraction(1, 3), "a12": 2, "a21": Fraction(5, 2), "a22": 7}),
+    ("ak", {"k": 3}),
+    ("tn", {"a": -3, "b": 1, "c": 2, "d": Fraction(1, 2), "f": 1, "g": -1, "h": 3,
+            "e": Fraction(-2, 3)}),
+    ("tn", {"a": 2, "b": 1}),
+    ("tn", {"a": -1, "g": 1, "h": 1}),
+    ("tc", {"a": 2, "b": Fraction(-1, 3), "f": 1, "g": 2, "h": 1}),
+    ("tp", {"alpha1": -1, "beta2": -1, "delta2": 1, "gamma1": -1}),
+    ("tp", {"alpha1": Fraction(1, 2), "alpha2": 3, "beta1": Fraction(-4, 3), "beta2": 1,
+            "delta1": 2, "delta2": Fraction(1, 5), "gamma1": -1, "gamma2": Fraction(7, 4)}),
+    ("mplus", {}),
+    ("mzero", {}),
+    ("quaternions", {}),
+    ("complex", {}),
+)
+
+
+def catalog_tables(build) -> list:
+    """The shared catalog points, each built by ``build(family, **params)``."""
+    return [build(family, **params) for family, params in CATALOG_TABLES]

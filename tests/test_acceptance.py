@@ -261,8 +261,9 @@ NO_COMPACT_WITNESS = (
 def test_criterion_8_witnesses_match_canonical(alpha, beta):
     out = lie.classify_tp_lie(alpha, beta)
     assert out.witness_verified
-    passed, _ = lie.match_canonical(
-        lie.tp_lie_algebra(alpha, beta), out.type_tag, out.witness)
+    passed = structure.is_isomorphism(
+        lie.LieAlgebra(lie.canonical_brackets(out.type_tag)),
+        lie.tp_lie_algebra(alpha, beta), out.witness).ok
     assert passed
     ok(f"8c (canonical witness at ({alpha}, {beta}))")
 

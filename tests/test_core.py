@@ -187,21 +187,7 @@ def _fraction_mul_coords(A, u, v, zero=0):
 
 
 def _catalog_tables():
-    return [
-        catalog.ak(1, a11=1, a12=1),
-        catalog.ak(2, a11=Fraction(1, 3), a12=2, a21=Fraction(5, 2), a22=7),
-        catalog.ak(3),
-        catalog.tn(a=-3, b=1, c=2, d=Fraction(1, 2), f=1, g=-1, h=3, e=Fraction(-2, 3)),
-        catalog.tn(a=2, b=1),
-        catalog.tc(a=2, b=Fraction(-1, 3), f=1, g=2, h=1),
-        catalog.tp(alpha1=-1, beta2=-1, delta2=1, gamma1=-1),
-        catalog.tp(alpha1=Fraction(1, 2), alpha2=3, beta1=Fraction(-4, 3), beta2=1,
-                   delta1=2, delta2=Fraction(1, 5), gamma1=-1, gamma2=Fraction(7, 4)),
-        catalog.mplus(),
-        catalog.mzero(),
-        catalog.quaternions(),
-        catalog.complex_numbers(),
-    ]
+    return oracle.catalog_tables(catalog.build)
 
 
 def _exact_pairs(A, rng):

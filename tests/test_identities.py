@@ -237,12 +237,13 @@ def brute_force_holds(A, kind, c_span, eps):
 
 
 def brute_force_jacobi(L, eps):
-    n = L.dim
+    # RefTable's product on the bracket table is the bracket
+    R, n = oracle.ref(L), L.dim
     for i, j, k in itertools.combinations(range(n), 3):
-        x, y, z = (L.basis(p).coords for p in (i, j, k))
-        total = [a + b + c for a, b, c in zip(L.bracket(x, L.bracket(y, z)),
-                                              L.bracket(y, L.bracket(z, x)),
-                                              L.bracket(z, L.bracket(x, y)))]
+        x, y, z = ([int(p == q) for q in range(n)] for p in (i, j, k))
+        total = [a + b + c for a, b, c in zip(R.mul(x, R.mul(y, z)),
+                                              R.mul(y, R.mul(z, x)),
+                                              R.mul(z, R.mul(x, y)))]
         if any(not core.scalar_is_zero(t, eps) for t in total):
             return (i, j, k)
     return None
@@ -470,20 +471,7 @@ def assert_quadratic_reports_match(A, points=None, complete=False):
         assert_report_is_the_scan(A, kind, points, complete)
 
 
-CATALOG_TABLES = [
-    catalog.ak(1, a11=1, a12=1),
-    catalog.ak(2, a11=F(1, 3), a12=2, a21=F(5, 2), a22=7),
-    catalog.ak(3),
-    catalog.tn(a=-3, b=1, c=2, d=F(1, 2), f=1, g=-1, h=3, e=F(-2, 3)),
-    catalog.tn(a=2, b=1),
-    catalog.tn(a=-1, g=1, h=1),
-    catalog.tc(a=2, b=F(-1, 3), f=1, g=2, h=1),
-    catalog.tp(alpha1=-1, beta2=-1, delta2=1, gamma1=-1),
-    catalog.mplus(),
-    catalog.mzero(),
-    catalog.quaternions(),
-    catalog.complex_numbers(),
-]
+CATALOG_TABLES = oracle.catalog_tables(catalog.build)
 
 
 @pytest.mark.parametrize("A", CATALOG_TABLES, ids=repr)

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from altkit import catalog, lie, linalg
+from altkit import catalog, lie, linalg, structure
 from altkit.claims import LIE_CASES, _deciding_points
-from altkit.core import Algebra, AlgebraError, DimensionError
+from altkit.core import Algebra, AlgebraError
 from oracle import typed
 
 F = Fraction
@@ -89,25 +89,24 @@ def test_lieify_ak_is_abelian():
 
 
 def test_lieify_quaternions():
+    # a LieAlgebra's Element product is its bracket
     L = lie.lieify(catalog.quaternions())
-    i = [0, 1, 0, 0]
-    j = [0, 0, 1, 0]
-    k = [0, 0, 0, 1]
-    assert L.bracket(i, j) == [0, 0, 0, 2]
-    assert L.bracket(j, k) == [0, 2, 0, 0]
-    assert L.bracket(k, i) == [0, 0, 2, 0]
+    i, j, k = L.basis(1), L.basis(2), L.basis(3)
+    assert (i * j).coords == (0, 0, 0, 2)
+    assert (j * k).coords == (0, 2, 0, 0)
+    assert (k * i).coords == (0, 0, 2, 0)
 
 
 def test_lieify_tp_brackets():
     params = dict(zip(TP_NAMES, (F(1), F(2), F(3), F(4), F(5), F(6), F(7), F(8))))
     L = lie.lieify(catalog.tp(**params))
-    one, i, w, v = ([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1])
-    assert L.bracket(i, w) == [0, 0, 0, -2]
-    assert L.bracket(i, v) == [0, 0, 2, 0]
+    one, i, w, v = L.basis_elements()
+    assert (i * w).coords == (0, 0, 0, -2)
+    assert (i * v).coords == (0, 0, 2, 0)
     alpha = params["delta1"] - params["beta1"]
     beta = params["delta2"] - params["beta2"]
-    assert L.bracket(v, w) == [alpha, beta, 0, 0]
-    assert L.bracket(one, v) == [0, 0, 0, 0]
+    assert (v * w).coords == (alpha, beta, 0, 0)
+    assert (one * v).coords == (0, 0, 0, 0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -318,13 +317,11 @@ def test_derived_series_dims(alpha, beta, expected_dims):
 
 
 def _catalog_tables():
-    tables = [catalog.ak(1, a11=1, a12=1), catalog.ak(2, a11=F(1, 3), a21=F(5, 2)),
-              catalog.ak(3), catalog.tn(a=-3, b=1, c=2, d=F(1, 2), f=1, g=-1, h=3),
-              catalog.tn(a=2, b=1), catalog.tc(a=2, b=F(-1, 3), f=1, g=2, h=1),
-              catalog.tp(alpha1=F(1, 2), alpha2=3, beta1=F(-4, 3), beta2=1,
-                         delta1=2, delta2=F(1, 5), gamma1=-1, gamma2=F(7, 4)),
-              catalog.mplus(), catalog.mzero(), catalog.quaternions(),
-              catalog.complex_numbers()]
+    # the shared catalog points, this module's own ak(2) and tn points, and
+    # the LIE_CASES reflection tables
+    tables = oracle.catalog_tables(catalog.build)
+    tables += [catalog.ak(2, a11=F(1, 3), a21=F(5, 2)),
+               catalog.tn(a=-3, b=1, c=2, d=F(1, 2), f=1, g=-1, h=3)]
     tables += [catalog.tp(delta1=alpha, delta2=beta) for (alpha, beta), _ in LIE_CASES]
     return [B for A in tables for B in (A, A.to_float())]
 
@@ -424,9 +421,9 @@ def test_classify_types_with_verified_witnesses(alpha, beta, expected):
     out = lie.classify_tp_lie(alpha, beta)
     assert out.type_tag == expected
     assert out.witness_verified
-    ok, _ = lie.match_canonical(
-        lie.tp_lie_algebra(alpha, beta), out.type_tag, out.witness)
-    assert ok
+    canonical = lie.LieAlgebra(lie.canonical_brackets(out.type_tag))
+    assert structure.is_isomorphism(canonical, lie.tp_lie_algebra(alpha, beta),
+                                    out.witness).ok
 
 
 @pytest.mark.parametrize("alpha,beta", [(0, -3), (3, -5)])
@@ -458,36 +455,6 @@ def test_g35_parameter_is_zero():
         assert out.type_tag == lie.TYPE_G1_G35
         assert type(out.parameter) is type(zero) and out.parameter == zero
         assert out.to_dict()["parameter"] == ("0" if type(zero) is F else 0.0)
-
-
-def test_match_canonical_identity_on_canonical_table():
-    can = lie.LieAlgebra(lie.canonical_brackets(lie.TYPE_G49_ZERO))
-    ok, _ = lie.match_canonical(can, lie.TYPE_G49_ZERO, linalg.identity_matrix(4))
-    assert ok
-
-
-def test_match_canonical_wrong_tag():
-    abelianish = lie.tp_lie_algebra(0, 0)
-    ok, _ = lie.match_canonical(abelianish, lie.TYPE_G1_G37,
-                                linalg.identity_matrix(4))
-    assert not ok
-
-
-def test_match_canonical_rejects_singular_witness():
-    L = lie.tp_lie_algebra(0, 2)
-    ok, detail = lie.match_canonical(L, lie.TYPE_G1_G37, [[0] * 4] * 4)
-    assert not ok
-    assert "singular" in detail
-
-
-@pytest.mark.parametrize("witness", [
-    linalg.identity_matrix(3),
-    [[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
-    [[1, 0, 0, 0]] * 5,
-])
-def test_match_canonical_rejects_a_witness_of_the_wrong_shape(witness):
-    with pytest.raises(DimensionError):
-        lie.match_canonical(lie.tp_lie_algebra(0, 2), lie.TYPE_G1_G37, witness)
 
 
 def test_classify_reads_alpha_beta_from_tensor():
@@ -531,6 +498,27 @@ def test_classification_json():
     assert data["witness_verified"] is True
 
 
+# A Lie witness against a canonical table is checked by the one general
+# checker, structure.is_isomorphism (core.morphism_defect after its
+# determinant test).
+
+def test_match_canonical_identity_on_canonical_table():
+    can = lie.LieAlgebra(lie.canonical_brackets(lie.TYPE_G49_ZERO))
+    assert structure.is_isomorphism(can, can, linalg.identity_matrix(4)).ok
+
+
+def test_match_canonical_wrong_tag():
+    can = lie.LieAlgebra(lie.canonical_brackets(lie.TYPE_G1_G37))
+    abelianish = lie.tp_lie_algebra(0, 0)
+    assert not structure.is_isomorphism(can, abelianish, linalg.identity_matrix(4)).ok
+
+
+def test_match_canonical_rejects_singular_witness():
+    can = lie.LieAlgebra(lie.canonical_brackets(lie.TYPE_G1_G37))
+    L = lie.tp_lie_algebra(0, 2)
+    assert structure.is_isomorphism(can, L, [[0] * 4] * 4) == (False, None)
+
+
 def test_match_canonical_matches_reference_on_lie_cases():
     # every case witness against every canonical table, by the transported
     # brackets: the verdict, and the first mismatching pair with both sides
@@ -540,21 +528,41 @@ def test_match_canonical_matches_reference_on_lie_cases():
         for L in (lie.tp_lie_algebra(alpha, beta),
                   lie.lieify(catalog.tp(delta1=alpha, delta2=beta).to_float())):
             for tag in (lie.TYPE_G1_G35, lie.TYPE_G1_G37, lie.TYPE_G49_ZERO):
-                ok, mismatch = lie.match_canonical(L, tag, out.witness)
                 canonical = lie.LieAlgebra(lie.canonical_brackets(tag))
+                got = structure.is_isomorphism(canonical, L, out.witness)
                 hit = oracle.morphism_defect(canonical, L, out.witness)
-                assert ok == (hit is None)
-                if not ok:
+                assert got.ok == (hit is None)
+                if not got.ok:
                     mismatches += 1
                     (p, q), mapped, direct = hit
-                    R = oracle.ref(L)
-                    assert mismatch[:2] == (p, q)
-                    assert R.vec_close(mismatch[2], direct) and R.vec_close(mismatch[3], mapped)
+                    x, y, got_mapped, got_direct = got.witness
+                    assert (x, y) == (canonical.basis(p), canonical.basis(q))
+                    assert oracle.close(got_mapped.coords, mapped)
+                    assert oracle.close(got_direct.coords, direct)
         if beta < 0:  # the stated case split: this witness cannot validate
-            ok, mismatch = lie.match_canonical(lie.tp_lie_algebra(alpha, beta),
-                                               lie.TYPE_G1_G37, out.witness)
-            assert not ok and len(mismatch) == 4
+            can = lie.LieAlgebra(lie.canonical_brackets(lie.TYPE_G1_G37))
+            got = structure.is_isomorphism(can, lie.tp_lie_algebra(alpha, beta), out.witness)
+            assert not got.ok and len(got.witness) == 4
     assert mismatches >= 28
+
+
+def test_every_witness_is_invertible():
+    # classify_lie checks only the transported brackets: this pins the
+    # premise that makes that a proof, a witness of nonzero exact
+    # determinant (a float entry at its binary value), on the LIE_CASES
+    # brackets, exact and float, and on seeded exact and float tp tables
+    tables = [lie.tp_lie_algebra(alpha, beta) for (alpha, beta), _ in LIE_CASES]
+    tables += [_float_lie(L) for L in tables]
+    rng = random.Random(11)
+    for A in (random_tp(rng) for _ in range(20)):
+        tables += [lie.lieify(A), lie.lieify(A.to_float())]
+    seen = set()
+    for L in tables:
+        out = lie.classify_lie(L)
+        seen.add(out.type_tag)
+        exact = [[F(x) for x in row] for row in out.witness]
+        assert oracle.rank(exact) == 4, (L, out.witness)
+    assert seen == {lie.TYPE_G1_G35, lie.TYPE_G1_G37, lie.TYPE_G49_ZERO}
 
 
 def test_classify_matches_the_reference_on_lie_cases_and_catalog_tables():

@@ -116,17 +116,25 @@ def test_reflection_decompose_quaternions():
     assert all(dec.verdicts.values())
 
 
+# automorphisms of H: i -> j -> k -> i, of order three, and conjugation by
+# (1 + i)/sqrt(2), j -> k -> -j, of order four
+CYCLE = [[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]]
+ROTATION = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+
+
 def test_reflection_decompose_requires_order_two():
+    # ker(phi - 1) is the whole space only for the identity, and with
+    # ker(phi + 1) it spans the space only for phi^2 = 1; exact and float
     H = catalog.quaternions()
-    with pytest.raises(ReflectionError):
-        structure.reflection_decompose(H, linalg.identity_matrix(4))
-    # conjugation by (1+i)/sqrt(2) has order four: j -> k, k -> -j
-    rot = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
-    assert structure.is_automorphism(H, rot).ok
-    with pytest.raises(ReflectionError):
-        structure.reflection_decompose(H, rot)
-    with pytest.raises(ReflectionError):
-        # not an automorphism at all
+    for phi, message in ((linalg.identity_matrix(4), "the identity map is not a reflection"),
+                         (CYCLE, "the map does not square to the identity"),
+                         (ROTATION, "the map does not square to the identity")):
+        phi_float = [[float(x) for x in row] for row in phi]
+        for A, f in ((H, phi), (H, phi_float), (H.to_float(), phi_float)):
+            assert structure.is_automorphism(A, f).ok
+            with pytest.raises(ReflectionError, match=f"^{message}$"):
+                structure.reflection_decompose(A, f)
+    with pytest.raises(ReflectionError, match="^the supplied map is not an automorphism$"):
         structure.reflection_decompose(H, [[2, 0, 0, 0], [0, 1, 0, 0],
                                            [0, 0, 1, 0], [0, 0, 0, 1]])
 

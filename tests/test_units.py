@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from altkit import catalog, units
+from altkit import catalog, cli, units
 from altkit.core import Algebra, ParameterError, tolerance
 
 F = Fraction
@@ -437,12 +437,33 @@ def test_classify_locus_accepts_params():
 
 
 def test_rational_locus_points_are_exact_units():
+    # distinct, and drawn no further than repeats force: a longer list
+    # extends a shorter one at the same seed
     for a in (F(2), F(0), F(-5, 4)):
         A = catalog.tn(a=a, g=-a)
         pts = units.rational_locus_points(A, a, 12)
-        assert len(pts) == 12
+        assert len(set(pts)) == len(pts) == 12
+        assert units.rational_locus_points(A, a, 30)[:12] == pts
         for q in pts:
             assert units.verify_unit(A, q, 0.0)
+    # a wrong equation leaves only the distinct units among its points: i,
+    # from t = 0, on the quaternions' hyperboloid x^2 - y^2 - z^2 = 1
+    H = catalog.quaternions()
+    assert units.rational_locus_points(H, F(1), 10) == [H.basis(1)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_a_unit_sample_holds_each_point_once(seed):
+    # at seed 0 the padding draws what the stored sample drew, and a = 0
+    # draws y and z from a few values: each point is still held once
+    for A in (catalog.quaternions(), catalog.mplus(), catalog.mzero(),
+              catalog.tn(a=F(1, 2), g=F(-1, 2)), catalog.tn(a=0.5, g=-0.5)):
+        locus = units.classify_locus_tn(A)
+        assert len(set(locus.points)) == len(locus.points) == 10, A
+        points, complete = cli.units_for(A, 200, seed, None)
+        assert not complete and points[:10] == list(locus.points)
+        assert len(set(points)) == len(points) == 25, A
+        assert all(units.verify_unit(A, q) for q in points), A
 
 
 def test_cloud_points_satisfy_equation():
