@@ -8,10 +8,13 @@ every row's J, and F = J(q)q/2 + 1 with it, and one stacked solve steps
 them all; a row whose Jacobian is exactly singular is abandoned, as are
 diverging rows, while the others step on.  A classifier names the
 exact locus for tn-family points, where the solution set in the span of
-{i, j, k} is cut out by -x^2 + a(y^2 + z^2) = -1.  A box-pruned grid
-search enumerates, completely, every grid point of a coordinate box that
-solves the equation; interval bounds discard boxes that provably contain
-no solution, so the full grid never has to be visited point by point.
+{i, j, k} is cut out by -x^2 + a(y^2 + z^2) = -1, and a sampler draws
+rational points on it as integer rows, checking each round of draws as
+units by one batched product and building Elements only for the points
+that pass.  A box-pruned grid search enumerates, completely, every grid
+point of a coordinate box that solves the equation; interval bounds
+discard boxes that provably contain no solution, so the full grid never
+has to be visited point by point.
 The bounds and the point test are exact integer arithmetic on one
 quadratic form scaled from the table's exact values (a float entry at its
 binary value), so the search's completeness is a proof, not a float
@@ -26,7 +29,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -201,72 +204,121 @@ def _first_apart(X: np.ndarray, radius: float) -> np.ndarray:
 # -- exact loci for tn-family points ------------------------------------------
 
 
-def _rational_circle_point(t: Fraction) -> Tuple[Fraction, Fraction]:
-    # (1-t^2, 2t)/(1+t^2) lies on the unit circle
-    d = 1 + t * t
-    return (1 - t * t) / d, 2 * t / d
-
-
-def _conic_point(a: Fraction, t: Fraction) -> Optional[Tuple[Fraction, Fraction]]:
-    """Rational (x, r) with x^2 - a*r^2 = 1, parametrised by t."""
-    d = 1 - a * t * t
-    if d == 0:
-        return None
-    return (1 + a * t * t) / d, 2 * t / d
+def _locus_draw(rng: random.Random, a: Fraction) -> Optional[tuple]:
+    """One try of the locus sampler: a rational point of
+    -x^2 + a(y^2 + z^2) = -1 as its integers (x, y, z) over a positive
+    ``den``, reduced so gcd(den, x, y, z) = 1, returned as (x, y, z, den);
+    None where the conic parameter misses (1 - a t^2 = 0), before u is
+    drawn.  With a = an/ad, t = p/q and u = m/k, the point
+    ((1 + a t^2), 2t c, 2t s)/(1 - a t^2) with (c, s) = (1 - u^2, 2u)/(1 + u^2)
+    is the row ((ad q^2 + an p^2) K, 2pq ad (k^2 - m^2), 4pq ad mk) over
+    E K, where E = ad q^2 - an p^2 and K = k^2 + m^2.  For a = 0 it is
+    (+-1, y1/y2, z1/z2): (+-y2 z2, y1 z2, z1 y2) over y2 z2."""
+    an, ad = a.numerator, a.denominator
+    if an == 0:
+        sign = rng.choice((-1, 1))
+        y1, y2 = rng.randint(-6, 6), rng.randint(1, 4)
+        z1, z2 = rng.randint(-6, 6), rng.randint(1, 4)
+        row = (sign * y2 * z2, y1 * z2, z1 * y2, y2 * z2)
+    else:
+        p, q = rng.randint(-8, 8), rng.randint(1, 5)
+        e = ad * q * q - an * p * p
+        if e == 0:
+            return None
+        m, k = rng.randint(-8, 8), rng.randint(1, 5)
+        big_k, r = k * k + m * m, 2 * p * q * ad
+        row = ((ad * q * q + an * p * p) * big_k, r * (k * k - m * m), 2 * r * m * k,
+               e * big_k)
+    g = math.gcd(*row)
+    if row[3] < 0:
+        g = -g
+    return tuple(c // g for c in row)
 
 
 def rational_locus_points(
     A: Algebra, a: Fraction, count: int, seed: int = 0
 ) -> List[Element]:
     """Distinct exact rational points of -x^2 + a(y^2 + z^2) = -1 in
-    span{i, j, k}."""
+    span{i, j, k}, each verified a unit of A.  A point that fails the
+    check is dropped, and drawing stops after 50 * count + 50 tries, so on
+    a table whose units are not that quadric (a wrong ``a``, or a tn point
+    with b, c or d nonzero) fewer than ``count`` points come back."""
     return _fresh_locus_points(A, a, count, seed, set())
 
 
-def _point_key(A: Algebra, x, y, z) -> tuple:
-    """A name of the point x i + y j + z k of A that is cheap to hash: the
-    numerators and denominators of its rational coordinates, or on a float
-    table its coordinates as floats."""
+def _point_key(A: Algebra, q: Element) -> tuple:
+    """A name of the point q of A that is cheap to hash: its canonical
+    integer form (``_ints``, ``_den``), or on a float table its
+    coordinates as floats."""
     if A.scalar_mode == "float":
-        return float(x), float(y), float(z)
-    return x.numerator, x.denominator, y.numerator, y.denominator, z.numerator, z.denominator
+        return tuple(map(float, q.coords))
+    return q._ints, q._den
 
 
 def _fresh_locus_points(
     A: Algebra, a: Fraction, count: int, seed: int, seen: set
 ) -> List[Element]:
     """Up to ``count`` points of the quadric drawn from ``seed``, each
-    verified a unit, none whose `_point_key` is in ``seen``.  A draw that
-    repeats a point is skipped before its Element is built, and drawing
-    goes on within 50 * count + 50 tries; ``seen`` gains every point
-    drawn."""
+    verified a unit, none whose `_point_key` is in ``seen``.  Draws are
+    integer rows (`_locus_draw`); one that repeats a point is skipped, and
+    drawing goes on within 50 * count + 50 tries; ``seen`` gains every
+    point drawn.  Each round draws as many fresh rows as points are still
+    missing, so no round draws past where a point-by-point loop would
+    stop, and verifies them together by one `Algebra.multiply_rows` call;
+    an Element is built only for a row that passes."""
     rng = random.Random(seed)
+    a = Fraction(a)
+    n = A.dim
+    exact = A.scalar_mode == "exact"
     out: List[Element] = []
-    tries = 0
-    while len(out) < count and tries < 50 * count + 50:
-        tries += 1
-        if a == 0:
-            x = Fraction(rng.choice((-1, 1)))
-            y = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-            z = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        else:
-            t = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
-            pt = _conic_point(a, t)
-            if pt is None:
+    tries, budget = 0, 50 * count + 50
+    while len(out) < count and tries < budget:
+        rows = []
+        while len(rows) < count - len(out) and tries < budget:
+            tries += 1
+            drawn = _locus_draw(rng, a)
+            if drawn is None:
                 continue
-            x, r = pt
-            u = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
-            c, s = _rational_circle_point(u)
-            y, z = r * c, r * s
-        key = _point_key(A, x, y, z)
-        if key in seen:
-            continue
-        seen.add(key)
-        coords = [Fraction(0)] * A.dim
-        coords[1], coords[2], coords[3] = x, y, z
-        q = A.element(coords)
-        if verify_unit(A, q):
-            out.append(q)
+            *xyz, den = drawn
+            ints = (0, *xyz) + (0,) * (n - 4)
+            key = (ints, den) if exact else tuple(c / den for c in ints)
+            if key in seen:
+                continue
+            seen.add(key)
+            rows.append((ints, den))
+        out += _units_among(A, rows)
+    return out
+
+
+def _units_among(A: Algebra, rows: list) -> List[Element]:
+    """The Elements of the points ints / den, in order, that are units of
+    A, checked together by one `Algebra.multiply_rows` call.  On an exact
+    table the rows are the integers ints (int64, or Python ints past its
+    range), whose product M is _scale D^2 q*q at D = den: q*q + 1 = 0 iff
+    M u_den + _scale D^2 u_ints = 0 for the unit u_ints / u_den.  On a
+    float table the rows are the float coordinates, and a point passes
+    when q*q + 1 lies within eps in every coordinate, `verify_unit`'s
+    verdict."""
+    if not rows:
+        return []
+    one = A.one()
+    if A.scalar_mode == "float":
+        X = np.array([[c / den for c in ints] for ints, den in rows])
+        sq = A.multiply_rows(X, X)
+        passed = np.all(np.abs(sq + np.array(one.coords)) <= A.eps, axis=1)
+        return [A.element(x) for x, ok in zip(X.tolist(), passed) if ok]
+    big = max(abs(c) for ints, _ in rows for c in ints)
+    R = np.array([ints for ints, _ in rows], dtype=np.int64 if big < 2**63 else object)
+    s, out = A._scale, []
+    for (ints, den), sq in zip(rows, A.multiply_rows(R, R).tolist()):
+        d2 = s * den * den
+        if one._den:
+            ok = not any(m * one._den + d2 * u for m, u in zip(sq, one._ints))
+        else:  # a float unit on an exact table: verify_unit's mixed sum
+            ok = all(scalar_is_zero(Fraction(m, d2) + u, A.eps)
+                     for m, u in zip(sq, one.coords))
+        if ok:
+            out.append(Element._of(A, None, ints, den))
     return out
 
 
@@ -289,8 +341,9 @@ def classify_locus_tn(target) -> UnitLocus:
         points = (i_elem, -i_elem)
         return UnitLocus(KIND_FINITE, points, None, (1,))
 
-    seen = {_point_key(A, x, 0, 0) for x in (1, -1)}
-    sample = [i_elem, -i_elem] + _fresh_locus_points(A, Fraction(a), 8, 0, seen)
+    sample = [i_elem, -i_elem]
+    seen = {_point_key(A, q) for q in sample}
+    sample += _fresh_locus_points(A, Fraction(a), 8, 0, seen)
     if a > 0:
         kind = KIND_HYPERBOLOID
         equation = {"x2": Fraction(-1), "y2": a, "z2": a, "rhs": Fraction(-1)}
@@ -314,7 +367,7 @@ def locus_sample_points(
     if locus.equation is not None and len(points) < count:
         eq = locus.equation
         a = eq["y2"] if eq["x2"] == -1 else -eq["y2"]
-        seen = {_point_key(A, *q.coords[1:4]) for q in points}
+        seen = {_point_key(A, q) for q in points}
         points += _fresh_locus_points(A, Fraction(a), count - len(points), seed, seen)
     return points[:count]
 

@@ -316,11 +316,22 @@ def test_derived_series_dims(alpha, beta, expected_dims):
     assert lie.derived_dims(L) == expected_dims
 
 
+def _upper_triangular_matrices():
+    # the 3 x 3 upper triangular matrices on E11, E12, E13, E22, E23, E33
+    # (E_ab E_cd = delta_bc E_ad): their brackets are the Borel algebra,
+    # derived series of dimensions 6, 3, 1, 0
+    pairs = [(a, b) for a in range(3) for b in range(a, 3)]
+    sc = [[[int(b == c and (a, d) == pair) for pair in pairs] for c, d in pairs]
+          for a, b in pairs]
+    return Algebra(sc, labels=[f"E{a + 1}{b + 1}" for a, b in pairs],
+                   unit=[int(a == b) for a, b in pairs])
+
+
 def _catalog_tables():
-    # the shared catalog points, this module's own ak(2) and tn points, and
-    # the LIE_CASES reflection tables
+    # the shared catalog points, this module's own 6-dim table and tn
+    # point, and the LIE_CASES reflection tables
     tables = oracle.catalog_tables(catalog.build)
-    tables += [catalog.ak(2, a11=F(1, 3), a21=F(5, 2)),
+    tables += [_upper_triangular_matrices(),
                catalog.tn(a=-3, b=1, c=2, d=F(1, 2), f=1, g=-1, h=3)]
     tables += [catalog.tp(delta1=alpha, delta2=beta) for (alpha, beta), _ in LIE_CASES]
     return [B for A in tables for B in (A, A.to_float())]

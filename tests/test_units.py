@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from altkit import catalog, cli, units
-from altkit.core import Algebra, ParameterError, tolerance
+from altkit.core import Algebra, Element, ParameterError, tolerance
 
 F = Fraction
 
@@ -464,6 +464,144 @@ def test_a_unit_sample_holds_each_point_once(seed):
         assert not complete and points[:10] == list(locus.points)
         assert len(set(points)) == len(points) == 25, A
         assert all(units.verify_unit(A, q) for q in points), A
+
+
+# contract: the locus sample point for point, its draws, keys and verdicts
+def _locus_points_reference(A, a, count, seed=0, stored=()):
+    """The sampler one draw at a time: Fraction draws, Fraction keys (floats
+    on a float table) over (x, y, z), and one `verify_unit` per fresh point;
+    points of ``stored`` count as drawn."""
+    a = F(a)
+    rng = random.Random(seed)
+
+    def key(x, y, z):
+        return tuple(map(float, (x, y, z))) if A.scalar_mode == "float" else (x, y, z)
+
+    seen = {key(*q.coords[1:4]) for q in stored}
+    out, tries = [], 0
+    while len(out) < count and tries < 50 * count + 50:
+        tries += 1
+        if a == 0:
+            x = F(rng.choice((-1, 1)))
+            y = F(rng.randint(-6, 6), rng.randint(1, 4))
+            z = F(rng.randint(-6, 6), rng.randint(1, 4))
+        else:
+            t = F(rng.randint(-8, 8), rng.randint(1, 5))
+            d = 1 - a * t * t
+            if d == 0:
+                continue
+            x, r = (1 + a * t * t) / d, 2 * t / d
+            u = F(rng.randint(-8, 8), rng.randint(1, 5))
+            y, z = r * (1 - u * u) / (1 + u * u), r * 2 * u / (1 + u * u)
+        if key(x, y, z) in seen:
+            continue
+        seen.add(key(x, y, z))
+        coords = [F(0)] * A.dim
+        coords[1:4] = x, y, z
+        q = A.element(coords)
+        if units.verify_unit(A, q):
+            out.append(q)
+    return out
+
+
+def _locus_tables():
+    big = F(2 ** 70, 3)
+    exact = [catalog.quaternions(), catalog.mplus(), catalog.mzero(),
+             catalog.tn(a=F(7, 3), g=F(1, 2), h=F(-2, 5)), catalog.tn(a=0, g=0, h=3),
+             catalog.tn(a=F(-5, 4), g=F(5, 4)), catalog.tn(a=big, g=-big)]
+    assert exact[-1].cube.dtype == object
+    return exact + [A.to_float() for A in exact]
+
+
+_LOCUS_TABLES = _locus_tables()
+
+
+def _typed_coords(points):
+    # exact coordinates as Fractions, float ones by float.hex (sign of zero kept)
+    return [tuple(c.hex() if isinstance(c, float) else c for c in q.coords) for q in points]
+
+
+@pytest.mark.parametrize("A", _LOCUS_TABLES, ids=repr)
+def test_locus_sampler_matches_one_draw_at_a_time_reference(A):
+    a = F(catalog.tn_params(A)["a"])
+    i = A.basis(1)
+    stored = [i, -i] + _locus_points_reference(A, a, 8, 0, [i, -i])
+    locus = units.classify_locus_tn(A)
+    assert _typed_coords(locus.points) == _typed_coords(stored)
+    for seed in (0, 1, 7):
+        points, _ = cli.units_for(A, 200, seed, None)
+        want = stored + _locus_points_reference(A, a, 15, seed, stored)
+        assert _typed_coords(points) == _typed_coords(want)
+        # the right a, and wrong ones: the points that are units, in draw order
+        for b in (a, a + 1, -a):
+            short = units.rational_locus_points(A, b, 12, seed=seed)
+            assert _typed_coords(short) == \
+                _typed_coords(_locus_points_reference(A, b, 12, seed))
+            # a longer draw extends a shorter one at the same seed
+            assert units.rational_locus_points(A, b, 30, seed=seed)[:len(short)] == short
+
+
+@pytest.mark.parametrize("A", [catalog.quaternions(), catalog.tn(a=2, b=1)], ids=repr)
+def test_locus_sampler_on_a_wrong_equation_matches_the_reference(A):
+    # the quaternions' units are not on a = 1, tn(a=2, b=1)'s only +-i
+    for A, seed in itertools.product((A, A.to_float()), (0, 3)):
+        a = F(1) if A.family[0] == "quaternions" else F(2)
+        got = units.rational_locus_points(A, a, 10, seed=seed)
+        assert _typed_coords(got) == _typed_coords(_locus_points_reference(A, a, 10, seed))
+        assert 0 < len(got) < 10
+
+
+def test_locus_sampler_on_an_exact_table_with_a_float_unit_matches_the_reference():
+    # q*q is exact and q*q + 1 a float sum, as `verify_unit` adds them
+    H = catalog.quaternions()
+    A = Algebra(H.sc, labels=H.labels, unit=[1.0, 0, 0, 0])
+    for a, seed in itertools.product((F(-1), F(1)), (0, 7)):
+        got = units.rational_locus_points(A, a, 12, seed=seed)
+        assert _typed_coords(got) == _typed_coords(_locus_points_reference(A, a, 12, seed))
+        assert len(got) == (12 if a < 0 else 1)
+
+
+@pytest.mark.parametrize("float_table", [False, True])
+def test_a_locus_round_is_one_product_and_builds_no_element_for_a_failing_row(
+        float_table, monkeypatch):
+    built, products = [], []
+    of, init, multiply_rows = Element._of.__func__, Element.__init__, Algebra.multiply_rows
+
+    def spy_of(cls, *args):
+        e = of(cls, *args)
+        built.append(e)
+        return e
+
+    def spy_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    def spy_rows(self, X, Y):
+        products.append(len(X))
+        return multiply_rows(self, X, Y)
+
+    def no_verify(*args):
+        raise AssertionError("a locus point verified one at a time")
+
+    H = catalog.quaternions()
+    H = H.to_float() if float_table else H
+    one = H.one()
+    monkeypatch.setattr(Element, "_of", classmethod(spy_of))
+    monkeypatch.setattr(Element, "__init__", spy_init)
+    monkeypatch.setattr(Algebra, "multiply_rows", spy_rows)
+    monkeypatch.setattr(units, "verify_unit", no_verify)
+    # every draw on the sphere is a unit: one round, one product, 12 Elements
+    points = units.rational_locus_points(H, F(-1), 12)
+    assert len(points) == 12 and products == [12]
+    assert [e for e in built if e != one] == points
+    # on a = 1 only i is a unit: each drawn point is verified once, in
+    # rounds of the points still missing, and only i becomes an Element
+    i, seen = H.basis(1), set()
+    built.clear(), products.clear()
+    points = units._fresh_locus_points(H, F(1), 10, 0, seen)
+    assert points == [i] and [e for e in built if e != one] == points
+    assert products[0] == 10 and products == sorted(products, reverse=True)
+    assert 9 in products and sum(products) == len(seen)
 
 
 def test_cloud_points_satisfy_equation():
