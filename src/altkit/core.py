@@ -24,7 +24,10 @@ table's one product loop and make one gcd reduction per result; its
 `coords`, the tuple of Fractions, is built on first read.  The associator
 and the commutator are stated once, in their defining form, over
 `multiply`.  The tensor kernels (`associator_slices`, `mul_operators`,
-`first_singular`) take Elements and read that form.  An exact table has
+`first_singular`) take Elements, and read that form, or coordinate rows;
+`multiply_rows` takes rows.  The division test hands `first_singular` its
+candidates as rows, and the unit checks hand `multiply_rows` their points
+as rows, so an Element is built only for a witness.  An exact table has
 one float reading, its `to_float()` copy, built on first use and kept.
 An element with a float coordinate, and every element of a float
 algebra, holds its coordinates as given; every float computation (a
@@ -441,6 +444,7 @@ class Algebra:
         # floats, or for an exact table the integers sc * _scale
         rows = [[[] for _ in range(n)] for _ in range(n)]
         index, values = nonzero_entries(cube)
+        self._cube_max = max(map(abs, values), default=0)  # for `_fits_int64`
         for i, j, k, c in zip(*(a.tolist() for a in index), values):
             rows[i][j].append((k, c))
         self._rows = tuple(tuple(map(tuple, row)) for row in rows)
@@ -582,28 +586,38 @@ class Algebra:
     def multiply_rows(self, X, Y) -> np.ndarray:
         """The (N, n) array whose row c is the product of the coordinate
         rows X[c] and Y[c]: the loop of `_accumulate` run once over the
-        coordinate columns.  Float rows, or any rows on a float table, give
-        floats, summed on `to_float()` as each row's own `multiply` sums
-        them.  Integer rows on an exact table give _scale times the product,
-        as int64, or Python ints (object) where `_fits_int64` fails for the
-        rows' largest entries."""
+        coordinate columns that some row uses (a column of zeros is
+        skipped, as each row's own `multiply` skips its zero coordinates).
+        Float rows, or any rows on a float table, give floats, summed on
+        `to_float()` as each row's own `multiply` sums them.  Integer rows
+        on an exact table give _scale times the product, as int64, or
+        Python ints (object) where `_fits_int64` fails for the rows'
+        largest entries.  Every unit check squares its points here, all of
+        them in one call on their rows (`units.first_non_unit`, the locus
+        sampler, the Newton re-check), so the rows +-e1 cost one column
+        pair; the division test's candidates are rows too, handed to
+        `first_singular`."""
         X, Y = np.asarray(X), np.asarray(Y)
         if X.ndim != 2 or X.shape != Y.shape or X.shape[1] != self.dim:
             raise DimensionError(
                 f"rows must be two (N, {self.dim}) arrays, got {X.shape} and {Y.shape}")
+        square = Y is X  # a unit check: the rows' columns are read once
         if self._scalar_mode == "float" or "f" in (X.dtype.kind, Y.dtype.kind):
             table, dtype = self.to_float(), float
         else:
             table, dtype = self, np.int64
-            vmax = int(np.abs(X).max(initial=0)) * int(np.abs(Y).max(initial=0))
-            if object in (X.dtype, Y.dtype) or not _fits_int64(
-                    self.dim, int(np.abs(self.cube).max(initial=0)), vmax):
+            xmax = int(np.abs(X).max(initial=0))
+            vmax = xmax * (xmax if square else int(np.abs(Y).max(initial=0)))
+            if object in (X.dtype, Y.dtype) or not _fits_int64(self.dim, self._cube_max, vmax):
                 dtype = object
-            X, Y = X.astype(dtype), Y.astype(dtype)
-        cols = table._accumulate(list(enumerate(X.T)), list(enumerate(Y.T)))
+            X, Y = X.astype(dtype, copy=False), Y.astype(dtype, copy=False)
+        u = [(i, X[:, i]) for i, used in enumerate(X.any(axis=0).tolist()) if used]
+        cols = table._accumulate(u, u if square else [
+            (i, Y[:, i]) for i, used in enumerate(Y.any(axis=0).tolist()) if used])
         out = np.zeros((len(X), self.dim), dtype=dtype)
         for k, col in enumerate(cols):
-            out[:, k] = col
+            if isinstance(col, np.ndarray):  # else the int 0: no term reached it
+                out[:, k] = col
         return out
 
     def _own(self, *elements: Element) -> None:
@@ -634,16 +648,22 @@ class Algebra:
         """Matrix of x -> a*x (side "left", column j = a*e_j) or of
         x -> x*a (side "right", column j = e_j*a)."""
         self._own(a)
-        n = self.dim
         if a._den:
-            acc, terms, den = self._accumulate, _terms(a._ints), a._den * self._scale
+            den = a._den * self._scale
+            cols = [_fractions(col, den) for col in self._operator_columns(a._ints, side)]
         else:
-            acc, terms, den = self.to_float()._accumulate, _terms(map(float, a.coords)), 0
-        cols = [acc(terms, [(j, 1)]) if side == "left" else acc([(j, 1)], terms)
-                for j in range(n)]
-        if den:
-            cols = [_fractions(col, den) for col in cols]
-        return MulOperator(side, [[col[r] for col in cols] for r in range(n)], a)
+            cols = self.to_float()._operator_columns(map(float, a.coords), side)
+        return MulOperator(side, list(zip(*cols)), a)
+
+    def _operator_columns(self, coords, side: str) -> list:
+        """The columns of x -> v x (side "left": column j = v e_j) or of
+        x -> x v ("right": e_j v) for the vector v of the given
+        coordinates, by the product loop on this table's rows: the table's
+        integers (a positive multiple of the true product) on an exact
+        table."""
+        acc, terms = self._accumulate, _terms(coords)
+        return [acc(terms, [(j, 1)]) if side == "left" else acc([(j, 1)], terms)
+                for j in range(self.dim)]
 
     # -- tensor view ----------------------------------------------------------
 
@@ -655,26 +675,32 @@ class Algebra:
         tests read an exact cube, and a positive scale cannot change those."""
         return self._cube
 
-    def _operands(self, elements: Sequence[Element], degree: int) -> tuple:
-        """(S, X) for the tensor kernels: the cube S and each Element as a
-        row of X.  A float table, or any Element with a float coordinate,
-        makes them floats, S the cube of `to_float()`.  Otherwise each row
-        is the Element's integer form, a positive multiple of the Element;
-        S and X are int64 when `_fits_int64` holds for the kernel's product
-        of ``degree`` such rows, and Python ints otherwise."""
-        self._own(*elements)
+    def _operands(self, vectors, degree: int) -> tuple:
+        """(S, X) for the tensor kernels: the cube S and each vector as a
+        row of X.  ``vectors`` are Elements, or an (N, n) array of
+        coordinate rows.  A float table, float rows, or any Element with a
+        float coordinate make them floats, S the cube of `to_float()`.
+        Otherwise each row is integers, a positive multiple of its vector:
+        an Element's integer form, or the row as given; S and X are int64
+        when `_fits_int64` holds for the kernel's product of ``degree``
+        such rows, and Python ints otherwise."""
         S, n = self.cube, self.dim
-        if not all(v._den for v in elements):  # a float table or coordinate
-            S = self.to_float().cube
-            X = np.array([v.coords for v in elements], dtype=float)
+        if isinstance(vectors, np.ndarray):
+            if vectors.ndim != 2 or vectors.shape[1] != n:
+                raise DimensionError(f"rows must be an (N, {n}) array, got {vectors.shape}")
+            X, floats = vectors, vectors.dtype.kind == "f" or S.dtype == float
+            vmax = 0 if floats else int(np.abs(X).max(initial=0))
         else:
-            X = [v._ints for v in elements]
-            vmax = max((abs(c) for x in X for c in x), default=0)
-            if S.dtype == object or not _fits_int64(
-                    n, int(np.abs(S).max(initial=0)), n ** (degree - 1) * vmax ** degree):
-                S = S.astype(object)
-            X = np.array(X, dtype=S.dtype)
-        return S, X.reshape(-1, n)
+            self._own(*vectors)
+            floats = S.dtype == float or not all(v._den for v in vectors)
+            X = [v.coords if floats else v._ints for v in vectors]
+            vmax = 0 if floats else max((abs(c) for x in X for c in x), default=0)
+        if floats:
+            return self.to_float().cube, np.asarray(X, dtype=float).reshape(-1, n)
+        if S.dtype == object or not _fits_int64(
+                n, self._cube_max, n ** (degree - 1) * vmax ** degree):
+            S = S.astype(object)
+        return S, np.asarray(X, dtype=S.dtype).reshape(-1, n)
 
     def associator_slices(self, slots: tuple, elements: Sequence[Element]) -> np.ndarray:
         """The associator with v = elements[c] in each argument ``slots``
@@ -706,50 +732,72 @@ class Algebra:
         # (e_a v) v - e_a (v v)
         return R @ R - np.tensordot(vv, S, (1, 1))
 
-    def mul_operators(self, elements: Sequence[Element]) -> np.ndarray:
+    def mul_operators(self, elements) -> np.ndarray:
         """M[c, 0] and M[c, 1], the matrices of x -> v x and x -> x v for
-        each Element v = elements[c], laid out as `mul_operator` lays them
-        out: M[c, 0, r, j] = sum_i v_i S[i, j, r] and M[c, 1, r, j] = sum_i
+        each vector v = elements[c] (Elements or coordinate rows, as
+        `_operands` takes them), laid out as `mul_operator` lays them out:
+        M[c, 0, r, j] = sum_i v_i S[i, j, r] and M[c, 1, r, j] = sum_i
         v_i S[j, i, r].  Floats as `_operands` rules: accumulated over i in
         order, on a float table bit for bit the entries of `mul_operator`.
         Otherwise the integer rows of `_operands` against the table's
         integers, both reduced modulo the prime MODULUS first, so int64
         whatever the table's entries: a positive multiple of the true
         matrices, modulo MODULUS."""
-        S, X = self._operands(elements, 1)
+        return self._operators(*self._operands(elements, 1))
+
+    def _operators(self, S: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """`mul_operators` of the rows X against the cube S of `_operands`.
+        When every row has the same k <= 2 nonzero coordinates (the
+        division test's basis vectors and pair sums), each row's operators
+        are its k slices of the cube, times its coordinates, added in
+        column order: the terms the loop over all columns adds, without its
+        zero terms, which leave every entry's bits as they are."""
         # sides[i, 0] = the left operator of e_i, sides[i, 1] the right one
         sides = np.stack((S.transpose(0, 2, 1), S.transpose(1, 2, 0)), axis=1)
-        if S.dtype != float:
+        exact = S.dtype != float
+        if exact:
             # residues: n products below 2**52 each, exact in int64 as n < 2**11
             X, sides = ((a % MODULUS).astype(np.int64) for a in (X, sides))
-            return np.tensordot(X, sides, 1) % MODULUS
-        M = np.zeros((len(X), 2, self.dim, self.dim))
-        for i in range(self.dim):
-            M += X[:, i, None, None, None] * sides[i]
-        return M
+        counts = np.count_nonzero(X, axis=1)
+        k = int(counts[0]) if len(X) else 0
+        if 0 < k <= 2 and (counts == k).all():
+            rows, cols = np.nonzero(X)  # row by row, each row's columns in order
+            cols = cols.reshape(-1, k)
+            coeffs = X[rows, cols.ravel()].reshape(-1, k, 1, 1, 1)
+            M = coeffs[:, 0] * sides[cols[:, 0]] + 0  # 0 + t, as the loop starts
+            if k == 2:
+                M += coeffs[:, 1] * sides[cols[:, 1]]
+        elif exact:
+            M = np.tensordot(X, sides, 1)
+        else:
+            M = np.zeros((len(X), 2, self.dim, self.dim))
+            for i in range(self.dim):
+                M += X[:, i, None, None, None] * sides[i]
+        return M % MODULUS if exact else M
 
-    def first_singular(self, elements: Sequence[Element],
-                       eps: Optional[float] = None) -> Optional[int]:
-        """The index c of the first Element v = elements[c] for which
-        x -> v x or x -> x v is singular, as `MulOperator.is_singular`
-        decides it at eps, else None; every operator comes from
-        `mul_operators`.  Float operators (a float table, or a float
-        coordinate, which `MulOperator.is_singular` decides in floats too)
-        have their determinants compared within eps, on a float table bit
-        for bit `linalg.det`'s (`linalg.dets`).  Otherwise a determinant
-        nonzero modulo the prime MODULUS proves the operator invertible
+    def first_singular(self, elements, eps: Optional[float] = None) -> Optional[int]:
+        """The index c of the first vector v = elements[c] (Elements or
+        coordinate rows, as `_operands` takes them) for which x -> v x or
+        x -> x v is singular, as `MulOperator.is_singular` decides it at
+        eps, else None; every operator comes from `mul_operators`.  Float
+        operators (a float table, or a float coordinate, which
+        `MulOperator.is_singular` decides in floats too) have their
+        determinants compared within eps, on a float table bit for bit
+        `linalg.det`'s (`linalg.dets`).  Otherwise a determinant nonzero
+        modulo the prime MODULUS proves the operator invertible
         (`linalg.nonsingular_mod`), and only an operator singular modulo
-        the prime is tested with `MulOperator.is_singular` of that Element,
-        exactly."""
+        the prime is tested again, by the exact determinant of its integer
+        matrix, which no Element is built for."""
         from . import linalg
 
         eps = tolerance(eps, self.eps)
-        M = self.mul_operators(elements)
+        S, X = self._operands(elements, 1)
+        M = self._operators(S, X)
         exact = M.dtype != float
         flagged = ~linalg.nonsingular_mod(M) if exact else np.abs(linalg.dets(M, eps)) <= eps
         for c, side in zip(*np.nonzero(flagged)):
-            if not exact or self.mul_operator(
-                    elements[c], ("left", "right")[side]).is_singular(eps):
+            if not exact or not linalg.det(list(zip(*self._operator_columns(
+                    X[c].tolist(), ("left", "right")[side])))):
                 return int(c)
         return None
 

@@ -27,6 +27,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
+import numpy as np
+
 from . import linalg
 from .core import (
     Algebra,
@@ -36,7 +38,7 @@ from .core import (
     first_defect,
     tolerance,
 )
-from .units import UnitLocus, verify_unit
+from .units import UnitLocus, first_non_unit
 
 DEFAULT_SAMPLES = 200
 
@@ -155,7 +157,9 @@ def _commutator_witness(A: Algebra, eps: float) -> Optional[Witness]:
 
 
 def _resolve_units(A: Algebra, units, eps: float) -> Tuple[List[Element], bool]:
-    """Accept a list of Elements or a UnitLocus; return (points, complete)."""
+    """Accept a list of Elements or a UnitLocus; return (points, complete).
+    Every point is checked a unit at once, on its coordinate row
+    (`units.first_non_unit`), and the first that is not is named."""
     complete = False
     if units is None:
         raise ContextError("partial identities need a nonempty set of imaginary units")
@@ -165,14 +169,27 @@ def _resolve_units(A: Algebra, units, eps: float) -> Tuple[List[Element], bool]:
     points = list(points)
     if not points:
         raise ContextError("partial identities need a nonempty set of imaginary units")
-    for q in points:
-        if not verify_unit(A, q, eps):
-            raise ContextError(f"supplied point {q!r} is not an imaginary unit")
+    bad = first_non_unit(A, points, eps)
+    if bad is not None:
+        raise ContextError(f"supplied point {points[bad]!r} is not an imaginary unit")
     return points, complete
 
 
+class _Plane(tuple):
+    """An ordered pair `_resolve_c_span` has validated on ``algebra`` at
+    ``eps``: handed on, it is not validated again."""
+
+    def __new__(cls, pair, algebra: Algebra, eps: float):
+        plane = super().__new__(cls, pair)
+        plane.algebra, plane.eps = algebra, eps
+        return plane
+
+
 def _resolve_c_span(A: Algebra, c_span, eps: float) -> Tuple[Element, Element]:
-    """Validate an ordered pair spanning a 2-dim subalgebra that contains 1."""
+    """Validate an ordered pair spanning a 2-dim subalgebra that contains
+    1, unless it is a `_Plane` already validated on A at eps."""
+    if isinstance(c_span, _Plane) and c_span.algebra is A and c_span.eps == eps:
+        return c_span
     if c_span is None:
         raise ContextError(
             "plane-associativity checks need an ordered pair spanning the plane"
@@ -190,7 +207,7 @@ def _resolve_c_span(A: Algebra, c_span, eps: float) -> Tuple[Element, Element]:
         raise ContextError("the distinguished plane must contain the unit element")
     if len(pivots) > 2:
         raise ContextError("the distinguished plane is not closed under products")
-    return c1, c2
+    return _Plane((c1, c2), A, eps)
 
 
 def check_identity(
@@ -275,10 +292,13 @@ def is_strictly_middle(
 ) -> StrictMiddleReport:
     """Does the middle plane-associativity hold while left or right fails?
 
-    Raises NotApplicableError when the middle condition itself fails.
+    Raises NotApplicableError when the middle condition itself fails.  The
+    plane is validated once, and its three checks take it as validated.
     """
+    eps = tolerance(eps, A.eps)
     if c_span is None and A.dim >= 2 and A.unit is not None:
         c_span = (A.one(), A.basis(1))
+    c_span = _resolve_c_span(A, c_span, eps)
     middle = check_identity(A, IdentityKind.MIDDLE_C_ASSOC, c_span=c_span, eps=eps)
     if not middle.holds:
         raise NotApplicableError(
@@ -310,12 +330,25 @@ class DivisionReport:
 
 
 def _candidate_groups(A: Algebra, samples: int, rng: random.Random):
-    """The division test's candidates, group by group: the basis, the sums
-    e_i + e_j (i < j), then ``samples`` draws from ``rng``."""
-    basis = A.basis_elements()
-    yield basis
-    yield [basis[i] + basis[j] for i in range(A.dim) for j in range(i + 1, A.dim)]
-    yield [random_element(A, rng) for _ in range(samples)]
+    """The division test's candidates, group by group, as (rows, den), the
+    candidate c being rows[c] / den: the basis, the sums e_i + e_j
+    (i < j), then ``samples`` draws from ``rng``.  A draw makes the calls
+    of `random_element` in their order; on an exact table each coordinate
+    randint(-6, 6) / randint(1, 4) is kept as its value over 12, on a
+    float table each is the ``uniform`` value itself."""
+    n = A.dim
+    exact = A.scalar_mode == "exact"
+    eye = np.eye(n, dtype=np.int64 if exact else float)
+    yield eye, 1
+    pairs = list(itertools.combinations(range(n), 2))
+    yield eye[[i for i, _ in pairs]] + eye[[j for _, j in pairs]], 1
+    if exact:
+        randint = rng.randint
+        draws = [randint(-6, 6) * (12 // randint(1, 4)) for _ in range(samples * n)]
+        yield np.array(draws, dtype=np.int64).reshape(samples, n), 12
+    else:
+        uniform = rng.uniform
+        yield np.array([uniform(-6, 6) for _ in range(samples * n)]).reshape(samples, n), 1
 
 
 def is_division_sampled(
@@ -332,22 +365,27 @@ def is_division_sampled(
     up to the first zero divisor, or all of them.  A True verdict means
     only that no zero divisor was found among those candidates - it is not
     a proof.  Each operator's invertibility, though, is decided as
-    `MulOperator.is_singular` decides it.  Every candidate of a group gets
-    its L_a and R_a at once (`Algebra.first_singular`).  On a float
-    table their determinants are `linalg.det`'s bit for bit.  On an exact
-    table a determinant nonzero modulo a prime proves invertibility, and
-    only an operator singular modulo the prime is tested exactly, so an
-    exact verdict never rests on floats.
+    `MulOperator.is_singular` decides it.  Each group of candidates is
+    a stack of coordinate rows, and every candidate of a group gets its
+    L_a and R_a at once (`Algebra.first_singular`); an Element is built
+    only for the zero divisor returned.  On a float table the
+    determinants are `linalg.det`'s bit for bit.  On an exact table a
+    determinant nonzero modulo a prime proves invertibility, and only an
+    operator singular modulo the prime is tested exactly, so an exact
+    verdict never rests on floats.
     """
     eps = tolerance(eps, A.eps)
     rng = random.Random(seed)
+    exact = A.scalar_mode == "exact"
     checked = 0
-    for group in _candidate_groups(A, samples, rng):
-        group = [a for a in group if not a.is_zero(eps)]
-        if not group:
+    for rows, den in _candidate_groups(A, samples, rng):
+        rows = rows[rows.any(axis=1) if exact else np.any(np.abs(rows) > eps, axis=1)]
+        if not len(rows):
             continue
-        c = A.first_singular(group, eps)
+        c = A.first_singular(rows, eps)
         if c is not None:
-            return DivisionReport(False, group[c], f"sampled({checked + c + 1})")
-        checked += len(group)
+            witness = (Element._exact(A, rows[c].tolist(), den) if exact
+                       else Element._of(A, tuple(rows[c].tolist()), None, 0))
+            return DivisionReport(False, witness, f"sampled({checked + c + 1})")
+        checked += len(rows)
     return DivisionReport(True, None, f"sampled({checked})")

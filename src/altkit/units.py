@@ -92,6 +92,61 @@ def verify_unit(A: Algebra, q: Element, tol: Optional[float] = None) -> bool:
     return defect.is_zero(tol)
 
 
+def first_non_unit(A: Algebra, points, tol: Optional[float] = None) -> Optional[int]:
+    """The index of the first Element of ``points`` that `verify_unit`
+    rejects at tol, or None.  The exact points are checked together on
+    their integer rows, and the points with a float coordinate together on
+    their float rows (`_are_units`): one batched product for each kind
+    present."""
+    tol = tolerance(tol, A.eps)
+    A._own(*points)
+    exact = [c for c, q in enumerate(points) if q._den]
+    floats = [c for c, q in enumerate(points) if not q._den]
+    bad = []
+    if exact:
+        passed = _are_units(A, _int_rows([points[c]._ints for c in exact]),
+                            [points[c]._den for c in exact], tol)
+        bad += [c for c, ok in zip(exact, passed) if not ok]
+    if floats:
+        passed = _are_units(A, np.array([points[c].coords for c in floats], dtype=float),
+                            None, tol)
+        bad += [c for c, ok in zip(floats, passed) if not ok]
+    return min(bad, default=None)
+
+
+def _are_units(A: Algebra, X: np.ndarray, dens, tol: float):
+    """Which of the points are units of A, `verify_unit`'s verdict on
+    each, by one `Algebra.multiply_rows` call on their coordinate rows.
+    With ``dens`` None the rows X are the points, as floats, and a point
+    passes when q*q + 1 lies within tol in every coordinate, the unit read
+    as floats: a boolean array.  Otherwise A is exact and the points are
+    the integer rows X[c] over dens[c]: the product M of a row with itself
+    is _scale D^2 q*q at D = dens[c], so q*q + 1 = 0 iff M u_den + _scale
+    D^2 u_ints = 0 for the unit u_ints / u_den; a float unit is added to
+    q*q's Fractions, as `verify_unit` adds them: a list of bools."""
+    one = A.one()
+    sq = A.multiply_rows(X, X)
+    if dens is None:
+        return np.all(np.abs(sq + np.array(one.coords, dtype=float)) <= tol, axis=1)
+    s, out = A._scale, []
+    for den, m in zip(dens, sq.tolist()):
+        d2 = s * den * den
+        if one._den:
+            out.append(not any(mk * one._den + d2 * u for mk, u in zip(m, one._ints)))
+        else:
+            out.append(all(scalar_is_zero(Fraction(mk, d2) + u, tol)
+                           for mk, u in zip(m, one.coords)))
+    return out
+
+
+def _int_rows(ints: list) -> np.ndarray:
+    """Integer rows as an array: int64, or Python ints past its range."""
+    try:
+        return np.array(ints, dtype=np.int64)
+    except OverflowError:
+        return np.array(ints, dtype=object)
+
+
 # -- Newton sampling ----------------------------------------------------------
 
 
@@ -166,10 +221,7 @@ def solve_units_sampled(
 
     found = x[converged]
     found = found[_first_apart(found, 10 * tol)]
-    # q*q + 1 per coordinate, as `verify_unit` sums it point by point
-    sq = A.multiply_rows(found, found)
-    passed = np.all(np.abs(sq + one) <= tol, axis=1)
-    points = tuple(A.element(xc.tolist()) for xc in found[passed])
+    points = tuple(A.element(xc.tolist()) for xc in found[_are_units(A, found, None, tol)])
     return UnitLocus(KIND_CLOUD, points, None, tuple(range(n)))
 
 
@@ -292,34 +344,17 @@ def _fresh_locus_points(
 
 def _units_among(A: Algebra, rows: list) -> List[Element]:
     """The Elements of the points ints / den, in order, that are units of
-    A, checked together by one `Algebra.multiply_rows` call.  On an exact
-    table the rows are the integers ints (int64, or Python ints past its
-    range), whose product M is _scale D^2 q*q at D = den: q*q + 1 = 0 iff
-    M u_den + _scale D^2 u_ints = 0 for the unit u_ints / u_den.  On a
-    float table the rows are the float coordinates, and a point passes
-    when q*q + 1 lies within eps in every coordinate, `verify_unit`'s
-    verdict."""
+    A at its eps, checked together by `_are_units`: on an exact table as
+    the integer rows ints over den, on a float table as float rows."""
     if not rows:
         return []
-    one = A.one()
     if A.scalar_mode == "float":
         X = np.array([[c / den for c in ints] for ints, den in rows])
-        sq = A.multiply_rows(X, X)
-        passed = np.all(np.abs(sq + np.array(one.coords)) <= A.eps, axis=1)
+        passed = _are_units(A, X, None, A.eps)
         return [A.element(x) for x, ok in zip(X.tolist(), passed) if ok]
-    big = max(abs(c) for ints, _ in rows for c in ints)
-    R = np.array([ints for ints, _ in rows], dtype=np.int64 if big < 2**63 else object)
-    s, out = A._scale, []
-    for (ints, den), sq in zip(rows, A.multiply_rows(R, R).tolist()):
-        d2 = s * den * den
-        if one._den:
-            ok = not any(m * one._den + d2 * u for m, u in zip(sq, one._ints))
-        else:  # a float unit on an exact table: verify_unit's mixed sum
-            ok = all(scalar_is_zero(Fraction(m, d2) + u, A.eps)
-                     for m, u in zip(sq, one.coords))
-        if ok:
-            out.append(Element._of(A, None, ints, den))
-    return out
+    passed = _are_units(A, _int_rows([ints for ints, _ in rows]),
+                        [den for _, den in rows], A.eps)
+    return [Element._of(A, None, ints, den) for (ints, den), ok in zip(rows, passed) if ok]
 
 
 def classify_locus_tn(target) -> UnitLocus:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from altkit import catalog, identities, linalg
-from altkit.core import MODULUS, Algebra
+from altkit.core import MODULUS, Algebra, Element
 from altkit.identities import DivisionReport, random_element
 import oracle
 from oracle import typed
@@ -126,6 +126,12 @@ def test_zero_candidates_are_skipped_and_not_counted():
     assert report.division
     assert report.method == f"sampled({2 + 1 + 200 - zeros})"
     assert _typed(report) == _typed(_loop_is_division_sampled(A, samples=200, seed=1))
+    # on a float table a candidate within eps of 0 in every coordinate is
+    # zero: at eps 1.5 the basis, the sum and some draws are skipped
+    B = A.to_float()
+    report = identities.is_division_sampled(B, samples=200, seed=1, eps=1.5)
+    assert report.method != "sampled(203)"
+    assert _typed(report) == _typed(_loop_is_division_sampled(B, samples=200, seed=1, eps=1.5))
 
 
 def test_singular_flags_on_exact_tables_rest_on_the_modulus():
@@ -136,3 +142,61 @@ def test_singular_flags_on_exact_tables_rest_on_the_modulus():
     # 1 + j is a zero divisor of mplus; 1 and i are not
     assert (~linalg.nonsingular_mod(ops)).any(axis=1).tolist() == [True, False, False]
     assert M.first_singular(V) == 0 and M.first_singular(V[1:]) is None
+
+
+def _count_elements(monkeypatch) -> list:
+    """Spy on both ways an Element is built, `Element.__init__` and
+    `Element._of`; returns the list each new Element is appended to."""
+    built = []
+    of, init = Element._of.__func__, Element.__init__
+
+    def spy_of(cls, *args):
+        e = of(cls, *args)
+        built.append(e)
+        return e
+
+    def spy_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(Element, "_of", classmethod(spy_of))
+    monkeypatch.setattr(Element, "__init__", spy_init)
+    return built
+
+
+@pytest.mark.parametrize("float_table", [False, True])
+def test_a_division_scan_builds_an_element_only_for_its_witness(float_table, monkeypatch):
+    H, M = catalog.quaternions(), catalog.mplus()
+    if float_table:
+        H, M = H.to_float(), M.to_float()
+    for A in (H, M):
+        A.basis_elements()  # the cached basis slots are built before the spy
+    built = _count_elements(monkeypatch)
+    # a full scan: the basis, the six sums and 200 draws, and no Element
+    report = identities.is_division_sampled(H, seed=0)
+    assert (report.division, report.method) == (True, "sampled(210)")
+    assert built == []
+    # a failing scan builds exactly its witness, 1 + j
+    report = identities.is_division_sampled(M, seed=0)
+    assert (report.division, report.method) == (False, "sampled(6)")
+    assert built == [report.witness] and report.witness == M.one() + M.by_label("j")
+
+
+@pytest.mark.parametrize("A", _sweep_tables() + [oracle.scaled(catalog.quaternions())], ids=repr)
+def test_basis_and_pair_operators_are_the_loop_bit_for_bit(A):
+    # the basis vectors, the sums e_i + e_j and multiples -2 e_i take their
+    # operators from the cube's slices; with a dense row beside them the
+    # same rows run the loop over every column, and the two agree entry for
+    # entry (floats bit for bit, the sign of a zero included)
+    rng = random.Random(A.dim)
+    basis = A.basis_elements()
+    dense = [random_element(A, rng) for _ in range(2)]
+    pairs = [basis[i] + basis[j] for i, j in itertools.combinations(range(A.dim), 2)]
+    for group in (basis, pairs, [-2 * e for e in basis]):
+        got = A.mul_operators(group)
+        want = A.mul_operators(group + dense)[:len(group)]
+        assert typed(got) == typed(want)
+        if A.scalar_mode == "float":
+            for v, ops in zip(group, got):
+                for side, M in zip(("left", "right"), ops):
+                    assert typed(M) == typed(np.array(A.mul_operator(v, side).matrix, dtype=float))

@@ -729,3 +729,74 @@ def test_plane_check_matches_the_rank_form_on_sparse_tables(sc):
     for A in (exact, plane):
         for B in (A, A.to_float(), oracle.scaled(A)):
             assert_plane_checks_match(B)
+
+
+def _unit_point_cases():
+    """(table, points) for the unit check: sphere points with non-units
+    among them, on exact tables (an object cube, a float unit), float
+    tables, and an exact table holding float points."""
+    H = catalog.quaternions()
+    half = Algebra(H.sc, labels=H.labels, unit=[1.0, 0, 0, 0])
+    # the table times c has the units p / c for the quaternion units p
+    c = 2 ** 40 + 1
+    big = oracle.scaled(H, c)
+    cases = []
+    for A in (H, H.to_float(), big, half):
+        on = units.rational_locus_points(H if A is big else A, F(-1), 6, seed=2)
+        if A is big:
+            on = [big.element([x / c for x in p.coords]) for p in on]
+        i, j = A.basis(1), A.basis(2)
+        cases += [(A, on), (A, on[:3] + [i + j] + on[3:] + [A.one()]), (A, [A.one()])]
+    cloud = list(units.solve_units_sampled(H, seeds=20, seed=1).points)
+    off = H.element([0.0, 0.5, 0.5, 0.5])
+    cases += [(H, cloud), (H, cloud[:2] + [off] + cloud[2:])]
+    return cases
+
+
+def test_unit_points_are_checked_in_one_product_naming_the_first_non_unit(monkeypatch):
+    products = []
+    multiply_rows = Algebra.multiply_rows
+
+    def spy_rows(self, X, Y):
+        products.append(len(X))
+        return multiply_rows(self, X, Y)
+
+    monkeypatch.setattr(Algebra, "multiply_rows", spy_rows)
+    for A, points in _unit_point_cases():
+        # the reference: `verify_unit` point by point
+        bad = [q for q in points if not units.verify_unit(A, q)]
+        products.clear()
+        if bad:
+            with pytest.raises(ContextError, match="is not an imaginary unit") as err:
+                identities._resolve_units(A, points, A.eps)
+            assert str(err.value) == f"supplied point {bad[0]!r} is not an imaginary unit"
+        else:
+            assert identities._resolve_units(A, points, A.eps) == (points, False)
+        # one product for each kind of point present, exact or float
+        exact = sum(1 for q in points if q._den)
+        assert sorted(products) == sorted(k for k in (exact, len(points) - exact) if k), A
+    # exact points beside float points on an exact table: two products
+    H = catalog.quaternions()
+    q = H.element([0.0, 0.6, 0.8, 0.0])
+    products.clear()
+    with pytest.raises(ContextError, match=r"supplied point <i \+ j>"):
+        identities._resolve_units(H, [q, H.basis(1), H.basis(1) + H.basis(2), q], H.eps)
+    assert sorted(products) == [2, 2]
+
+
+@pytest.mark.parametrize("A", [catalog.tc(a=1, h=1), catalog.mzero(), catalog.tn(a=-1, g=1, h=1),
+                               catalog.tn_special_case(F(2, 3), F(5, 4))], ids=repr)
+def test_strictly_middle_validates_its_plane_once(A, monkeypatch):
+    for B in (A, A.to_float()):
+        span = c_span(B)
+        left, right = (identities.check_identity(B, kind, c_span=span)
+                       for kind in (IdentityKind.LEFT_C_ASSOC, IdentityKind.RIGHT_C_ASSOC))
+        want = identities.StrictMiddleReport(
+            not (left.holds and right.holds),
+            left.witness if not left.holds else right.witness, left.holds, right.holds)
+        with monkeypatch.context() as patch:
+            calls, rref = [], linalg.rref
+            patch.setattr(linalg, "rref", lambda *args: calls.append(1) or rref(*args))
+            got = identities.is_strictly_middle(B, span)
+        assert calls == [1]
+        assert got.to_dict() == want.to_dict()

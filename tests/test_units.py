@@ -405,6 +405,41 @@ def test_float_cube_is_float_of_each_entry(A):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize("A", _NEWTON_TABLES + [_negative_zero_quaternions()], ids=repr)
+def test_multiply_rows_on_zero_columns_is_multiply_row_for_row(A, monkeypatch):
+    # X has the all-zero columns 0 and n - 2 (-0.0 in the float rows), Y
+    # the column 1: each product row is the row's own `multiply`, floats
+    # bit for bit
+    rng, n = random.Random(A.dim), A.dim
+
+    def rows(zeros, draw):
+        return [[zeros.get(k, draw()) for k in range(n)] for _ in range(5)]
+
+    floats, ints = (lambda: rng.uniform(-2, 2)), (lambda: rng.randint(-5, 5))
+    for X, Y in ((rows({0: 0.0, n - 2: -0.0}, floats), rows({1: 0.0}, floats)),
+                 (rows({0: 0, n - 2: 0}, ints), rows({1: 0}, ints))):
+        P = A.multiply_rows(np.array(X), np.array(Y))
+        want = [(A.element(x) * A.element(y)).coords for x, y in zip(X, Y)]
+        if P.dtype == float:
+            assert [[c.hex() for c in row] for row in P.tolist()] == \
+                [[float(c).hex() for c in row] for row in want]
+        else:
+            assert P.tolist() == [[c * A._scale for c in row] for row in want]
+    # the rows +-e1 use one column: their product is one column pair
+    visited = []
+    accumulate = Algebra._accumulate
+
+    def spy(self, u, v):
+        visited.append((len(u), len(v)))
+        return accumulate(self, u, v)
+
+    monkeypatch.setattr(Algebra, "_accumulate", spy)
+    E = np.array([[0, 1] + [0] * (n - 2), [0, -1] + [0] * (n - 2)])
+    for R in (E, E.astype(float)):
+        A.multiply_rows(R, R)
+    assert visited == [(1, 1), (1, 1)]
+
+
 @pytest.mark.parametrize(
     "builder,kind,x2,y2,z2,rhs",
     [
