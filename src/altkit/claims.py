@@ -378,8 +378,8 @@ def _bilinearity_draws(rng: random.Random, algebras, samples: int) -> list:
     """The draws of the bilinearity samples, sample s on the algebra
     algebras[s % len(algebras)], in the order a loop of one Element per
     sample takes them: al, be, then the coordinates of x, y and z, each
-    `identities.random_rational`'s randint(-6, 6) over randint(1, 4).  A
-    value num/den is kept as num * (12 // den), its value over 12, and each
+    randint(-6, 6) over randint(1, 4), drawn in that order.  A value
+    num/den is kept as num * (12 // den), its value over 12, and each
     algebra's samples as the rows [al, be, x, y, z] of one array: int64, or
     Python ints where `_fits_int64` fails for the claim's products."""
     k, randint = len(algebras), rng.randint

@@ -24,14 +24,13 @@ table's one product loop and make one gcd reduction per result; its
 `coords`, the tuple of Fractions, is built on first read.  The associator
 and the commutator are stated once, in their defining form, over
 `multiply`.  The tensor kernels (`associator_slices`, `mul_operators`,
-`first_singular`) take Elements, and read that form, or coordinate rows;
-`multiply_rows` takes rows.  The division test hands `first_singular` its
-candidates as rows, and the unit checks hand `multiply_rows` their points
-as rows, so an Element is built only for a witness.  An exact table has
-one float reading, its `to_float()` copy, built on first use and kept.
-An element with a float coordinate, and every element of a float
-algebra, holds its coordinates as given; every float computation (a
-product, `mul_operator`, `multiply_rows` on float rows, the tensor
+`first_singular`) and `multiply_rows` take coordinate rows only: the
+identity checks, the division test and the unit checks hand them their
+points as rows, so an Element is built only for a witness.  An exact
+table has one float reading, its `to_float()` copy, built on first use
+and kept.  An element with a float coordinate, and every element of a
+float algebra, holds its coordinates as given; every float computation
+(a product, `mul_operator`, `multiply_rows` on float rows, the tensor
 kernels, `morphism_defect`, Newton) runs on that copy, bit for bit the
 same call on `to_float()`.
 
@@ -595,8 +594,7 @@ class Algebra:
         largest entries.  Every unit check squares its points here, all of
         them in one call on their rows (`units.first_non_unit`, the locus
         sampler, the Newton re-check), so the rows +-e1 cost one column
-        pair; the division test's candidates are rows too, handed to
-        `first_singular`."""
+        pair."""
         X, Y = np.asarray(X), np.asarray(Y)
         if X.ndim != 2 or X.shape != Y.shape or X.shape[1] != self.dim:
             raise DimensionError(
@@ -675,39 +673,30 @@ class Algebra:
         tests read an exact cube, and a positive scale cannot change those."""
         return self._cube
 
-    def _operands(self, vectors, degree: int) -> tuple:
-        """(S, X) for the tensor kernels: the cube S and each vector as a
-        row of X.  ``vectors`` are Elements, or an (N, n) array of
-        coordinate rows.  A float table, float rows, or any Element with a
-        float coordinate make them floats, S the cube of `to_float()`.
-        Otherwise each row is integers, a positive multiple of its vector:
-        an Element's integer form, or the row as given; S and X are int64
-        when `_fits_int64` holds for the kernel's product of ``degree``
-        such rows, and Python ints otherwise."""
-        S, n = self.cube, self.dim
-        if isinstance(vectors, np.ndarray):
-            if vectors.ndim != 2 or vectors.shape[1] != n:
-                raise DimensionError(f"rows must be an (N, {n}) array, got {vectors.shape}")
-            X, floats = vectors, vectors.dtype.kind == "f" or S.dtype == float
-            vmax = 0 if floats else int(np.abs(X).max(initial=0))
-        else:
-            self._own(*vectors)
-            floats = S.dtype == float or not all(v._den for v in vectors)
-            X = [v.coords if floats else v._ints for v in vectors]
-            vmax = 0 if floats else max((abs(c) for x in X for c in x), default=0)
-        if floats:
-            return self.to_float().cube, np.asarray(X, dtype=float).reshape(-1, n)
+    def _operands(self, X, degree: int) -> tuple:
+        """(S, X) for the tensor kernels: the cube S and the (N, n) array X
+        of coordinate rows.  A float table or float rows make both floats,
+        S the cube of `to_float()`.  Otherwise each row is integers, a
+        positive multiple of its vector; S and X are int64 when
+        `_fits_int64` holds for the kernel's product of ``degree`` such
+        rows, and Python ints otherwise."""
+        S, n, X = self.cube, self.dim, np.asarray(X)
+        if X.ndim != 2 or X.shape[1] != n:
+            raise DimensionError(f"rows must be an (N, {n}) array, got {X.shape}")
+        if X.dtype.kind == "f" or S.dtype == float:
+            return self.to_float().cube, X.astype(float, copy=False)
+        vmax = int(np.abs(X).max(initial=0))
         if S.dtype == object or not _fits_int64(
                 n, self._cube_max, n ** (degree - 1) * vmax ** degree):
             S = S.astype(object)
-        return S, np.asarray(X, dtype=S.dtype).reshape(-1, n)
+        return S, X.astype(S.dtype, copy=False)
 
-    def associator_slices(self, slots: tuple, elements: Sequence[Element]) -> np.ndarray:
-        """The associator with v = elements[c] in each argument ``slots``
-        names and e_a, then e_b, in the others, in order: one slot, (0,),
-        (1,) or (2,), gives D[c, a, b, :]; two, (0, 1), (1, 2) or (0, 2),
-        give D[c, a, :], the left alternative, right alternative or
-        flexible law at (v, e_a).  Built from L[c, m] = v e_m and R[c, m] =
+    def associator_slices(self, slots: tuple, rows) -> np.ndarray:
+        """The associator with the coordinate row v = rows[c] in each
+        argument ``slots`` names and e_a, then e_b, in the others, in
+        order: one slot, (0,), (1,) or (2,), gives D[c, a, b, :]; two,
+        (0, 1), (1, 2) or (0, 2), give D[c, a, :], the left alternative,
+        right alternative or flexible law at (v, e_a).  Built from L[c, m] = v e_m and R[c, m] =
         e_m v.  Integers, for each c a positive multiple of the true
         coordinates, or floats as `_operands` rules.  Test with
         `first_defect`."""
@@ -715,7 +704,7 @@ class Algebra:
             raise ParameterError(
                 "associator slots must be (0,), (1,), (2,), (0, 1), (1, 2) "
                 f"or (0, 2), got {slots!r}")
-        S, X = self._operands(elements, len(slots))
+        S, X = self._operands(rows, len(slots))
         L, R = np.tensordot(X, S, 1), np.tensordot(X, S, (1, 1))  # v e_m, e_m v
         if slots == (0,):  # (v e_a) e_b - v (e_a e_b)
             return np.tensordot(L, S, 1) - np.moveaxis(np.tensordot(S, L, (2, 1)), 2, 0)
@@ -732,18 +721,17 @@ class Algebra:
         # (e_a v) v - e_a (v v)
         return R @ R - np.tensordot(vv, S, (1, 1))
 
-    def mul_operators(self, elements) -> np.ndarray:
+    def mul_operators(self, rows) -> np.ndarray:
         """M[c, 0] and M[c, 1], the matrices of x -> v x and x -> x v for
-        each vector v = elements[c] (Elements or coordinate rows, as
-        `_operands` takes them), laid out as `mul_operator` lays them out:
-        M[c, 0, r, j] = sum_i v_i S[i, j, r] and M[c, 1, r, j] = sum_i
-        v_i S[j, i, r].  Floats as `_operands` rules: accumulated over i in
+        each coordinate row v = rows[c], laid out as `mul_operator` lays
+        them out: M[c, 0, r, j] = sum_i v_i S[i, j, r] and M[c, 1, r, j] =
+        sum_i v_i S[j, i, r].  Floats as `_operands` rules: accumulated over i in
         order, on a float table bit for bit the entries of `mul_operator`.
         Otherwise the integer rows of `_operands` against the table's
         integers, both reduced modulo the prime MODULUS first, so int64
         whatever the table's entries: a positive multiple of the true
         matrices, modulo MODULUS."""
-        return self._operators(*self._operands(elements, 1))
+        return self._operators(*self._operands(rows, 1))
 
     def _operators(self, S: np.ndarray, X: np.ndarray) -> np.ndarray:
         """`mul_operators` of the rows X against the cube S of `_operands`.
@@ -775,23 +763,21 @@ class Algebra:
                 M += X[:, i, None, None, None] * sides[i]
         return M % MODULUS if exact else M
 
-    def first_singular(self, elements, eps: Optional[float] = None) -> Optional[int]:
-        """The index c of the first vector v = elements[c] (Elements or
-        coordinate rows, as `_operands` takes them) for which x -> v x or
-        x -> x v is singular, as `MulOperator.is_singular` decides it at
-        eps, else None; every operator comes from `mul_operators`.  Float
-        operators (a float table, or a float coordinate, which
-        `MulOperator.is_singular` decides in floats too) have their
-        determinants compared within eps, on a float table bit for bit
-        `linalg.det`'s (`linalg.dets`).  Otherwise a determinant nonzero
-        modulo the prime MODULUS proves the operator invertible
+    def first_singular(self, rows, eps: Optional[float] = None) -> Optional[int]:
+        """The index c of the first coordinate row v = rows[c] for which
+        x -> v x or x -> x v is singular, as `MulOperator.is_singular`
+        decides it at eps, else None; every operator comes from
+        `mul_operators`.  Float operators (a float table, or float rows)
+        have their determinants compared within eps, on a float table bit
+        for bit `linalg.det`'s (`linalg.dets`).  Otherwise a determinant
+        nonzero modulo the prime MODULUS proves the operator invertible
         (`linalg.nonsingular_mod`), and only an operator singular modulo
         the prime is tested again, by the exact determinant of its integer
-        matrix, which no Element is built for."""
+        matrix."""
         from . import linalg
 
         eps = tolerance(eps, self.eps)
-        S, X = self._operands(elements, 1)
+        S, X = self._operands(rows, 1)
         M = self._operators(S, X)
         exact = M.dtype != float
         flagged = ~linalg.nonsingular_mod(M) if exact else np.abs(linalg.dets(M, eps)) <= eps

@@ -10,12 +10,14 @@ commutativity says the associator vanishes with the arguments its
 runs over the basis, the plane's pair, the given units, or, for the
 quadratic laws over the whole algebra, x = e_i and e_i + e_j: over
 characteristic 0 these points decide a quadratic form in x (Schafer, An
-Introduction to Nonassociative Algebras, 1966, ch. I).  A point with a
-float coordinate makes the kernel float, so its defects are compared
-within eps, as the Element associator compares them.  Only the partial
-forms over a unit set not known to be complete, and the division test,
-are sampled.  The distinguished plane is validated by one elimination
-of its pair beside the unit and the pair's four products.
+Introduction to Nonassociative Algebras, 1966, ch. I).  The kernel reads
+the points as coordinate rows, and an Element is built only for a
+witness.  A point with a float coordinate makes its group's rows float,
+so defects are compared within eps, as the Element associator compares
+them.  Only the partial forms over a unit set not known to be complete,
+and the division test, are sampled.  The distinguished plane is
+validated by one elimination of its pair beside the unit and the pair's
+four products.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import itertools
 import random
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -35,10 +36,11 @@ from .core import (
     ContextError,
     Element,
     NotApplicableError,
+    ParameterError,
     first_defect,
     tolerance,
 )
-from .units import UnitLocus, first_non_unit
+from .units import UnitLocus, _int_rows, first_non_unit
 
 DEFAULT_SAMPLES = 200
 
@@ -101,16 +103,6 @@ class IdentityReport:
         }
 
 
-def random_rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-
-
-def random_element(A: Algebra, rng: random.Random) -> Element:
-    if A.scalar_mode == "float":
-        return A.element([rng.uniform(-6, 6) for _ in range(A.dim)])
-    return A.element([random_rational(rng) for _ in range(A.dim)])
-
-
 # law -> the argument slots of its point x; basis vectors fill the others
 _SLOTS = {
     IdentityKind.ASSOCIATIVE: (0,),
@@ -126,22 +118,38 @@ _SLOTS = {
 def _associator_witness(A: Algebra, kind: IdentityKind, groups,
                         eps: float) -> Optional[Witness]:
     """The first triple at which the law's associator is nonzero, or None.
-    ``groups`` yields (points, k_first): one `Algebra.associator_slices`
-    call each, read point by point and then by basis index, or with
-    k_first (two slots) basis index first.  The triple holds the point in
-    the law's slots and the basis vectors found in the others."""
+    ``groups`` yields (rows, k_first, point): one `Algebra.associator_slices`
+    call on the coordinate rows each, read row by row and then by basis
+    index, or with k_first (two slots) basis index first.  At a hit on
+    row c, point(c) is its Element, the triple holds it in the law's slots
+    and the basis vectors found in the others."""
     slots = _SLOTS[kind]
-    basis = A.basis_elements()
-    for points, k_first in groups:
-        D = A.associator_slices(slots, points)
+    for rows, k_first, point in groups:
+        D = A.associator_slices(slots, rows)
         hit = first_defect(D.swapaxes(0, 1) if k_first else D, eps)
         if hit is not None:
             c, *rest = hit[::-1] if k_first else hit
-            triple = [basis[i] for i in rest]
+            triple, x = [A.basis(i) for i in rest], point(c)
             for slot in slots:
-                triple.insert(slot, points[c])
+                triple.insert(slot, x)
             return Witness(*triple, A.associator(*triple))
     return None
+
+
+def _point_rows(points) -> np.ndarray:
+    """The coordinate rows of validated units or plane points: floats if
+    any point has a float coordinate, otherwise each point's integer form."""
+    if all(p._den for p in points):
+        return _int_rows([p._ints for p in points])
+    return np.array([p.coords for p in points], dtype=float)
+
+
+def _basis_rows(A: Algebra) -> tuple:
+    """The identity rows e_i, floats on a float table, and for each
+    i < n - 1 the rows e_i + e_j, j > i: the points the quadratic laws
+    are decided at and the division test's first candidates."""
+    eye = np.eye(A.dim, dtype=float if A.scalar_mode == "float" else np.int64)
+    return eye, [eye[i] + eye[i + 1:] for i in range(A.dim - 1)]
 
 
 def _commutator_witness(A: Algebra, eps: float) -> Optional[Witness]:
@@ -160,13 +168,10 @@ def _resolve_units(A: Algebra, units, eps: float) -> Tuple[List[Element], bool]:
     """Accept a list of Elements or a UnitLocus; return (points, complete).
     Every point is checked a unit at once, on its coordinate row
     (`units.first_non_unit`), and the first that is not is named."""
-    complete = False
-    if units is None:
-        raise ContextError("partial identities need a nonempty set of imaginary units")
-    points = units
     if isinstance(units, UnitLocus):
-        points, complete = units.points, units.complete
-    points = list(points)
+        points, complete = list(units.points), units.complete
+    else:
+        points, complete = list(units or ()), False
     if not points:
         raise ContextError("partial identities need a nonempty set of imaginary units")
     bad = first_non_unit(A, points, eps)
@@ -234,22 +239,25 @@ def check_identity(
         points, complete = _resolve_units(A, units, eps)
         if units_complete is not None:
             complete = units_complete
-        witness = _associator_witness(A, kind, [(points, False)], eps)
+        witness = _associator_witness(
+            A, kind, [(_point_rows(points), False, points.__getitem__)], eps)
         method = "exhaustive-basis" if complete else f"sampled({len(points)})"
         return IdentityReport(kind, witness is None, witness, method)
 
-    basis = A.basis_elements()
     if kind == IdentityKind.COMMUTATIVE:
         witness = _commutator_witness(A, eps)
     else:
+        eye, pair_sums = _basis_rows(A)
         if kind in C_ASSOC_KINDS:
-            groups = [(_resolve_c_span(A, c_span, eps), False)]
+            plane = _resolve_c_span(A, c_span, eps)
+            groups = [(_point_rows(plane), False, plane.__getitem__)]
         elif kind == IdentityKind.ASSOCIATIVE:  # all n at once: n^5 entries
-            groups = [([e], False) for e in basis]
+            groups = [(eye[i:i + 1], False, lambda c, i=i: A.basis(i))
+                      for i in range(A.dim)]
         else:  # x = e_i, then for each i the sums e_i + e_j, j > i
-            groups = itertools.chain([(basis, False)], (
-                ([basis[i] + basis[j] for j in range(i + 1, A.dim)], True)
-                for i in range(A.dim - 1)))
+            groups = itertools.chain([(eye, False, A.basis)], (
+                (rows, True, lambda c, i=i: A.basis(i) + A.basis(i + 1 + c))
+                for i, rows in enumerate(pair_sums)))
         witness = _associator_witness(A, kind, groups, eps)
     return IdentityReport(kind, witness is None, witness, "exhaustive-basis")
 
@@ -332,16 +340,15 @@ class DivisionReport:
 def _candidate_groups(A: Algebra, samples: int, rng: random.Random):
     """The division test's candidates, group by group, as (rows, den), the
     candidate c being rows[c] / den: the basis, the sums e_i + e_j
-    (i < j), then ``samples`` draws from ``rng``.  A draw makes the calls
-    of `random_element` in their order; on an exact table each coordinate
-    randint(-6, 6) / randint(1, 4) is kept as its value over 12, on a
-    float table each is the ``uniform`` value itself."""
+    (i < j), then ``samples`` draws from ``rng``, coordinate by
+    coordinate.  On an exact table a coordinate is randint(-6, 6) /
+    randint(1, 4), drawn in that order and kept as its value over 12; on
+    a float table it is uniform(-6, 6)."""
     n = A.dim
     exact = A.scalar_mode == "exact"
-    eye = np.eye(n, dtype=np.int64 if exact else float)
+    eye, pair_sums = _basis_rows(A)
     yield eye, 1
-    pairs = list(itertools.combinations(range(n), 2))
-    yield eye[[i for i, _ in pairs]] + eye[[j for _, j in pairs]], 1
+    yield np.concatenate([eye[:0], *pair_sums]), 1
     if exact:
         randint = rng.randint
         draws = [randint(-6, 6) * (12 // randint(1, 4)) for _ in range(samples * n)]
@@ -375,6 +382,8 @@ def is_division_sampled(
     verdict never rests on floats.
     """
     eps = tolerance(eps, A.eps)
+    if samples < 0:
+        raise ParameterError(f"sample count must be nonnegative, got {samples}")
     rng = random.Random(seed)
     exact = A.scalar_mode == "exact"
     checked = 0

@@ -295,6 +295,8 @@ def rational_locus_points(
     check is dropped, and drawing stops after 50 * count + 50 tries, so on
     a table whose units are not that quadric (a wrong ``a``, or a tn point
     with b, c or d nonzero) fewer than ``count`` points come back."""
+    if count < 0:
+        raise ParameterError(f"point count must be nonnegative, got {count}")
     return _fresh_locus_points(A, a, count, seed, set())
 
 
@@ -398,6 +400,8 @@ def locus_sample_points(
     """Points usable for partial-identity checks: the stored points, padded
     with rational locus points not among them when the locus has an
     equation, so each point is held once."""
+    if count < 0:
+        raise ParameterError(f"point count must be nonnegative, got {count}")
     points = list(locus.points)
     if locus.equation is not None and len(points) < count:
         eq = locus.equation

@@ -11,6 +11,7 @@ module holds only what it lacks, and imports no altkit either:
 - `inverse`: the exact inverse of a matrix;
 - `typed`: a type-for-type view, for the pins that compare bit for bit;
 - `coords`: the coordinate lists of some elements;
+- `random_rational` and `random_element`: the tests' seeded draws;
 - `scaled`: a table times 2^40 + 1, the tests' cube past int64;
 - `CATALOG_TABLES`: the catalog points the test modules share, as data.
 
@@ -237,6 +238,20 @@ def scaled(A, c=2**40 + 1):
 def coords(elements):
     """The coordinate lists of some elements; None for None."""
     return None if elements is None else [list(e.coords) for e in elements]
+
+
+def random_rational(rng) -> Fraction:
+    """randint(-6, 6) over randint(1, 4), drawn in that order."""
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+
+def random_element(A, rng):
+    """An element of A drawn coordinate by coordinate: uniform(-6, 6) on a
+    float table, `random_rational` otherwise.  The division test's draws
+    are this stream."""
+    if A.scalar_mode == "float":
+        return A.element([rng.uniform(-6, 6) for _ in range(A.dim)])
+    return A.element([random_rational(rng) for _ in range(A.dim)])
 
 
 # The catalog points the test modules share, as (family, parameters) for

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracle
 from altkit import catalog, core, identities, lie, structure, units
 from altkit.identities import IdentityKind
 
@@ -278,13 +279,13 @@ def test_criterion_9_bilinearity_and_trilinearity():
                 catalog.tp(alpha1=-1, beta2=-1, delta2=1, gamma1=-1)]
     for n in range(1000):
         A = algebras[n % len(algebras)]
-        al, be = (identities.random_rational(rng) for _ in range(2))
-        x, y, z = (identities.random_element(A, rng) for _ in range(3))
+        al, be = (oracle.random_rational(rng) for _ in range(2))
+        x, y, z = (oracle.random_element(A, rng) for _ in range(3))
         assert A.multiply(al * x + be * y, z) == \
             al * A.multiply(x, z) + be * A.multiply(y, z)
         assert A.multiply(z, al * x + be * y) == \
             al * A.multiply(z, x) + be * A.multiply(z, y)
-        w = identities.random_element(A, rng)
+        w = oracle.random_element(A, rng)
         assert core.associator(al * x + be * w, y, z) == \
             al * core.associator(x, y, z) + be * core.associator(w, y, z)
         assert core.associator(y, al * x + be * w, z) == \

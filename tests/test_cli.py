@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracle
 from altkit import catalog, claims, cli, identities, lie
 from altkit.core import Algebra
 
@@ -385,11 +386,11 @@ def _element_loop_bilinearity(seed):
     samples = []
     for n in range(1000):
         alg = algebras[n % 2]
-        al = identities.random_rational(rng)
-        be = identities.random_rational(rng)
-        x = identities.random_element(alg, rng)
-        y = identities.random_element(alg, rng)
-        z = identities.random_element(alg, rng)
+        al = oracle.random_rational(rng)
+        be = oracle.random_rational(rng)
+        x = oracle.random_element(alg, rng)
+        y = oracle.random_element(alg, rng)
+        z = oracle.random_element(alg, rng)
         left = alg.multiply(al * x + be * y, z)
         assert left == al * alg.multiply(x, z) + be * alg.multiply(y, z)
         right = alg.multiply(z, al * x + be * y)

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from altkit import catalog, core
 from altkit.core import Algebra, DimensionError, ParameterError
+from altkit.identities import _point_rows
 import oracle
 from oracle import typed
 
@@ -498,7 +499,8 @@ def test_an_element_form_is_fixed_when_it_is_built(A):
     slots = [(e._ints, e._den) for e in exact + others]
     for e in exact + others:
         e.algebra.associator(e, e, e), e.algebra.mul_operator(e), -e, e / 3, e == e
-        e.algebra.mul_operators([e]), e.algebra.associator_slices((1,), [e])
+        rows = _point_rows([e])
+        e.algebra.mul_operators(rows), e.algebra.associator_slices((1,), rows)
     assert [(e._ints, e._den) for e in exact + others] == slots
     assert all(r._den > 0 for r in (exact[0] + exact[1], exact[0] * exact[2], exact[1] / 7))
 
@@ -515,27 +517,62 @@ def _bits(M):
 
 @pytest.mark.parametrize("A", _catalog_tables(), ids=repr)
 def test_kernels_read_float_coords_as_to_float(A):
-    # a float coordinate makes the kernel float: on the exact table it gives
-    # the arrays of the same coordinates on A.to_float(), bit for bit
+    # float rows make the kernel float: on the exact table they give the
+    # arrays of the same rows on A.to_float(), bit for bit
     rng = random.Random(A.dim + 5)
     n = A.dim
-    rows = [[float(Fraction(k - 2, 4)) for k in range(n)],
-            [rng.uniform(-3, 3) for _ in range(n)],
-            [0.1] + [Fraction(rng.randint(-7, 7), rng.randint(1, 6)) for _ in range(n - 1)],
-            [0.0] * n]
+    F = np.array([[float(Fraction(k - 2, 4)) for k in range(n)],
+                  [rng.uniform(-3, 3) for _ in range(n)],
+                  [0.1] + [float(Fraction(rng.randint(-7, 7), rng.randint(1, 6)))
+                           for _ in range(n - 1)],
+                  [0.0] * n])
     Af = A.to_float()
-    floats, copies = [A.element(r) for r in rows], [Af.element(r) for r in rows]
-    assert all(v._den == 0 for v in floats)
     for slots in SLOT_SETS:
-        got = A.associator_slices(slots, floats)
-        assert np.array_equal(_bits(got), _bits(Af.associator_slices(slots, copies)))
-        for v, w in zip(floats, copies):
-            assert np.array_equal(_bits(A.associator_slices(slots, [v])),
-                                  _bits(Af.associator_slices(slots, [w])))
-    assert np.array_equal(_bits(A.mul_operators(floats)), _bits(Af.mul_operators(copies)))
-    for k in range(len(rows)):
-        assert A.first_singular(floats[k:]) == Af.first_singular(copies[k:])
-    assert A.first_singular(floats[-1:]) == 0  # the zero element
+        assert np.array_equal(_bits(A.associator_slices(slots, F)),
+                              _bits(Af.associator_slices(slots, F)))
+        for c in range(len(F)):
+            assert np.array_equal(_bits(A.associator_slices(slots, F[c:c + 1])),
+                                  _bits(Af.associator_slices(slots, F[c:c + 1])))
+    assert np.array_equal(_bits(A.mul_operators(F)), _bits(Af.mul_operators(F)))
+    for k in range(len(F)):
+        assert A.first_singular(F[k:]) == Af.first_singular(F[k:])
+    assert A.first_singular(F[-1:]) == 0  # the zero row
+
+
+@pytest.mark.parametrize("A", _catalog_tables(), ids=repr)
+def test_float_points_check_as_on_to_float(A):
+    # a unit or plane point with a float coordinate makes its whole group
+    # float, a point with exact coordinates beside it included: each
+    # associator law then gives the report of the same points on
+    # A.to_float(), its witness points bit for bit, and its defect too
+    # unless the witness is exact (then the copy's defect is it rounded)
+    from altkit import identities
+
+    Af = A.to_float()
+    n = A.dim
+    e1 = A.element([1.0 if k == 1 else 0 for k in range(n)])
+    one = A.element([float(c) for c in A.unit])
+    cases = [([e1, -e1], (one, e1)), ([A.basis(1), -e1], (A.one(), e1))]
+    for points, plane in cases:
+        assert all(_point_rows(list(group)).dtype == float for group in (points, plane))
+        for kind in identities.IdentityKind:
+            if kind == identities.IdentityKind.COMMUTATIVE:
+                continue
+            got, want = (identities.check_identity(B, kind, units=units, c_span=span)
+                         for B, units, span in (
+                             (A, points, plane),
+                             (Af, [Af.element(_floats(p.coords)) for p in points],
+                              [Af.element(_floats(p.coords)) for p in plane])))
+            assert (got.holds, got.method) == (want.holds, want.method), kind
+            if got.witness is None:
+                continue
+            g, w = got.witness, want.witness
+            for u, v in zip((g.x, g.y, g.z), (w.x, w.y, w.z)):
+                assert np.array_equal(_float_bits(u.coords), _float_bits(v.coords))
+            if g.defect._den:
+                assert np.allclose(_floats(g.defect.coords), w.defect.coords, rtol=1e-12, atol=0)
+            else:
+                assert np.array_equal(_float_bits(g.defect.coords), _float_bits(w.defect.coords))
 
 
 def _float_bits(coords):
@@ -619,8 +656,9 @@ def test_mul_operators_stay_int64_on_a_python_int_cube(A):
     rng = random.Random(A.dim)
     vectors = [[Fraction(rng.randint(-7, 7), rng.randint(1, 6)) for _ in range(A.dim)]
                for _ in range(3)] + [[c] * A.dim]
-    small = A.mul_operators([A.element(v) for v in vectors])
-    ops = big.mul_operators([big.element(v) for v in vectors])
+    rows = _point_rows([A.element(v) for v in vectors])
+    assert np.array_equal(rows, _point_rows([big.element(v) for v in vectors]))
+    small, ops = A.mul_operators(rows), big.mul_operators(rows)
     assert ops.dtype == np.int64
     assert np.array_equal(ops, small * (c % core.MODULUS) % core.MODULUS)
 
@@ -683,7 +721,7 @@ def test_square_slices_match_the_element_associator(A):
     rng = random.Random(A.dim + 2)
     points = _square_points(A, rng)
     for slots, shape in SQUARE_SHAPES.items():
-        Q = A.associator_slices(slots, points)
+        Q = A.associator_slices(slots, _point_rows(points))
         assert Q.shape == (len(points), A.dim, A.dim) and Q.dtype == np.int64
         for v, rows in zip(points, Q):
             want = [A.associator(*shape(v, y)).coords for y in A.basis_elements()]
@@ -696,7 +734,7 @@ def test_square_slices_match_the_element_associator(A):
     Af = A.to_float()
     fpoints = [Af.element([rng.uniform(-3, 3) for _ in range(A.dim)]) for _ in range(3)]
     for slots, shape in SQUARE_SHAPES.items():
-        Q = Af.associator_slices(slots, fpoints)
+        Q = Af.associator_slices(slots, _point_rows(fpoints))
         assert Q.dtype == float
         want = [[Af.associator(*shape(v, y)).coords for y in Af.basis_elements()]
                 for v in fpoints]
@@ -707,7 +745,19 @@ def test_square_slices_reject_bad_slots(H):
     for slots in [(0, 0), (1, 0), (2, 1), (0, 3), (0, 1, 2), (), (3,), (-1,),
                   [0, 1], 0, 1, None, "left"]:
         with pytest.raises(ParameterError):
-            H.associator_slices(slots, [H.one()])
+            H.associator_slices(slots, np.eye(4)[:1])
+
+
+def test_kernels_reject_elements(H):
+    # the kernels take coordinate rows only: a list of Elements is
+    # malformed rows, as rows of the wrong width are
+    for arg in ([H.one()], H.basis_elements(), np.eye(3)):
+        with pytest.raises(DimensionError, match="rows"):
+            H.associator_slices((0, 1), arg)
+        with pytest.raises(DimensionError, match="rows"):
+            H.mul_operators(arg)
+        with pytest.raises(DimensionError, match="rows"):
+            H.first_singular(arg)
 
 
 ONE_SLOT_SHAPES = {(0,): lambda v, y, z: (v, y, z), (1,): lambda v, y, z: (y, v, z),
@@ -724,7 +774,7 @@ def test_one_slot_slices_match_the_element_associator(A):
     Af = A.to_float()
     fpoints = [Af.element([rng.uniform(-3, 3) for _ in range(A.dim)]) for _ in range(2)]
     for slots, shape in ONE_SLOT_SHAPES.items():
-        D = A.associator_slices(slots, points)
+        D = A.associator_slices(slots, _point_rows(points))
         assert D.shape == (len(points),) + (A.dim,) * 3 and D.dtype == np.int64
         for v, rows in zip(points, D):
             want = [[A.associator(*shape(v, y, z)).coords for z in basis] for y in basis]
@@ -733,7 +783,8 @@ def test_one_slot_slices_match_the_element_associator(A):
             assert all((q == 0) == (w == 0) for q, w in zip(rows.flat, np.ravel(want)))
         want = [[[Af.associator(*shape(v, y, z)).coords for z in Af.basis_elements()]
                  for y in Af.basis_elements()] for v in fpoints]
-        assert np.allclose(Af.associator_slices(slots, fpoints), want, rtol=0, atol=1e-9)
+        assert np.allclose(Af.associator_slices(slots, _point_rows(fpoints)), want,
+                           rtol=0, atol=1e-9)
 
 
 def _loop_unit_violation(sc, unit, labels, eps):
@@ -847,7 +898,7 @@ def test_bad_per_call_eps_is_rejected_everywhere(bad):
     calls = [
         lambda: H.one().is_zero(bad),
         lambda: H.mul_operator(H.one()).is_singular(bad),
-        lambda: H.first_singular([H.one()], bad),
+        lambda: H.first_singular(np.eye(4)[:1], bad),
         lambda: identities.check_identity(H, "associative", eps=bad),
         lambda: identities.is_strictly_middle(H, eps=bad),
         lambda: identities.is_division_sampled(H, eps=bad),

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from altkit import catalog, identities, linalg
-from altkit.core import MODULUS, Algebra, Element
-from altkit.identities import DivisionReport, random_element
+from altkit.core import MODULUS, Algebra, ParameterError
+from altkit.identities import DivisionReport, _point_rows
 import oracle
-from oracle import typed
+from oracle import random_element, typed
 
 
 # contract: the division test's verdict, witness and sampled(k) count
@@ -86,7 +86,7 @@ def test_batched_float_dets_are_det_bit_for_bit():
     for A in tables:
         candidates = A.basis_elements() + [random_element(A, rng) for _ in range(100 - A.dim)]
         for eps in (A.eps, 0.5):
-            dets = linalg.dets(A.mul_operators(candidates), eps)
+            dets = linalg.dets(A.mul_operators(_point_rows(candidates)), eps)
             for a, pair in zip(candidates, dets):
                 for side, got in zip(("left", "right"), pair):
                     want = linalg.det(A.mul_operator(a, side).matrix, eps)
@@ -99,10 +99,10 @@ def test_determinant_divisible_by_the_modulus_is_confirmed_exactly():
     # e1 * e1 = -MODULUS: det L_(x + y e1) = x^2 + MODULUS y^2, zero modulo
     # the prime whenever x is, yet zero only at x = y = 0
     A = Algebra([[[1, 0], [0, 1]], [[0, 1], [-MODULUS, 0]]], unit=[1, 0])
-    V = [A.element(v) for v in ([1, 0], [0, 1], [1, 1])]
+    V = np.array([[1, 0], [0, 1], [1, 1]])
     assert linalg.nonsingular_mod(A.mul_operators(V)).tolist() == [
         [True, True], [False, False], [True, True]]
-    assert [A.first_singular([v]) for v in V] == [None, None, None]
+    assert [A.first_singular(V[c:c + 1]) for c in range(3)] == [None, None, None]
     report = identities.is_division_sampled(A, samples=50, seed=3)
     assert report.division
     assert _typed(report) == _typed(_loop_is_division_sampled(A, samples=50, seed=3))
@@ -134,9 +134,17 @@ def test_zero_candidates_are_skipped_and_not_counted():
     assert _typed(report) == _typed(_loop_is_division_sampled(B, samples=200, seed=1, eps=1.5))
 
 
+def test_a_negative_sample_count_is_rejected():
+    H = catalog.quaternions()
+    for A in (H, H.to_float()):
+        with pytest.raises(ParameterError, match="-1"):
+            identities.is_division_sampled(A, samples=-1)
+    assert identities.is_division_sampled(H, samples=0).method == "sampled(10)"
+
+
 def test_singular_flags_on_exact_tables_rest_on_the_modulus():
     M = catalog.mplus()
-    V = [M.element(v) for v in ([1, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0])]
+    V = np.array([[1, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0]])
     ops = M.mul_operators(V)
     assert ops.dtype == np.int64 and ops.min() >= 0 and ops.max() < MODULUS
     # 1 + j is a zero divisor of mplus; 1 and i are not
@@ -144,34 +152,15 @@ def test_singular_flags_on_exact_tables_rest_on_the_modulus():
     assert M.first_singular(V) == 0 and M.first_singular(V[1:]) is None
 
 
-def _count_elements(monkeypatch) -> list:
-    """Spy on both ways an Element is built, `Element.__init__` and
-    `Element._of`; returns the list each new Element is appended to."""
-    built = []
-    of, init = Element._of.__func__, Element.__init__
-
-    def spy_of(cls, *args):
-        e = of(cls, *args)
-        built.append(e)
-        return e
-
-    def spy_init(self, *args):
-        init(self, *args)
-        built.append(self)
-
-    monkeypatch.setattr(Element, "_of", classmethod(spy_of))
-    monkeypatch.setattr(Element, "__init__", spy_init)
-    return built
-
-
 @pytest.mark.parametrize("float_table", [False, True])
-def test_a_division_scan_builds_an_element_only_for_its_witness(float_table, monkeypatch):
+def test_a_division_scan_builds_an_element_only_for_its_witness(float_table, built_elements):
     H, M = catalog.quaternions(), catalog.mplus()
     if float_table:
         H, M = H.to_float(), M.to_float()
     for A in (H, M):
-        A.basis_elements()  # the cached basis slots are built before the spy
-    built = _count_elements(monkeypatch)
+        A.basis_elements()  # the cached basis slots are built before the count
+    built = built_elements
+    built.clear()
     # a full scan: the basis, the six sums and 200 draws, and no Element
     report = identities.is_division_sampled(H, seed=0)
     assert (report.division, report.method) == (True, "sampled(210)")
@@ -193,8 +182,8 @@ def test_basis_and_pair_operators_are_the_loop_bit_for_bit(A):
     dense = [random_element(A, rng) for _ in range(2)]
     pairs = [basis[i] + basis[j] for i, j in itertools.combinations(range(A.dim), 2)]
     for group in (basis, pairs, [-2 * e for e in basis]):
-        got = A.mul_operators(group)
-        want = A.mul_operators(group + dense)[:len(group)]
+        got = A.mul_operators(_point_rows(group))
+        want = A.mul_operators(_point_rows(group + dense))[:len(group)]
         assert typed(got) == typed(want)
         if A.scalar_mode == "float":
             for v, ops in zip(group, got):

@@ -334,7 +334,8 @@ def test_kernel_stays_exact_past_int64(table, jacobi):
     # the units of big are those of table over c
     big_points = [big.element([x / c for x in q.coords]) for q in points]
     if len(points) > 2:  # n * vmax^2 past int64: Python ints on the small table too
-        assert table.associator_slices((0, 1), points[2:]).dtype == object
+        rows = identities._point_rows(points[2:])
+        assert table.associator_slices((0, 1), rows).dtype == object
     for kind in IdentityKind:
         spans = [None, None]
         if kind in identities.C_ASSOC_KINDS:
@@ -539,10 +540,11 @@ def test_quadratic_kernel_matches_the_references_on_sparse_tables(sc, rng):
     for A in (exact, exact.to_float()):
         assert_quadratic_reports_match(A)
         # the partial search at points that need not be units
-        points = [identities.random_element(A, rng) for _ in range(3)]
+        points = [oracle.random_element(A, rng) for _ in range(3)]
         points.append(A.basis(rng.randrange(A.dim)))
         for kind in identities.PARTIAL_KINDS:
-            got = identities._associator_witness(A, kind, [(points, False)], A.eps)
+            got = identities._associator_witness(
+                A, kind, [(identities._point_rows(points), False, points.__getitem__)], A.eps)
             assert_witness_is_the_scan(A, got, _scan(A, kind, [(oracle.coords(points), False)]))
 
 
@@ -556,7 +558,7 @@ def assert_slices_match_the_references(A, points):
     sums in another order: 1.1e-13 at most on these tests' tables, whose
     slice entries reach 580)."""
     for slots in SLOT_SETS:
-        got = A.associator_slices(slots, points)
+        got = A.associator_slices(slots, identities._point_rows(points))
         want, exact = _reference_slices(A, slots, oracle.coords(points))
         assert got.shape == want.shape
         if not exact:
@@ -604,7 +606,7 @@ def test_associator_slices_match_the_reftable_slices_on_catalog(A):
     # the kernel against RefTable's slices
     rng = random.Random(A.dim)
     for B, points, _ in _tables_and_units(A):
-        drawn = [identities.random_element(B, rng) for _ in range(3)]
+        drawn = [oracle.random_element(B, rng) for _ in range(3)]
         assert_slices_match_the_references(B, B.basis_elements() + points + drawn)
 
 
@@ -635,6 +637,33 @@ def test_a_sum_witness_is_read_basis_index_first():
         assert_report_is_the_scan(A, kind)
 
 
+@pytest.mark.parametrize("A, kind", [
+    (B, kind) for tables, kind in (((catalog.ak(3), catalog.ak(10)), IdentityKind.FLEXIBLE),
+                                   ((catalog.quaternions(),), IdentityKind.LEFT_ALT))
+    for A in tables for B in (A, A.to_float())], ids=repr)
+def test_a_quadratic_scan_that_holds_builds_no_element(A, kind, built_elements):
+    # the kernel reads the points e_i and e_i + e_j as coordinate rows
+    report = identities.check_identity(A, kind)
+    assert (report.holds, report.method) == (True, "exhaustive-basis")
+    assert built_elements == []
+
+
+@pytest.mark.parametrize("float_table", [False, True])
+def test_a_failing_pair_sum_scan_keeps_its_witness(float_table):
+    # flexible fails on tn(c=1) first at x = i + j, the Element of that
+    # pair-sum row, read basis index first: y = j
+    A = catalog.tn(c=1)
+    if float_table:
+        A = A.to_float()
+    w = identities.check_identity(A, IdentityKind.FLEXIBLE).witness
+    assert (repr(w.x), repr(w.y), repr(w.z)) == ("<i + j>", "<j>", "<i + j>")
+    assert repr(w.defect) == ("<-2.0*k>" if float_table else "<-2*k>")
+    scalar = float if float_table else Fraction
+    for e, coords in ((w.x, [0, 1, 1, 0]), (w.y, [0, 0, 1, 0]), (w.z, [0, 1, 1, 0]),
+                      (w.defect, [0, 0, 0, -2])):
+        assert oracle.typed(e) == oracle.typed([scalar(c) for c in coords])
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_tables(), st.randoms(use_true_random=False))
 def test_associator_kernel_and_search_match_the_scan_on_sparse_tables(sc, rng):
@@ -642,13 +671,14 @@ def test_associator_kernel_and_search_match_the_scan_on_sparse_tables(sc, rng):
     exact = Algebra(sc)
     plane = Algebra(unitalized(sc), unit=[1] + [0] * (n - 1))
     for A in (exact, exact.to_float(), plane, plane.to_float(), oracle.scaled(plane)):
-        points = [identities.random_element(A, rng) for _ in range(3)]
+        points = [oracle.random_element(A, rng) for _ in range(3)]
         points.append(A.basis(rng.randrange(A.dim)))
         assert_slices_match_the_references(A, points)
         assert_reports_are_the_scan(A)
         # the partial search at points that need not be units
         for kind in identities.PARTIAL_KINDS:
-            got = identities._associator_witness(A, kind, [(points, False)], A.eps)
+            got = identities._associator_witness(
+                A, kind, [(identities._point_rows(points), False, points.__getitem__)], A.eps)
             assert_witness_is_the_scan(A, got, _scan(A, kind, [(oracle.coords(points), False)]))
 
 

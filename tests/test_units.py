@@ -739,6 +739,17 @@ def test_tc_strict_point_has_units_off_i_where_partial_laws_fail():
                                          units=[q]).holds
 
 
+def test_locus_samplers_reject_a_negative_count():
+    H = catalog.quaternions()
+    locus = units.classify_locus_tn(H)
+    with pytest.raises(ParameterError, match="-3"):
+        units.rational_locus_points(H, -1, -3)
+    with pytest.raises(ParameterError, match="-1"):
+        units.locus_sample_points(locus, H, -1)
+    assert units.rational_locus_points(H, -1, 0) == []
+    assert units.locus_sample_points(locus, H, 0) == []
+
+
 def test_grid_search_rejects_bad_arguments():
     H = catalog.quaternions()
     for step in (0, F(-1, 4), -0.5):
