@@ -592,9 +592,9 @@ class Algebra:
         on an exact table give _scale times the product, as int64, or
         Python ints (object) where `_fits_int64` fails for the rows'
         largest entries.  Every unit check squares its points here, all of
-        them in one call on their rows (`units.first_non_unit`, the locus
-        sampler, the Newton re-check), so the rows +-e1 cost one column
-        pair."""
+        them in one call on their rows (the partial laws' units, the locus
+        sampler, the Newton re-check), and the plane check takes its pair's
+        four products in one call; the rows +-e1 cost one column pair."""
         X, Y = np.asarray(X), np.asarray(Y)
         if X.ndim != 2 or X.shape != Y.shape or X.shape[1] != self.dim:
             raise DimensionError(
@@ -679,10 +679,12 @@ class Algebra:
         S the cube of `to_float()`.  Otherwise each row is integers, a
         positive multiple of its vector; S and X are int64 when
         `_fits_int64` holds for the kernel's product of ``degree`` such
-        rows, and Python ints otherwise."""
+        rows, and Python ints otherwise.  Object rows must hold integers."""
         S, n, X = self.cube, self.dim, np.asarray(X)
         if X.ndim != 2 or X.shape[1] != n:
             raise DimensionError(f"rows must be an (N, {n}) array, got {X.shape}")
+        if X.dtype == object and not all(isinstance(v, numbers.Integral) for v in X.flat):
+            raise DimensionError("object rows must hold integers")
         if X.dtype.kind == "f" or S.dtype == float:
             return self.to_float().cube, X.astype(float, copy=False)
         vmax = int(np.abs(X).max(initial=0))

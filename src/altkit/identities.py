@@ -15,9 +15,9 @@ the points as coordinate rows, and an Element is built only for a
 witness.  A point with a float coordinate makes its group's rows float,
 so defects are compared within eps, as the Element associator compares
 them.  Only the partial forms over a unit set not known to be complete,
-and the division test, are sampled.  The distinguished plane is
-validated by one elimination of its pair beside the unit and the pair's
-four products.
+and the division test, are sampled.  Given units and the distinguished
+plane's pair are checked on the rows the kernel reads, one batched
+product for the units of each form and for the pair's four products.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .core import (
     first_defect,
     tolerance,
 )
-from .units import UnitLocus, _int_rows, first_non_unit
+from .units import UnitLocus, _are_units, _int_rows
 
 DEFAULT_SAMPLES = 200
 
@@ -137,8 +137,9 @@ def _associator_witness(A: Algebra, kind: IdentityKind, groups,
 
 
 def _point_rows(points) -> np.ndarray:
-    """The coordinate rows of validated units or plane points: floats if
-    any point has a float coordinate, otherwise each point's integer form."""
+    """The coordinate rows of given units or plane points, as the kernel
+    reads them: floats if any point has a float coordinate, otherwise each
+    point's integer form."""
     if all(p._den for p in points):
         return _int_rows([p._ints for p in points])
     return np.array([p.coords for p in points], dtype=float)
@@ -164,33 +165,42 @@ def _commutator_witness(A: Algebra, eps: float) -> Optional[Witness]:
     return Witness(x, y, None, A.commutator(x, y))
 
 
-def _resolve_units(A: Algebra, units, eps: float) -> Tuple[List[Element], bool]:
-    """Accept a list of Elements or a UnitLocus; return (points, complete).
-    Every point is checked a unit at once, on its coordinate row
-    (`units.first_non_unit`), and the first that is not is named."""
+def _resolve_units(A: Algebra, units, eps: float) -> Tuple[List[Element], np.ndarray, bool]:
+    """Accept a list of Elements or a UnitLocus; return (points, rows,
+    complete), rows the kernel's (`_point_rows`).  Each form present is
+    checked in one `units._are_units` call, exact points exactly and float
+    ones within eps, and the first non-unit is named.  A set of one form
+    hands the kernel the very array it squared."""
     if isinstance(units, UnitLocus):
         points, complete = list(units.points), units.complete
     else:
         points, complete = list(units or ()), False
     if not points:
         raise ContextError("partial identities need a nonempty set of imaginary units")
-    bad = first_non_unit(A, points, eps)
-    if bad is not None:
-        raise ContextError(f"supplied point {points[bad]!r} is not an imaginary unit")
-    return points, complete
+    A._own(*points)
+    bad = []
+    for group in ([c for c, q in enumerate(points) if q._den],
+                  [c for c, q in enumerate(points) if not q._den]):
+        if group:
+            rows = _point_rows([points[c] for c in group])
+            dens = None if rows.dtype == float else [points[c]._den for c in group]
+            bad += [c for c, ok in zip(group, _are_units(A, rows, dens, eps)) if not ok]
+    if bad:
+        raise ContextError(f"supplied point {points[min(bad)]!r} is not an imaginary unit")
+    return points, rows if len(rows) == len(points) else _point_rows(points), complete
 
 
 class _Plane(tuple):
     """An ordered pair `_resolve_c_span` has validated on ``algebra`` at
-    ``eps``: handed on, it is not validated again."""
+    ``eps``, with its kernel ``rows``: handed on, it is not checked again."""
 
-    def __new__(cls, pair, algebra: Algebra, eps: float):
+    def __new__(cls, pair, rows: np.ndarray, algebra: Algebra, eps: float):
         plane = super().__new__(cls, pair)
-        plane.algebra, plane.eps = algebra, eps
+        plane.rows, plane.algebra, plane.eps = rows, algebra, eps
         return plane
 
 
-def _resolve_c_span(A: Algebra, c_span, eps: float) -> Tuple[Element, Element]:
+def _resolve_c_span(A: Algebra, c_span, eps: float) -> _Plane:
     """Validate an ordered pair spanning a 2-dim subalgebra that contains
     1, unless it is a `_Plane` already validated on A at eps."""
     if isinstance(c_span, _Plane) and c_span.algebra is A and c_span.eps == eps:
@@ -201,18 +211,21 @@ def _resolve_c_span(A: Algebra, c_span, eps: float) -> Tuple[Element, Element]:
         )
     c1, c2 = c_span
     A._own(c1, c2)
-    # one elimination of the columns [c1 c2 | 1, c1c1, c1c2, c2c1, c2c2]
-    # (0 for a missing unit): a later pivot puts its vector outside the plane
+    # the pair's kernel rows and their four products, each exact column a
+    # positive multiple of its vector (no pivot moves), then one elimination
+    # of [c1 c2 | 1, c1c1, c1c2, c2c1, c2c2] (0 for a missing unit): a later
+    # pivot puts its vector outside the plane
+    X = _point_rows((c1, c2))
+    prods = A.multiply_rows(X[[0, 0, 1, 1]], X[[0, 1, 0, 1]]).tolist()
     unit = A.unit or (0,) * A.dim
-    prods = [A.multiply(p, q).coords for p, q in itertools.product((c1, c2), repeat=2)]
-    _, pivots = linalg.rref(list(map(list, zip(c1.coords, c2.coords, unit, *prods))), eps)
+    _, pivots = linalg.rref(list(map(list, zip(*X.tolist(), unit, *prods))), eps)
     if pivots[:2] != [0, 1]:
         raise ContextError("the two span elements are linearly dependent")
     if A.unit is None or 2 in pivots:
         raise ContextError("the distinguished plane must contain the unit element")
     if len(pivots) > 2:
         raise ContextError("the distinguished plane is not closed under products")
-    return _Plane((c1, c2), A, eps)
+    return _Plane((c1, c2), X, A, eps)
 
 
 def check_identity(
@@ -236,11 +249,10 @@ def check_identity(
     eps = tolerance(eps, A.eps)
 
     if kind in PARTIAL_KINDS:
-        points, complete = _resolve_units(A, units, eps)
+        points, rows, complete = _resolve_units(A, units, eps)
         if units_complete is not None:
             complete = units_complete
-        witness = _associator_witness(
-            A, kind, [(_point_rows(points), False, points.__getitem__)], eps)
+        witness = _associator_witness(A, kind, [(rows, False, points.__getitem__)], eps)
         method = "exhaustive-basis" if complete else f"sampled({len(points)})"
         return IdentityReport(kind, witness is None, witness, method)
 
@@ -250,7 +262,7 @@ def check_identity(
         eye, pair_sums = _basis_rows(A)
         if kind in C_ASSOC_KINDS:
             plane = _resolve_c_span(A, c_span, eps)
-            groups = [(_point_rows(plane), False, plane.__getitem__)]
+            groups = [(plane.rows, False, plane.__getitem__)]
         elif kind == IdentityKind.ASSOCIATIVE:  # all n at once: n^5 entries
             groups = [(eye[i:i + 1], False, lambda c, i=i: A.basis(i))
                       for i in range(A.dim)]
@@ -301,7 +313,8 @@ def is_strictly_middle(
     """Does the middle plane-associativity hold while left or right fails?
 
     Raises NotApplicableError when the middle condition itself fails.  The
-    plane is validated once, and its three checks take it as validated.
+    plane is validated and turned into rows once, and its three checks
+    take it as it is.
     """
     eps = tolerance(eps, A.eps)
     if c_span is None and A.dim >= 2 and A.unit is not None:

@@ -6,10 +6,10 @@ passes); as soon as a float appears the caller-supplied epsilon (or the
 global default) decides what counts as zero.  Matrices are small (n <= 22
 in the catalog, `ak(10)`), and one at a time they go through plain Python
 loops.  Span membership has no routine of its own: callers eliminate the
-columns [basis | vectors] with `rref` once and read the pivots.  Two routines take a whole stack of them at once, for the division
-test: `dets`, `det` on floats vectorised bit for bit, and
-`nonsingular_mod`, which decides a determinant's zeroness modulo the prime
-`core.MODULUS`.
+columns [basis | vectors] with `rref` once and read the pivots.  Two
+routines take a whole stack of them at once, for the division test:
+`dets`, `det` on floats vectorised bit for bit, and `nonsingular_mod`,
+which decides a determinant's zeroness modulo the prime `core.MODULUS`.
 """
 
 from __future__ import annotations

@@ -277,9 +277,11 @@ def classify_middle_c(source, eps: Optional[float] = None) -> MiddleClassificati
     f = 0, g = -a, h = 0, e = 0; a violated one is the reason reported.
     The verdict then follows the sign of a: positive -> Mplus, zero ->
     Mzero, negative -> H, witnessed by the column-scaling map 1->1, i->i,
-    j->sqrt|a| j, k->sqrt|a| k into the target table, which is re-verified
-    as an isomorphism.  The target is associative, so a verified witness
-    also proves partial left and right alternativity everywhere.
+    j->sqrt|a| j, k->sqrt|a| k into the target table.  The map is
+    invertible by construction, so preserving every basis product
+    (`core.morphism_defect`) verifies it an isomorphism.  The target is
+    associative, so a verified witness also proves partial left and right
+    alternativity everywhere.
     """
     A = source if isinstance(source, Algebra) else catalog.tn(**dict(source))
     params = catalog.tn_params(A)
@@ -319,7 +321,7 @@ def classify_middle_c(source, eps: Optional[float] = None) -> MiddleClassificati
     witness[2][2] = scale
     witness[3][3] = scale
     target = target_algebra(target_name)
-    verified = is_isomorphism(A, target, witness, eps).ok
+    verified = morphism_defect(A, target, witness, eps) is None
     return MiddleClassification(
         target_name, None,
         tuple(tuple(row) for row in witness), verified, params,

@@ -92,28 +92,6 @@ def verify_unit(A: Algebra, q: Element, tol: Optional[float] = None) -> bool:
     return defect.is_zero(tol)
 
 
-def first_non_unit(A: Algebra, points, tol: Optional[float] = None) -> Optional[int]:
-    """The index of the first Element of ``points`` that `verify_unit`
-    rejects at tol, or None.  The exact points are checked together on
-    their integer rows, and the points with a float coordinate together on
-    their float rows (`_are_units`): one batched product for each kind
-    present."""
-    tol = tolerance(tol, A.eps)
-    A._own(*points)
-    exact = [c for c, q in enumerate(points) if q._den]
-    floats = [c for c, q in enumerate(points) if not q._den]
-    bad = []
-    if exact:
-        passed = _are_units(A, _int_rows([points[c]._ints for c in exact]),
-                            [points[c]._den for c in exact], tol)
-        bad += [c for c, ok in zip(exact, passed) if not ok]
-    if floats:
-        passed = _are_units(A, np.array([points[c].coords for c in floats], dtype=float),
-                            None, tol)
-        bad += [c for c, ok in zip(floats, passed) if not ok]
-    return min(bad, default=None)
-
-
 def _are_units(A: Algebra, X: np.ndarray, dens, tol: float):
     """Which of the points are units of A, `verify_unit`'s verdict on
     each, by one `Algebra.multiply_rows` call on their coordinate rows.

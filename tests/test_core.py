@@ -760,6 +760,20 @@ def test_kernels_reject_elements(H):
             H.first_singular(arg)
 
 
+def test_kernels_reject_object_rows_that_are_not_integers():
+    # read as integers, the row (i + j) / 2 would be truncated to zero
+    T = catalog.tn(c=1)
+    assert T.associator_slices((0, 2), np.array([[0, 1, 1, 0]], dtype=object)).any()
+    for row in ([0, Fraction(1, 2), Fraction(1, 2), 0], [0, 1, 0.5, 0]):
+        X = np.array([row], dtype=object)
+        with pytest.raises(DimensionError, match="rows must hold integers"):
+            T.associator_slices((0, 2), X)
+        with pytest.raises(DimensionError, match="rows must hold integers"):
+            T.mul_operators(X)
+        with pytest.raises(DimensionError, match="rows must hold integers"):
+            T.first_singular(X)
+
+
 ONE_SLOT_SHAPES = {(0,): lambda v, y, z: (v, y, z), (1,): lambda v, y, z: (y, v, z),
                    (2,): lambda v, y, z: (y, z, v)}
 

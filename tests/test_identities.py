@@ -648,6 +648,22 @@ def test_a_quadratic_scan_that_holds_builds_no_element(A, kind, built_elements):
     assert built_elements == []
 
 
+@pytest.mark.parametrize("A", [
+    B for A in (catalog.tn_special_case(F(2, 3), F(5, 4)), catalog.quaternions(),
+                catalog.mzero()) for B in (A, A.to_float())], ids=repr)
+def test_a_c_assoc_check_that_holds_builds_no_element(A, built_elements):
+    # the plane's pair is checked and searched on its coordinate rows
+    span = c_span(A)
+    built_elements.clear()
+    for kind in identities.C_ASSOC_KINDS:
+        report = identities.check_identity(A, kind, c_span=span)
+        assert (report.holds, report.method) == (True, "exhaustive-basis"), kind
+    assert built_elements == []
+    assert identities.is_strictly_middle(A, span).to_dict() == {
+        "strict": False, "witness": None, "left_holds": True, "right_holds": True}
+    assert built_elements == []
+
+
 @pytest.mark.parametrize("float_table", [False, True])
 def test_a_failing_pair_sum_scan_keeps_its_witness(float_table):
     # flexible fails on tn(c=1) first at x = i + j, the Element of that
@@ -801,7 +817,10 @@ def test_unit_points_are_checked_in_one_product_naming_the_first_non_unit(monkey
                 identities._resolve_units(A, points, A.eps)
             assert str(err.value) == f"supplied point {bad[0]!r} is not an imaginary unit"
         else:
-            assert identities._resolve_units(A, points, A.eps) == (points, False)
+            got, rows, complete = identities._resolve_units(A, points, A.eps)
+            assert (got, complete) == (points, False)
+            want = identities._point_rows(points)
+            assert rows.dtype == want.dtype and np.array_equal(rows, want)
         # one product for each kind of point present, exact or float
         exact = sum(1 for q in points if q._den)
         assert sorted(products) == sorted(k for k in (exact, len(points) - exact) if k), A
@@ -812,6 +831,42 @@ def test_unit_points_are_checked_in_one_product_naming_the_first_non_unit(monkey
     with pytest.raises(ContextError, match=r"supplied point <i \+ j>"):
         identities._resolve_units(H, [q, H.basis(1), H.basis(1) + H.basis(2), q], H.eps)
     assert sorted(products) == [2, 2]
+
+
+def test_a_partial_check_converts_its_units_once(monkeypatch):
+    A = catalog.ak(1)
+    e1 = A.basis(1)
+    calls, int_rows = [], units._int_rows
+
+    def spy(ints):
+        calls.append(len(ints))
+        return int_rows(ints)
+
+    for module in (units, identities):
+        monkeypatch.setattr(module, "_int_rows", spy)
+    report = identities.check_identity(A, "partial-left-alt", units=[e1, -e1])
+    assert report.holds and calls == [2]
+
+
+@pytest.mark.parametrize("case", ["ak", "cloud"])
+def test_the_kernel_reads_the_array_the_unit_check_squared(case, monkeypatch):
+    if case == "ak":
+        A = catalog.ak(1)
+        points = [A.basis(1), -A.basis(1)]
+    else:  # float points on an exact table
+        A = catalog.quaternions()
+        points = list(units.solve_units_sampled(A, seeds=20, seed=1).points)
+    squared, read = [], []
+    are_units, slices = identities._are_units, Algebra.associator_slices
+    monkeypatch.setattr(identities, "_are_units",
+                        lambda A, X, *args: squared.append(X) or are_units(A, X, *args))
+    monkeypatch.setattr(Algebra, "associator_slices",
+                        lambda self, slots, rows: read.append(rows) or slices(self, slots, rows))
+    for kind in identities.PARTIAL_KINDS:
+        del squared[:], read[:]
+        assert identities.check_identity(A, kind, units=points).holds
+        assert len(squared) == len(read) == 1 and read[0] is squared[0], kind
+        assert read[0].dtype == (np.int64 if case == "ak" else float)
 
 
 @pytest.mark.parametrize("A", [catalog.tc(a=1, h=1), catalog.mzero(), catalog.tn(a=-1, g=1, h=1),
