@@ -594,11 +594,14 @@ class Algebra:
         largest entries.  Every unit check squares its points here, all of
         them in one call on their rows (the partial laws' units, the locus
         sampler, the Newton re-check), and the plane check takes its pair's
-        four products in one call; the rows +-e1 cost one column pair."""
+        four products in one call; the rows +-e1 cost one column pair.
+        Object rows must hold integers, as the tensor kernels' rows must
+        (`_require_integer_objects`)."""
         X, Y = np.asarray(X), np.asarray(Y)
         if X.ndim != 2 or X.shape != Y.shape or X.shape[1] != self.dim:
             raise DimensionError(
                 f"rows must be two (N, {self.dim}) arrays, got {X.shape} and {Y.shape}")
+        _require_integer_objects(X, Y)
         square = Y is X  # a unit check: the rows' columns are read once
         if self._scalar_mode == "float" or "f" in (X.dtype.kind, Y.dtype.kind):
             table, dtype = self.to_float(), float
@@ -679,12 +682,12 @@ class Algebra:
         S the cube of `to_float()`.  Otherwise each row is integers, a
         positive multiple of its vector; S and X are int64 when
         `_fits_int64` holds for the kernel's product of ``degree`` such
-        rows, and Python ints otherwise.  Object rows must hold integers."""
+        rows, and Python ints otherwise.  Object rows must hold integers
+        (`_require_integer_objects`)."""
         S, n, X = self.cube, self.dim, np.asarray(X)
         if X.ndim != 2 or X.shape[1] != n:
             raise DimensionError(f"rows must be an (N, {n}) array, got {X.shape}")
-        if X.dtype == object and not all(isinstance(v, numbers.Integral) for v in X.flat):
-            raise DimensionError("object rows must hold integers")
+        _require_integer_objects(X)
         if X.dtype.kind == "f" or S.dtype == float:
             return self.to_float().cube, X.astype(float, copy=False)
         vmax = int(np.abs(X).max(initial=0))
@@ -878,6 +881,15 @@ def _require_finite(values, what: str) -> None:
     for c in values:
         if not math.isfinite(c):
             raise ParameterError(f"{what} must be finite, got {c!r}")
+
+
+def _require_integer_objects(*arrays: np.ndarray) -> None:
+    """The rule for coordinate rows held as Python objects: they are read
+    as integers, so each entry must be one (DimensionError otherwise); a
+    float coordinate belongs in float rows."""
+    for X in arrays:
+        if X.dtype == object and not all(isinstance(v, numbers.Integral) for v in X.flat):
+            raise DimensionError("object rows must hold integers")
 
 
 def _fits_int64(n: int, smax: int, vmax: int) -> bool:

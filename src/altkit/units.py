@@ -11,20 +11,25 @@ exact locus for tn-family points, where the solution set in the span of
 {i, j, k} is cut out by -x^2 + a(y^2 + z^2) = -1, and a sampler draws
 rational points on it as integer rows, checking each round of draws as
 units by one batched product and building Elements only for the points
-that pass.  A box-pruned grid search enumerates, completely, every grid
-point of a coordinate box that solves the equation; interval bounds
-discard boxes that provably contain no solution, so the full grid never
-has to be visited point by point.
-The bounds and the point test are exact integer arithmetic on one
+that pass.  A box-pruned grid search lists, completely and in ascending
+grid-index order, every grid point of a coordinate box that solves the
+equation; interval bounds discard boxes that provably contain no
+solution, so the full grid never has to be visited point by point.  The
+search is level-synchronous: the boxes of one level are integer index
+arrays, bounded together by one kernel, and the points of the small boxes
+that survive are tested by the same kernel on one-point boxes.
+The bounds and the point test are exact integer arithmetic (int64 while
+a bound shows no sum can overflow, Python ints otherwise) on one
 quadratic form scaled from the table's exact values (a float entry at its
 binary value), so the search's completeness is a proof, not a float
-estimate.  Tolerances act only on floats: on an exact table every test
+estimate.  On a float table the tolerance enters as an integer limit, the
+floor of tol on the form's scale, which no integer can tell from tol
+itself.  Tolerances act only on floats: on an exact table every test
 here, the grid's included, is exact whatever ``tol`` is passed.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -40,6 +45,7 @@ from .core import (
     Element,
     ParameterError,
     integer_form,
+    nonzero_entries,
     scalar_is_zero,
     scalar_to_json,
     tolerance,
@@ -51,7 +57,8 @@ KIND_HYPERBOLOID = "hyperboloid-two-sheets"
 KIND_PLANES = "parallel-planes"
 KIND_CLOUD = "sampled-cloud"
 
-# cells of one block of the dedup mask: bounds its memory at any sample count
+# cells of one block of the dedup mask or of the grid's box bound: bounds
+# their memory at any sample or box count
 _BLOCK_CELLS = 1 << 14
 
 
@@ -405,22 +412,143 @@ def equation_satisfied(locus: UnitLocus, q: Element,
 # -- complete grid search ------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _GridForm:
+    """The residual of a grid search as a quadratic form in the grid
+    indices.  With step = p/s, q = step * idx, and the table and unit
+    scaled by one positive factor D to the integers C and U,
+
+        D s^2 (q*q + 1)_k = sum_{i<=j} c_kij idx_i idx_j + s^2 U_k,
+
+    where c_kij = p^2 (C[i][j][k] + C[j][i][k]) for i < j and p^2 C[i][i][k].
+    ``left`` and ``right`` are the pairs (i, j), i <= j, with some c_kij
+    nonzero, and ``squares`` the positions of those with i = j.  Each
+    coordinate's sum reads the columns ``source`` of [plo | phi | 1] (the
+    pairs' product intervals, then the constant) times ``coeff``, from its
+    index in ``starts``: the n low sums, then the n high ones.  A point
+    solves the equation within tol when every coordinate lies in
+    [-limit, limit].  A `_box_bounds` call takes at most ``height`` boxes,
+    so its arrays hold about _BLOCK_CELLS cells."""
+
+    left: np.ndarray
+    right: np.ndarray
+    squares: np.ndarray
+    source: np.ndarray
+    coeff: np.ndarray
+    starts: np.ndarray
+    limit: int
+    height: int
+
+
+def _grid_form(A: Algebra, step: Fraction, tol: float, hi_idx: int) -> _GridForm:
+    """The form of A's grid search at ``step`` over indices up to hi_idx,
+    D the lcm of the denominators of the table's and the unit's exact
+    values (a float at its binary value).  Its limit is floor(s^2 tol D):
+    an integer exceeds a bound exactly when it exceeds the bound's floor.
+    Its coefficients are int64 when sum |c| hi_idx^2 + limit < 2^62 bounds
+    every sum the search makes, and Python ints otherwise."""
+    n, p, s = A.dim, step.numerator, step.denominator
+    index, values = nonzero_entries(A.cube)
+    # an exact cube holds the table times _scale: the unit is scaled alike
+    ints, den = integer_form(values + [Fraction(u) * A._scale for u in A.unit])
+    limit = math.floor(s * s * Fraction(tol) * den * A._scale)
+    unit = [s * s * u for u in ints[len(values):]]
+    # each pair i <= j: its c_kij, summed over the nonzero entries of the cube
+    forms = {}
+    for i, j, k, c in zip(*(a.tolist() for a in index), ints[:len(values)]):
+        row = forms.setdefault((min(i, j), max(i, j)), [0] * n)
+        row[k] += p * p * c
+    pairs = sorted(pair for pair, row in forms.items() if any(row))
+    source, coeff, starts = [], [], []
+    for high in (False, True):
+        for k in range(n):
+            starts.append(len(source))
+            source.append(2 * len(pairs))
+            coeff.append(unit[k])
+            for e, pair in enumerate(pairs):
+                c = forms[pair][k]
+                if c:
+                    # a low sum takes c * plo for c > 0 and c * phi for c < 0
+                    source.append(e + len(pairs) * ((c > 0) == high))
+                    coeff.append(c)
+    total = sum(map(abs, coeff)) * hi_idx * hi_idx + limit
+    # per box: the four corner products, [plo | phi | 1] and the terms
+    height = max(1, _BLOCK_CELLS // (6 * len(pairs) + 1 + len(source)))
+    left = np.array([i for i, _ in pairs], dtype=np.intp)
+    right = np.array([j for _, j in pairs], dtype=np.intp)
+    return _GridForm(left, right, np.flatnonzero(left == right),
+                     np.array(source, dtype=np.intp),
+                     np.array(coeff, dtype=np.int64 if total < 2**62 else object),
+                     np.array(starts, dtype=np.intp), limit, height)
+
+
+def _box_bounds(form: _GridForm, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """(low, high), two (N, n) arrays: the exact bounds of each coordinate
+    of the form over each box, the index ranges lo[b, i]..hi[b, i], in
+    the form's integers.  One product interval per pair, the hull of its
+    corners (a square's clipped at 0), then each coordinate's sum over its
+    entries; a box of one point gives that point's value twice."""
+    pairs = len(form.left)
+    ends = np.stack((lo, hi))
+    corners = ends[:, None, :, form.left] * ends[None, :, :, form.right]
+    ext = np.empty((len(lo), 2 * pairs + 1), dtype=lo.dtype)
+    plo = corners.min(axis=(0, 1), out=ext[:, :pairs])
+    corners.max(axis=(0, 1), out=ext[:, pairs:-1])
+    # a square's corners miss its least value, 0, when lo < 0 < hi
+    plo[:, form.squares] = np.maximum(plo[:, form.squares], 0)
+    ext[:, -1] = 1
+    sums = np.add.reduceat(ext[:, form.source] * form.coeff, form.starts, axis=1)
+    n = lo.shape[1]
+    return sums[:, :n], sums[:, n:]
+
+
+def _may_vanish(form: _GridForm, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Which boxes have every coordinate's bound meet [-limit, limit]: a
+    box of one point passes exactly when the point solves the equation.
+    The boxes go to `_box_bounds` ``form.height`` at a time."""
+    out = np.empty(len(lo), dtype=bool)
+    for a in range(0, len(lo), form.height):
+        low, high = _box_bounds(form, lo[a:a + form.height], hi[a:a + form.height])
+        out[a:a + form.height] = ((low <= form.limit) & (high >= -form.limit)).all(axis=1)
+    return out
+
+
+def _box_points(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The grid points of the boxes as (M, n) index rows, box by box."""
+    width = hi - lo + 1
+    counts = np.prod(width, axis=1).astype(np.intp)
+    box = np.repeat(np.arange(len(lo)), counts)
+    rank = np.arange(len(box)) - np.repeat(np.cumsum(counts) - counts, counts)
+    points = np.empty((len(box), lo.shape[1]), dtype=lo.dtype)
+    for axis in reversed(range(lo.shape[1])):
+        span = width[box, axis]
+        points[:, axis] = lo[box, axis] + rank % span
+        rank = rank // span
+    return points
+
+
 def grid_unit_search(
     A: Algebra,
     radius: float = 3.0,
     step=Fraction(1, 4),
     tol: Optional[float] = None,
 ) -> List[Element]:
-    """Every grid point q of [-radius, radius]^n with ||q*q + 1||_inf <= tol.
+    """Every grid point q of [-radius, radius]^n with ||q*q + 1||_inf <= tol,
+    in ascending grid-index order (the order of itertools.product over the
+    grid).
 
-    Equivalent to enumerating the full grid, but boxes whose interval
-    bounds push some residual coordinate away from zero are discarded
-    wholesale; only surviving boxes are enumerated point by point.  Bounds
-    and point tests are exact integer arithmetic on the table's exact values
-    (a float at its binary value), so the list is complete, not sampled.
-    Like every tolerance in altkit, ``tol`` (default: ``A.eps``) acts only
-    on float tables: on an exact table it is ignored and each listed point
-    solves q*q = -1 exactly.
+    Equivalent to enumerating the full grid, but a box is discarded
+    wholesale when its interval bound pushes some residual coordinate away
+    from zero.  The search is level-synchronous: the boxes of one level,
+    integer index ranges, are bounded together by `_box_bounds`; a
+    surviving box of at most 32 points has its points tested by the same
+    bound on one-point boxes, and a larger one is split in two on its
+    first widest axis.  Bounds and point tests are exact integer
+    arithmetic on the table's exact values (a float at its binary value),
+    so the list is complete, not sampled.  Like every tolerance in altkit,
+    ``tol`` (default: ``A.eps``) acts only on float tables, as the limit
+    floor(s^2 tol D) of `_grid_form`: on an exact table it is ignored and
+    each listed point solves q*q = -1 exactly.
     """
     if A.unit is None:
         raise AlgebraError("grid search needs a unital algebra")
@@ -431,75 +559,43 @@ def grid_unit_search(
         raise ParameterError(f"grid radius must be finite and nonnegative, got {radius}")
     tol = tolerance(tol, A.eps)
     exact = A.scalar_mode == "exact"
-    if exact:
-        tol = 0
     n = A.dim
     hi_idx = int(Fraction(radius) / step)
+    form = _grid_form(A, step, 0 if exact else tol, hi_idx)
 
-    # With step = p/s, q = step*idx, and the table, unit and tol scaled by
-    # one positive factor D to the integers C, U, T:
-    #   D s^2 (q*q + 1)_k = sum_{i<=j} c_kij idx_i idx_j + s^2 U_k  vs  s^2 T
-    # where c_kij = p^2 (C[i][j][k] + C[j][i][k]) for i < j, p^2 C[i][i][k].
+    # indices and their products are int64 while hi_idx^2 < 2^62
+    lo = np.full((1, n), -hi_idx, dtype=np.int64 if hi_idx < 2**31 else object)
+    hi = -lo
+    found = [lo[:0]]
+    while True:
+        keep = _may_vanish(form, lo, hi)
+        lo, hi = lo[keep], hi[keep]
+        width = hi - lo + 1
+        # a box of at most 32 points has at most five axes wider than one
+        # (2^6 > 32); the product of those widths, each capped at 33, is
+        # then its size or above 32, and far inside int64
+        many = np.count_nonzero(width > 1, axis=1) > 5
+        capped = np.minimum(width, 33)
+        capped[many] = 1
+        small = ~many & (np.prod(capped, axis=1) <= 32)
+        tested_lo, tested_hi = lo[small], hi[small]
+        # the points of up to height // 32 boxes, tested at once
+        block = max(1, form.height // 32)
+        for a in range(0, len(tested_lo), block):
+            points = _box_points(tested_lo[a:a + block], tested_hi[a:a + block])
+            found.append(points[_may_vanish(form, points, points)])
+        # split the first widest axis; boxes stay disjoint, so no point repeats
+        lo, hi, width = lo[~small], hi[~small], width[~small]
+        if not len(lo):
+            break
+        rows, axis = np.arange(len(lo)), np.argmax(width, axis=1)
+        mid = (lo[rows, axis] + hi[rows, axis]) // 2
+        upper, lower = lo.copy(), hi.copy()
+        upper[rows, axis] = mid + 1
+        lower[rows, axis] = mid
+        lo, hi = np.concatenate([lo, upper]), np.concatenate([lower, hi])
     p, s = step.numerator, step.denominator
-    p2, s2 = p * p, s * s
-    values = [c for row in A.sc for cell in row for c in cell] + list(A.unit) + [tol]
-    ints, _ = integer_form(values)
-    limit = s2 * ints[-1]
-    form = []  # per coordinate k: (s^2 U_k, [(i, j, c_kij) with c_kij != 0])
-    for k in range(n):
-        terms = []
-        for i in range(n):
-            for j in range(i, n):
-                c = ints[(i * n + j) * n + k]
-                if i < j:
-                    c += ints[(j * n + i) * n + k]
-                if c:
-                    terms.append((i, j, p2 * c))
-        form.append((s2 * ints[n ** 3 + k], terms))
-
-    def may_vanish(box) -> bool:
-        """Whether each coordinate's interval over the box of index ranges
-        meets [-limit, limit]; at a one-point box, the exact point test."""
-        for u, terms in form:
-            lo = hi = u
-            for i, j, c in terms:
-                (a, b), (d, e) = box[i], box[j]
-                if i != j:
-                    corners = (a * d, a * e, b * d, b * e)
-                    plo, phi = min(corners), max(corners)
-                elif a >= 0:
-                    plo, phi = a * a, b * b
-                elif b <= 0:
-                    plo, phi = b * b, a * a
-                else:
-                    plo, phi = 0, max(a * a, b * b)
-                if c > 0:
-                    lo += c * plo
-                    hi += c * phi
-                else:
-                    lo += c * phi
-                    hi += c * plo
-            if lo > limit or hi < -limit:
-                return False
-        return True
-
-    results: List[Element] = []
-    stack = [((-hi_idx, hi_idx),) * n]
-    while stack:
-        box = stack.pop()
-        if not may_vanish(box):
-            continue
-        if math.prod(hi - lo + 1 for lo, hi in box) <= 32:
-            for idx in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
-                if may_vanish(tuple(zip(idx, idx))):
-                    # on an exact table the point is the integers idx * p over s
-                    results.append(Element._exact(A, [i * p for i in idx], s) if exact
-                                   else A.element([i * step for i in idx]))
-            continue
-        # split the widest axis; boxes stay disjoint, so no point repeats
-        axis = max(range(n), key=lambda i: box[i][1] - box[i][0])
-        lo, hi = box[axis]
-        mid = (lo + hi) // 2
-        stack.append(box[:axis] + ((lo, mid),) + box[axis + 1:])
-        stack.append(box[:axis] + ((mid + 1, hi),) + box[axis + 1:])
-    return results
+    # on an exact table a point is the integers idx * p over s
+    return [Element._exact(A, [i * p for i in idx], s) if exact
+            else A.element([i * p / s for i in idx])
+            for idx in sorted(np.concatenate(found).tolist())]

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from altkit import catalog, structure
@@ -244,7 +245,12 @@ def _ref_complex():
 
 
 def _fingerprint(A):
-    return (A.scalar_mode, repr(A.sc), repr(A.labels), repr(A.unit))
+    """What an Algebra holds, scalar types and signed zeros included: a
+    table built from its entries holds what parsing its dense table holds."""
+    cube = A.cube
+    return (A.scalar_mode, repr(cube.dtype), repr(cube.tolist()),
+            np.signbit(cube.astype(float)).tolist(), A._scale, repr(A._rows), A.eps,
+            repr(A.sc), repr(A.labels), repr(A.unit))
 
 
 def _draw(rng):
@@ -286,11 +292,13 @@ def test_tables_equal_the_reference_builders():
         (catalog.mzero(), _ref_tn()),
         (catalog.quaternions(), _ref_tn(a=-1, g=1)),
         (catalog.complex_numbers(), _ref_complex()),
+        # entries past int64: a cube of Python ints
+        (catalog.tn(b=2**70, c=F(1, 3**40)), _ref_tn(b=2**70, c=F(1, 3**40))),
     ]
     for new, ref in fixed:
         assert _fingerprint(new) == _fingerprint(ref)
         assert _fingerprint(new.to_float()) == _fingerprint(ref.to_float())
-    assert count + len(fixed) == 754
+    assert count + len(fixed) == 755
     # a float zero keeps its sign through a slot with c = -1
     A = catalog.tn(f=0.0)
     assert math.copysign(1.0, A.sc[3][2][0]) == -1.0
@@ -330,15 +338,16 @@ def test_slots_are_disjoint_from_each_other_and_the_fixed_entries(monkeypatch):
 
 
 def test_each_table_is_constructed_once(monkeypatch):
-    # one Algebra per builder call, and none while its family is recognised
+    # one Algebra per builder call, and none while its family is recognised;
+    # `_setup` fills every Algebra, parsed or built from its cube
     calls = []
-    init = Algebra.__init__
+    setup = Algebra._setup
 
     def counting(self, *args, **kwargs):
         calls.append(self)
-        init(self, *args, **kwargs)
+        setup(self, *args, **kwargs)
 
-    monkeypatch.setattr(Algebra, "__init__", counting)
+    monkeypatch.setattr(Algebra, "_setup", counting)
     for name in catalog.FAMILY_NAMES:
         calls.clear()
         A = catalog.build(name, **_SMALL.get(name, {}))

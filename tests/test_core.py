@@ -774,6 +774,22 @@ def test_kernels_reject_object_rows_that_are_not_integers():
             T.first_singular(X)
 
 
+def test_multiply_rows_rejects_object_rows_that_are_not_integers():
+    # read as integers, the object row [0, 0.5, 1, 0] gave _scale (3) times
+    # a wrong product, [0.25, 0, 0, 0]; as floats it is the true one
+    T = catalog.tn(a=Fraction(1, 3), g=Fraction(-1, 3))
+    X = np.array([[0, 0.5, 1, 0]], dtype=object)
+    ints = np.array([[0, 1, 2, 0]], dtype=object)
+    for left, right in ((X, X), (ints, X), (X, ints)):
+        with pytest.raises(DimensionError, match="rows must hold integers"):
+            T.multiply_rows(left, right)
+    floats = X.astype(float)
+    assert T.multiply_rows(floats, floats)[0].tolist() == pytest.approx([1 / 12, 0, 0, 0])
+    # object rows of integers are read as the integers they hold
+    assert (T.multiply_rows(ints, ints).tolist()
+            == T.multiply_rows(ints.astype(np.int64), ints.astype(np.int64)).tolist())
+
+
 ONE_SLOT_SHAPES = {(0,): lambda v, y, z: (v, y, z), (1,): lambda v, y, z: (y, v, z),
                    (2,): lambda v, y, z: (y, z, v)}
 

@@ -791,10 +791,11 @@ def _random_unital_table(rng, n, denominators, plant):
 
 
 def _grid_brute_force(A, radius, step, tol):
+    """The grid units of A, enumerated in itertools.product order."""
     hi = int(F(radius) / step)
     points = (A.element([i * step for i in idx])
               for idx in itertools.product(range(-hi, hi + 1), repeat=A.dim))
-    return {q for q in points if units.verify_unit(A, q, tol)}
+    return [q for q in points if units.verify_unit(A, q, tol)]
 
 
 def test_grid_search_matches_brute_force_on_random_tables():
@@ -803,15 +804,14 @@ def test_grid_search_matches_brute_force_on_random_tables():
     for trial in range(24):
         A = _random_unital_table(rng, 2 + trial % 2, (1, 2, 3, 5), trial % 4 < 2)
         found = units.grid_unit_search(A, radius=1.0, step=F(1, 2), tol=0.0)
-        assert len(set(found)) == len(found)
-        assert set(found) == _grid_brute_force(A, 1.0, F(1, 2), 0.0)
+        assert found == _grid_brute_force(A, 1.0, F(1, 2), 0.0)
         found_some += bool(found)
     assert found_some >= 12
     # dyadic entries stay exact in floats, so tol = 0 also holds on a copy
     A = _random_unital_table(random.Random(3), 3, (1, 2, 4), True)
     B = A.to_float()
     found = units.grid_unit_search(B, radius=1.0, step=F(1, 2), tol=0.0)
-    assert found and set(found) == _grid_brute_force(B, 1.0, F(1, 2), 0.0)
+    assert found and found == _grid_brute_force(B, 1.0, F(1, 2), 0.0)
     assert [q.coords for q in found] == [
         tuple(map(float, q.coords))
         for q in units.grid_unit_search(A, radius=1.0, step=F(1, 2), tol=0.0)]
@@ -821,7 +821,118 @@ def test_grid_search_matches_brute_force_on_random_tables():
     for B, count in ((A, 0), (A.to_float(), 2)):
         found = units.grid_unit_search(B, radius=1.0, step=F(1, 2), tol=1e-9)
         assert len(found) == count
-        assert set(found) == _grid_brute_force(B, 1.0, F(1, 2), 1e-9)
+        assert found == _grid_brute_force(B, 1.0, F(1, 2), 1e-9)
+
+
+def _grid_reference(A, radius, step, tol):
+    """The grid search as a depth-first recursion over boxes, in Fractions
+    on q*q + 1 read from A.sc: each coordinate's interval over a box is the
+    unit plus, per pair i <= j, the hull of the pair's products (a
+    square's from 0 when its range spans 0) times its coefficient.
+    Returns the points found, in itertools.product order, and the number
+    of boxes and points bounded."""
+    n, hi = A.dim, int(F(radius) / step)
+    sc = [[[F(c) for c in cell] for cell in row] for row in A.sc]
+    unit = [F(u) for u in A.unit]
+    tol = F(0) if A.scalar_mode == "exact" else F(tol)
+    bounded, found = 0, []
+
+    def may_vanish(box):
+        nonlocal bounded
+        bounded += 1
+        for k in range(n):
+            low = high = unit[k]
+            for i in range(n):
+                for j in range(i, n):
+                    c = (sc[i][j][k] + sc[j][i][k] if i < j else sc[i][i][k]) * step * step
+                    (a, b), (d, e) = box[i], box[j]
+                    ends = [a * d, a * e, b * d, b * e]
+                    least = 0 if i == j and a < 0 < b else min(ends)
+                    low += min(c * least, c * max(ends))
+                    high += max(c * least, c * max(ends))
+            if low > tol or high < -tol:
+                return False
+        return True
+
+    def search(box):
+        if not may_vanish(box):
+            return
+        if math.prod(b - a + 1 for a, b in box) <= 32:
+            points = itertools.product(*(range(a, b + 1) for a, b in box))
+            found.extend(idx for idx in points if may_vanish([(i, i) for i in idx]))
+            return
+        axis = max(range(n), key=lambda i: box[i][1] - box[i][0])
+        a, b = box[axis]
+        search(box[:axis] + [(a, (a + b) // 2)] + box[axis + 1:])
+        search(box[:axis] + [((a + b) // 2 + 1, b)] + box[axis + 1:])
+
+    search([(-hi, hi)] * n)
+    return [A.element([i * step for i in idx]) for idx in sorted(found)], bounded
+
+
+@pytest.mark.parametrize("A, radius, step", [
+    (catalog.quaternions(), 2, F(1, 4)),
+    (catalog.mplus(), 2, F(1, 2)),
+    (catalog.mzero(), F(3, 2), F(1, 2)),
+    (catalog.ak(1, a11=F(7, 3), a12=F(1, 2)), 3, F(1, 4)),
+    (catalog.ak(1, a11=F(7, 3), a12=F(1, 2)).to_float(), 3, F(1, 4)),
+    (catalog.tp(alpha1=-1, gamma1=-1, beta2=F(1, 2)), 2, F(1, 3)),
+    # the split complex numbers, e*e = 1: q*q + 1 has real part 1 + x^2 +
+    # y^2, so the bound, its squares counted from 0, prunes the whole grid
+    (Algebra([[[1, 0], [0, 1]], [[0, 1], [1, 0]]], unit=[1, 0]), 3, F(1, 4)),
+], ids=repr)
+def test_grid_search_bounds_the_boxes_a_depth_first_search_bounds(A, radius, step,
+                                                                  monkeypatch):
+    # level by level, the same boxes are bounded and the same points found,
+    # counting every box and one-point box handed to the bound
+    bounded = []
+    real = units._box_bounds
+
+    def spy(form, lo, hi):
+        bounded.append(len(lo))
+        return real(form, lo, hi)
+
+    monkeypatch.setattr(units, "_box_bounds", spy)
+    found = units.grid_unit_search(A, radius=radius, step=step, tol=1e-9)
+    assert (found, sum(bounded)) == _grid_reference(A, radius, step, 1e-9)
+
+
+def test_grid_search_past_int64_runs_on_python_ints():
+    # denominators near 2^40 put the form's sums past 2^62: the bound and the
+    # point tests run on Python ints and still match brute force
+    rng = random.Random(5)
+    for trial in range(4):
+        A = _random_unital_table(rng, 3, (2**40 + 1, 3**25, 1), True)
+        assert units._grid_form(A, F(1, 2), 0, 2).coeff.dtype == object
+        found = units.grid_unit_search(A, radius=1.0, step=F(1, 2))
+        assert found and found == _grid_brute_force(A, 1.0, F(1, 2), 0.0)
+    # indices past 2^31 make the boxes themselves Python ints
+    C = catalog.complex_numbers()
+    e1 = C.basis(1)
+    assert units.grid_unit_search(C, radius=2**40, step=1) == [-e1, e1]
+
+
+def test_grid_search_tolerance_is_a_floor_on_dyadic_floats():
+    # e1*e1 = (-1 + 2^-10)*1 and e2*e2 = (-1 - 2^-10 - 2^-40)*1 at eps 2^-10:
+    # |e1*e1 + 1| is tol exactly and is listed, |e2*e2 + 1| just past it
+    # is not; the form stays int64, its limit floor(tol * 2^40)
+    tol = 2.0**-10
+    sc = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
+    for i in range(3):
+        sc[0][i][i] = sc[i][0][i] = 1.0
+    sc[1][1][0] = -1 + tol
+    sc[2][2][0] = -1 - tol - 2.0**-40
+    A = Algebra(sc, unit=[1.0, 0.0, 0.0], eps=tol)
+    e1, e2 = A.basis(1), A.basis(2)
+    assert units._grid_form(A, F(1), tol, 1).coeff.dtype == np.int64
+    found = units.grid_unit_search(A, radius=1, step=1)
+    assert found == [-e1, e1] == _grid_brute_force(A, 1, F(1), tol)
+    # a tol between the two residuals is floored to the first
+    assert units.grid_unit_search(A, radius=1, step=1, tol=tol + 2.0**-50) == [-e1, e1]
+    # and one at the second lists both, in ascending index order
+    wide = tol + 2.0**-40
+    assert units.grid_unit_search(A, radius=1, step=1, tol=wide) == [-e1, -e2, e2, e1]
+    assert _grid_brute_force(A, 1, F(1), wide) == [-e1, -e2, e2, e1]
 
 
 def test_locus_to_dict_caps_points():
