@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional
 
@@ -51,6 +51,9 @@ class ClaimResult:
 class SuiteOptions:
     seed: int
     samples: int
+    # the locus claims' (table, Newton cloud) pairs, filled by the first
+    # claim of the run that reads them (`_newton_clouds`)
+    clouds: list = field(default_factory=list, compare=False, repr=False)
 
 
 def _random_ak_coeffs(rng: random.Random, k: int) -> dict:
@@ -192,23 +195,29 @@ def _locus_claim(builder, kind, equation):
     return fn
 
 
+def _newton_clouds(opt: SuiteOptions) -> list:
+    """(table, Newton cloud) of mplus, mzero and the quaternions at the
+    run's seed and sample count, tol pinned at 1e-9: computed once per
+    `run_claims` call, on first use, and held in its options."""
+    if not opt.clouds:
+        # all three or none: a solve that raises leaves the list empty
+        tables = [catalog.mplus(), catalog.mzero(), catalog.quaternions()]
+        opt.clouds.extend([(A, units.solve_units_sampled(
+            A, seeds=opt.samples, tol=1e-9, seed=opt.seed)) for A in tables])
+    return opt.clouds
+
+
 def claim_newton_scalar_part(opt: SuiteOptions):
     # tolerances pinned: the claim is epsilon-robust by design
-    for builder in (catalog.mplus, catalog.mzero, catalog.quaternions):
-        A = builder()
-        cloud = units.solve_units_sampled(A, seeds=opt.samples, tol=1e-9,
-                                          seed=opt.seed)
+    for A, cloud in _newton_clouds(opt):
         assert cloud.points, f"{A}: no converged units"
         worst = max(abs(float(q.coords[0])) for q in cloud.points)
         assert worst <= 1e-8, f"{A}: unit with scalar part {worst}"
 
 
 def claim_sampled_on_quadric(opt: SuiteOptions):
-    for builder in (catalog.mplus, catalog.mzero, catalog.quaternions):
-        A = builder()
+    for A, cloud in _newton_clouds(opt):
         locus = units.classify_locus_tn(A)
-        cloud = units.solve_units_sampled(A, seeds=opt.samples, tol=1e-9,
-                                          seed=opt.seed)
         for q in cloud.points:
             assert units.equation_satisfied(locus, q, 1e-8), (
                 f"{A}: cloud point off the locus equation"

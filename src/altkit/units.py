@@ -5,8 +5,9 @@ F(q) = q*q + 1 from seeded starting points, using the closed-form Jacobian
 J(q) = L_q + R_q read off the structure constants.  All starts step
 together: one product of the live rows with the symmetrised table gives
 every row's J, and F = J(q)q/2 + 1 with it, and one stacked solve steps
-them all; a row whose Jacobian is exactly singular is abandoned, as are
-diverging rows, while the others step on.  A classifier names the
+them all.  That solve does not stop at an exactly singular Jacobian: the
+row gets a NaN step and leaves with the diverging rows, while every other
+row gets the step it would get alone.  A classifier names the
 exact locus for tn-family points, where the solution set in the span of
 {i, j, k} is cut out by -x^2 + a(y^2 + z^2) = -1, and a sampler draws
 rational points on it as integer rows, checking each round of draws as
@@ -37,6 +38,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import catalog
 from .core import (
@@ -147,13 +149,13 @@ def solve_units_sampled(
     [-2, 2]^n.  All live starts step together: one product of the rows
     with the symmetrised table gives, per row, J = L_q + R_q and, since
     J(q)q = 2 q*q, also F = J(q)q/2 + 1; one stacked solve then steps every
-    row.  Rows with max|F| <= tol leave as converged.  A row is abandoned
-    when its Jacobian is exactly singular, its step is not finite, it
-    leaves max|q| <= 1e6, or it has not converged after 100 iterations.
-    When the stacked solve meets a singular Jacobian, one batched
-    ``slogdet`` finds every such row (its sign is 0 exactly where LAPACK's
-    LU factorisation meets a zero pivot, which is where the solve fails);
-    those rows ride along as I * step = 0 and the stack is solved again.
+    row.  Rows with max|F| <= tol leave as converged, and their steps are
+    dropped.  A row is abandoned when its step leaves max|q| <= 1e6 or is
+    not finite, or when it has not converged after 100 iterations.  The
+    solve is the gufunc behind ``np.linalg.solve``, called without the
+    wrapper's raise: an exactly singular Jacobian (a zero pivot in LAPACK's
+    LU factorisation) gives its row a NaN step, which fails the box test,
+    and leaves every other row's step as a solve of that row alone gives it.
     Converged points are deduplicated in start order: a point is kept
     unless a kept point lies within 10*tol of it in every coordinate.  The
     kept points are re-checked together, q*q + 1 within tol in every
@@ -177,36 +179,38 @@ def solve_units_sampled(
     x = np.vstack([np.stack([basis, -basis], axis=1).reshape(2 * n, n),
                    np.reshape(draws, (seeds, n))])
 
+    # x holds the live rows, start[r] the start index of row r; a row that
+    # converges is written to its start's slot of found
+    found = np.empty_like(x)
     converged = np.zeros(len(x), dtype=bool)
-    live = np.arange(len(x))
+    start = np.arange(len(x))
     for _ in range(100):
-        if not live.size:
+        if not len(x):
             break
-        xl = x[live]
-        G = (xl @ sym).reshape(-1, n, n)
-        res = 0.5 * np.einsum("sj,sjk->sk", xl, G) + one
-        done = np.max(np.abs(res), axis=1) <= tol
-        converged[live[done]] = True
-        # converged rows ride along in the solve as I * step = 0
-        G[done], res[done] = basis, 0.0
-        J = G.transpose(0, 2, 1)  # a view: writing G writes J
-        ok = ~done
-        try:
-            step = np.linalg.solve(J, res[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            singular = np.linalg.slogdet(J)[0] == 0
-            G[singular], res[singular] = basis, 0.0
-            ok &= ~singular
-            step = np.linalg.solve(J, res[..., None])[..., 0]
-        ok &= np.all(np.isfinite(step), axis=1)
-        live, xl = live[ok], xl[ok] - step[ok]
-        inside = np.max(np.abs(xl), axis=1) <= 1e6
-        live = live[inside]
-        x[live] = xl[inside]
+        G = (x @ sym).reshape(-1, n, n)
+        res = 0.5 * np.einsum("sj,sjk->sk", x, G) + one
+        done = (np.abs(res) <= tol).all(axis=1)
+        # np.linalg.solve's own gufunc and error state, without its raise on
+        # a singular row: that row's step is NaN, every other row's is the
+        # step solved alone
+        with np.errstate(all="ignore"):
+            step = _umath_linalg.solve(G.transpose(0, 2, 1), res[..., None],
+                                       signature="dd->d")[..., 0]
+        x_next = x - step
+        # a NaN or infinite step fails the box test
+        live = ~done & (np.abs(x_next) <= 1e6).all(axis=1)
+        if done.any():
+            slots = start[done]
+            found[slots], converged[slots] = x[done], True
+        if live.all():
+            x = x_next
+        else:
+            x, start = x_next[live], start[live]
 
-    found = x[converged]
+    found = found[converged]
     found = found[_first_apart(found, 10 * tol)]
-    points = tuple(A.element(xc.tolist()) for xc in found[_are_units(A, found, None, tol)])
+    points = tuple(Element._of(A, tuple(xc), None, 0)
+                   for xc in found[_are_units(A, found, None, tol)].tolist())
     return UnitLocus(KIND_CLOUD, points, None, tuple(range(n)))
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracle
-from altkit import catalog, claims, cli, identities, lie
+from altkit import catalog, claims, cli, identities, lie, units
 from altkit.core import Algebra
 
 
@@ -374,6 +374,26 @@ def test_verify_paper_json(capsys):
     rows = json_lines(out)
     assert all(row["passed"] for row in rows)
     assert len(rows) == 5
+
+
+def test_locus_claims_share_their_newton_clouds_within_one_run(monkeypatch):
+    # newton-scalar-part and sampled-on-quadric read the same three clouds:
+    # one run solves each once, and the next run solves them again
+    calls = []
+    solve = units.solve_units_sampled
+
+    def counted(A, *args, **kwargs):
+        calls.append(A.family[0])
+        return solve(A, *args, **kwargs)
+
+    monkeypatch.setattr(units, "solve_units_sampled", counted)
+    results = claims.run_claims(only="locus")
+    assert len(results) == 5 and all(r.passed for r in results)
+    assert calls == ["mplus", "mzero", "quaternions"]
+    for only in ("locus.newton-scalar-part", "locus.sampled-on-quadric"):
+        calls.clear()
+        [result] = claims.run_claims(only=only, seed=3, samples=20)
+        assert result.passed and len(calls) == 3, (only, calls)
 
 
 def _element_loop_bilinearity(seed):
