@@ -52,8 +52,10 @@ class SuiteOptions:
     seed: int
     samples: int
     # the locus claims' (table, Newton cloud) pairs, filled by the first
-    # claim of the run that reads them (`_newton_clouds`)
-    clouds: list = field(default_factory=list, compare=False, repr=False)
+    # claim of the run that reads them (`_newton_clouds`); not settable, so
+    # they are always this run's seed and sample count
+    clouds: list = field(
+        default_factory=list, init=False, compare=False, repr=False)
 
 
 def _random_ak_coeffs(rng: random.Random, k: int) -> dict:

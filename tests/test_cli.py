@@ -394,6 +394,9 @@ def test_locus_claims_share_their_newton_clouds_within_one_run(monkeypatch):
         calls.clear()
         [result] = claims.run_claims(only=only, seed=3, samples=20)
         assert result.passed and len(calls) == 3, (only, calls)
+    # the clouds are not an option: a caller cannot hand in another run's
+    with pytest.raises(TypeError):
+        claims.SuiteOptions(seed=0, samples=25, clouds=[])
 
 
 def _element_loop_bilinearity(seed):
