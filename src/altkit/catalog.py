@@ -7,9 +7,9 @@ Each family is stated once, as data: its fixed entries ``(i, j, k, c)``,
 where the table holds ``e_i * e_j = c e_k + ...``, and for each parameter p
 its slots ``(i, j, k, c)``, where the table holds ``c*p``.  A table is thus
 affine in its parameters by construction, S_0 + sum_p p S_p.  One builder,
-`_table`, places the entries of every table straight into its cube, with
-the rows that every catalog table shares: 1*x = x*1 = x and e1*e1 = -1,
-so basis vector 0 is the unit and basis vector 1 an imaginary unit.
+`_table`, hands the entries of every table to `core.table_cube`, with the
+rows that every catalog table shares: 1*x = x*1 = x and e1*e1 = -1, so
+basis vector 0 is the unit and basis vector 1 an imaginary unit.
 `recognise` reads the same data back: it names the family and parameters
 of a table from its cube, whatever the table's source, and
 `Algebra.family` is its answer.
@@ -27,11 +27,9 @@ import numpy as np
 from .core import (
     Algebra,
     ParameterError,
-    _fits_int64,
-    _require_finite,
-    integer_form,
     nonzero_entries,
     parse_scalar,
+    table_cube,
     tolerance,
 )
 
@@ -78,9 +76,8 @@ def _table(labels, fixed, slots, params) -> Algebra:
     """The table with the shared rows, the ``fixed`` entries and, at each
     slot of parameter p, ``c * params[p]``: one product, never a sum, so a
     signed float zero keeps its sign.  An exact zero leaves the slot empty.
-    The entries go straight into the cube, with no dense table to parse:
-    float64 when any is a float (NaN and infinities rejected), else the
-    integers of `integer_form` over their lcm scale."""
+    The entries go straight into the cube through `table_cube`, with no
+    dense table to parse."""
     n = len(labels)
     entries = {(i, j, k): c for i, j, k, c in _shared(n) + list(fixed)}
     for p, slot in slots.items():
@@ -88,18 +85,9 @@ def _table(labels, fixed, slots, params) -> Algebra:
         if value or isinstance(value, float):
             for i, j, k, c in slot:
                 entries[i, j, k] = c * value
-    index = tuple(np.array(list(entries)).T)
-    values = list(entries.values())
-    if any(isinstance(c, float) for c in values):
-        values = [float(c) for c in values]
-        _require_finite(values, "structure constant")
-        cube, scale, one, zero = np.zeros((n,) * 3), 1, 1.0, 0.0
-    else:
-        values, scale = integer_form(values)
-        big = max(map(abs, values))
-        cube = np.zeros((n,) * 3, dtype=np.int64 if _fits_int64(n, big, 1) else object)
-        one, zero = Fraction(1), _ZERO
-    cube[index] = values
+    index = tuple(np.array(list(entries), dtype=np.intp).T)
+    cube, scale = table_cube(n, index, list(entries.values()))
+    one, zero = (1.0, 0.0) if cube.dtype == float else (Fraction(1), _ZERO)
     return Algebra._built(cube, scale, tuple(labels), tolerance(None),
                           (one,) + (zero,) * (n - 1))
 

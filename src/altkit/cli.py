@@ -239,6 +239,8 @@ def _reflection_matrix(args, A: Algebra):
     if args.reflection_file:
         with open(args.reflection_file, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
+            raise ParameterError(f"the map must be a {A.dim}x{A.dim} matrix, a list of rows")
         return [[parse_scalar(x) for x in row] for row in data]
     diag = [parse_scalar(x) for x in args.reflection.split(",")]
     if len(diag) != A.dim:

@@ -14,7 +14,8 @@ compares an exact scalar exactly whatever eps it is given, and a float
 within the caller's eps, which defaults to the algebra's `eps`.
 
 An exact table is held as one integer table: it is scaled once, at
-construction, by the lcm of its denominators.  The tensor view
+construction, by the lcm of its denominators.  One function stores every
+table, parsed, catalog or commutator: `table_cube`.  The tensor view
 `Algebra.cube` holds the same integers.  An Element of an exact algebra
 whose coordinates are all exact is held the same way, as an integer vector
 over one positive denominator, kept canonical (the lcm of its reduced
@@ -57,6 +58,7 @@ Scalar = Union[Fraction, float]
 _ZERO = Fraction(0)
 _set = object.__setattr__  # fills the slots of an immutable Element
 _UNREAD = object()  # an Algebra's family before its first read
+_LISTS = (list, tuple)  # what a table, its labels and its unit are read from
 
 # The largest prime below 2**26.  A product of two residues is below 2**52,
 # so int64 holds a sum of up to 2**11 of them: an entry of
@@ -380,36 +382,35 @@ class Algebra:
         unit: Optional[Sequence] = None,
         eps: Optional[float] = None,
     ):
-        table = [[[parse_scalar(c) for c in cell] for cell in row] for row in sc]
-        n = len(table)
-        for row in table:
-            if len(row) != n or any(len(cell) != n for cell in row):
-                raise DimensionError("structure constants must be an n*n*n cube")
-        flat = [c for row in table for cell in row for c in cell]
-        if any(isinstance(c, float) for c in flat):
-            flat = [float(c) for c in flat]
-            _require_finite(flat, "structure constant")
-            cube, scale = np.array(flat, dtype=float), 1
-        else:
-            nonzero = [p for p, c in enumerate(flat) if c]
-            ints, scale = integer_form([flat[p] for p in nonzero])
-            big = max(map(abs, ints), default=0)
-            cube = np.zeros(n ** 3, dtype=np.int64 if _fits_int64(n, big, 1) else object)
-            cube[nonzero] = ints
-        labels = tuple(labels) if labels is not None else tuple(f"e{i}" for i in range(n))
+        n = len(sc) if isinstance(sc, _LISTS) else 0
+        if not n or not all(isinstance(row, _LISTS) and len(row) == n and all(
+                isinstance(cell, _LISTS) and len(cell) == n for cell in row) for row in sc):
+            raise DimensionError("structure constants must be a nonempty n*n*n nested list")
+        flat = [parse_scalar(c) for row in sc for cell in row for c in cell]
+        # an exact zero is the cube's own; a float zero keeps its sign
+        kept = [p for p, c in enumerate(flat) if c or isinstance(c, float)]
+        index = np.unravel_index(np.array(kept, dtype=np.intp), (n,) * 3)
+        cube, scale = table_cube(n, index, [flat[p] for p in kept])
+        if labels is None:
+            labels = [f"e{i}" for i in range(n)]
+        if not (isinstance(labels, _LISTS) and all(isinstance(x, str) for x in labels)):
+            raise ParameterError(f"labels must be a list of strings, got {labels!r}")
+        labels = tuple(labels)
         if len(labels) != n:
             raise DimensionError("label count must match the dimension")
         if len(set(labels)) != n:
             raise AlgebraError("basis labels must be unique")
         eps = tolerance(eps)
         if unit is not None:
+            if not isinstance(unit, _LISTS):
+                raise ParameterError(f"unit must be a list of coordinates, got {unit!r}")
             unit = tuple(parse_scalar(c) for c in unit)
             if len(unit) != n:
                 raise DimensionError("unit coordinate length must match the dimension")
             _require_finite((c for c in unit if isinstance(c, float)), "unit coordinate")
             if cube.dtype == float:
                 unit = tuple(float(c) for c in unit)
-        self._setup(cube.reshape((n,) * 3), scale, labels, unit, eps)
+        self._setup(cube, scale, labels, unit, eps)
 
     @classmethod
     def _built(cls, cube: np.ndarray, scale: int, labels: tuple, eps: float,
@@ -422,10 +423,8 @@ class Algebra:
     def _setup(self, cube: np.ndarray, scale: int, labels: tuple, unit: Optional[tuple],
                eps: float) -> None:
         """Fill the algebra from a validated table and check the unit axiom.
-        ``cube`` is the table, float64 for a float table and otherwise its
-        integers sc * scale, scale being the lcm of its reduced denominators
-        (int64, or Python ints where `_fits_int64` fails); ``unit`` holds
-        parsed coordinates, floats on a float table."""
+        ``cube`` and ``scale`` are the table as `table_cube` stores it;
+        ``unit`` holds parsed coordinates, floats on a float table."""
         cube.flags.writeable = False
         n = len(cube)
         self._cube = cube
@@ -826,9 +825,9 @@ class Algebra:
             sc = data["sc"]
         except (TypeError, KeyError):
             raise AlgebraError("algebra JSON must contain an 'sc' cube") from None
-        labels = data.get("labels")
-        unit = data.get("unit")
-        algebra = cls(sc, labels=labels, unit=unit)
+        if "dim" in data and type(data["dim"]) is not int:
+            raise ParameterError(f"declared dim must be an integer, got {data['dim']!r}")
+        algebra = cls(sc, labels=data.get("labels"), unit=data.get("unit"))
         if "dim" in data and data["dim"] != algebra.dim:
             raise DimensionError(
                 f"declared dim {data['dim']} does not match sc cube of size {algebra.dim}"
@@ -846,6 +845,24 @@ class Algebra:
     def load(cls, path: str) -> "Algebra":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+def table_cube(n: int, index: tuple, values: Sequence) -> tuple:
+    """(cube, scale): the n*n*n table holding ``values`` at ``index`` (intp
+    index arrays, one per axis) and zeros elsewhere, stored as every table
+    is: float64 when any value is a float (NaN and infinities rejected),
+    else the integers of `integer_form` over their lcm scale, int64 while
+    `_fits_int64` holds and Python ints past it."""
+    if any(isinstance(c, float) for c in values):
+        values, scale = [float(c) for c in values], 1
+        _require_finite(values, "structure constant")
+        cube = np.zeros((n,) * 3)
+    else:
+        values, scale = integer_form(values)
+        big = max(map(abs, values), default=0)
+        cube = np.zeros((n,) * 3, dtype=np.int64 if _fits_int64(n, big, 1) else object)
+    cube[index] = values
+    return cube, scale
 
 
 def integer_form(values: Sequence) -> tuple:

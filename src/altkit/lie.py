@@ -11,11 +11,12 @@ the isomorphism type is decided by (alpha, beta):
     alpha != 0, beta != 0 ->  g1 (+) g3_7
     alpha != 0, beta = 0  ->  g4_9 with zero parameter (solvable)
 
-The reflection shape and the three canonical tables of Patera, Sharp,
-Winternitz and Zassenhaus (J. Math. Phys. 17, 1976) are data, (i, j, k, c)
-entries placed by one antisymmetric builder, `_brackets`.  The shape is
-stated once: `tp_lie_algebra` builds it and `_read_alpha_beta` tests a
-table against it.  The g3_5 parameter is the real part of the eigenvalue
+The reflection shape is stated once, as the data of `catalog.tp`:
+`tp_lie_algebra` is `lieify` of a tp table, and `_read_alpha_beta` tests a
+table against the cube of its brackets at alpha = beta = 0.  The three
+canonical tables of Patera, Sharp, Winternitz and Zassenhaus (J. Math.
+Phys. 17, 1976) are data too, (i, j, k, c) entries through
+`core.table_cube`.  The g3_5 parameter is the real part of the eigenvalue
 pair of ad(i) on span{v, w} over its imaginary part; on the shape that
 matrix is [[0, -2], [2, 0]], with trace 0, so the parameter is 0.
 
@@ -36,27 +37,25 @@ canonical table.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from . import linalg
+from . import catalog, linalg
 from .core import (
     Algebra,
     AlgebraError,
     ParameterError,
-    _fits_int64,
     first_defect,
     morphism_defect,
     nonzero_entries,
     parse_scalar,
     scalar_is_zero,
     scalar_to_json,
-    scalars_close,
     sqrt_scalar,
+    table_cube,
     tolerance,
 )
 
@@ -91,19 +90,13 @@ def lieify(A: Algebra) -> LieAlgebra:
     """Commutator Lie structure: b[i][j][k] = sc[i][j][k] - sc[j][i][k],
     read off the cube as D = S - S^T over its first two axes.  A float
     table's D is its brackets, IEEE differences with the sign of zero; an
-    exact table's is its brackets times its scale s, so dividing D and s by
-    g = gcd(s, D) gives the brackets' integers over the lcm of their
-    reduced denominators."""
+    exact table's is its brackets times its scale s, whose nonzero entries
+    over s go to `table_cube`."""
     S = A.cube
     D, scale = S - S.swapaxes(0, 1), 1
     if A.scalar_mode == "exact":
         index, values = nonzero_entries(D)
-        g = math.gcd(A._scale, *values)
-        scale = A._scale // g
-        values = [c // g for c in values]
-        big = max(map(abs, values), default=0)
-        D = np.zeros(D.shape, dtype=np.int64 if _fits_int64(A.dim, big, 1) else object)
-        D[index] = values
+        D, scale = table_cube(A.dim, index, [Fraction(c, A._scale) for c in values])
     return LieAlgebra._built(D, scale, A.labels, A.eps)
 
 
@@ -190,27 +183,18 @@ class LieClassification:
         }
 
 
-_TP_I, _TP_W, _TP_V = 1, 2, 3  # positions in the (1, i, w, v) basis
-
-
-def _reflection_shape(alpha, beta) -> tuple:
-    """[i, w] = -2v, [i, v] = 2w, [v, w] = alpha*1 + beta*i."""
-    return ((_TP_I, _TP_W, _TP_V, -2), (_TP_I, _TP_V, _TP_W, 2),
-            (_TP_V, _TP_W, 0, alpha), (_TP_V, _TP_W, _TP_I, beta))
-
-
-def _brackets(entries) -> list:
-    """The 4-dimensional bracket cube with [e_i, e_j] = sum c e_k over the
-    entries (i, j, k, c) and [e_j, e_i] = -[e_i, e_j]."""
-    b = [[[Fraction(0)] * 4 for _ in range(4)] for _ in range(4)]
-    for i, j, k, c in entries:
-        b[i][j][k], b[j][i][k] = c, -c
-    return b
+def _lie_table(entries) -> LieAlgebra:
+    """The 4-dimensional brackets with [e_i, e_j] = sum c e_k over the
+    entries (i, j, k, c) and [e_j, e_i] = -[e_i, e_j]: the commutator
+    brackets of the table holding each entry once."""
+    i, j, k, c = zip(*entries)
+    cube, scale = table_cube(4, tuple(np.array(a, dtype=np.intp) for a in (i, j, k)), c)
+    return lieify(Algebra._built(cube, scale, ("e0", "e1", "e2", "e3"), tolerance(None)))
 
 
 # The zero-parameter canonical types; in the decomposable ones the first
 # three basis vectors carry the 3-dimensional part and e4 spans the centre.
-_CANONICAL = {tag: LieAlgebra(_brackets(entries)) for tag, entries in (
+_CANONICAL = {tag: _lie_table(entries) for tag, entries in (
     # [e1, e2] = e3, [e2, e3] = e1, [e3, e1] = e2
     (TYPE_G1_G37, ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1))),
     # [e1, e3] = -e2, [e2, e3] = e1
@@ -227,25 +211,33 @@ def canonical_brackets(type_tag: str):
     return _CANONICAL[type_tag].brackets
 
 
+def tp_lie_algebra(alpha, beta) -> LieAlgebra:
+    """The commutator brackets of the reflection table on (1, i, w, v) with
+    v*w = alpha + beta i and w*v = 0: [v, w] = alpha + beta i."""
+    return lieify(catalog.tp(delta1=alpha, delta2=beta))
+
+
+_TP_W, _TP_V = 2, 3  # positions in the (1, i, w, v) basis
+# the shape at alpha = beta = 0, and its cells (i, j) with i < j
+_SHAPE = tp_lie_algebra(0, 0).cube
+_UPPER = np.triu(np.ones((4, 4), dtype=bool), 1)
+
+
 def _read_alpha_beta(L: LieAlgebra, eps: float):
     """(alpha, beta) read off [v, w], when every bracket [e_i, e_j] with
-    i < j is within eps of the reflection shape's at that (alpha, beta);
-    None otherwise."""
+    i < j is within eps of the reflection shape's at that (alpha, beta):
+    L's cube against `_SHAPE` times L's scale (in Python ints, so any
+    scale), and [w, v] against -[v, w] on the 1 and i coordinates.  None
+    otherwise."""
     if L.dim != 4:
         return None
-    b = L.brackets
-    alpha, beta = b[_TP_V][_TP_W][:2]
-    want = _brackets(_reflection_shape(alpha, beta))
-    if all(scalars_close(b[i][j][k], want[i][j][k], eps)
-           for i in range(4) for j in range(i + 1, 4) for k in range(4)):
-        return alpha, beta
-    return None
-
-
-def tp_lie_algebra(alpha, beta) -> LieAlgebra:
-    """The commutator brackets of a reflection-table algebra on (1, i, w, v)."""
-    shape = _reflection_shape(parse_scalar(alpha), parse_scalar(beta))
-    return LieAlgebra(_brackets(shape), labels=("1", "i", "w", "v"))
+    S, exact = L.cube, L.scalar_mode == "exact"
+    D = S - (_SHAPE.astype(object) * L._scale if exact else _SHAPE)
+    D[_TP_W, _TP_V, :2] = S[_TP_W, _TP_V, :2] + S[_TP_V, _TP_W, :2]
+    if first_defect(D[_UPPER], eps) is not None:
+        return None
+    ab = S[_TP_V, _TP_W, :2].tolist()
+    return tuple(Fraction(c, L._scale) for c in ab) if exact else tuple(ab)
 
 
 def classify_tp_lie(alpha, beta, eps: Optional[float] = None) -> LieClassification:

@@ -118,6 +118,8 @@ def test_decompose_subcommand(capsys):
     [[1, 0, 0], [0, 1, 0], [0, 0, -1]],
     [[1, 0, 0, 0], [0, 1, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1], [0, 0, 0, 0]],
+    5,
+    [1, 0, 0, 0],
 ])
 def test_decompose_rejects_a_reflection_of_the_wrong_shape(capsys, tmp_path, matrix):
     path = tmp_path / "r.json"
@@ -275,6 +277,22 @@ def test_usage_errors(capsys):
 
     code, _, err = run(capsys, "describe", "--algebra", "tn", "--file", "x")
     assert code == 2 and "exactly one" in err
+
+
+# algebra JSON that is not a nonempty n*n*n nested list with string labels,
+# a list unit and an int dim: an input error, never a traceback
+@pytest.mark.parametrize("data", [
+    {"sc": 5}, {"sc": [[1]]}, {"sc": []}, {"sc": ["1"]},
+    {"sc": [[[1]]], "unit": 3}, {"sc": [[[1]]], "labels": 5},
+    {"sc": [[[1]]], "labels": [1]}, {"sc": [[[1]]], "dim": "1"},
+])
+@pytest.mark.parametrize("verb", ["describe", "lieify"])
+def test_malformed_algebra_json_is_a_usage_error(capsys, tmp_path, verb, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, verb, "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("altkit: error:")
 
 
 @pytest.mark.parametrize("family, params, names, takes", [

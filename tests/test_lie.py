@@ -172,6 +172,40 @@ def test_lieify_is_its_definition_on_sparse_tables(n, zeros, rng):
         _assert_lieify_is_its_definition(A)
 
 
+def test_float_copy_of_a_zero_table_is_float():
+    L = lie.lieify(catalog.ak(2))  # every bracket is 0: no nonzero entry
+    assert not L.cube.any()
+    parsed = Algebra([[[float(c) for c in cell] for cell in row] for row in L.sc],
+                     labels=L.labels)
+    got = L.to_float()
+    assert got.cube.dtype == np.float64 and got.scalar_mode == "float"
+    assert typed(got.sc) == typed(parsed.sc)
+
+
+def _written_shape(alpha, beta):
+    """Reference: the reflection shape written out, [i, w] = -2v,
+    [i, v] = 2w, [v, w] = alpha + beta i and 0 elsewhere, parsed."""
+    b = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    for i, j, k, c in ((1, 2, 3, -2), (1, 3, 2, 2), (3, 2, 0, alpha), (3, 2, 1, beta)):
+        b[i][j][k], b[j][i][k] = c, -c
+    return lie.LieAlgebra(b, labels=("1", "i", "w", "v"))
+
+
+@pytest.mark.parametrize("alpha,beta", [(0, 0), (3, -5), (F(1, 3), F(-2, 7)), (2**70, 1),
+                                        (F(-1, 2**70), 2**70), (0.0, 0.0), (1.5, 0.0),
+                                        (-2.0, 0.25), (0, 0.5)])
+def test_tp_lie_algebra_is_the_written_shape(alpha, beta):
+    got, want = lie.tp_lie_algebra(alpha, beta), _written_shape(alpha, beta)
+    assert got.labels == want.labels
+    assert (got._scale, got.cube.dtype) == (want._scale, want.cube.dtype)
+    if got.scalar_mode == "exact":
+        assert typed(got.cube) == typed(want.cube)
+    else:
+        # by value only: tp_lie_algebra's entries are IEEE differences
+        # S - S^T, whose zeros can carry another sign than the written -c
+        assert np.array_equal(got.cube, want.cube)
+
+
 def test_jacobi_holds_for_tp():
     rng = random.Random(3)
     for _ in range(20):
