@@ -19,7 +19,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import catalog, identities, lie, structure, units
-from .core import _fits_int64
+from .core import _fits_int64, draw_twelfths
 from .identities import IdentityKind
 
 
@@ -389,22 +389,27 @@ def _bilinearity_draws(rng: random.Random, algebras, samples: int) -> list:
     """The draws of the bilinearity samples, sample s on the algebra
     algebras[s % len(algebras)], in the order a loop of one Element per
     sample takes them: al, be, then the coordinates of x, y and z, each
-    randint(-6, 6) over randint(1, 4), drawn in that order.  A value
-    num/den is kept as num * (12 // den), its value over 12, and each
-    algebra's samples as the rows [al, be, x, y, z] of one array: int64, or
-    Python ints where `_fits_int64` fails for the claim's products."""
-    k, randint = len(algebras), rng.randint
-    draws = []
-    for a, alg in enumerate(algebras):
-        n = alg.dim
+    randint(-6, 6) over randint(1, 4), drawn in that order.  All of them
+    are one `draw_twelfths` call, which keeps each value num/den as
+    num * (12 // den), its value over 12, and leaves ``rng`` where that
+    loop leaves it.  The flat draw is split into each algebra's samples as
+    the rows [al, be, x, y, z] of one array: int64, or Python ints where
+    `_fits_int64` fails for the claim's products."""
+    k, widths = len(algebras), [2 + 3 * alg.dim for alg in algebras]
+    full, rest = divmod(samples, k)
+    cycle = sum(widths)
+    flat = draw_twelfths(rng, full * cycle + sum(widths[:rest]))
+    head, tail = flat[:full * cycle].reshape(full, cycle), flat[full * cycle:]
+    draws, start = [], 0
+    for a, (alg, width) in enumerate(zip(algebras, widths)):
+        D = head[:, start:start + width]
+        if a < rest:
+            D = np.vstack([D, tail[start:start + width]])
+        start += width
         smax = int(np.abs(alg.cube).max(initial=0))
         # entries of (al x + be y) z and al xz + be yz: n^2 terms, each up to
         # 2 * 72^3 * smax over 12^3
-        dtype = np.int64 if _fits_int64(n, smax, 2 * 72 ** 3) else object
-        draws.append(np.empty(((samples - a + k - 1) // k, 2 + 3 * n), dtype=dtype))
-    for s in range(samples):
-        row = draws[s % k][s // k]
-        row[:] = [randint(-6, 6) * (12 // randint(1, 4)) for _ in range(len(row))]
+        draws.append(D if _fits_int64(alg.dim, smax, 2 * 72 ** 3) else D.astype(object))
     return draws
 
 

@@ -35,6 +35,11 @@ float algebra, holds its coordinates as given; every float computation
 kernels, `morphism_defect`, Newton) runs on that copy, bit for bit the
 same call on `to_float()`.
 
+The sampled checks draw their points through `draw_twelfths` and
+`draw_uniform`: each reads the values a loop of `random.Random` calls
+returns off the generator's 32-bit words, in blocks, and leaves the
+generator where that loop leaves it.
+
 Values are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to use concurrently.
 The lazily built values (`Algebra.sc`, `to_float()`, the slots of the
@@ -47,7 +52,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 import os
+import random
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -122,6 +129,21 @@ def tolerance(eps: Optional[float], default: Optional[float] = None) -> float:
     if not (math.isfinite(eps) and eps >= 0):
         raise ParameterError(f"eps must be finite and nonnegative, got {eps!r}")
     return eps
+
+
+def require_count(value, what: str) -> int:
+    """``value`` as a count: an integer that `operator.index` accepts, not
+    a bool, and nonnegative.  Anything else raises ParameterError, a float
+    such as 2.0 or 2.5 included: a count is never rounded or truncated."""
+    if not isinstance(value, bool):
+        try:
+            count = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if count >= 0:
+                return count
+    raise ParameterError(f"{what} must be a nonnegative integer, got {value!r}")
 
 
 def parse_scalar(value) -> Scalar:
@@ -949,6 +971,87 @@ def morphism_defect(src: "Algebra", dst: "Algebra", mat, eps: float) -> Optional
         lhs, rhs = den * dst._scale, src._scale
     direct = np.dot(Mt, np.dot(Mt, T.reshape(n, -1)).reshape(n, n, n))
     return first_defect(lhs * np.dot(S, Mt) - rhs * direct.swapaxes(0, 1), eps)
+
+
+# seeded draws -----------------------------------------------------------------
+
+# The draws below read the Mersenne Twister's 32-bit words in blocks of at
+# most this many, so a long draw holds a few small temporaries at a time.
+_BLOCK_WORDS = 4096
+# 12 // randint(1, 4), indexed by the top 3 bits of the word that drew it
+_TWELFTHS = np.array([12, 6, 4, 3], dtype=np.int64)
+
+
+def _words(rng: random.Random, k: int) -> np.ndarray:
+    """The next k 32-bit outputs of ``rng``'s generator, in order:
+    getrandbits(32 k) fills its integer least significant word first."""
+    return np.frombuffer(rng.getrandbits(32 * k).to_bytes(4 * k, "little"), dtype="<u4")
+
+
+def draw_twelfths(rng: random.Random, count) -> np.ndarray:
+    """What ``[rng.randint(-6, 6) * (12 // rng.randint(1, 4)) for _ in
+    range(count)]`` returns, as int64, leaving ``rng`` in the state that
+    loop leaves it: ``count`` rationals randint(-6, 6) / randint(1, 4),
+    drawn in that order, each as its value over 12.
+
+    CPython's randint(a, b) takes the top bits of one word, as many as
+    b - a + 1 has, and draws again while they are >= b - a + 1.  So a word
+    whose top bit is 0 is taken in either state and switches between
+    drawing a numerator and a denominator; a word whose top 4 bits are
+    8..12 is taken only as a numerator, after which a denominator is due;
+    any other word is skipped.  The state before each word is then the
+    parity of the switching words since the last word of the second kind,
+    read off by two accumulates per block.  The words past the last
+    denominator are put back: the generator is restored to the block's
+    start and advanced by the words used.  That randint rule is how
+    CPython 3.10 to 3.13 implement it, not a documented guarantee; the
+    tests pin it against the loop."""
+    count = require_count(count, "draw count")
+    out = np.empty(count, dtype=np.int64)
+    done, pending = 0, np.empty(0, dtype=np.int64)  # a numerator without its denominator
+    while done < count:
+        need = count - done
+        state = rng.getstate()
+        # a twelfth takes 3.2 words on average, at least two
+        w = _words(rng, min(_BLOCK_WORDS, 4 * need))
+        top = w >> 28
+        flip = top < 8
+        # entry 0 is a virtual word that sets the state at the block's
+        # start: a reset when a numerator is pending
+        reset = np.concatenate([[len(pending) > 0], ~flip & (top < 13)])
+        parity = np.bitwise_xor.accumulate(np.concatenate([[False], flip]))
+        last = np.maximum.accumulate(np.where(reset, np.arange(len(reset)), 0))
+        # True before a word where a denominator is due
+        due = (parity ^ parity[last] ^ reset[last])[:-1]
+        nums = np.concatenate([pending, top[~due & (top < 13)].astype(np.int64) - 6])
+        at = np.flatnonzero(due & flip)
+        dens = _TWELFTHS[w[at] >> 29]
+        if len(dens) >= need:
+            out[done:] = nums[:need] * dens[:need]
+            used = int(at[need - 1]) + 1
+            if used < len(w):
+                rng.setstate(state)
+                rng.getrandbits(32 * used)
+            break
+        out[done:done + len(dens)] = nums[:len(dens)] * dens
+        done, pending = done + len(dens), nums[len(dens):]
+    return out
+
+
+def draw_uniform(rng: random.Random, lo, hi, count) -> np.ndarray:
+    """What ``[rng.uniform(lo, hi) for _ in range(count)]`` returns, as
+    float64, for int or float bounds, leaving ``rng`` where that loop
+    leaves it.  CPython's uniform is lo + (hi - lo) * random(), and random()
+    is ((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53 of two words, every step
+    exact or rounded once in float64 as numpy rounds it."""
+    count = require_count(count, "draw count")
+    out = np.empty(count)
+    step = _BLOCK_WORDS // 2
+    for start in range(0, count, step):
+        w = _words(rng, 2 * min(step, count - start))
+        r = ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+        out[start:start + len(r)] = lo + (hi - lo) * r
+    return out
 
 
 # module-level operation aliases ------------------------------------------------

@@ -36,8 +36,10 @@ from .core import (
     ContextError,
     Element,
     NotApplicableError,
-    ParameterError,
+    draw_twelfths,
+    draw_uniform,
     first_defect,
+    require_count,
     tolerance,
 )
 from .units import UnitLocus, _are_units, _int_rows
@@ -355,20 +357,17 @@ def _candidate_groups(A: Algebra, samples: int, rng: random.Random):
     candidate c being rows[c] / den: the basis, the sums e_i + e_j
     (i < j), then ``samples`` draws from ``rng``, coordinate by
     coordinate.  On an exact table a coordinate is randint(-6, 6) /
-    randint(1, 4), drawn in that order and kept as its value over 12; on
-    a float table it is uniform(-6, 6)."""
+    randint(1, 4), drawn in that order and kept as its value over 12
+    (`draw_twelfths`); on a float table it is uniform(-6, 6)
+    (`draw_uniform`).  Both read the stream a loop of those calls reads."""
     n = A.dim
-    exact = A.scalar_mode == "exact"
     eye, pair_sums = _basis_rows(A)
     yield eye, 1
     yield np.concatenate([eye[:0], *pair_sums]), 1
-    if exact:
-        randint = rng.randint
-        draws = [randint(-6, 6) * (12 // randint(1, 4)) for _ in range(samples * n)]
-        yield np.array(draws, dtype=np.int64).reshape(samples, n), 12
+    if A.scalar_mode == "exact":
+        yield draw_twelfths(rng, samples * n).reshape(samples, n), 12
     else:
-        uniform = rng.uniform
-        yield np.array([uniform(-6, 6) for _ in range(samples * n)]).reshape(samples, n), 1
+        yield draw_uniform(rng, -6, 6, samples * n).reshape(samples, n), 1
 
 
 def is_division_sampled(
@@ -395,8 +394,7 @@ def is_division_sampled(
     verdict never rests on floats.
     """
     eps = tolerance(eps, A.eps)
-    if samples < 0:
-        raise ParameterError(f"sample count must be nonnegative, got {samples}")
+    samples = require_count(samples, "sample count")
     rng = random.Random(seed)
     exact = A.scalar_mode == "exact"
     checked = 0

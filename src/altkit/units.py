@@ -46,8 +46,10 @@ from .core import (
     AlgebraError,
     Element,
     ParameterError,
+    draw_uniform,
     integer_form,
     nonzero_entries,
+    require_count,
     scalar_is_zero,
     scalar_to_json,
     tolerance,
@@ -146,28 +148,28 @@ def solve_units_sampled(
     """Newton-iterate F(q) = q*q + 1 from seeded starting points.
 
     Start points are all +-basis vectors plus ``seeds`` uniform draws from
-    [-2, 2]^n.  All live starts step together: one product of the rows
-    with the symmetrised table gives, per row, J = L_q + R_q and, since
-    J(q)q = 2 q*q, also F = J(q)q/2 + 1; one stacked solve then steps every
-    row.  Rows with max|F| <= tol leave as converged, and their steps are
-    dropped.  A row is abandoned when its step leaves max|q| <= 1e6 or is
-    not finite, or when it has not converged after 100 iterations.  The
-    solve is the gufunc behind ``np.linalg.solve``, called without the
-    wrapper's raise: an exactly singular Jacobian (a zero pivot in LAPACK's
-    LU factorisation) gives its row a NaN step, which fails the box test,
-    and leaves every other row's step as a solve of that row alone gives it.
-    Converged points are deduplicated in start order: a point is kept
-    unless a kept point lies within 10*tol of it in every coordinate.  The
-    kept points are re-checked together, q*q + 1 within tol in every
-    coordinate, by one `Algebra.multiply_rows` call on their coordinate
-    rows, and those that pass are returned as a sampled cloud.
+    [-2, 2]^n: the values of seeds * n calls of uniform(-2.0, 2.0) on
+    random.Random(seed), read in one `draw_uniform`.  All live starts step
+    together: one product of the rows with the symmetrised table gives, per
+    row, J = L_q + R_q and, since J(q)q = 2 q*q, also F = J(q)q/2 + 1; one
+    stacked solve then steps every row.  Rows with max|F| <= tol leave as
+    converged, and their steps are dropped.  A row is abandoned when its
+    step leaves max|q| <= 1e6 or is not finite, or when it has not converged
+    after 100 iterations.  The solve is the gufunc behind
+    ``np.linalg.solve``, called without the wrapper's raise: an exactly
+    singular Jacobian (a zero pivot in LAPACK's LU factorisation) gives its
+    row a NaN step, which fails the box test, and leaves every other row's
+    step as a solve of that row alone gives it.  Converged points are
+    deduplicated in start order: a point is kept unless a kept point lies
+    within 10*tol of it in every coordinate.  The kept points are re-checked
+    together, q*q + 1 within tol in every coordinate, by one
+    `Algebra.multiply_rows` call on their coordinate rows, and those that
+    pass are returned as a sampled cloud.
     """
     if A.unit is None:
         raise AlgebraError("unit sampling needs a unital algebra")
     tol = tolerance(tol, A.eps)
-    if seeds < 0:
-        raise ParameterError(f"seed count must be nonnegative, got {seeds}")
-    rng = random.Random(seed)
+    seeds = require_count(seeds, "seed count")
     n = A.dim
     sc = A.to_float().cube
     one = np.array(A.unit, dtype=float)
@@ -175,9 +177,8 @@ def solve_units_sampled(
     sym = (sc + sc.transpose(1, 0, 2)).reshape(n, n * n)
 
     basis = np.eye(n)
-    draws = [rng.uniform(-2.0, 2.0) for _ in range(seeds * n)]
     x = np.vstack([np.stack([basis, -basis], axis=1).reshape(2 * n, n),
-                   np.reshape(draws, (seeds, n))])
+                   draw_uniform(random.Random(seed), -2.0, 2.0, seeds * n).reshape(seeds, n)])
 
     # x holds the live rows, start[r] the start index of row r; a row that
     # converges is written to its start's slot of found
@@ -284,8 +285,7 @@ def rational_locus_points(
     check is dropped, and drawing stops after 50 * count + 50 tries, so on
     a table whose units are not that quadric (a wrong ``a``, or a tn point
     with b, c or d nonzero) fewer than ``count`` points come back."""
-    if count < 0:
-        raise ParameterError(f"point count must be nonnegative, got {count}")
+    count = require_count(count, "point count")
     return _fresh_locus_points(A, a, count, seed, set())
 
 
@@ -389,8 +389,7 @@ def locus_sample_points(
     """Points usable for partial-identity checks: the stored points, padded
     with rational locus points not among them when the locus has an
     equation, so each point is held once."""
-    if count < 0:
-        raise ParameterError(f"point count must be nonnegative, got {count}")
+    count = require_count(count, "point count")
     points = list(locus.points)
     if locus.equation is not None and len(points) < count:
         eq = locus.equation

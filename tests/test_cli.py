@@ -466,6 +466,26 @@ def test_bilinearity_checks_the_element_loop_samples(seed):
                 [[c * alg._scale for c in alg.multiply(*pair(s)).coords] for s in mine]
 
 
+@pytest.mark.parametrize("samples", [0, 1, 101])
+def test_bilinearity_draws_past_int64_hold_python_ints(samples):
+    # a cube past `_fits_int64` keeps its draws as Python ints: an np.int64
+    # left in the object array would overflow silently in the products
+    rng, algebras = random.Random(5), (catalog.quaternions(),
+                                       catalog.ak(2, a11=2**40, a12=Fraction(1, 2)))
+    ref = random.Random(5)
+    want = [[], []]
+    for s in range(samples):
+        alg = algebras[s % 2]
+        al, be = oracle.random_rational(ref), oracle.random_rational(ref)
+        xyz = [c for _ in range(3) for c in oracle.random_element(alg, ref).coords]
+        want[s % 2].append([int(12 * v) for v in (al, be, *xyz)])
+    draws = claims._bilinearity_draws(rng, algebras, samples)
+    assert rng.getstate() == ref.getstate()
+    assert [D.dtype for D in draws] == [np.int64, object]
+    assert [D.tolist() for D in draws] == want
+    assert all(type(v) is int for v in draws[1].flat)
+
+
 @pytest.mark.parametrize("call", [0, 3, 6, 9])
 def test_verify_paper_fails_bilinearity_on_one_wrong_product_entry(capsys, monkeypatch,
                                                                   call):

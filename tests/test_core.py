@@ -950,3 +950,50 @@ def test_bad_per_call_eps_is_rejected_everywhere(bad):
     for call in calls:
         with pytest.raises(ParameterError, match="eps"):
             call()
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, -1])
+def test_a_count_that_is_not_a_nonnegative_integer_is_rejected_everywhere(bad):
+    from altkit import identities, units
+
+    H = catalog.quaternions()
+    T = catalog.tn(a=-1)
+    locus = units.classify_locus_tn(T)
+    calls = [
+        lambda: core.draw_twelfths(random.Random(0), bad),
+        lambda: core.draw_uniform(random.Random(0), -2.0, 2.0, bad),
+        lambda: units.solve_units_sampled(H, seeds=bad),
+        lambda: identities.is_division_sampled(H, samples=bad),
+        lambda: units.rational_locus_points(T, Fraction(-1), bad),
+        lambda: units.locus_sample_points(locus, T, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match=f"got {bad!r}"):
+            call()
+    # an integer of another type is a count
+    assert core.require_count(np.int64(3), "count") == 3
+
+
+# Contract: the seeded draws are the random module's own loops, value for
+# value and state for state, so every sampled witness and `sampled(k)`
+# count that pins the stream of `random.Random` holds.  The counts straddle
+# a block of `_BLOCK_WORDS` words: a twelfth takes at least two words and
+# is asked for as four, a uniform value takes exactly two.
+def test_seeded_draws_repeat_the_random_module_loops():
+    B = core._BLOCK_WORDS
+    for block, dtype, draw, loop in (
+            (B // 4, np.int64, core.draw_twelfths,
+             lambda rng, k: [rng.randint(-6, 6) * (12 // rng.randint(1, 4)) for _ in range(k)]),
+            (B // 2, np.float64, lambda rng, k: core.draw_uniform(rng, -2.0, 2.0, k),
+             lambda rng, k: [rng.uniform(-2.0, 2.0) for _ in range(k)]),
+            (B // 2, np.float64, lambda rng, k: core.draw_uniform(rng, -6, 6, k),
+             lambda rng, k: [rng.uniform(-6, 6) for _ in range(k)])):
+        for count in (0, 1, 2, block - 1, block, block + 1, 3 * block + 5):
+            for seed in range(200):
+                mine, ref = random.Random(seed), random.Random(seed)
+                got, want = draw(mine, count), np.array(loop(ref, count), dtype=dtype)
+                # bit for bit: the int64 values, or the float64 bits
+                assert got.dtype == dtype
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                assert mine.getstate() == ref.getstate()
+                assert mine.random() == ref.random()
