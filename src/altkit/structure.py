@@ -283,7 +283,7 @@ def classify_middle_c(source, eps: Optional[float] = None) -> MiddleClassificati
     associative, so a verified witness also proves partial left and right
     alternativity everywhere.
     """
-    A = source if isinstance(source, Algebra) else catalog.tn(**dict(source))
+    A = source if isinstance(source, Algebra) else catalog.build("tn", **dict(source))
     params = catalog.tn_params(A)
     eps = tolerance(eps, A.eps)
 

@@ -17,9 +17,9 @@ grid-index order, every grid point of a coordinate box that solves the
 equation; interval bounds discard boxes that provably contain no
 solution, so the full grid never has to be visited point by point.  The
 search is level-synchronous: the boxes of one level are integer index
-arrays, bounded together by one kernel, and the points of the small boxes
-that survive are tested by the same kernel on one-point boxes.
-The bounds and the point test are exact integer arithmetic (int64 while
+arrays, bounded together by one kernel, and a box that survives is split
+until it is one grid point, whose bound is that point's exact value.
+The bounds are exact integer arithmetic (int64 while
 a bound shows no sum can overflow, Python ints otherwise) on one
 quadratic form scaled from the table's exact values (a float entry at its
 binary value), so the search's completeness is a proof, not a float
@@ -49,6 +49,7 @@ from .core import (
     draw_uniform,
     integer_form,
     nonzero_entries,
+    parse_scalar,
     require_count,
     scalar_is_zero,
     scalar_to_json,
@@ -358,7 +359,7 @@ def classify_locus_tn(target) -> UnitLocus:
     a < 0.  The emitted equation is sign-normalised so the a < 0 case
     reads x^2 + |a|(y^2 + z^2) = 1.
     """
-    A = target if isinstance(target, Algebra) else catalog.tn(**dict(target))
+    A = target if isinstance(target, Algebra) else catalog.build("tn", **dict(target))
     params = catalog.tn_params(A)
     a = params["a"]
     i_elem = A.basis(1)
@@ -448,8 +449,8 @@ def _grid_form(A: Algebra, step: Fraction, tol: float, hi_idx: int) -> _GridForm
     D the lcm of the denominators of the table's and the unit's exact
     values (a float at its binary value).  Its limit is floor(s^2 tol D):
     an integer exceeds a bound exactly when it exceeds the bound's floor.
-    Its coefficients are int64 when sum |c| hi_idx^2 + limit < 2^62 bounds
-    every sum the search makes, and Python ints otherwise."""
+    Its coefficients are int64 when sum |c| hi_idx^2 + sum |s^2 U| + limit
+    < 2^62 bounds every sum the search makes, and Python ints otherwise."""
     n, p, s = A.dim, step.numerator, step.denominator
     index, values = nonzero_entries(A.cube)
     # an exact cube holds the table times _scale: the unit is scaled alike
@@ -474,7 +475,9 @@ def _grid_form(A: Algebra, step: Fraction, tol: float, hi_idx: int) -> _GridForm
                     # a low sum takes c * plo for c > 0 and c * phi for c < 0
                     source.append(e + len(pairs) * ((c > 0) == high))
                     coeff.append(c)
-    total = sum(map(abs, coeff)) * hi_idx * hi_idx + limit
+    # a sum's pair terms are each at most |c| hi_idx^2, its unit term |s^2 U_k|
+    total = (sum(abs(c) for row in forms.values() for c in row) * hi_idx * hi_idx
+             + sum(map(abs, unit)) + limit)
     # per box: the four corner products, [plo | phi | 1] and the terms
     height = max(1, _BLOCK_CELLS // (6 * len(pairs) + 1 + len(source)))
     left = np.array([i for i, _ in pairs], dtype=np.intp)
@@ -516,20 +519,6 @@ def _may_vanish(form: _GridForm, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _box_points(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The grid points of the boxes as (M, n) index rows, box by box."""
-    width = hi - lo + 1
-    counts = np.prod(width, axis=1).astype(np.intp)
-    box = np.repeat(np.arange(len(lo)), counts)
-    rank = np.arange(len(box)) - np.repeat(np.cumsum(counts) - counts, counts)
-    points = np.empty((len(box), lo.shape[1]), dtype=lo.dtype)
-    for axis in reversed(range(lo.shape[1])):
-        span = width[box, axis]
-        points[:, axis] = lo[box, axis] + rank % span
-        rank = rank // span
-    return points
-
-
 def grid_unit_search(
     A: Algebra,
     radius: float = 3.0,
@@ -543,10 +532,10 @@ def grid_unit_search(
     Equivalent to enumerating the full grid, but a box is discarded
     wholesale when its interval bound pushes some residual coordinate away
     from zero.  The search is level-synchronous: the boxes of one level,
-    integer index ranges, are bounded together by `_box_bounds`; a
-    surviving box of at most 32 points has its points tested by the same
-    bound on one-point boxes, and a larger one is split in two on its
-    first widest axis.  Bounds and point tests are exact integer
+    integer index ranges, are bounded together by `_box_bounds`, and a
+    surviving box is split in two on its first widest axis until it is one
+    grid point.  The bound of a one-point box is that point's value, so a
+    surviving point solves the equation.  Bounds are exact integer
     arithmetic on the table's exact values (a float at its binary value),
     so the list is complete, not sampled.  Like every tolerance in altkit,
     ``tol`` (default: ``A.eps``) acts only on float tables, as the limit
@@ -555,11 +544,12 @@ def grid_unit_search(
     """
     if A.unit is None:
         raise AlgebraError("grid search needs a unital algebra")
-    step = Fraction(step)
-    if step <= 0:
-        raise ParameterError(f"grid step must be positive, got {step}")
+    step, radius = parse_scalar(step), parse_scalar(radius)
+    if not 0 < step < math.inf:
+        raise ParameterError(f"grid step must be finite and positive, got {step}")
     if not 0 <= radius < math.inf:
         raise ParameterError(f"grid radius must be finite and nonnegative, got {radius}")
+    step = Fraction(step)
     tol = tolerance(tol, A.eps)
     exact = A.scalar_mode == "exact"
     n = A.dim
@@ -570,28 +560,15 @@ def grid_unit_search(
     lo = np.full((1, n), -hi_idx, dtype=np.int64 if hi_idx < 2**31 else object)
     hi = -lo
     found = [lo[:0]]
-    while True:
+    while len(lo):
         keep = _may_vanish(form, lo, hi)
         lo, hi = lo[keep], hi[keep]
-        width = hi - lo + 1
-        # a box of at most 32 points has at most five axes wider than one
-        # (2^6 > 32); the product of those widths, each capped at 33, is
-        # then its size or above 32, and far inside int64
-        many = np.count_nonzero(width > 1, axis=1) > 5
-        capped = np.minimum(width, 33)
-        capped[many] = 1
-        small = ~many & (np.prod(capped, axis=1) <= 32)
-        tested_lo, tested_hi = lo[small], hi[small]
-        # the points of up to height // 32 boxes, tested at once
-        block = max(1, form.height // 32)
-        for a in range(0, len(tested_lo), block):
-            points = _box_points(tested_lo[a:a + block], tested_hi[a:a + block])
-            found.append(points[_may_vanish(form, points, points)])
+        # a box of one point is bounded by its value: it passed as a solution
+        point = (lo == hi).all(axis=1)
+        found.append(lo[point])
+        lo, hi = lo[~point], hi[~point]
         # split the first widest axis; boxes stay disjoint, so no point repeats
-        lo, hi, width = lo[~small], hi[~small], width[~small]
-        if not len(lo):
-            break
-        rows, axis = np.arange(len(lo)), np.argmax(width, axis=1)
+        rows, axis = np.arange(len(lo)), np.argmax(hi - lo, axis=1)
         mid = (lo[rows, axis] + hi[rows, axis]) // 2
         upper, lower = lo.copy(), hi.copy()
         upper[rows, axis] = mid + 1

@@ -15,6 +15,7 @@ from altkit.core import (
     AlgebraError,
     DimensionError,
     NucleusContradictionError,
+    ParameterError,
     ReflectionError,
     morphism_defect,
 )
@@ -188,6 +189,11 @@ def test_classify_preconditions():
     out = structure.classify_middle_c({"a": 4, "g": -1})
     assert out.target == "Unclassified"
     assert out.reason == "table constant g = -1 violates the derived value -4"
+
+
+def test_classify_rejects_a_parameter_tn_lacks():
+    with pytest.raises(ParameterError, match="'tn' has no parameter z"):
+        structure.classify_middle_c({"z": 1})
 
 
 def test_classify_accepts_algebra_input():

@@ -482,6 +482,11 @@ def test_classify_locus_accepts_params():
     assert locus.kind == units.KIND_HYPERBOLOID
 
 
+def test_classify_locus_rejects_a_parameter_tn_lacks():
+    with pytest.raises(ParameterError, match="'tn' has no parameter z"):
+        units.classify_locus_tn({"z": 1})
+
+
 def test_rational_locus_points_are_exact_units():
     # distinct, and drawn no further than repeats force: a longer list
     # extends a shorter one at the same seed
@@ -774,6 +779,18 @@ def test_grid_search_rejects_bad_arguments():
             units.grid_unit_search(H, tol=tol)
 
 
+def test_grid_search_reads_step_and_radius_as_scalars():
+    H = catalog.quaternions()
+    for step in ("x", math.nan, math.inf, True):
+        with pytest.raises(ParameterError):
+            units.grid_unit_search(H, step=step)
+    with pytest.raises(ParameterError):
+        units.grid_unit_search(H, radius=True)
+    # a scalar string reads as the number it names, as on the command line
+    assert (units.grid_unit_search(H, radius="2", step="1/2")
+            == units.grid_unit_search(H, radius=2, step=F(1, 2)))
+
+
 def _random_unital_table(rng, n, denominators, plant):
     """Unital table on e0 with random e_i*e_j (i, j >= 1); with ``plant``
     the last product is solved for so that a random grid point of step 1/2
@@ -839,9 +856,11 @@ def _grid_reference(A, radius, step, tol):
     """The grid search as a depth-first recursion over boxes, in Fractions
     on q*q + 1 read from A.sc: each coordinate's interval over a box is the
     unit plus, per pair i <= j, the hull of the pair's products (a
-    square's from 0 when its range spans 0) times its coefficient.
-    Returns the points found, in itertools.product order, and the number
-    of boxes and points bounded."""
+    square's from 0 when its range spans 0) times its coefficient.  A box
+    that survives is halved on its first widest axis until it is one
+    point, and a one-point box that survives is a solution.  Returns the
+    points found, in itertools.product order, and the number of boxes
+    bounded."""
     n, hi = A.dim, int(F(radius) / step)
     sc = [[[F(c) for c in cell] for cell in row] for row in A.sc]
     unit = [F(u) for u in A.unit]
@@ -868,9 +887,8 @@ def _grid_reference(A, radius, step, tol):
     def search(box):
         if not may_vanish(box):
             return
-        if math.prod(b - a + 1 for a, b in box) <= 32:
-            points = itertools.product(*(range(a, b + 1) for a, b in box))
-            found.extend(idx for idx in points if may_vanish([(i, i) for i in idx]))
+        if all(a == b for a, b in box):
+            found.append(tuple(a for a, _ in box))
             return
         axis = max(range(n), key=lambda i: box[i][1] - box[i][0])
         a, b = box[axis]
@@ -891,11 +909,13 @@ def _grid_reference(A, radius, step, tol):
     # the split complex numbers, e*e = 1: q*q + 1 has real part 1 + x^2 +
     # y^2, so the bound, its squares counted from 0, prunes the whole grid
     (Algebra([[[1, 0], [0, 1]], [[0, 1], [1, 0]]], unit=[1, 0]), 3, F(1, 4)),
+    # radius < step: the origin is the only grid point, one box bounded
+    (catalog.quaternions(), F(1, 8), F(1, 4)),
 ], ids=repr)
 def test_grid_search_bounds_the_boxes_a_depth_first_search_bounds(A, radius, step,
                                                                   monkeypatch):
     # level by level, the same boxes are bounded and the same points found,
-    # counting every box and one-point box handed to the bound
+    # counting every box handed to the bound
     bounded = []
     real = units._box_bounds
 
@@ -921,6 +941,22 @@ def test_grid_search_past_int64_runs_on_python_ints():
     C = catalog.complex_numbers()
     e1 = C.basis(1)
     assert units.grid_unit_search(C, radius=2**40, step=1) == [-e1, e1]
+
+
+def test_grid_search_below_one_step_bounds_the_unit_term():
+    # radius < step leaves the origin alone (hi_idx = 0); at step 2^-32 the
+    # unit's term s^2 U passes int64 by itself, so the form is Python ints
+    H = catalog.quaternions()
+    step = F(1, 2**32)
+    assert units._grid_form(H, step, 0, 0).coeff.dtype == object
+    for radius in (0, F(1, 2**33)):
+        assert units.grid_unit_search(H, radius=radius, step=step) == []
+        assert _grid_brute_force(H, radius, step, 0.0) == []
+    # at radius 1 that step is 2^32 indices a side, and the complex numbers'
+    # only units, +-e1, are the whole list
+    C = catalog.complex_numbers()
+    e1 = C.basis(1)
+    assert units.grid_unit_search(C, radius=1, step=step) == [-e1, e1]
 
 
 def test_grid_search_tolerance_is_a_floor_on_dyadic_floats():
