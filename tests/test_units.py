@@ -952,11 +952,6 @@ def test_grid_search_below_one_step_bounds_the_unit_term():
     for radius in (0, F(1, 2**33)):
         assert units.grid_unit_search(H, radius=radius, step=step) == []
         assert _grid_brute_force(H, radius, step, 0.0) == []
-    # at radius 1 that step is 2^32 indices a side, and the complex numbers'
-    # only units, +-e1, are the whole list
-    C = catalog.complex_numbers()
-    e1 = C.basis(1)
-    assert units.grid_unit_search(C, radius=1, step=step) == [-e1, e1]
 
 
 def test_grid_search_tolerance_is_a_floor_on_dyadic_floats():
