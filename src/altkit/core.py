@@ -27,13 +27,19 @@ and the commutator are stated once, in their defining form, over
 `multiply`.  The tensor kernels (`associator_slices`, `mul_operators`,
 `first_singular`) and `multiply_rows` take coordinate rows only: the
 identity checks, the division test and the unit checks hand them their
-points as rows, so an Element is built only for a witness.  An exact
-table has one float reading, its `to_float()` copy, built on first use
-and kept.  An element with a float coordinate, and every element of a
-float algebra, holds its coordinates as given; every float computation
-(a product, `mul_operator`, `multiply_rows` on float rows, the tensor
-kernels, `morphism_defect`, Newton) runs on that copy, bit for bit the
-same call on `to_float()`.
+points as rows, so an Element is built only for a witness.  Exact work in
+`associator_slices` and `morphism_defect` runs in one of three tiers,
+picked by `_exact_dtype` from a bound on every entry and partial sum it
+makes: below 2**53 as float64 arrays holding the same integers, on BLAS,
+since float64 holds every such integer and each IEEE product, sum or fused
+multiply-add of them is then exact, in whatever order BLAS sums; below
+2**63 as int64; past it as Python ints.  An exact verdict is a proof in
+each tier.  An exact table has one float reading, its `to_float()` copy,
+built on first use and kept.  An element with a float coordinate, and
+every element of a float algebra, holds its coordinates as given; every
+float computation (a product, `mul_operator`, `multiply_rows` on float
+rows, the tensor kernels, `morphism_defect`, Newton) runs on that copy,
+bit for bit the same call on `to_float()`.
 
 The sampled checks draw their points through `draw_twelfths` and
 `draw_uniform`: each reads the values a loop of `random.Random` calls
@@ -698,54 +704,76 @@ class Algebra:
         return self._cube
 
     def _operands(self, X, degree: int) -> tuple:
-        """(S, X) for the tensor kernels: the cube S and the (N, n) array X
-        of coordinate rows.  A float table or float rows make both floats,
-        S the cube of `to_float()`.  Otherwise each row is integers, a
-        positive multiple of its vector; S and X are int64 when
-        `_fits_int64` holds for the kernel's product of ``degree`` such
-        rows, and Python ints otherwise.  Object rows must hold integers
+        """(S, X, tier) for the tensor kernels: the cube S and the (N, n)
+        array X of coordinate rows, in the dtype of the kernel's result,
+        and the dtype the kernel's products may run in.  A float table or
+        float rows make all three floats, S the cube of `to_float()`.
+        Otherwise each row is integers, a positive multiple of its vector,
+        and `_exact_dtype` picks the tier from the bound `_slice_bound` puts
+        on the kernel's product of ``degree`` such rows: S and X are int64,
+        or Python ints (object) past 2**63, and the tier is float where the
+        bound is below 2**53.  Object rows must hold integers
         (`_require_integer_objects`)."""
         S, n, X = self.cube, self.dim, np.asarray(X)
         if X.ndim != 2 or X.shape[1] != n:
             raise DimensionError(f"rows must be an (N, {n}) array, got {X.shape}")
         _require_integer_objects(X)
         if X.dtype.kind == "f" or S.dtype == float:
-            return self.to_float().cube, X.astype(float, copy=False)
+            return self.to_float().cube, X.astype(float, copy=False), float
         vmax = int(np.abs(X).max(initial=0))
-        if S.dtype == object or not _fits_int64(
-                n, self._cube_max, n ** (degree - 1) * vmax ** degree):
-            S = S.astype(object)
-        return S, X.astype(S.dtype, copy=False)
+        tier = object if S.dtype == object else _exact_dtype(
+            _slice_bound(n, self._cube_max, n ** (degree - 1) * vmax ** degree))
+        dtype = np.int64 if tier is float else tier
+        return S.astype(dtype, copy=False), X.astype(dtype, copy=False), tier
 
     def associator_slices(self, slots: tuple, rows) -> np.ndarray:
         """The associator with the coordinate row v = rows[c] in each
         argument ``slots`` names and e_a, then e_b, in the others, in
         order: one slot, (0,), (1,) or (2,), gives D[c, a, b, :]; two,
         (0, 1), (1, 2) or (0, 2), give D[c, a, :], the left alternative,
-        right alternative or flexible law at (v, e_a).  Built from L[c, m] = v e_m and R[c, m] =
-        e_m v.  Integers, for each c a positive multiple of the true
-        coordinates, or floats as `_operands` rules.  Test with
-        `first_defect`."""
+        right alternative or flexible law at (v, e_a).  Integers, for each
+        c a positive multiple of the true coordinates, or floats, as
+        `_operands` rules.
+
+        Each slot set is a few plain matrix products of L[c, m] = v e_m,
+        R[c, m] = e_m v and the cube S read three ways: S[i, (j, k)],
+        S[j, (i, k)] (a transposed copy) and S[(i, j), k].  Exact rows below
+        the float64 bound run as float64 arrays of the same integers, on
+        BLAS: every entry and every partial sum of these products is an
+        integer no larger than the sum of its terms' absolute values, which
+        `_slice_bound` keeps below 2**53, so each IEEE product, sum or fused
+        multiply-add of them is exact, in whatever order BLAS sums, and the
+        result is cast back to int64.  Test with `first_defect`."""
         if slots not in ((0,), (1,), (2,), (0, 1), (1, 2), (0, 2)):
             raise ParameterError(
                 "associator slots must be (0,), (1,), (2,), (0, 1), (1, 2) "
                 f"or (0, 2), got {slots!r}")
-        S, X = self._operands(rows, len(slots))
-        L, R = np.tensordot(X, S, 1), np.tensordot(X, S, (1, 1))  # v e_m, e_m v
+        S, X, tier = self._operands(rows, len(slots))
+        dtype, n, N = S.dtype, self.dim, len(X)  # dtype: the result's
+        S, X = S.astype(tier, copy=False), X.astype(tier, copy=False)
+        first = S.reshape(n, n * n)  # first[i, (j, k)] = S[i, j, k]
+        second = S.transpose(1, 0, 2).reshape(n, n * n)  # second[j, (i, k)]
+        pairs = S.reshape(n * n, n)  # pairs[(i, j), k]
+        L = (X @ first).reshape(N, n, n)  # v e_m
+        R = (X @ second).reshape(N, n, n)  # e_m v
+        shape = (N, n, n, n)
         if slots == (0,):  # (v e_a) e_b - v (e_a e_b)
-            return np.tensordot(L, S, 1) - np.moveaxis(np.tensordot(S, L, (2, 1)), 2, 0)
-        if slots == (1,):  # (e_a v) e_b - e_a (v e_b)
-            return np.tensordot(R, S, 1) - np.tensordot(L, S, (2, 1)).swapaxes(1, 2)
-        if slots == (2,):  # (e_a e_b) v - e_a (e_b v)
-            return (np.moveaxis(np.tensordot(S, R, (2, 1)), 2, 0)
-                    - np.tensordot(R, S, (2, 1)).swapaxes(1, 2))
-        if slots == (0, 2):  # (v e_a) v - v (e_a v)
-            return L @ R - R @ L
-        vv = (X[:, None, :] @ L)[:, 0]
-        if slots == (0, 1):  # (v v) e_a - v (v e_a)
-            return np.tensordot(vv, S, 1) - L @ L
-        # (e_a v) v - e_a (v v)
-        return R @ R - np.tensordot(vv, S, (1, 1))
+            D = (L.reshape(-1, n) @ first).reshape(shape) - (pairs @ L).reshape(shape)
+        elif slots == (1,):  # (e_a v) e_b - e_a (v e_b)
+            D = ((R.reshape(-1, n) @ first).reshape(shape)
+                 - (L.reshape(-1, n) @ second).reshape(shape).swapaxes(1, 2))
+        elif slots == (2,):  # (e_a e_b) v - e_a (e_b v)
+            D = ((pairs @ R).reshape(shape)
+                 - (R.reshape(-1, n) @ second).reshape(shape).swapaxes(1, 2))
+        elif slots == (0, 2):  # (v e_a) v - v (e_a v)
+            D = L @ R - R @ L
+        else:
+            vv = (X[:, None, :] @ L)[:, 0]
+            if slots == (0, 1):  # (v v) e_a - v (v e_a)
+                D = (vv @ first).reshape(N, n, n) - L @ L
+            else:  # (e_a v) v - e_a (v v)
+                D = R @ R - (vv @ second).reshape(N, n, n)
+        return D.astype(dtype, copy=False)
 
     def mul_operators(self, rows) -> np.ndarray:
         """M[c, 0] and M[c, 1], the matrices of x -> v x and x -> x v for
@@ -757,7 +785,7 @@ class Algebra:
         integers, both reduced modulo the prime MODULUS first, so int64
         whatever the table's entries: a positive multiple of the true
         matrices, modulo MODULUS."""
-        return self._operators(*self._operands(rows, 1))
+        return self._operators(*self._operands(rows, 1)[:2])
 
     def _operators(self, S: np.ndarray, X: np.ndarray) -> np.ndarray:
         """`mul_operators` of the rows X against the cube S of `_operands`.
@@ -803,7 +831,7 @@ class Algebra:
         from . import linalg
 
         eps = tolerance(eps, self.eps)
-        S, X = self._operands(rows, 1)
+        S, X, _ = self._operands(rows, 1)
         M = self._operators(S, X)
         exact = M.dtype != float
         flagged = ~linalg.nonsingular_mod(M) if exact else np.abs(linalg.dets(M, eps)) <= eps
@@ -931,12 +959,29 @@ def _require_integer_objects(*arrays: np.ndarray) -> None:
             raise DimensionError("object rows must hold integers")
 
 
+def _slice_bound(n: int, smax: int, vmax: int) -> int:
+    """A bound on every entry, and every partial sum, of the slices of an
+    n-dim cube with entries up to smax against a vector with entries up to
+    vmax.  A slice entry is a difference of two sums of n*n products S*S*v,
+    each sum built from inner sums of n products S*v; a two-slot
+    `associator_slices` entry, of two sums of n^3 products S*S*v*v, passes
+    n*vmax^2 as vmax."""
+    return 8 * n * n * smax * smax * vmax
+
+
+def _exact_dtype(bound: int):
+    """Where exact integer work runs when every entry and partial sum it
+    makes is at most ``bound`` in magnitude: float64 below 2**53, whose
+    integers float64 holds, so that each IEEE product, sum or fused
+    multiply-add of them is exact (BLAS's classical dgemm, in whatever
+    order it sums); int64 below 2**63; Python ints (object) past it."""
+    return float if bound < 2**53 else np.int64 if bound < 2**63 else object
+
+
 def _fits_int64(n: int, smax: int, vmax: int) -> bool:
     """Can int64 hold the slices of an n-dim cube with entries up to smax
-    against a vector with entries up to vmax?  A slice entry is a difference
-    of two sums of n*n products S*S*v; a two-slot `associator_slices`
-    entry, of two sums of n^3 products S*S*v*v, passes n*vmax^2 as vmax."""
-    return 8 * n * n * smax * smax * vmax < 2**63
+    against a vector with entries up to vmax (`_slice_bound`)?"""
+    return _exact_dtype(_slice_bound(n, smax, vmax)) is not object
 
 
 def first_defect(D: np.ndarray, eps: float) -> Optional[tuple]:
@@ -954,23 +999,31 @@ def first_defect(D: np.ndarray, eps: float) -> Optional[tuple]:
 def morphism_defect(src: "Algebra", dst: "Algebra", mat, eps: float) -> Optional[tuple]:
     """First (i, j) in lexicographic order with f(e_i e_j) != f(e_i) f(e_j),
     column i of ``mat`` being f(e_i), or None: a proof, by bilinearity.
-    Exact data compares exactly, in Python ints: the cubes the algebras
-    hold (the tables times their scales s and t) and the map as ints over
-    its denominator d, each side scaled to d^2 s t times its true value.
-    With any float present, the cubes of `to_float()` compare within eps."""
+    Exact data compares exactly: the cubes the algebras hold (the tables
+    times their scales s and t) and the map as ints over its denominator
+    d, each side scaled to d^2 s t times its true value, in the tier
+    `_exact_dtype` picks for the bound on both sides' products (float64
+    integers on BLAS, int64, or Python ints).  With any float present, the
+    cubes of `to_float()` compare within eps."""
     n = len(mat)
     if "float" in (src.scalar_mode, dst.scalar_mode) or any(
             isinstance(c, float) for row in mat for c in row):
         S, T = (A.to_float().cube for A in (src, dst))
         Mt = np.array(mat, dtype=float).T
-        lhs, rhs = 1, 1
+        lhs, rhs, dtype = 1, 1, float
     else:
-        S, T = (A.cube.astype(object) for A in (src, dst))
         ints, den = integer_form([c for row in mat for c in row])
-        Mt = np.array(ints, dtype=object).reshape(n, n).T
         lhs, rhs = den * dst._scale, src._scale
+        # lhs S Mt sums n products, rhs Mt Mt T sums n^2; the scalars too
+        mmax = max(map(abs, ints), default=0)
+        bound = n * n * mmax * (lhs * src._cube_max + rhs * mmax * dst._cube_max) + lhs + rhs
+        tier = _exact_dtype(bound)
+        S, T = (A.cube.astype(tier) for A in (src, dst))
+        Mt = np.array(ints, dtype=tier).reshape(n, n).T
+        dtype = np.int64 if tier is float else tier
     direct = np.dot(Mt, np.dot(Mt, T.reshape(n, -1)).reshape(n, n, n))
-    return first_defect(lhs * np.dot(S, Mt) - rhs * direct.swapaxes(0, 1), eps)
+    D = lhs * np.dot(S, Mt) - rhs * direct.swapaxes(0, 1)
+    return first_defect(D.astype(dtype, copy=False), eps)
 
 
 # seeded draws -----------------------------------------------------------------

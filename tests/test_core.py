@@ -817,6 +817,62 @@ def test_one_slot_slices_match_the_element_associator(A):
                            rtol=0, atol=1e-9)
 
 
+# contract: the kernel's three tiers (float64 integers, int64, Python ints)
+# give the same integers
+def _int_slices(A, slots, X):
+    """associator_slices computed in Python ints: the associator of the
+    product of A's integer cube, each row of X in ``slots`` and e_a, then
+    e_b, in the other arguments."""
+    n, S = A.dim, A.cube.tolist()
+
+    def mul(x, y):
+        return [sum(x[i] * y[j] * S[i][j][k] for i in range(n) for j in range(n))
+                for k in range(n)]
+
+    basis = np.eye(n, dtype=np.int64).tolist()
+    out = []
+    for v in X.tolist():
+        for free in itertools.product(basis, repeat=3 - len(slots)):
+            args = iter(free)
+            x, y, z = (v if slot in slots else next(args) for slot in range(3))
+            out.append([p - q for p, q in zip(mul(mul(x, y), z), mul(x, mul(y, z)))])
+    return np.array(out, dtype=object).reshape((len(X),) + (n,) * (4 - len(slots)))
+
+
+# a two-dim table with an odd slice entry at every slot set
+_ODD_TABLE = [[[1, 1], [0, 1]], [[1, 0], [1, -1]]]
+_ODD_ROWS = np.array([[1, 0], [0, 1], [1, 1], [1, -1]])
+# the largest odd c that keeps a two-slot product of _ODD_TABLE times c
+# against these rows below 2**53: 8 n^2 c^2 n < 2**53 with n = 2
+_INSIDE = 11863283
+
+
+@pytest.mark.parametrize("c, v, dtype", [
+    (_INSIDE, 1, np.int64),  # float64 integers, just inside their bound
+    (2**27 + 1, 1, np.int64),  # entries c^2 m past 2**53: int64
+    (1, 2**27 + 1, np.int64),  # two-slot entries v^2 m past 2**53: int64
+    (2**40 + 1, 1, object),  # a cube of Python ints
+    (2**27 + 1, 2**20 + 1, object),  # an int64 cube, rows past its bound
+])
+def test_associator_slices_are_exact_in_every_tier(c, v, dtype):
+    A = Algebra([[[c * x for x in cell] for cell in row] for row in _ODD_TABLE])
+    assert A._cube_max == c
+    if c == _INSIDE:  # one more and the two-slot bound reaches 2**53
+        assert core._slice_bound(2, c, 2) < 2**53 <= core._slice_bound(2, c + 1, 2)
+    X = _ODD_ROWS * v
+    for slots in SLOT_SETS:
+        want = _int_slices(A, slots, X)
+        for rows in (X, X[:0], X.astype(object)):
+            got = A.associator_slices(slots, rows)
+            # no rows: the tier of the cube alone
+            assert got.dtype == (dtype if len(rows) else A.cube.dtype), slots
+            assert got.shape == want[:len(rows)].shape, slots
+            assert got.tolist() == want[:len(rows)].tolist(), slots
+        if c * c * v ** len(slots) > 2**53:
+            # an odd entry no float64 holds is returned as it is
+            assert any(w % 2 and abs(w) > 2**53 for w in want.flat), slots
+
+
 def _loop_unit_violation(sc, unit, labels, eps):
     """Reference: the first basis vector e_j, 1*e_j before e_j*1, whose
     product with the unit is not e_j, as the unit-axiom message, or None."""

@@ -601,7 +601,12 @@ def _tables_and_units(A):
             (big, [big.element([x / c for x in q.coords]) for q in points], complete)]
 
 
-@pytest.mark.parametrize("A", CATALOG_TABLES, ids=repr)
+# ak(6) with non-unit coefficients: n = 14, past the catalog points' n <= 8
+GEMM_TABLE = catalog.ak(6, **{f"a{i}{j}": F(i + j, 2 * j - 1)
+                              for i in range(1, 7) for j in (1, 2)})
+
+
+@pytest.mark.parametrize("A", CATALOG_TABLES + [GEMM_TABLE], ids=repr)
 def test_associator_slices_match_the_reftable_slices_on_catalog(A):
     # the kernel against RefTable's slices
     rng = random.Random(A.dim)
@@ -610,7 +615,7 @@ def test_associator_slices_match_the_reftable_slices_on_catalog(A):
         assert_slices_match_the_references(B, B.basis_elements() + points + drawn)
 
 
-@pytest.mark.parametrize("A", CATALOG_TABLES, ids=repr)
+@pytest.mark.parametrize("A", CATALOG_TABLES + [GEMM_TABLE], ids=repr)
 def test_associator_reports_match_the_reftable_scan_on_catalog(A):
     # every report against RefTable's scan, at the family's units and at a
     # Newton cloud: float coordinates on an exact table
