@@ -710,9 +710,10 @@ class Algebra:
         float rows make all three floats, S the cube of `to_float()`.
         Otherwise each row is integers, a positive multiple of its vector,
         and `_exact_dtype` picks the tier from the bound `_slice_bound` puts
-        on the kernel's product of ``degree`` such rows: S and X are int64,
-        or Python ints (object) past 2**63, and the tier is float where the
-        bound is below 2**53.  Object rows must hold integers
+        on the kernel's product of ``degree`` such rows, or from the rows'
+        largest entry where that is larger (on a zero cube, say): S and X
+        are int64, or Python ints (object) past 2**63, and the tier is float
+        where the bound is below 2**53.  Object rows must hold integers
         (`_require_integer_objects`)."""
         S, n, X = self.cube, self.dim, np.asarray(X)
         if X.ndim != 2 or X.shape[1] != n:
@@ -721,8 +722,8 @@ class Algebra:
         if X.dtype.kind == "f" or S.dtype == float:
             return self.to_float().cube, X.astype(float, copy=False), float
         vmax = int(np.abs(X).max(initial=0))
-        tier = object if S.dtype == object else _exact_dtype(
-            _slice_bound(n, self._cube_max, n ** (degree - 1) * vmax ** degree))
+        tier = object if S.dtype == object else _exact_dtype(max(
+            vmax, _slice_bound(n, self._cube_max, n ** (degree - 1) * vmax ** degree)))
         dtype = np.int64 if tier is float else tier
         return S.astype(dtype, copy=False), X.astype(dtype, copy=False), tier
 
@@ -919,6 +920,8 @@ def integer_form(values: Sequence) -> tuple:
     """(ints, den): rationals, a float at its exact value, as the integers
     ints over den, the lcm of their denominators (of reduced Fractions: the
     canonical form, gcd(den, *ints) == 1)."""
+    if all(type(c) is int for c in values):
+        return tuple(values), 1
     try:
         ratios = [c.as_integer_ratio() for c in values]
     except AttributeError:  # a Rational without the method, a numpy integer say
@@ -992,8 +995,11 @@ def first_defect(D: np.ndarray, eps: float) -> Optional[tuple]:
         nonzero = ~np.all(np.abs(D) <= eps, axis=-1)
     else:
         nonzero = np.any(D != 0, axis=-1)
-    hits = np.argwhere(nonzero)
-    return tuple(int(i) for i in hits[0]) if len(hits) else None
+    flat = nonzero.reshape(-1)
+    k = int(flat.argmax()) if flat.size else 0
+    if not flat.size or not flat[k]:
+        return None
+    return tuple(int(i) for i in np.unravel_index(k, nonzero.shape))
 
 
 def morphism_defect(src: "Algebra", dst: "Algebra", mat, eps: float) -> Optional[tuple]:

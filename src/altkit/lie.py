@@ -37,6 +37,7 @@ canonical table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -48,6 +49,7 @@ from .core import (
     Algebra,
     AlgebraError,
     ParameterError,
+    _terms,
     first_defect,
     morphism_defect,
     nonzero_entries,
@@ -90,13 +92,16 @@ def lieify(A: Algebra) -> LieAlgebra:
     """Commutator Lie structure: b[i][j][k] = sc[i][j][k] - sc[j][i][k],
     read off the cube as D = S - S^T over its first two axes.  A float
     table's D is its brackets, IEEE differences with the sign of zero; an
-    exact table's is its brackets times its scale s, whose nonzero entries
-    over s go to `table_cube`."""
+    exact table's is its brackets times its scale s, made canonical by
+    g = gcd(s, D's entries): the cube D / g over the scale s / g, in the
+    dtype `table_cube` gives those integers."""
     S = A.cube
     D, scale = S - S.swapaxes(0, 1), 1
     if A.scalar_mode == "exact":
         index, values = nonzero_entries(D)
-        D, scale = table_cube(A.dim, index, [Fraction(c, A._scale) for c in values])
+        g = math.gcd(A._scale, *values)
+        D, _ = table_cube(A.dim, index, [c // g for c in values])
+        scale = A._scale // g
     return LieAlgebra._built(D, scale, A.labels, A.eps)
 
 
@@ -136,25 +141,39 @@ def derived_series(L: LieAlgebra, eps: Optional[float] = None) -> List[list]:
     (i < j), positive multiples of the brackets of the basis vectors, of
     which those up to the last nonzero one are eliminated: float
     elimination breaks pivot ties by row position, so the zero rows before
-    it stay, and an exact reduced row form is the same whatever zero rows
-    it is given.  Each deeper term is spanned by the brackets of every two
-    rows of the term before, through `multiply`."""
-    n = L.dim
+    it stay, and an exact one drops them.  Each deeper term is spanned by
+    the brackets of every two spanning rows of the term before, taken by
+    the product loop `_accumulate` on the rows.
+
+    On an exact L the spanning rows are the integer rows of
+    `linalg.integer_rref`, nonzero multiples of the reduced rows, so they
+    span the same space and each term's reduced basis is the same; only
+    the reduced rows are made Fractions.  A float L's are the reduced
+    rows, at eps, and their brackets are made floats, as an Element
+    product makes them."""
+    n, S = L.dim, L.cube
     eps = tolerance(eps, L.eps)
-    current = [[Fraction(1) if p == i else Fraction(0) for p in range(n)]
-               for i in range(n)]
+    current = linalg.identity_matrix(n)
     series = [current]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    last = max((r for r, (i, j) in enumerate(pairs) if L._rows[i][j]), default=-1)
-    prods = [L.cube[i, j].tolist() for i, j in pairs[:last + 1]]
+    r = np.arange(n)
+    upper = S[r[:, None] < r]  # the rows (i, j), i < j, in order
+    nonzero = np.flatnonzero(np.any(upper != 0, axis=1))
+    prods = upper[:nonzero[-1] + 1].tolist() if len(nonzero) else []
+    exact = L.scalar_mode == "exact"
     while True:
-        nxt = linalg.row_basis(prods, eps) if prods else []
+        if exact:
+            rows, pivots = linalg.integer_rref(prods)
+            nxt = linalg.reduced_rows(rows, pivots)
+        else:
+            rows = nxt = linalg.row_basis(prods, eps)
         series.append(nxt)
         if len(nxt) == 0 or len(nxt) == len(current):
             return series
         current = nxt
-        rows = [L.element(u) for u in current]
-        prods = [(x * y).coords for a, x in enumerate(rows) for y in rows[a + 1:]]
+        terms = [_terms(row) for row in rows]
+        prods = [L._accumulate(x, y) for a, x in enumerate(terms) for y in terms[a + 1:]]
+        if not exact:
+            prods = [[float(c) for c in row] for row in prods]
 
 
 def derived_dims(L: LieAlgebra, eps: Optional[float] = None) -> List[int]:

@@ -1,25 +1,37 @@
 """Small dense linear algebra over exact rationals or floats.
 
 Everything works on plain lists of lists.  Matrices without a float are
-eliminated exactly (pivot threshold 0, whatever epsilon the caller
-passes); as soon as a float appears the caller-supplied epsilon (or the
-global default) decides what counts as zero.  Matrices are small (n <= 22
-in the catalog, `ak(10)`), and one at a time they go through plain Python
-loops.  Span membership has no routine of its own: callers eliminate the
-columns [basis | vectors] with `rref` once and read the pivots.  Two
-routines take a whole stack of them at once, for the division test:
-`dets`, `det` on floats vectorised bit for bit, and `nonsingular_mod`,
-which decides a determinant's zeroness modulo the prime `core.MODULUS`.
+eliminated exactly, in Python ints (pivot threshold 0, whatever epsilon
+the caller passes): `integer_rref` scales each row to integers, drops the
+zero rows and runs a fraction-free Gauss-Jordan elimination, and only the
+rows `rref` returns are made Fractions.  As soon as a float appears, the
+caller-supplied epsilon (or the global default) decides what counts as
+zero, and the elimination runs on the entries as given.  Matrices are
+small (n <= 22 in the catalog, `ak(10)`), and one at a time they go
+through plain Python loops.  Span membership has no routine of its own:
+callers eliminate the columns [basis | vectors] with `rref` once and read
+the pivots.  Two routines take a whole stack of them at once, for the
+division test: `dets`, `det` on floats vectorised bit for bit, and
+`nonsingular_mod`, which decides a determinant's zeroness modulo the
+prime `core.MODULUS`.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import MODULUS, DimensionError, scalar_is_zero, tolerance
+from .core import (
+    MODULUS,
+    DimensionError,
+    _fractions,
+    integer_form,
+    scalar_is_zero,
+    tolerance,
+)
 
 
 def _has_float(mat) -> bool:
@@ -45,7 +57,8 @@ def square_matrix(mat, n: int) -> list:
 
 
 def identity_matrix(n: int):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    one, zero = Fraction(1), Fraction(0)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def matvec(mat, vec):
@@ -53,11 +66,18 @@ def matvec(mat, vec):
 
 
 def rref(mat, eps: Optional[float] = None) -> Tuple[list, List[int]]:
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
+    """Reduced row echelon form: (rows, pivot_columns), the rows being its
+    nonzero rows, one per pivot column.  A matrix without a float is
+    eliminated by `integer_rref`, and its rows are Fractions; the reduced
+    form over Q is unique, so they do not depend on the pivots taken.  A
+    float matrix takes in each column the first row of largest |x| > eps."""
     rows = [list(r) for r in mat]
+    eps = tolerance(eps)
     if not rows:
         return rows, []
-    eps = _resolve_eps(rows, eps)
+    if not _has_float(rows):
+        ints, pivots = integer_rref(rows)
+        return reduced_rows(ints, pivots), pivots
     m, n = len(rows), len(rows[0])
     pivots: List[int] = []
     r = 0
@@ -80,7 +100,53 @@ def rref(mat, eps: Optional[float] = None) -> Tuple[list, List[int]]:
         r += 1
         if r == m:
             break
-    return rows, pivots
+    return rows[:r], pivots
+
+
+def integer_rref(mat) -> Tuple[list, List[int]]:
+    """Fraction-free Gauss-Jordan elimination of exact rows (ints or
+    Fractions): (rows, pivot_columns), rows[t] a list of ints with no
+    common factor, nonzero at pivots[t] and zero at every other pivot
+    column, so rows[t] over its pivot is row t of the reduced row echelon
+    form.  Each row is scaled to integers (`core.integer_form`) and the
+    zero rows are dropped; then in each column the first row left with a
+    nonzero entry p there is the pivot row P, and every other row x
+    becomes p*x - x[c]*P over its gcd."""
+    rows = [list(integer_form(row)[0]) for row in mat if any(row)]
+    done: list = []
+    pivots: List[int] = []
+    for c in range(len(rows[0]) if rows else 0):
+        k = next((k for k, row in enumerate(rows) if row[c]), None)
+        if k is None:
+            continue
+        top = rows.pop(k)
+        p = top[c]
+        done = [_eliminate(row, top, p, c) for row in done]
+        rows = [x for x in (_eliminate(row, top, p, c) for row in rows) if x]
+        done.append(top)
+        pivots.append(c)
+        if not rows:
+            break
+    return done, pivots
+
+
+def reduced_rows(rows: list, pivots: List[int]) -> list:
+    """The rows of `integer_rref` over their pivots, as Fractions: the
+    nonzero rows of the reduced row echelon form."""
+    return [_fractions(row, row[c]) for row, c in zip(rows, pivots)]
+
+
+def _eliminate(row: list, top: list, p: int, c: int) -> list:
+    """p*row - row[c]*top over its gcd, zero in column c; row itself when
+    row[c] is 0, and [] when the result is the zero row."""
+    f = row[c]
+    if not f:
+        return row
+    row = [p * x - f * y for x, y in zip(row, top)]
+    g = math.gcd(*row)
+    if g == 1:
+        return row
+    return [x // g for x in row] if g else []
 
 
 def rank(mat, eps: Optional[float] = None) -> int:
@@ -195,8 +261,4 @@ def nonsingular_mod(mats) -> np.ndarray:
 
 def row_basis(rows, eps: Optional[float] = None) -> list:
     """Independent spanning subset, in reduced form."""
-    if not rows:
-        return []
-    reduced, pivots = rref(rows, eps)
-    return [reduced[i] for i in range(len(pivots))]
-
+    return rref(rows, eps)[0]

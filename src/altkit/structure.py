@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence
 
+import numpy as np
+
 from . import catalog, linalg
 from .core import (
     Algebra,
@@ -48,11 +50,20 @@ def commutative_nucleus(A: Algebra, eps: Optional[float] = None) -> List[Element
     """Basis of {x : xy = yx for all y}, via the null space of the stacked
     commutator matrices L_{e_i} - R_{e_i}, whose row (i, r) is
     S[i, j, r] - S[j, i, r] over j, S the cube: a positive multiple of the
-    table, so the null space is the same."""
+    table, so the null space is the same.  When every entry is zero (a
+    commutative table) that is the whole space, the basis, with no
+    elimination.  An exact table's zero rows are dropped before its
+    elimination in ints; a float table's stay, since they move the row
+    positions that break float pivot ties."""
     n, S = A.dim, A.cube
-    stacked = (S - S.swapaxes(0, 1)).transpose(0, 2, 1).reshape(n * n, n).tolist()
-    basis = linalg.null_space(stacked, tolerance(eps, A.eps))
-    return [A.element(v) for v in basis]
+    eps = tolerance(eps, A.eps)
+    stacked = (S - S.swapaxes(0, 1)).transpose(0, 2, 1).reshape(n * n, n)
+    nonzero = np.any(stacked != 0, axis=1)
+    if not nonzero.any():
+        return A.basis_elements()
+    if A.scalar_mode == "exact":
+        stacked = stacked[nonzero]
+    return [A.element(v) for v in linalg.null_space(stacked.tolist(), eps)]
 
 
 def is_isomorphism(

@@ -7,6 +7,8 @@ nucleus, Lie brackets, Jacobi, derived dimensions and Lie type.  This
 module holds only what it lacks, and imports no altkit either:
 
 - `morphism_defect`: an isomorphism checked by transported products;
+- `rref`: Gauss-Jordan elimination in Fractions, the reduced row echelon
+  form `altkit.linalg.rref` gives on exact rows;
 - `rank` and `same_span`: span equality of two row sets;
 - `inverse`: the exact inverse of a matrix;
 - `typed`: a type-for-type view, for the pins that compare bit for bit;
@@ -111,26 +113,33 @@ def _matrix(mat) -> list:
     return [[_scalar(c) for c in row] for row in mat]
 
 
-def rank(rows, eps: float = 0.0) -> int:
-    """The rank of a list of rows: Fraction elimination when every entry is
-    rational, else the singular values above eps."""
+def rref(rows):
+    """The reduced row echelon form of rational rows, by Gauss-Jordan
+    elimination in Fractions: (its nonzero rows, their pivot columns), the
+    pivot of each column the first row left with a nonzero entry there."""
     rows = _matrix(rows)
-    if not rows:
-        return 0
-    if any(isinstance(c, float) for row in rows for c in row):
-        return int(np.linalg.matrix_rank(np.array(rows, dtype=float), tol=eps))
-    r = 0
-    for c in range(len(rows[0])):
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
         pivot = next((k for k in range(r, len(rows)) if rows[k][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        for k in range(r + 1, len(rows)):
-            if rows[k][c]:
-                f = rows[k][c] / rows[r][c]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for k in range(len(rows)):
+            if k != r and rows[k][c]:
+                f = rows[k][c]
                 rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
-        r += 1
-    return r
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
+def rank(rows, eps: float = 0.0) -> int:
+    """The rank of a list of rows: `rref`'s when every entry is rational,
+    else the singular values above eps."""
+    if any(isinstance(c, (float, np.floating)) for row in rows for c in row):
+        return int(np.linalg.matrix_rank(np.array(rows, dtype=float), tol=eps))
+    return len(rref(rows)[1])
 
 
 def same_span(rows, others, eps: float = 0.0) -> bool:
@@ -140,20 +149,12 @@ def same_span(rows, others, eps: float = 0.0) -> bool:
 
 
 def inverse(mat) -> list:
-    """The exact inverse, by Gauss-Jordan elimination in Fractions."""
+    """The exact inverse, by `rref` of [mat | identity]."""
     n = len(mat)
-    rows = [row + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(_matrix(mat))]
-    for c in range(n):
-        pivot = next((k for k in range(c, n) if rows[k][c]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        rows[c] = [x / rows[c][c] for x in rows[c]]
-        for k in range(n):
-            if k != c and rows[k][c]:
-                f = rows[k][c]
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[c])]
+    rows, pivots = rref([list(row) + [int(i == j) for j in range(n)]
+                         for i, row in enumerate(mat)])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
     return [row[n:] for row in rows]
 
 

@@ -873,6 +873,40 @@ def test_associator_slices_are_exact_in_every_tier(c, v, dtype):
             assert any(w % 2 and abs(w) > 2**53 for w in want.flat), slots
 
 
+def test_a_zero_cube_takes_its_tier_from_the_rows():
+    # on an all-zero cube the slice bound is 0 whatever the rows, so the
+    # rows' own largest entry picks the tier: past int64 they stay Python
+    # ints, and every product is zero
+    Z = Algebra([[[0, 0], [0, 0]], [[0, 0], [0, 0]]])
+    for big, dtype in ((2**62, np.int64), (2**70, object), (10**400, object)):
+        rows = np.array([[big, 1], [1, big]], dtype=dtype)
+        for slots in SLOT_SETS:
+            D = Z.associator_slices(slots, rows)
+            assert (D.dtype, D.shape) == (dtype, (2, 2, 2, 2)[:5 - len(slots)]), slots
+            assert not (D != 0).any(), slots
+        M = Z.mul_operators(rows)
+        assert M.dtype == np.int64 and not M.any()
+        assert Z.first_singular(rows) == 0
+        P = Z.multiply_rows(rows, rows)
+        assert P.dtype == dtype and not (P != 0).any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=4), st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+       st.integers(0, 2**32 - 1))
+def test_first_defect_is_the_first_hit_of_argwhere(shape, share, seed):
+    # all-False masks (share 0), all-True ones (share 1) and empty ones
+    # (a 0 in the shape) included, on integer and float arrays
+    rng = np.random.default_rng(seed)
+    hit = rng.random(shape) < share
+    for D, eps in ((hit * rng.integers(1, 5, shape), 0.0),
+                   (np.where(hit, 0.5, rng.uniform(-0.25, 0.25, shape)), 0.25)):
+        nonzero = np.any(D != 0, axis=-1) if eps == 0 else ~np.all(np.abs(D) <= eps, axis=-1)
+        first = np.argwhere(nonzero)
+        want = tuple(int(i) for i in first[0]) if len(first) else None
+        assert core.first_defect(D, eps) == want
+
+
 def _loop_unit_violation(sc, unit, labels, eps):
     """Reference: the first basis vector e_j, 1*e_j before e_j*1, whose
     product with the unit is not e_j, as the unit-axiom message, or None."""

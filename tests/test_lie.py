@@ -44,14 +44,19 @@ def _assert_classifies_as_reference(L):
 # order of [L, L]'s rows fixes the signs of the zeros a float elimination leaves
 def _sc_derived_series(L, eps=None):
     """Reference: [L, L] from the table rows sc[i][j] (i < j), each deeper
-    term from the brackets of every two rows of the term before."""
+    term from the brackets of every two rows of the term before.  An exact
+    term is the Fraction oracle's reduced form; a float one is
+    `linalg.row_basis` at eps, the float elimination's own contract."""
     eps = L.eps if eps is None else eps
     n = L.dim
     current = [[F(1) if p == i else F(0) for p in range(n)] for i in range(n)]
     series = [current]
     prods = [L.sc[i][j] for i in range(n) for j in range(i + 1, n)]
     while True:
-        nxt = linalg.row_basis(prods, eps) if prods else []
+        if L.scalar_mode == "exact":
+            nxt = oracle.rref(prods)[0]
+        else:
+            nxt = linalg.row_basis(prods, eps) if prods else []
         series.append(nxt)
         if len(nxt) == 0 or len(nxt) == len(current):
             return series

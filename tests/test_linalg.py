@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle
 from altkit import linalg
+from oracle import typed
 
 F = Fraction
 
@@ -60,3 +62,47 @@ def test_row_basis():
     rows = [[F(1), F(1)], [F(2), F(2)], [F(1), F(0)]]
     basis = linalg.row_basis(rows)
     assert len(basis) == 2
+
+
+# exact entries: small ones (zero most often), ints past 2**63, and
+# Fractions with small and with large denominators
+entries = st.one_of(
+    st.sampled_from([0, 0, 0, 1, -1, 2, F(1, 2)]),
+    st.integers(-2**70, 2**70),
+    st.fractions(max_denominator=7),
+    st.builds(F, st.integers(-2**70, 2**70), st.integers(1, 2**70)),
+)
+
+
+@st.composite
+def exact_matrices(draw):
+    """Rows of exact entries, with a zero row and a copy of a row (either
+    drawn or not) at drawn places."""
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=6))
+    if rows and draw(st.booleans()):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        rows.insert(draw(st.integers(0, len(rows))), list(row))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * n)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_matrices())
+def test_exact_elimination_matches_the_fraction_oracle(mat):
+    # the fraction-free elimination in ints gives the reduced form of plain
+    # Fraction Gauss-Jordan, type for type, whatever eps it is given
+    rows, pivots = oracle.rref(mat)
+    assert typed(linalg.rref(mat)) == typed(linalg.rref(mat, 0.5)) == typed((rows, pivots))
+    assert linalg.rank(mat) == len(pivots)
+    assert typed(linalg.row_basis(mat)) == typed(rows)
+    n = len(mat[0]) if mat else 0
+    null = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [F(0)] * n
+        v[f] = F(1)
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f]
+        null.append(v)
+    assert typed(linalg.null_space(mat)) == typed(null)
